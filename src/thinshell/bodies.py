@@ -215,12 +215,16 @@ def isotropic_scale(body: BodySpec, second_moments) -> BodySpec:
     return replace(body, scale=new_scale)
 
 
-def analytic_second_moments(body: BodySpec) -> np.ndarray | None:
-    """Per-axis E X_j^2 of the uniform law, in closed form where available.
+def analytic_second_moments(body: BodySpec) -> np.ndarray:
+    """Per-axis E X_j^2 of the uniform law (or of the counterexample density),
+    in closed form for every supported kind.
 
-    Closed forms cover cube, product boxes, the euclidean ball, lp balls with
-    p in {1, 2, inf-like cube} and the counterexample density.  Returns None
-    for other lp exponents; use a Monte Carlo moment pass then.
+    For the unit lp ball in R^n (Barthe, Guedon, Mendelson and Naor, Ann.
+    Probab. 2005)
+
+        E X_1^2 = Gamma(3/p) Gamma(1 + n/p) / (Gamma(1/p) Gamma(1 + (n+2)/p)),
+
+    evaluated through lgamma; p = 1, 2 and inf keep their exact rational forms.
     """
     n = body.dim
     s2 = body.scale_array ** 2
@@ -239,7 +243,9 @@ def analytic_second_moments(body: BodySpec) -> np.ndarray | None:
             return s2 * 2.0 / ((n + 1.0) * (n + 2.0))
         if math.isinf(body.p):
             return s2 / 3.0
-        return None
+        p = body.p
+        return s2 * math.exp(math.lgamma(3.0 / p) + math.lgamma(1.0 + n / p)
+                             - math.lgamma(1.0 / p) - math.lgamma(1.0 + (n + 2.0) / p))
     raise ValueError(f"unknown kind {body.kind!r}")
 
 
@@ -255,10 +261,7 @@ def isotropic_body(kind: str, dim: int, p: float | None = None) -> BodySpec:
         return BodySpec.counterexample_cross(dim)
     else:
         raise ValueError(f"no canonical isotropic form for kind {kind!r}")
-    m = analytic_second_moments(base)
-    if m is None:
-        raise ValueError(f"no analytic moments for p={p}; run a Monte Carlo moment pass")
-    return isotropic_scale(base, m)
+    return isotropic_scale(base, analytic_second_moments(base))
 
 
 # -- config block (de)serialization -----------------------------------------

@@ -10,6 +10,7 @@ import argparse
 import configparser
 import datetime
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -158,7 +159,11 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute the configured suite(s) and write report.csv / report.json / SVGs."""
+    """Execute the configured suite(s) and write report.csv / report.json / SVGs.
+
+    The wall time of each suite goes to report.json and stdout only, so
+    report.csv stays byte-stable.
+    """
     config.validate()
     out_dir = Path(config.output_dir)
     try:
@@ -172,14 +177,17 @@ def run(config: ExperimentConfig) -> int:
 
     names = EXPERIMENTS[:-1] if config.experiment == "all" else (config.experiment,)
     result = SuiteResult(config.experiment)
+    timings = {}
     for name in names:
+        t0 = time.perf_counter()
         result.merge(_dispatch(name, config, out_dir))
+        timings[f"{name}_s"] = time.perf_counter() - t0
 
     try:
         (out_dir / "report.csv").write_text(render_csv(result.rows))
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         (out_dir / "report.json").write_text(
-            render_json(result, config.echo(), timestamp, __version__, RNG_ID))
+            render_json(result, config.echo(), timestamp, __version__, RNG_ID, timings))
         if config.plot:
             _write_plots(result, out_dir)
     except OSError as exc:
@@ -191,6 +199,8 @@ def run(config: ExperimentConfig) -> int:
         print(f"[{status}] {a.name} ({a.anchor}): measured {a.measured:.6g}, {a.target}")
     for note in result.notes:
         print(f"[note] {note}")
+    for name in names:
+        print(f"[time] {name} {timings[f'{name}_s']:.2f} s")
     print(f"report.csv / report.json written to {out_dir}")
     return 0 if result.passed else 1
 

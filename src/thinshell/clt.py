@@ -271,10 +271,19 @@ def sample_kernel(kernel: SmoothingKernel, size: int, rng: np.random.Generator) 
 
 # -- smoothed Bernoulli tails ---------------------------------------------------
 
+# Rows per block of the (points x nodes) and (nodes x n) tables below: memory
+# stays O(_ROWS x columns) however many points or nodes there are.  Each row is
+# reduced on its own, so the block size does not change any value.
+_ROWS = 256
+
+
 def _char_bernoulli(theta: np.ndarray, xi):
-    """prod_i cos(theta_i xi), vectorized over xi."""
+    """prod_i cos(theta_i xi), vectorized over xi in blocks of _ROWS values."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return np.prod(np.cos(np.multiply.outer(xi, theta)), axis=1)
+    out = np.empty(xi.size)
+    for i in range(0, xi.size, _ROWS):
+        out[i:i + _ROWS] = np.prod(np.cos(np.multiply.outer(xi[i:i + _ROWS], theta)), axis=1)
+    return out
 
 
 def bernoulli_gamma_tail_fourier(theta, sigma: float, t: float, tol: float = 1e-9) -> float:
@@ -352,18 +361,18 @@ def _tail_batch(theta: np.ndarray, sigma: float, ts: np.ndarray) -> np.ndarray:
     chi = kernel.char_fn(sigma * xi) * _char_bernoulli(theta, xi)
     diff_w = (chi - np.exp(-0.5 * xi * xi * nrm2)) / xi * w
     main = np.empty_like(ts)
-    for i in range(0, ts.size, 2048):
-        blk = ts[i:i + 2048]
-        main[i:i + 2048] = np.sin(np.multiply.outer(blk, xi)) @ diff_w
+    for i in range(0, ts.size, _ROWS):
+        blk = ts[i:i + _ROWS]
+        main[i:i + _ROWS] = np.sin(np.multiply.outer(blk, xi)) @ diff_w
     gauss_hi = math.sqrt(1420.0) / nrm
     g_tail = np.zeros_like(ts)
     if gauss_hi > cut:
         n_pan2 = max(8, int(math.ceil((gauss_hi - cut) * omega / 5.0)))
         xi2, w2 = _gl_panels(cut, gauss_hi, n_pan2)
         gw2 = np.exp(-0.5 * xi2 * xi2 * nrm2) / xi2 * w2
-        for i in range(0, ts.size, 2048):
-            blk = ts[i:i + 2048]
-            g_tail[i:i + 2048] = np.sin(np.multiply.outer(blk, xi2)) @ gw2
+        for i in range(0, ts.size, _ROWS):
+            blk = ts[i:i + _ROWS]
+            g_tail[i:i + _ROWS] = np.sin(np.multiply.outer(blk, xi2)) @ gw2
     return normal_upper_tail(ts / nrm) - main / math.pi + g_tail / math.pi
 
 

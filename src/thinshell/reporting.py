@@ -65,13 +65,16 @@ class SuiteResult:
 
 
 def render_json(result: SuiteResult, config_echo: dict, timestamp: str, version: str,
-                rng_id: str) -> str:
+                rng_id: str, timings: dict[str, float] | None = None) -> str:
+    """JSON report: the CSV rows plus metadata that may vary between runs, such
+    as the timestamp and the per-suite wall times in ``timings``."""
     payload = {
         "experiment": result.name,
         "version": version,
         "rng": rng_id,
         "timestamp": timestamp,  # confined to the JSON report; CSV stays byte-stable
         "config": config_echo,
+        "timings": timings or {},
         "passed": result.passed,
         "assertions": [asdict(a) for a in result.assertions],
         "notes": result.notes,

@@ -28,6 +28,11 @@ _HEADER = struct.Struct("<4sHIQQ6x")  # magic, version u16, n u32, N u64, seed u
 assert _HEADER.size == 32
 
 
+class TruncatedSampleFileError(ValueError):
+    """A THSL dump is shorter than its 32-byte header, or than the payload
+    its header declares."""
+
+
 def substream(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream); streams never overlap."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
@@ -186,7 +191,12 @@ def sample_hit_and_run(body: BodySpec, count: int, burnin: int = 1000,
 
 
 def estimate_second_moments(body: BodySpec, count: int = 10 ** 6, seed: int = 0) -> np.ndarray:
-    """Monte Carlo per-axis E X_j^2 for kinds without closed-form moments."""
+    """Monte Carlo per-axis E X_j^2 from the exact sampler.
+
+    Every body kind has closed-form moments (``bodies.analytic_second_moments``),
+    which isotropic normalization uses; this pass is kept only as a check of
+    those closed forms that shares no code with them.
+    """
     acc = np.zeros(body.dim)
     total = 0
     for block in exact_blocks(body, count, seed):
@@ -213,13 +223,24 @@ def dump_samples(samples: SampleMatrix, path) -> None:
 
 
 def load_samples(path, body: BodySpec | None = None) -> SampleMatrix:
+    """Read a THSL dump; a short header or payload raises TruncatedSampleFileError."""
     with open(path, "rb") as fh:
-        magic, version, n, count, seed = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise TruncatedSampleFileError(
+                f"THSL header needs {_HEADER.size} bytes, file has {len(header)}")
+        magic, version, n, count, seed = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}; not a THSL sample file")
         if version != HEADER_VERSION:
             raise ValueError(f"unsupported THSL version {version}")
-        data = np.frombuffer(fh.read(8 * n * count), dtype="<f8").reshape(count, n).copy()
+        expected = 8 * n * count
+        payload = fh.read(expected)
+        if len(payload) < expected:
+            raise TruncatedSampleFileError(
+                f"THSL payload of {count} x {n} rows needs {expected} bytes, "
+                f"file has {len(payload)}")
+        data = np.frombuffer(payload, dtype="<f8").reshape(count, n).copy()
     if body is None:
         body = BodySpec.cube(n, half_width=float(np.max(np.abs(data)) or 1.0))
     return SampleMatrix(data, body, seed, method="loaded")

@@ -28,8 +28,9 @@ class BodyTemplate(NamedTuple):
     """Body family from a config block; instantiated per dimension.
 
     Without an explicit scale the instantiation is isotropically normalized
-    (Monte Carlo moment pass for lp exponents without closed-form moments).
-    ``spacing`` is the raster spacing used by grid-measure suites.
+    with the closed-form moments of ``bodies.analytic_second_moments``; no
+    kind needs sampling for it.  ``spacing`` is the raster spacing used by
+    grid-measure suites.
     """
 
     kind: str
@@ -39,10 +40,7 @@ class BodyTemplate(NamedTuple):
     dim: int | None = None
     spacing: float | None = None
 
-    def label(self, n: int) -> str:
-        return self.instantiate(n).label()
-
-    def instantiate(self, n: int | None = None, seed: int = 0) -> bd.BodySpec:
+    def instantiate(self, n: int | None = None) -> bd.BodySpec:
         n = self.dim or n
         if n is None:
             raise ValueError("body template needs a dimension")
@@ -57,10 +55,7 @@ class BodyTemplate(NamedTuple):
         if self.scale is not None:
             scale = self.scale if len(self.scale) == n else tuple(self.scale) * n
             return bd.BodySpec(body.kind, n, scale, p=body.p, half_widths=body.half_widths)
-        moments = bd.analytic_second_moments(body)
-        if moments is None:
-            moments = smp.estimate_second_moments(body, count=10 ** 6, seed=seed)
-        return bd.isotropic_scale(body, moments)
+        return bd.isotropic_scale(body, bd.analytic_second_moments(body))
 
 
 CUBE = BodyTemplate("cube")
@@ -78,7 +73,7 @@ def _within(value: float, target: float, half_width: float) -> bool:
 
 def _thinshell_task(args):
     template, n, samples, seed = args
-    body = template.instantiate(n, seed)
+    body = template.instantiate(n)
     s = smp.sample_exact(body, samples, seed)
     stats = est.thin_shell_stats(s)
     return template, n, body.label(), stats
@@ -119,14 +114,13 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
                 f"0.8/n +- {vr.half_width:.3g} (3 MC sigma)",
                 _within(vr.value, 0.8 / n, vr.half_width)))
         if not first_dumped and dump_path is not None:
-            s = smp.sample_exact(template.instantiate(n, seed), min(samples, 10 ** 4), seed)
+            s = smp.sample_exact(template.instantiate(n), min(samples, 10 ** 4), seed)
             smp.dump_samples(s, dump_path)
             first_dumped = True
 
     for template, points in by_template.items():
         if len(points) >= 3:
             fit = est.scaling_fit(points)
-            label = template.label(points[-1][0])
             out.rows.append(CsvRow("thin_shell.loglog_slope", template.kind, 0,
                                    samples, seed, fit.slope, 0.0, -1.0,
                                    {"intercept": fit.intercept, "r2": fit.r2}))
@@ -139,7 +133,7 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2 ** 32], dtype=np.uint64)))
     for template in shell_templates:
         for n in shell_n:
-            body = template.instantiate(n, seed)
+            body = template.instantiate(n)
             s = smp.sample_exact(body, samples, seed)
             sd = est.thin_shell_stats(s).shell_dev
             out.rows.append(CsvRow(sd.estimator_id, body.label(), n, samples, seed,
@@ -154,7 +148,7 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
                     a = est.WeightVector.coefficients(rng.uniform(0.0, 2.0, size=n))
                     e, bound = est.weighted_square_variance(s, a)
                     margin = e.value - bound
-                    worst = max(worst, margin + e.half_width * 0)
+                    worst = max(worst, margin)
                     ok = ok and (e.value <= bound + e.half_width)
                 out.rows.append(CsvRow("cor204i.worst_margin", body.label(), n, samples,
                                        seed, worst, 0.0, 0.0))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from thinshell import sampler
 from thinshell.bodies import (
     AxisSection,
     BodySpec,
@@ -19,6 +20,7 @@ from thinshell.bodies import (
     isotropic_scale,
     to_config_block,
 )
+from thinshell.suites import BodyTemplate
 
 SQRT3 = math.sqrt(3.0)
 
@@ -103,6 +105,27 @@ def test_l1_second_moment_against_quadrature():
     assert analytic_second_moments(BodySpec.lp_ball(n, p=1.0))[0] == pytest.approx(num / den)
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("n", [2, 8, 128])
+def test_lp_second_moment_against_quadrature(n, p):
+    # coordinate density of the lp ball is proportional to (1-|t|^p)^((n-1)/p)
+    k = (n - 1) / p
+    num, _ = quad(lambda t: t ** 2 * (1 - t ** p) ** k, 0, 1, epsabs=0, epsrel=1e-13, limit=200)
+    den, _ = quad(lambda t: (1 - t ** p) ** k, 0, 1, epsabs=0, epsrel=1e-13, limit=200)
+    got = analytic_second_moments(BodySpec.lp_ball(n, p))
+    assert got == pytest.approx(np.full(n, num / den), rel=1e-10, abs=0)
+
+
+def test_body_template_isotropy_does_not_sample(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("isotropic normalization must not sample")
+
+    monkeypatch.setattr(sampler, "estimate_second_moments", no_sampling)
+    monkeypatch.setattr(sampler, "exact_blocks", no_sampling)
+    body = BodyTemplate("lp_ball", 3.0).instantiate(6)
+    assert body == isotropic_body("lp_ball", 6, p=3.0)
+
+
 @st.composite
 def bodies_and_points(draw):
     n = draw(st.integers(1, 6))
@@ -177,3 +200,4 @@ def test_axis_section_validates_order():
 def test_isotropic_body_cube_is_unit_variance():
     assert isotropic_body("cube", 7).scale == pytest.approx((SQRT3,) * 7)
     assert analytic_second_moments(isotropic_body("lp_ball", 5, p=1.0)) == pytest.approx(np.ones(5))
+    assert analytic_second_moments(isotropic_body("lp_ball", 6, p=3.0)) == pytest.approx(np.ones(6))

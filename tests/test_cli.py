@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -48,7 +49,7 @@ def test_parse_config_validation():
         parse_config("[experiment]\nname = nonsense\n")
 
 
-def test_run_identities_and_artifacts(tmp_path):
+def test_run_identities_and_artifacts(tmp_path, capsys):
     cfg = default_config("identities")
     cfg.output_dir = str(tmp_path / "out")
     assert run(cfg) == 0
@@ -58,6 +59,9 @@ def test_run_identities_and_artifacts(tmp_path):
     assert payload["passed"] is True
     assert all(a["anchor"] for a in payload["assertions"])
     assert "timestamp" in payload
+    assert list(payload["timings"]) == ["identities_s"]
+    assert payload["timings"]["identities_s"] > 0
+    assert re.search(r"^\[time\] identities \d+\.\d\d s$", capsys.readouterr().out, re.M)
 
 
 def test_run_byte_identical_reports(tmp_path, capsys):

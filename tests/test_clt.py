@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from thinshell import clt
 from thinshell.clt import (
     bernoulli_gamma_tail_bruteforce,
     bernoulli_gamma_tail_fourier,
@@ -19,6 +20,8 @@ from thinshell.clt import (
     normal_upper_tail,
     sample_kernel,
     smoothing_comparison,
+    _char_bernoulli,
+    _gl_panels,
     _tail_batch,
 )
 from thinshell.estimators import dkw_band, kolmogorov_distance
@@ -214,6 +217,25 @@ def test_tail_batch_matches_scalar():
     batch = _tail_batch(theta, sigma, ts)
     for t, v in zip(ts, batch):
         assert bernoulli_gamma_tail_fourier(theta, sigma, float(t)) == pytest.approx(v, abs=1e-8)
+
+
+def test_blocked_tables_are_bit_identical(monkeypatch):
+    # nodes and t-grid as _tail_batch builds them for lemma700_report at
+    # n = 2048; unequal theta_i, so that a change of product order shows
+    n = 2048
+    theta = np.random.default_rng(n).uniform(0.5, 1.5, size=n)
+    theta /= np.linalg.norm(theta)
+    sigma = 2 / math.sqrt(n)
+    cut = 1 / sigma
+    omega = 8.0 + float(np.sum(theta)) + 1.0
+    xi, _ = _gl_panels(0.0, cut, math.ceil(cut * omega / 5.0))
+    assert xi.size > clt._ROWS
+    whole = np.prod(np.cos(np.multiply.outer(xi, theta)), axis=1)
+    assert np.array_equal(_char_bernoulli(theta, xi), whole)
+    ts = np.linspace(-8.0, 8.0, 4096)
+    blocked = _tail_batch(theta, sigma, ts)
+    monkeypatch.setattr(clt, "_ROWS", 1 << 20)  # one block: the unblocked tables
+    assert np.array_equal(_tail_batch(theta, sigma, ts), blocked)
 
 
 def test_bruteforce_size_guard():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import beta, chisquare, kstest
 
-from thinshell.bodies import BodySpec, isotropic_body
+from thinshell.bodies import BodySpec, analytic_second_moments, isotropic_body
 from thinshell.sampler import (
     BLOCK,
     SampleMatrix,
+    TruncatedSampleFileError,
     counterexample_marginal,
     dump_samples,
     estimate_second_moments,
@@ -167,6 +168,10 @@ def test_estimate_second_moments_matches_analytic():
     est = estimate_second_moments(body, count=2 * 10 ** 5, seed=SEED)
     exact = 2.0 / (4 * 5)
     assert np.allclose(est, exact, rtol=0.05)
+    # p = 3 against the Gamma-function closed form
+    body = BodySpec.lp_ball(3, p=3.0)
+    est = estimate_second_moments(body, count=2 * 10 ** 5, seed=SEED)
+    assert np.allclose(est, analytic_second_moments(body), rtol=0.05)
 
 
 def test_dump_load_round_trip(tmp_path):
@@ -180,6 +185,21 @@ def test_dump_load_round_trip(tmp_path):
     loaded = load_samples(path, body=body)
     assert np.array_equal(loaded.data, s.data)
     assert loaded.seed == SEED
+
+
+def test_load_rejects_truncated_header(tmp_path):
+    path = tmp_path / "short.thsl"
+    path.write_bytes(b"THSL" + bytes(6))
+    with pytest.raises(TruncatedSampleFileError, match="32 bytes, file has 10"):
+        load_samples(path)
+
+
+def test_load_rejects_truncated_payload(tmp_path):
+    path = tmp_path / "rows.thsl"
+    dump_samples(sample_exact(isotropic_body("cube", 3), 100, seed=SEED), path)
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(TruncatedSampleFileError, match="2400 bytes, file has 2395"):
+        load_samples(path)
 
 
 def test_sample_matrix_rejects_bad_shapes():
