@@ -6,10 +6,10 @@ __version__ = "0.1.0"
 
 from .bodies import AxisSection, BodySpec, axis_section, contains, isotropic_scale
 from .estimators import EstimateWithCI, WeightVector
-from .sampler import RNG_ID, SampleMatrix, sample_counterexample, sample_exact, sample_hit_and_run
+from .sampler import RNG_ID, SampleMatrix, sample_counterexample, sample_exact
 
 __all__ = [
     "__version__", "AxisSection", "BodySpec", "axis_section", "contains",
     "isotropic_scale", "EstimateWithCI", "WeightVector", "RNG_ID",
-    "SampleMatrix", "sample_counterexample", "sample_exact", "sample_hit_and_run",
+    "SampleMatrix", "sample_counterexample", "sample_exact",
 ]

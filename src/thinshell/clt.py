@@ -8,6 +8,13 @@ inversion integrals truncate at |xi| = 1/sigma with zero truncation error; the
 density is kappa1 * sin^8(kappa2 x)/x^8 with kappa2 = 1/8 and kappa1 fixed by
 normalization.  All spline coefficients are constructed in exact rational
 arithmetic.
+
+Two independent routes lead to the smoothed tail P(sigma G + sum theta_i D_i
+>= t).  ``bernoulli_gamma_tail_fourier`` inverts the characteristic function
+(the spline times prod cos(theta_i xi)).  ``bernoulli_gamma_tail_bruteforce``
+enumerates the 2^n sign patterns and evaluates G's CDF in real space, from the
+sin^8 density alone: the Si/Ci closed form of its tail beyond |x| = 4 and
+Gauss-Legendre quadrature of the density inside.  The two share no code.
 """
 
 from __future__ import annotations
@@ -17,20 +24,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc, sici
 
 __all__ = [
-    "SmoothingKernel", "GaussTail", "build_kernel", "sample_kernel",
+    "SmoothingKernel", "build_kernel", "sample_kernel",
     "bernoulli_gamma_tail_fourier", "bernoulli_gamma_tail_bruteforce",
     "lemma700_report", "gauss_tail_bounds_check", "lemma1034_check",
     "smoothing_comparison", "normal_density", "normal_upper_tail", "normal_cdf",
 ]
 
-_CDF_CLAMP = 150.0  # P(|G| > 150) < 1.2e-10, below every tolerance used here
+# Rows per block of the (points x nodes) and (nodes x n) tables below: memory
+# stays O(_ROWS x columns) however many points or nodes there are.  Each row is
+# reduced on its own, so the block size does not change any value.
+_ROWS = 256
+
+# G's CDF: the Si/Ci closed form of the tail cancels near the origin, so for
+# |x| <= _NEAR the tail is 1/2 minus a _NEAR_NODES-point Gauss-Legendre rule of
+# the density on [0, |x|]; beyond it the closed form holds to rounding.
+_NEAR = 4.0
+_NEAR_NODES = 32
 
 
 # -- Gaussian utilities -------------------------------------------------------
@@ -47,12 +63,6 @@ def normal_upper_tail(t):
 
 def normal_cdf(t):
     return 0.5 * erfc(-np.asarray(t, dtype=float) / math.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class GaussTail:
-    phi: Callable = normal_density
-    Phi: Callable = normal_upper_tail  # upper tail, Phi(0) = 1/2
 
 
 # -- exact spline construction -------------------------------------------------
@@ -178,43 +188,29 @@ class SmoothingKernel:
                         np.sin(np.where(small, 1.0, y)) / np.where(small, 1.0, y))
         return self.kappa1 * self.kappa2 ** 8 * sinc ** 8
 
-    def cdf(self, x: float, tol: float = 1e-12) -> float:
-        """P(G <= x) by inversion: 1/2 + (1/pi) int_0^1 gamma(xi) sin(x xi)/xi dxi."""
-        if x >= _CDF_CLAMP:
-            return 1.0
-        if x <= -_CDF_CLAMP:
-            return 0.0
-        g = self.char_fn
+    def cdf(self, x):
+        """P(G <= x) in real space, from the density alone (no char_fn).
 
-        def integrand(xi):
-            if xi == 0.0:
-                return x
-            return float(g(xi)) * math.sin(x * xi) / xi
-
-        val, _ = quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=1e-12, limit=400)
-        return 0.5 + val / math.pi
-
-    def cdf_batch(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized CDF on a composite Gauss-Legendre rule (abs err < 1e-10)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        hi = x >= _CDF_CLAMP
-        lo = x <= -_CDF_CLAMP
-        mid = ~(hi | lo)
-        out[hi], out[lo] = 1.0, 0.0
-        if np.any(mid):
-            xm = x[mid]
-            xi, w = _gl_panels(0.0, 1.0, max(32, int(np.ceil(np.max(np.abs(xm)) * 0.4)) + 8))
-            gw = self.char_fn(xi) / xi * w
-            vals = np.empty_like(xm)
-            for i in range(0, xm.size, 4096):
-                blk = xm[i:i + 4096]
-                vals[i:i + 4096] = np.sin(np.multiply.outer(blk, xi)) @ gw
-            out[mid] = 0.5 + vals / math.pi
-        return out
-
-    def upper_tail_batch(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 - self.cdf_batch(x)
+        The upper tail P(G >= |x|) is kappa1 int_|x|^inf sin^8(u/8)/u^8 du in
+        closed form beyond _NEAR and 1/2 - int_0^|x| density inside it; the
+        CDF follows by symmetry.  The closed form's recurrence cancels to an
+        absolute error of about 1e-15, so far tails below that carry no
+        relative accuracy.  A scalar x gives a float.
+        """
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        ax = np.abs(flat)
+        tail = np.empty_like(ax)
+        far = ax > _NEAR
+        tail[far] = self.kappa1 * sinc8_tail_integral(8, ax[far])
+        near = np.flatnonzero(~far)
+        nodes, weights = np.polynomial.legendre.leggauss(_NEAR_NODES)
+        for i in range(0, near.size, _ROWS):
+            idx = near[i:i + _ROWS]
+            half = 0.5 * ax[idx]
+            tail[idx] = 0.5 - half * (self.density(np.multiply.outer(half, 1.0 + nodes)) @ weights)
+        out = np.where(flat >= 0, 1.0 - tail, tail)
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 @lru_cache(maxsize=1)
@@ -271,12 +267,6 @@ def sample_kernel(kernel: SmoothingKernel, size: int, rng: np.random.Generator) 
 
 # -- smoothed Bernoulli tails ---------------------------------------------------
 
-# Rows per block of the (points x nodes) and (nodes x n) tables below: memory
-# stays O(_ROWS x columns) however many points or nodes there are.  Each row is
-# reduced on its own, so the block size does not change any value.
-_ROWS = 256
-
-
 def _char_bernoulli(theta: np.ndarray, xi):
     """prod_i cos(theta_i xi), vectorized over xi in blocks of _ROWS values."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -286,13 +276,16 @@ def _char_bernoulli(theta: np.ndarray, xi):
     return out
 
 
-def bernoulli_gamma_tail_fourier(theta, sigma: float, t: float, tol: float = 1e-9) -> float:
-    """P(sigma G + sum_i theta_i D_i >= t) for symmetric Bernoulli D_i.
+def bernoulli_gamma_tail_fourier(theta, sigma: float, t):
+    """P(sigma G + sum_i theta_i D_i >= t) for symmetric Bernoulli D_i, at a
+    scalar t (a float) or an array of t.
 
     Inversion with the Gaussian reference N(0, |theta|^2) subtracted: since the
     characteristic function gamma(sigma xi) prod cos(theta_i xi) vanishes for
     |xi| >= 1/sigma, the non-Gaussian part of the integral is supported there,
-    and the Gaussian remainder beyond 1/sigma is integrated separately.
+    and the Gaussian remainder beyond 1/sigma is integrated separately.  Both
+    integrals run on composite Gauss-Legendre panels sized to the total
+    oscillation frequency.
     """
     theta = np.asarray(theta, dtype=float)
     if sigma <= 0:
@@ -300,59 +293,8 @@ def bernoulli_gamma_tail_fourier(theta, sigma: float, t: float, tol: float = 1e-
     nrm2 = float(theta @ theta)
     if nrm2 == 0:
         raise ValueError("theta must be nonzero")
-    nrm = math.sqrt(nrm2)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     kernel = build_kernel()
-    g = kernel.char_fn
-    cut = 1.0 / sigma
-
-    def sin_kernel(xi):
-        # sin(t xi)/xi with the removable singularity expanded for small xi
-        if abs(t * xi) < 1e-4:
-            return t * (1.0 - (t * xi) ** 2 / 6.0)
-        return math.sin(t * xi) / xi
-
-    def integrand(xi):
-        chi = float(g(sigma * xi)) * float(np.prod(np.cos(theta * xi)))
-        return (chi - math.exp(-0.5 * xi * xi * nrm2)) * sin_kernel(xi)
-
-    main, _ = quad(integrand, 0.0, cut, epsabs=tol / 4.0, epsrel=1e-12, limit=500)
-    # Gaussian part beyond the spline support
-    gauss_hi = math.sqrt(1420.0) / nrm  # integrand underflows past here
-    g_tail = 0.0
-    if gauss_hi > cut:
-        g_tail, _ = quad(lambda xi: math.exp(-0.5 * xi * xi * nrm2) * sin_kernel(xi),
-                         cut, gauss_hi, epsabs=tol / 4.0, epsrel=1e-12, limit=200)
-    return float(normal_upper_tail(t / nrm)) - main / math.pi + g_tail / math.pi
-
-
-def _all_sign_sums(theta: np.ndarray) -> np.ndarray:
-    sums = np.zeros(1)
-    for th in theta:
-        sums = np.concatenate([sums - th, sums + th])
-    return sums
-
-
-def bernoulli_gamma_tail_bruteforce(theta, sigma: float, t: float) -> float:
-    """Oracle by full enumeration: 2^-n sum over sign patterns of the G upper tail."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.size > 24:
-        raise ValueError("brute force limited to n <= 24")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    kernel = build_kernel()
-    sums = _all_sign_sums(theta)
-    tails = kernel.upper_tail_batch((t - sums) / sigma)
-    return float(np.mean(tails))
-
-
-def _tail_batch(theta: np.ndarray, sigma: float, ts: np.ndarray) -> np.ndarray:
-    """Vectorized P(sigma G + sum theta_i D_i >= t) over a t-grid.
-
-    Same integral as bernoulli_gamma_tail_fourier on composite Gauss-Legendre
-    panels sized to the total oscillation frequency.
-    """
-    kernel = build_kernel()
-    nrm2 = float(theta @ theta)
     nrm = math.sqrt(nrm2)
     cut = 1.0 / sigma
     omega = float(np.max(np.abs(ts))) + float(np.sum(np.abs(theta))) + 1.0
@@ -364,7 +306,7 @@ def _tail_batch(theta: np.ndarray, sigma: float, ts: np.ndarray) -> np.ndarray:
     for i in range(0, ts.size, _ROWS):
         blk = ts[i:i + _ROWS]
         main[i:i + _ROWS] = np.sin(np.multiply.outer(blk, xi)) @ diff_w
-    gauss_hi = math.sqrt(1420.0) / nrm
+    gauss_hi = math.sqrt(1420.0) / nrm  # integrand underflows past here
     g_tail = np.zeros_like(ts)
     if gauss_hi > cut:
         n_pan2 = max(8, int(math.ceil((gauss_hi - cut) * omega / 5.0)))
@@ -373,7 +315,27 @@ def _tail_batch(theta: np.ndarray, sigma: float, ts: np.ndarray) -> np.ndarray:
         for i in range(0, ts.size, _ROWS):
             blk = ts[i:i + _ROWS]
             g_tail[i:i + _ROWS] = np.sin(np.multiply.outer(blk, xi2)) @ gw2
-    return normal_upper_tail(ts / nrm) - main / math.pi + g_tail / math.pi
+    out = normal_upper_tail(ts / nrm) - main / math.pi + g_tail / math.pi
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _all_sign_sums(theta: np.ndarray) -> np.ndarray:
+    sums = np.zeros(1)
+    for th in theta:
+        sums = np.concatenate([sums - th, sums + th])
+    return sums
+
+
+def bernoulli_gamma_tail_bruteforce(theta, sigma: float, t: float) -> float:
+    """Oracle by full enumeration: 2^-n sum over sign patterns s of
+    P(G >= (t - s)/sigma) = P(G <= (s - t)/sigma), from G's real-space CDF."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.size > 24:
+        raise ValueError("brute force limited to n <= 24")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    sums = _all_sign_sums(theta)
+    return float(np.mean(build_kernel().cdf((sums - t) / sigma)))
 
 
 class Lemma700Report(NamedTuple):
@@ -401,7 +363,7 @@ def lemma700_report(theta, sigma: float, n_grid: int = 4096) -> Lemma700Report:
     if theta.size <= 12:
         atoms = _all_sign_sums(theta)
         ts = np.union1d(ts, atoms)
-    probs = _tail_batch(theta, sigma, ts)
+    probs = bernoulli_gamma_tail_fourier(theta, sigma, ts)
     errs = np.abs(probs - normal_upper_tail(ts / nrm))
     k = int(np.argmax(errs))
     bound = sigma ** 2 / nrm2 + float(np.sum(theta ** 4)) / nrm2 ** 2
@@ -481,32 +443,37 @@ def smoothing_comparison(marginal: np.ndarray, theta, kernel: SmoothingKernel,
     return SmoothingComparison(smooth.distance, raw.distance, eps, raw.dkw_band)
 
 
-# -- closed-form oscillatory tails (used to cross-check kernel moments) -----------
+# -- closed-form oscillatory tails (G's CDF; a cross-check of kernel moments) ----
 
-def _tail_cos_over_xk(a: float, k: int, big_t: float) -> float:
-    """int_T^inf cos(a x)/x^k dx by reduction to the sine/cosine integrals."""
+def _tail_cos_over_xk(a: float, k: int, big_t):
+    """int_T^inf cos(a x)/x^k dx by reduction to the sine/cosine integrals,
+    elementwise over an array T."""
     if k == 1:
-        return -float(sici(a * big_t)[1])
-    return (math.cos(a * big_t) * big_t ** (1 - k)) / (k - 1) \
+        return -sici(a * big_t)[1]
+    return (np.cos(a * big_t) * big_t ** (1 - k)) / (k - 1) \
         - a / (k - 1) * _tail_sin_over_xk(a, k - 1, big_t)
 
 
-def _tail_sin_over_xk(a: float, k: int, big_t: float) -> float:
+def _tail_sin_over_xk(a: float, k: int, big_t):
     if k == 1:
-        return math.pi / 2.0 - float(sici(a * big_t)[0])
-    return (math.sin(a * big_t) * big_t ** (1 - k)) / (k - 1) \
+        return math.pi / 2.0 - sici(a * big_t)[0]
+    return (np.sin(a * big_t) * big_t ** (1 - k)) / (k - 1) \
         + a / (k - 1) * _tail_cos_over_xk(a, k - 1, big_t)
 
 
-def sinc8_tail_integral(k: int, big_t: float) -> float:
-    """int_T^inf sin^8(x/8) / x^k dx, exact via the cosine expansion of sin^8."""
-    if big_t <= 0 or k < 2:
+def sinc8_tail_integral(k: int, big_t):
+    """int_T^inf sin^8(x/8) / x^k dx, exact via the cosine expansion of sin^8.
+
+    Elementwise over an array T; a scalar T gives a float.
+    """
+    t = np.asarray(big_t, dtype=float)
+    if np.any(t <= 0) or k < 2:
         raise ValueError("need T > 0 and k >= 2")
     coefs = ((35.0, 0.0), (-56.0, 0.25), (28.0, 0.5), (-8.0, 0.75), (1.0, 1.0))
-    total = coefs[0][0] / 128.0 * big_t ** (1 - k) / (k - 1)
+    total = coefs[0][0] / 128.0 * t ** (1 - k) / (k - 1)
     for c, a in coefs[1:]:
-        total += c / 128.0 * _tail_cos_over_xk(a, k, big_t)
-    return total
+        total += c / 128.0 * _tail_cos_over_xk(a, k, t)
+    return float(total) if t.ndim == 0 else total
 
 
 def kernel_moment_by_quadrature(kernel: SmoothingKernel, order: int,

@@ -1,5 +1,5 @@
-"""Exact and Markov-chain samplers for the body families, with reproducible
-counter-based substreams.
+"""Exact samplers for the body families, with reproducible counter-based
+substreams, and the THSL binary dump format.
 
 Reproducibility contract: draws are generated in fixed blocks of ``BLOCK``
 rows; block b of a run with master seed s comes from an independent Philox
@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .bodies import BodySpec, axis_section, contains_rows
+from .bodies import BodySpec, contains_rows
 
 RNG_ID = "philox4x64-128(key=(seed,stream))"
 BLOCK = 1 << 14  # rows per substream block; part of the determinism contract
@@ -47,8 +47,6 @@ class SampleMatrix:
     body: BodySpec
     seed: int
     method: str = "exact"
-    burnin: int | None = None
-    thinning: int | None = None
 
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[0] < 1:
@@ -149,45 +147,6 @@ def counterexample_marginal(n: int, count: int, theta: np.ndarray, seed: int) ->
         done += m
         stream += 1
     return out
-
-
-def sample_hit_and_run(body: BodySpec, count: int, burnin: int = 1000,
-                       thinning: int | None = None, seed: int = 0,
-                       start: np.ndarray | None = None) -> SampleMatrix:
-    """Coordinate hit-and-run chain: uniform axis, uniform resample on the section.
-
-    ``burnin`` counts sweeps (dim single-coordinate moves each); ``thinning``
-    counts single moves between recorded rows and defaults to dim.  The first
-    row is recorded right after burnin, so count=1 with burnin=0 returns the
-    start point (the center by default).
-    """
-    if not body.is_convex:
-        raise ValueError("hit-and-run requires a convex body kind")
-    if burnin < 0 or count < 1:
-        raise ValueError("burnin >= 0 and count >= 1 required")
-    n = body.dim
-    if thinning is None:
-        thinning = n
-    if thinning < 1:
-        raise ValueError("thinning must be >= 1")
-    rng = substream(seed, 0)
-    x = np.zeros(n) if start is None else np.asarray(start, dtype=float).copy()
-    rows = np.empty((count, n))
-
-    def move():
-        i = int(rng.integers(0, n))
-        sec = axis_section(body, x, i)
-        x[i] = rng.uniform(sec.lo, sec.hi)
-
-    for _ in range(burnin * n):
-        move()
-    rows[0] = x
-    for k in range(1, count):
-        for _ in range(thinning):
-            move()
-        rows[k] = x
-    return SampleMatrix(rows, body, seed, method="hit_and_run",
-                        burnin=burnin, thinning=thinning)
 
 
 def estimate_second_moments(body: BodySpec, count: int = 10 ** 6, seed: int = 0) -> np.ndarray:

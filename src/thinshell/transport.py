@@ -75,7 +75,8 @@ class DiscreteMeasure:
         return self.spacing is not None
 
     def with_density(self, h: np.ndarray) -> "DiscreteMeasure":
-        """Measure with density (1 + 0)->h applied multiplicatively to weights."""
+        """The measure h d(self): every weight multiplied by the density value h
+        of its point (h = 1 + eps g gives the tilted measure)."""
         return DiscreteMeasure(self.support, self.weights * h, self.spacing, self.mask)
 
     # -- constructors --------------------------------------------------------

@@ -22,7 +22,7 @@ from thinshell.clt import (
     smoothing_comparison,
     _char_bernoulli,
     _gl_panels,
-    _tail_batch,
+    sinc8_tail_integral,
 )
 from thinshell.estimators import dkw_band, kolmogorov_distance
 from thinshell.sampler import counterexample_marginal, sample_exact, substream
@@ -93,29 +93,47 @@ def test_cdf_density_consistency():
     # numeric derivative of the CDF matches the density to 1e-6 on [-50, 50]
     xs = np.linspace(-50, 50, 401)
     step = 1e-4
-    d_num = (KERNEL.cdf_batch(xs + step) - KERNEL.cdf_batch(xs - step)) / (2 * step)
+    d_num = (KERNEL.cdf(xs + step) - KERNEL.cdf(xs - step)) / (2 * step)
     assert np.max(np.abs(d_num - KERNEL.density(xs))) < 1e-6
 
 
-def test_cdf_scalar_vs_batch():
-    xs = np.array([-120.0, -3.7, -0.5, 0.0, 0.25, 1.0, 8.0, 40.0, 149.0])
-    batch = KERNEL.cdf_batch(xs)
+def test_cdf_matches_density_quadrature():
+    # on both sides of the switch from Gauss-Legendre to the closed form at
+    # |x| = 4, and far into the tail; scalar and array calls agree exactly
+    xs = np.array([0.0, 1e-3, 0.5, 3.99, 4.0, 4.01, 40.0, 200.0])
+    xs = np.concatenate([xs, -xs[1:]])
+    batch = KERNEL.cdf(xs)
     for x, b in zip(xs, batch):
-        assert KERNEL.cdf(float(x)) == pytest.approx(b, abs=1e-9)
+        half = quad(KERNEL.density, 0.0, abs(x), epsabs=1e-14, epsrel=1e-13, limit=2000)[0]
+        assert KERNEL.cdf(float(x)) == b
+        assert b == pytest.approx(0.5 + math.copysign(half, x), abs=1e-13)
 
 
 def test_cdf_basic_properties():
-    assert KERNEL.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
+    assert KERNEL.cdf(0.0) == 0.5
     xs = np.linspace(-160, 160, 2001)
-    c = KERNEL.cdf_batch(xs)
-    assert np.all(np.diff(c) >= -1e-12)
-    assert c[0] == 0.0 and c[-1] == 1.0
-    assert np.allclose(c + KERNEL.cdf_batch(-xs), 1.0, atol=1e-10)
+    c = KERNEL.cdf(xs)
+    # monotone up to rounding: the Si/Ci recurrence beyond |x| = 4 cancels
+    # down to an absolute error of about 1e-15 (worst step here -1.3e-15)
+    assert np.all(np.diff(c) >= -4e-15)
+    assert 0.0 < c[0] < 1e-10 and 1.0 - 1e-10 < c[-1] <= 1.0
+    assert np.allclose(c + KERNEL.cdf(-xs), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_sinc8_tail_integral_is_elementwise():
+    ts = np.array([0.5, 3.0, 4.0, 17.5, 400.0])
+    for k in (2, 5, 8):
+        expect = [sinc8_tail_integral(k, float(t)) for t in ts]
+        assert np.array_equal(sinc8_tail_integral(k, ts), expect)
+    with pytest.raises(ValueError):
+        sinc8_tail_integral(8, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError):
+        sinc8_tail_integral(8, np.array([-3.0]))
 
 
 def test_sample_kernel_matches_cdf():
     draws = sample_kernel(KERNEL, 10 ** 5, substream(99, 0))
-    res = kolmogorov_distance(draws, KERNEL.cdf_batch)
+    res = kolmogorov_distance(draws, KERNEL.cdf)
     assert res.distance <= res.dkw_band
 
 
@@ -210,18 +228,33 @@ def test_fourier_matches_bruteforce_randomized():
         assert abs(f - b) < 1e-6
 
 
-def test_tail_batch_matches_scalar():
+def test_fourier_array_matches_bruteforce():
     theta = np.full(8, 1 / math.sqrt(8))
     sigma = 0.4
     ts = np.array([-2.0, -0.3, 0.0, 0.7, 1.9, 5.0])
-    batch = _tail_batch(theta, sigma, ts)
+    batch = bernoulli_gamma_tail_fourier(theta, sigma, ts)
+    assert batch.shape == ts.shape
     for t, v in zip(ts, batch):
-        assert bernoulli_gamma_tail_fourier(theta, sigma, float(t)) == pytest.approx(v, abs=1e-8)
+        assert bernoulli_gamma_tail_bruteforce(theta, sigma, float(t)) == pytest.approx(v, abs=1e-10)
+
+
+def test_bruteforce_shares_no_code_with_the_inversion(monkeypatch):
+    theta = np.array([0.3, -0.8, 0.5, 0.1])
+    expect = bernoulli_gamma_tail_bruteforce(theta, 0.7, 0.4)
+
+    def no_spline(self, xi):
+        raise AssertionError("the oracle evaluated the characteristic function")
+
+    monkeypatch.setattr(clt._CharFnSpline, "__call__", no_spline)
+    assert bernoulli_gamma_tail_bruteforce(theta, 0.7, 0.4) == expect
+    with pytest.raises(AssertionError):
+        bernoulli_gamma_tail_fourier(theta, 0.7, 0.4)
 
 
 def test_blocked_tables_are_bit_identical(monkeypatch):
-    # nodes and t-grid as _tail_batch builds them for lemma700_report at
-    # n = 2048; unequal theta_i, so that a change of product order shows
+    # nodes and t-grid as bernoulli_gamma_tail_fourier builds them for
+    # lemma700_report at n = 2048; unequal theta_i, so that a change of
+    # product order shows
     n = 2048
     theta = np.random.default_rng(n).uniform(0.5, 1.5, size=n)
     theta /= np.linalg.norm(theta)
@@ -233,9 +266,9 @@ def test_blocked_tables_are_bit_identical(monkeypatch):
     whole = np.prod(np.cos(np.multiply.outer(xi, theta)), axis=1)
     assert np.array_equal(_char_bernoulli(theta, xi), whole)
     ts = np.linspace(-8.0, 8.0, 4096)
-    blocked = _tail_batch(theta, sigma, ts)
+    blocked = bernoulli_gamma_tail_fourier(theta, sigma, ts)
     monkeypatch.setattr(clt, "_ROWS", 1 << 20)  # one block: the unblocked tables
-    assert np.array_equal(_tail_batch(theta, sigma, ts), blocked)
+    assert np.array_equal(bernoulli_gamma_tail_fourier(theta, sigma, ts), blocked)
 
 
 def test_bruteforce_size_guard():

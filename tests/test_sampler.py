@@ -17,7 +17,6 @@ from thinshell.sampler import (
     membership_violations,
     sample_counterexample,
     sample_exact,
-    sample_hit_and_run,
     substream,
 )
 
@@ -126,41 +125,6 @@ def test_counterexample_marginal_stream_matches_rows():
     s = sample_counterexample(8, 4000, seed=SEED)
     assert np.allclose(counterexample_marginal(8, 4000, theta, seed=SEED),
                        s.data @ theta)
-
-
-def test_hit_and_run_degenerate_returns_start():
-    body = isotropic_body("cube", 3)
-    s = sample_hit_and_run(body, count=1, burnin=0, seed=SEED)
-    assert np.array_equal(s.data, np.zeros((1, 3)))
-    assert s.method == "hit_and_run" and s.burnin == 0 and s.thinning == 3
-
-
-def test_hit_and_run_cube_marginal():
-    body = isotropic_body("cube", 3)
-    s = sample_hit_and_run(body, count=20000, burnin=10, seed=SEED)
-    sq = s.data[:, 0] ** 2
-    assert abs(sq.mean() - 1.0) <= 5 * mc_sigma(sq)
-
-
-def test_hit_and_run_ball_variance_oracle():
-    # Var(|X|^2) = r^4 Var(B), B ~ Beta(n/2, 1), for the ball of radius r = sqrt(n+2)
-    n = 8
-    body = isotropic_body("euclidean_ball", n)
-    r2 = n + 2.0
-    oracle = r2 ** 2 * beta.var(n / 2, 1)
-    assert oracle == pytest.approx(8.0 / 3.0)
-    s = sample_hit_and_run(body, count=30000, burnin=50, thinning=2 * n, seed=SEED)
-    y = np.einsum("ij,ij->i", s.data, s.data)
-    est = y.var(ddof=1)
-    m4 = np.mean((y - y.mean()) ** 4)
-    sigma = math.sqrt(max(m4 - est ** 2, 0.0) / y.size)
-    assert abs(est - oracle) <= 5 * sigma
-
-
-def test_hit_and_run_membership():
-    s = sample_hit_and_run(isotropic_body("lp_ball", 3, p=1.0), count=3000,
-                           burnin=20, seed=SEED)
-    assert membership_violations(s, atol=1e-9) == 0
 
 
 def test_estimate_second_moments_matches_analytic():
