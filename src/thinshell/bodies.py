@@ -121,6 +121,13 @@ class BodySpec:
         return f"{self.kind}(n={self.dim})"
 
 
+def label_family(label: str) -> str:
+    """A body label without its dimension: ``lp_ball(p=1,n=16)`` gives
+    ``lp_ball(p=1)`` and ``cube(n=16)`` gives ``cube``."""
+    head = label[:label.rindex("n=")].rstrip(",")
+    return head[:-1] if head.endswith("(") else head + ")"
+
+
 def _canonical(body: BodySpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != body.dim:
@@ -263,39 +270,3 @@ def isotropic_body(kind: str, dim: int, p: float | None = None) -> BodySpec:
         raise ValueError(f"no canonical isotropic form for kind {kind!r}")
     return isotropic_scale(base, analytic_second_moments(base))
 
-
-# -- config block (de)serialization -----------------------------------------
-
-def to_config_block(body: BodySpec) -> str:
-    lines = [f"kind = {body.kind}", f"dim = {body.dim}"]
-    if body.p is not None:
-        lines.append(f"p = {body.p!r}")
-    if body.half_widths is not None:
-        lines.append("half_widths = " + " ".join(repr(w) for w in body.half_widths))
-    lines.append("scale = " + " ".join(repr(s) for s in body.scale))
-    return "\n".join(lines)
-
-
-def from_config_block(text: str) -> BodySpec:
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed body config line: {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in ("kind", "dim", "p", "half_widths", "scale"):
-            raise ValueError(f"unknown body config key: {key!r}")
-        fields[key] = val.strip()
-    if "kind" not in fields or "dim" not in fields:
-        raise ValueError("body config requires 'kind' and 'dim'")
-    kind = fields["kind"]
-    dim = int(fields["dim"])
-    p = float(fields["p"]) if "p" in fields else None
-    hw = tuple(float(t) for t in fields["half_widths"].split()) if "half_widths" in fields else None
-    scale = tuple(float(t) for t in fields["scale"].split()) if "scale" in fields else (1.0,) * dim
-    if len(scale) == 1 and dim > 1:
-        scale = scale * dim
-    return BodySpec(kind, dim, scale, p=p, half_widths=hw)

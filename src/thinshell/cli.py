@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .bodies import label_family
 from .reporting import SuiteResult, render_csv, render_json
 from .sampler import RNG_ID
 from .suites import (
@@ -236,7 +237,7 @@ def _write_plots(result: SuiteResult, out_dir: Path) -> None:
     shell = {}
     for row in result.rows:
         if row.estimator_id == "thin_shell.var_ratio" and row.n > 0:
-            shell.setdefault(row.body.split("(")[0], []).append((row.n, row.value))
+            shell.setdefault(label_family(row.body), []).append((row.n, row.value))
     if shell:
         line_plot(out_dir / "thinshell_loglog.svg",
                   {k: sorted(v) for k, v in shell.items()},

@@ -1,8 +1,11 @@
 """Monte Carlo estimators for variance, moment and distance quantities of
 isotropic unconditional laws, with 3-sigma confidence half-widths.
 
-All reductions use numpy's fixed-order pairwise summation, so estimates from
-identical sample matrices are bit-identical across reruns.
+The thin-shell estimators take per-draw values (|X|^2, sum a_i X_i^2), which
+the thinshell suite reduces from each sample block as it is drawn, so no
+N x n sample matrix is needed.  All reductions use numpy's fixed-order
+pairwise summation, so estimates from identical draws are bit-identical
+across reruns.
 """
 
 from __future__ import annotations
@@ -125,13 +128,6 @@ def _mean_estimate(y: np.ndarray, estimator_id: str) -> EstimateWithCI:
                           degenerate=(se == 0.0 and n > 1))
 
 
-def _frequency_estimate(hits: np.ndarray, estimator_id: str) -> EstimateWithCI:
-    n = hits.size
-    p = float(np.mean(hits))
-    se = math.sqrt(max(p * (1 - p), 0.0) / n)
-    return EstimateWithCI(p, 3.0 * se, n, estimator_id)
-
-
 # -- shell statistics ---------------------------------------------------------
 
 class ThinShellStats(NamedTuple):
@@ -139,11 +135,10 @@ class ThinShellStats(NamedTuple):
     shell_dev: EstimateWithCI   # E(|X| - sqrt(n))^2
 
 
-def thin_shell_stats(samples: SampleMatrix) -> ThinShellStats:
-    if samples.count < 100:
+def thin_shell_stats(sq: np.ndarray, n: int) -> ThinShellStats:
+    """Shell statistics from the squared norms |X|^2 of N draws in R^n."""
+    if sq.size < 100:
         raise ValueError("thin_shell_stats needs N >= 100")
-    n = samples.dim
-    sq = np.einsum("ij,ij->i", samples.data, samples.data)
     var_ratio = _variance_estimate(sq / n, "thin_shell.var_ratio")
     dev = (np.sqrt(sq) - math.sqrt(n)) ** 2
     shell_dev = _mean_estimate(dev, "thin_shell.shell_dev")
@@ -155,16 +150,14 @@ class BoundedEstimate(NamedTuple):
     bound: float
 
 
-def weighted_square_variance(samples: SampleMatrix, a: WeightVector) -> BoundedEstimate:
-    """Var(sum a_i X_i^2) together with the comparison bound 16 sum a_i^2."""
+def weighted_square_variance(y: np.ndarray, a: WeightVector) -> BoundedEstimate:
+    """Var(sum a_i X_i^2) from its per-draw values y, together with the
+    comparison bound 16 sum a_i^2."""
     if a.kind != WeightKind.COEFFICIENTS:
         raise ValueError("weighted_square_variance expects coefficient weights")
     av = a.array
-    if av.size != samples.dim:
-        raise ValueError("weight length mismatch")
-    y = (samples.data ** 2) @ av
     if np.all(av == 0.0):
-        est = EstimateWithCI(0.0, 0.0, samples.count, "weighted_square_variance", degenerate=True)
+        est = EstimateWithCI(0.0, 0.0, y.size, "weighted_square_variance", degenerate=True)
     else:
         est = _variance_estimate(y, "weighted_square_variance")
     return BoundedEstimate(est, 16.0 * float(av @ av))
@@ -186,26 +179,6 @@ def power_sum_variance(samples: SampleMatrix, a: WeightVector, p: WeightVector) 
     mom2p = np.mean(absx ** (2.0 * pv), axis=0)
     bound = float(np.sum(2.0 * pv ** 2 / (pv + 1.0) * av ** 2 * mom2p))
     return BoundedEstimate(est, bound)
-
-
-def lp_norm_variance(samples: SampleMatrix, p: float) -> BoundedEstimate:
-    """Var(||X||_p); the 'bound' slot carries the scaling reference n^(2/p - 1)."""
-    if p < 1:
-        raise ValueError("p >= 1 required")
-    if samples.count < 100:
-        raise ValueError("lp_norm_variance needs N >= 100")
-    norms = np.linalg.norm(samples.data, ord=p, axis=1)
-    est = _variance_estimate(norms, f"lp_norm_variance(p={p:g})")
-    return BoundedEstimate(est, float(samples.dim ** (2.0 / p - 1.0)))
-
-
-def marginal_values(samples: SampleMatrix, theta: WeightVector) -> np.ndarray:
-    if theta.kind != WeightKind.DIRECTION:
-        raise ValueError("marginal_values expects a unit direction")
-    t = theta.array
-    if t.size != samples.dim:
-        raise ValueError("direction length mismatch")
-    return samples.data @ t
 
 
 # -- Kolmogorov distance ------------------------------------------------------
@@ -236,20 +209,6 @@ def kolmogorov_distance(values: np.ndarray, reference_cdf: Callable[[np.ndarray]
     return KolmogorovResult(dist, dkw_band(n, alpha))
 
 
-def tail_probability(samples: SampleMatrix, thresholds) -> list[tuple[EstimateWithCI, EstimateWithCI]]:
-    """Per threshold t: estimates of P(|X| <= sqrt(n) - t) and P(|X| >= sqrt(n) + t)."""
-    if samples.count < 10 ** 4:
-        raise ValueError("tail_probability needs N >= 1e4 for meaningful tails")
-    r = np.linalg.norm(samples.data, axis=1)
-    root_n = math.sqrt(samples.dim)
-    out = []
-    for t in np.atleast_1d(np.asarray(thresholds, dtype=float)):
-        lo = _frequency_estimate(r <= root_n - t, f"tail.lower(t={t:g})")
-        hi = _frequency_estimate(r >= root_n + t, f"tail.upper(t={t:g})")
-        out.append((lo, hi))
-    return out
-
-
 class ScalingFit(NamedTuple):
     slope: float
     intercept: float
@@ -270,21 +229,6 @@ def scaling_fit(points) -> ScalingFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(resid @ resid) / ss_tot
     return ScalingFit(float(slope), float(intercept), r2)
-
-
-def lemma426_event_frequency(samples: SampleMatrix, theta: WeightVector) -> EstimateWithCI:
-    """Frequency of the good event {1/2 <= sum theta_i^2 X_i^2 <= 3/2 and the
-    eps-truncated part <= 1/4}, eps = 10 sqrt(sum theta_i^4)."""
-    if theta.kind != WeightKind.DIRECTION:
-        raise ValueError("lemma426_event_frequency expects a unit direction")
-    t = theta.array
-    eps = 10.0 * math.sqrt(float(np.sum(t ** 4)))
-    tx = samples.data * t
-    q = tx ** 2
-    total = q.sum(axis=1)
-    truncated = np.where(np.abs(tx) >= eps, q, 0.0).sum(axis=1)
-    hits = (total >= 0.5) & (total <= 1.5) & (truncated <= 0.25)
-    return _frequency_estimate(hits, "lemma426.event_frequency")
 
 
 # -- deterministic quadrature identities ---------------------------------------
@@ -342,21 +286,3 @@ def verify_identities(a: float, p: float, r: float, tol: float = 1e-12) -> Ident
 
 IDENTITY_GRID = tuple((a, p, a) for a in (0.5, 1.0, 2.0) for p in (0.5, 1.0, 2.0, 3.0))
 """Canonical 12-point (a, p, r) grid with r = a."""
-
-
-class MomentInequality(NamedTuple):
-    lhs: float
-    mid: float
-    rhs: float
-
-
-def moment_inequality_check(values: np.ndarray, p: float) -> MomentInequality:
-    """(E|X|^p / Gamma(p+1))^(1/p), sqrt(E|X|^2 / 2) and E|X| from a sample of an
-    even log-concave marginal; the chain lhs <= mid <= rhs holds within MC error."""
-    if p < 2:
-        raise ValueError("p >= 2 required")
-    v = np.abs(np.asarray(values, dtype=float))
-    lhs = float(np.mean(v ** p) / math.gamma(p + 1.0)) ** (1.0 / p)
-    mid = math.sqrt(float(np.mean(v ** 2)) / 2.0)
-    rhs = float(np.mean(v))
-    return MomentInequality(lhs, mid, rhs)

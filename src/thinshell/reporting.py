@@ -20,11 +20,18 @@ class CsvRow:
 
     def render(self) -> str:
         extra_json = json.dumps(self.extra, sort_keys=True, separators=(",", ":")) if self.extra else ""
-        return ",".join([
+        return ",".join(_quote(f) for f in [
             self.estimator_id, self.body, str(self.n), str(self.N), str(self.seed),
             repr(float(self.value)), repr(float(self.half_width)), repr(float(self.bound)),
-            '"' + extra_json.replace('"', '""') + '"' if extra_json else "",
+            extra_json,
         ])
+
+
+def _quote(field: str) -> str:
+    """A CSV field, quoted when it holds a comma or a quote (RFC 4180)."""
+    if "," in field or '"' in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 CSV_HEADER = "estimator_id,body,n,N,seed,value,half_width,bound,extra_json"

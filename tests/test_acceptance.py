@@ -10,6 +10,7 @@ although the sup errors there are right: test_clt.py checks them against an
 independent real-space evaluation and checks the 1/n limit.
 """
 
+import csv
 import math
 import time
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from thinshell.cli import default_config, parse_config, run
+from thinshell.reporting import render_csv
 from thinshell.suites import (
     BALL,
     CUBE,
@@ -88,6 +90,13 @@ def test_c01_thin_shell_law(thinshell_result):
 
 def test_c02_shell_deviation(thinshell_result):
     _check(thinshell_result, "shell_dev.", "02 E(|X|-sqrt n)^2 <= 16, three bodies, n in {16,64}")
+
+
+def test_c02b_report_has_no_duplicate_rows(thinshell_result):
+    # the shell checks reuse the grid's draws instead of writing their rows again
+    lines = render_csv(thinshell_result.rows).splitlines()
+    assert len(lines) == len(set(lines))
+    assert all(len(f) == 9 for f in csv.reader(lines))
 
 
 def test_c03_weighted_square_bound(thinshell_result):

@@ -15,10 +15,9 @@ from thinshell.bodies import (
     analytic_second_moments,
     axis_section,
     contains,
-    from_config_block,
     isotropic_body,
     isotropic_scale,
-    to_config_block,
+    label_family,
 )
 from thinshell.suites import BodyTemplate
 
@@ -181,17 +180,6 @@ def test_counterexample_cross_support():
     assert not contains(body, (math.sqrt(12) + 0.1, 0.0, 0.0, 0.0))
 
 
-def test_config_block_round_trip():
-    for body in [BodySpec.cube(3, 1.5), BodySpec.lp_ball(2, p=3.0, radius=2.0),
-                 BodySpec.product_of_intervals((0.5, 2.0)), isotropic_body("cube", 4)]:
-        assert from_config_block(to_config_block(body)) == body
-
-
-def test_config_block_rejects_unknown_key():
-    with pytest.raises(ValueError, match="radius"):
-        from_config_block("kind = cube\ndim = 2\nradius = 3")
-
-
 def test_axis_section_validates_order():
     with pytest.raises(ValueError):
         AxisSection(1.0, -1.0)
@@ -201,3 +189,11 @@ def test_isotropic_body_cube_is_unit_variance():
     assert isotropic_body("cube", 7).scale == pytest.approx((SQRT3,) * 7)
     assert analytic_second_moments(isotropic_body("lp_ball", 5, p=1.0)) == pytest.approx(np.ones(5))
     assert analytic_second_moments(isotropic_body("lp_ball", 6, p=3.0)) == pytest.approx(np.ones(6))
+
+
+def test_label_family_drops_the_dimension():
+    assert label_family(BodySpec.lp_ball(16, p=1.0).label()) == "lp_ball(p=1)"
+    assert label_family(BodySpec.lp_ball(3, p=3.5).label()) == "lp_ball(p=3.5)"
+    assert label_family(BodySpec.cube(128).label()) == "cube"
+    assert label_family(BodySpec.product_of_intervals((1.0, 2.0)).label()) == \
+        "product_of_intervals"

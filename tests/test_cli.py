@@ -1,9 +1,11 @@
+import csv
 import json
 import re
 
 import pytest
 
 from thinshell.cli import ConfigError, default_config, main, parse_config, run, version_info
+from thinshell.reporting import CSV_HEADER, CsvRow, render_csv
 
 SMALL_THINSHELL = """
 [experiment]
@@ -122,9 +124,31 @@ def test_plot_outputs(tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_plot_draws_one_line_per_family(tmp_path, capsys):
+    cfg = parse_config(SMALL_THINSHELL.format(out=tmp_path / "f")
+                       + "\n[body.l1]\nkind = lp_ball\np = 1\n\n[body.l3]\nkind = lp_ball\np = 3\n")
+    cfg.plot = True
+    assert run(cfg) == 0
+    svg = (tmp_path / "f" / "thinshell_loglog.svg").read_text()
+    assert svg.count("<polyline") == 3
+    assert "lp_ball(p=1)" in svg and "lp_ball(p=3)" in svg
+
+
 def test_output_dir_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     cfg = default_config("identities")
     cfg.output_dir = str(blocker / "nested")
     assert run(cfg) == 3
+
+
+def test_csv_fields_with_commas_are_quoted():
+    bodies = ["lp_ball(p=1,n=16)", "segment[-1,1]", 'say "x"', "cube(n=4)", "lp_ball(p=3)"]
+    rows = [CsvRow("est", b, 4, 100, 7, 0.5, 0.1, 1.0, {"k": [1, 2]} if i % 2 else {})
+            for i, b in enumerate(bodies)]
+    parsed = list(csv.reader(render_csv(rows).splitlines()))
+    assert parsed[0] == CSV_HEADER.split(",")
+    assert all(len(f) == 9 for f in parsed)
+    assert sorted(f[1] for f in parsed[1:]) == sorted(bodies)
+    assert '"lp_ball(p=1,n=16)"' in render_csv(rows)
+    assert "\nest,cube(n=4),4," in render_csv(rows)

@@ -12,13 +12,8 @@ from thinshell.estimators import (
     EstimateWithCI,
     WeightVector,
     kolmogorov_distance,
-    lemma426_event_frequency,
-    lp_norm_variance,
-    marginal_values,
-    moment_inequality_check,
     power_sum_variance,
     scaling_fit,
-    tail_probability,
     thin_shell_stats,
     verify_identities,
     weighted_square_variance,
@@ -44,10 +39,18 @@ def cube16():
     return sample_exact(isotropic_body("cube", 16), 10 ** 5, seed=SEED)
 
 
+def squared_norms(s):
+    return np.einsum("ij,ij->i", s.data, s.data)
+
+
+def weighted_squares(s, a):
+    return (s.data ** 2) @ a.array
+
+
 def test_thin_shell_cube_matches_quadrature_oracle(cube16):
     var_x2 = uniform_moment(4) - uniform_moment(2) ** 2
     assert var_x2 == pytest.approx(0.8)
-    stats = thin_shell_stats(cube16)
+    stats = thin_shell_stats(squared_norms(cube16), 16)
     assert abs(stats.var_ratio.value - var_x2 / 16) <= stats.var_ratio.half_width
     assert stats.shell_dev.value <= 16.0 + stats.shell_dev.half_width
 
@@ -55,7 +58,7 @@ def test_thin_shell_cube_matches_quadrature_oracle(cube16):
 def test_thin_shell_ball_beta_oracle():
     n = 8
     s = sample_exact(isotropic_body("euclidean_ball", n), 10 ** 5, seed=SEED)
-    stats = thin_shell_stats(s)
+    stats = thin_shell_stats(squared_norms(s), n)
     oracle = (8.0 / 3.0) / n ** 2
     assert abs(stats.var_ratio.value - oracle) <= stats.var_ratio.half_width
 
@@ -63,22 +66,31 @@ def test_thin_shell_ball_beta_oracle():
 def test_weighted_square_variance_cases(cube16):
     n = 16
     ones = WeightVector.coefficients(np.ones(n))
-    est, bound = weighted_square_variance(cube16, ones)
+    est, bound = weighted_square_variance(weighted_squares(cube16, ones), ones)
     assert bound == pytest.approx(16.0 * n)
     assert abs(est.value - 0.8 * n) <= est.half_width
     e1 = WeightVector.coefficients(np.eye(n)[0])
-    est1, bound1 = weighted_square_variance(cube16, e1)
+    est1, bound1 = weighted_square_variance(weighted_squares(cube16, e1), e1)
     assert abs(est1.value - 0.8) <= est1.half_width
     zero = WeightVector.coefficients(np.zeros(n))
-    est0, bound0 = weighted_square_variance(cube16, zero)
+    est0, bound0 = weighted_square_variance(weighted_squares(cube16, zero), zero)
     assert est0.value == 0.0 and est0.half_width == 0.0 and bound0 == 0.0
+    assert est0.degenerate and est0.count == 10 ** 5
+    with pytest.raises(ValueError, match="coefficient"):
+        weighted_square_variance(weighted_squares(cube16, ones),
+                                 WeightVector.exponents(np.ones(n)))
+
+
+def test_thin_shell_stats_needs_100_draws(cube16):
+    with pytest.raises(ValueError, match="N >= 100"):
+        thin_shell_stats(squared_norms(cube16)[:99], 16)
 
 
 def test_weighted_square_variance_bound_random_directions(cube16):
     rng = np.random.default_rng(7)
     for _ in range(20):
         a = WeightVector.coefficients(rng.uniform(0, 2, size=16))
-        est, bound = weighted_square_variance(cube16, a)
+        est, bound = weighted_square_variance(weighted_squares(cube16, a), a)
         assert est.value <= bound + 4 * est.half_width
 
 
@@ -87,7 +99,7 @@ def test_power_sum_variance_reduces_to_squares(cube16):
     a = WeightVector.coefficients(np.ones(n))
     p2 = WeightVector.exponents(np.full(n, 2.0))
     est_pow, bound_pow = power_sum_variance(cube16, a, p2)
-    est_sq, _ = weighted_square_variance(cube16, a)
+    est_sq, _ = weighted_square_variance(weighted_squares(cube16, a), a)
     assert est_pow.value == pytest.approx(est_sq.value, rel=1e-12)
     # the p=2 bound uses E X^4 from the sample: (2*4/3) * n * E X^4
     assert bound_pow == pytest.approx(8.0 / 3.0 * n * np.mean(cube16.data ** 4), rel=1e-12)
@@ -118,25 +130,6 @@ def test_power_sum_variance_overflow_guard(cube16):
     with pytest.raises(ValueError):
         power_sum_variance(cube16, WeightVector.coefficients(np.ones(16)),
                            WeightVector.exponents(np.full(16, 40.0)))
-
-
-def test_lp_norm_variance(cube16):
-    est, ref = lp_norm_variance(cube16, p=1.0)
-    assert ref == pytest.approx(16.0)  # n^(2/1 - 1)
-    assert abs(est.value - 16 * 0.25) <= est.half_width
-    est2, ref2 = lp_norm_variance(cube16, p=2.0)
-    assert ref2 == pytest.approx(1.0)
-    assert est2.value < 1.0  # O(1) shell-type variance
-
-
-def test_marginal_values(cube16):
-    n = 16
-    e1 = WeightVector.axis_direction(n, 0)
-    assert np.array_equal(marginal_values(cube16, e1), cube16.data[:, 0])
-    theta = WeightVector.uniform_direction(n)
-    vals = marginal_values(cube16, theta)
-    assert abs(vals.mean()) <= 4 * vals.std(ddof=1) / math.sqrt(vals.size)
-    assert vals.var(ddof=1) == pytest.approx(1.0, abs=0.05)
 
 
 def kolmogorov_uniform_vs_normal_oracle(a=SQRT3):
@@ -178,21 +171,10 @@ def test_counterexample_marginal_far_from_normal():
     oracle = kolmogorov_uniform_vs_normal_oracle()
     for n in (4, 64):
         s = sample_counterexample(n, 10 ** 5, seed=SEED)
-        vals = marginal_values(s, WeightVector.uniform_direction(n))
+        vals = s.data @ WeightVector.uniform_direction(n).array
         res = kolmogorov_distance(vals, normal_cdf)
         assert res.distance >= 0.04
         assert res.distance == pytest.approx(oracle, abs=3 * res.dkw_band + 1e-3)
-
-
-def test_tail_probability(cube16):
-    rows = tail_probability(cube16, [0.0, 0.5, 1.0, 2.0])
-    lo0, hi0 = rows[0]
-    assert abs(lo0.value - 0.5) <= 3 * lo0.half_width + 0.02
-    assert abs(hi0.value - 0.5) <= 3 * hi0.half_width + 0.02
-    lows = [lo.value for lo, _ in rows]
-    his = [hi.value for _, hi in rows]
-    assert all(a >= b - 1e-12 for a, b in zip(lows, lows[1:]))
-    assert all(a >= b - 1e-12 for a, b in zip(his, his[1:]))
 
 
 def test_scaling_fit_exact_law():
@@ -206,21 +188,6 @@ def test_scaling_fit_exact_law():
         scaling_fit([(4, 1.0), (8, 0.0), (16, 1.0)])
     with pytest.raises(ValueError):
         scaling_fit([(4, 1.0), (4, 2.0)])
-
-
-def test_lemma426_axis_direction_interval_oracle():
-    # event reduces to 1/sqrt2 <= |X1| <= sqrt(3/2); uniform length oracle
-    s = sample_exact(isotropic_body("cube", 4), 10 ** 5, seed=SEED)
-    freq = lemma426_event_frequency(s, WeightVector.axis_direction(4, 0))
-    oracle = (math.sqrt(1.5) - math.sqrt(0.5)) / SQRT3
-    assert oracle == pytest.approx(0.2989, abs=2e-4)
-    assert abs(freq.value - oracle) <= freq.half_width
-
-
-def test_lemma426_uniform_direction(cube16):
-    freq = lemma426_event_frequency(cube16, WeightVector.uniform_direction(16))
-    assert freq.value >= 0.95
-    assert 0.0 <= freq.value <= 1.0
 
 
 def test_verify_identities_hand_values():
@@ -249,29 +216,6 @@ def test_verify_identities_grid(a, p, r):
 
 def test_identity_grid_is_twelve_points():
     assert len(IDENTITY_GRID) == 12
-
-
-def test_moment_inequality_uniform_oracle():
-    s = sample_exact(isotropic_body("cube", 1), 2 * 10 ** 5, seed=SEED)
-    res = moment_inequality_check(s.data[:, 0], p=4.0)
-    assert res.lhs == pytest.approx((1.8 / 24) ** 0.25, abs=5e-3)
-    assert res.mid == pytest.approx(math.sqrt(0.5), abs=5e-3)
-    assert res.rhs == pytest.approx(SQRT3 / 2, abs=5e-3)
-    assert res.lhs <= res.mid <= res.rhs
-
-
-def test_moment_inequality_p2_collapse():
-    rng = np.random.default_rng(SEED)
-    res = moment_inequality_check(rng.standard_normal(5000), p=2.0)
-    assert res.lhs == pytest.approx(res.mid, rel=1e-12)
-
-
-def test_moment_inequality_gaussian_oracle():
-    rng = np.random.default_rng(SEED)
-    res = moment_inequality_check(rng.standard_normal(5 * 10 ** 5), p=4.0)
-    assert res.lhs == pytest.approx((3.0 / 24) ** 0.25, abs=5e-3)
-    assert res.rhs == pytest.approx(math.sqrt(2 / math.pi), abs=5e-3)
-    assert res.lhs <= res.mid <= res.rhs
 
 
 def test_weight_vector_validation():
