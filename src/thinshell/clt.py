@@ -67,69 +67,26 @@ def normal_cdf(t):
 
 # -- exact spline construction -------------------------------------------------
 
-def _shift_poly(coeffs: list[Fraction], s: Fraction) -> list[Fraction]:
-    """Coefficients of p(u + s) given those of p(u)."""
-    out = [Fraction(0)] * len(coeffs)
-    for k, c in enumerate(coeffs):
-        for j in range(k + 1):
-            out[j] += c * comb(k, j) * s ** (k - j)
-    return out
+def _bspline8_pieces():
+    """Degree-7 pieces of B8, the 8-fold self-convolution of 1_[-1/2,1/2], on [0, 4].
 
-
-def _sliding_convolution(pieces):
-    """Convolve a piecewise polynomial with the indicator of [-1/2, 1/2].
-
-    (f * 1)(x) = F(x + 1/2) - F(x - 1/2) for F an antiderivative of f; knots
-    shift by half-integers.  Pieces are (left, right, coeffs in u = x - left).
+    Closed form B8(x) = (1/7!) sum_k (-1)^k C(8,k) (x + 4 - k)_+^7; on [j, j+1]
+    the terms k <= j + 4 are live, expanded in u = x - j.  Pieces are (left,
+    right, coeffs of u^0..u^7).
     """
-    anti = []
-    acc = Fraction(0)
-    for left, right, coeffs in pieces:
-        anti.append((left, right, [acc] + [c / (k + 1) for k, c in enumerate(coeffs)]))
-        acc = sum(c * (right - left) ** k for k, c in enumerate(anti[-1][2]))
-    total = acc
-
-    def anti_coeffs_at(x0: Fraction) -> list[Fraction]:
-        if x0 < anti[0][0]:
-            return [Fraction(0)]
-        if x0 >= anti[-1][1]:
-            return [total]
-        for left, right, coeffs in anti:
-            if left <= x0 < right:
-                return _shift_poly(coeffs, x0 - left)
-        return [total]
-
-    half = Fraction(1, 2)
-    lo, hi = pieces[0][0] - half, pieces[-1][1] + half
-    knots = sorted({k for p in pieces for k in (p[0] - half, p[0] + half)} | {lo, hi, pieces[-1][1] - half})
-    knots = [k for k in knots if lo <= k <= hi]
-    out = []
-    for a, b in zip(knots[:-1], knots[1:]):
-        cp = anti_coeffs_at(a + half)
-        cm = anti_coeffs_at(a - half)
-        n = max(len(cp), len(cm))
-        cp += [Fraction(0)] * (n - len(cp))
-        cm += [Fraction(0)] * (n - len(cm))
-        out.append((a, b, [x - y for x, y in zip(cp, cm)]))
-    return out
-
-
-def _build_bspline8():
-    """Degree-7 pieces of the 8-fold self-convolution of 1_[-1/2,1/2], on [-4, 4]."""
-    pieces = [(Fraction(-1, 2), Fraction(1, 2), [Fraction(1)])]
-    for _ in range(7):
-        pieces = _sliding_convolution(pieces)
-    return pieces
+    return [(Fraction(j), Fraction(j + 1),
+             [sum(Fraction((-1) ** k * comb(8, k) * comb(7, m) * (j + 4 - k) ** (7 - m))
+                  for k in range(j + 5)) / math.factorial(7) for m in range(8)])
+            for j in range(4)]
 
 
 class _CharFnSpline:
     """gamma(xi) = B8(4 xi)/B8(0): even, supported on [-1, 1], knots at k/4."""
 
     def __init__(self):
-        pieces = _build_bspline8()
-        self.center_value = next(c[0] for l, r, c in pieces if l == 0)  # B8(0), exact
         # pieces on [0, 4] in local coordinates u = x - left
-        self.pos_pieces = [(l, r, c) for l, r, c in pieces if l >= 0]
+        self.pos_pieces = _bspline8_pieces()
+        self.center_value = self.pos_pieces[0][2][0]  # B8(0), exact
         self.knots = np.array([float(l) for l, _, _ in self.pos_pieces] + [4.0])
         self.coeffs = [np.array([float(x) for x in c]) for _, _, c in self.pos_pieces]
         # derivatives of gamma at 0 (exact): gamma^{(k)}(0) = 4^k B8^{(k)}(0)/B8(0)
@@ -160,16 +117,6 @@ class _CharFnSpline:
                 val[m] = acc
             out[body] = val
         return out / float(self.center_value)
-
-    def exact_value(self, xi: Fraction) -> Fraction:
-        x = 4 * abs(xi)
-        if x >= 4:
-            return Fraction(0)
-        for l, r, c in self.pos_pieces:
-            if l <= x < r:
-                u = x - l
-                return sum(ck * u ** k for k, ck in enumerate(c)) / self.center_value
-        raise AssertionError
 
 
 @dataclass(frozen=True)

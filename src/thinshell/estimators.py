@@ -76,12 +76,6 @@ class WeightVector:
         return WeightVector(tuple(e), WeightKind.DIRECTION)
 
     @staticmethod
-    def axis_direction(n: int, i: int = 0) -> "WeightVector":
-        e = np.zeros(n)
-        e[i] = 1.0
-        return WeightVector(tuple(e), WeightKind.DIRECTION)
-
-    @staticmethod
     def coefficients(entries) -> "WeightVector":
         return WeightVector(tuple(np.asarray(entries, dtype=float)), WeightKind.COEFFICIENTS)
 
@@ -107,16 +101,17 @@ def _variance_estimate(y: np.ndarray, estimator_id: str) -> EstimateWithCI:
         raise ValueError("variance needs at least 2 samples")
     mean = y.mean()
     d = y - mean
-    s2 = float(d @ d) / (n - 1)
+    d2 = d * d
+    sum_d2 = float(np.sum(d2))
+    s2 = sum_d2 / (n - 1)
     if s2 == 0.0:
         return EstimateWithCI(0.0, 0.0, n, estimator_id, degenerate=True)
     if n >= 10 ** 4:
-        m4 = float((d ** 2) @ (d ** 2)) / n
+        m4 = float(np.sum(d2 * d2)) / n
         var_of_var = max(m4 - s2 * s2, 0.0) / n
     else:
         # closed-form delete-1 jackknife of the unbiased variance
-        sum_d2 = float(d @ d)
-        s2_loo = (sum_d2 - d ** 2 * n / (n - 1)) / (n - 2)
+        s2_loo = (sum_d2 - d2 * n / (n - 1)) / (n - 2)
         var_of_var = (n - 1) / n * float(np.sum((s2_loo - s2_loo.mean()) ** 2))
     return EstimateWithCI(s2, 3.0 * math.sqrt(var_of_var), n, estimator_id)
 

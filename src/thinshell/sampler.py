@@ -88,17 +88,25 @@ def _draw_exact_block(body: BodySpec, m: int, rng: np.random.Generator) -> np.nd
     raise ValueError(f"unsupported kind for exact sampling: {body.kind!r}")
 
 
+def _substream_blocks(count: int, seed: int) -> Iterator[tuple[int, int, np.random.Generator]]:
+    """(first row, rows, generator) of each BLOCK-sized chunk of a count-row draw;
+    chunk b draws from substream (seed, b)."""
+    for stream, start in enumerate(range(0, count, BLOCK)):
+        yield start, min(BLOCK, count - start), substream(seed, stream)
+
+
+def _counterexample_block(n: int, m: int, rng: np.random.Generator):
+    """Axes T uniform on 0..n-1 and values U uniform on [-sqrt(3n), sqrt(3n)]."""
+    half = math.sqrt(3.0 * n)
+    return rng.integers(0, n, size=m), rng.uniform(-half, half, size=m)
+
+
 def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
     """Yield the exact-sampler rows in their canonical BLOCK-sized chunks."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    done = 0
-    stream = 0
-    while done < count:
-        m = min(BLOCK, count - done)
-        yield _draw_exact_block(body, m, substream(seed, stream))
-        done += m
-        stream += 1
+    for _, m, rng in _substream_blocks(count, seed):
+        yield _draw_exact_block(body, m, rng)
 
 
 def sample_exact(body: BodySpec, count: int, seed: int) -> SampleMatrix:
@@ -116,36 +124,20 @@ def sample_counterexample(n: int, count: int, seed: int) -> SampleMatrix:
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
     body = BodySpec.counterexample_cross(n)
-    half = math.sqrt(3.0 * n)
     rows = np.zeros((count, n))
-    done = 0
-    stream = 0
-    while done < count:
-        m = min(BLOCK, count - done)
-        rng = substream(seed, stream)
-        t = rng.integers(0, n, size=m)
-        u = rng.uniform(-half, half, size=m)
-        rows[np.arange(done, done + m), t] = u
-        done += m
-        stream += 1
+    for start, m, rng in _substream_blocks(count, seed):
+        t, u = _counterexample_block(n, m, rng)
+        rows[np.arange(start, start + m), t] = u
     return SampleMatrix(rows, body, seed, method="counterexample")
 
 
 def counterexample_marginal(n: int, count: int, theta: np.ndarray, seed: int) -> np.ndarray:
     """Marginal sum(theta_i X_i) of the counterexample, sampled without the n columns."""
     theta = np.asarray(theta, dtype=float)
-    half = math.sqrt(3.0 * n)
     out = np.empty(count)
-    done = 0
-    stream = 0
-    while done < count:
-        m = min(BLOCK, count - done)
-        rng = substream(seed, stream)
-        t = rng.integers(0, n, size=m)
-        u = rng.uniform(-half, half, size=m)
-        out[done:done + m] = u * theta[t]
-        done += m
-        stream += 1
+    for start, m, rng in _substream_blocks(count, seed):
+        t, u = _counterexample_block(n, m, rng)
+        out[start:start + m] = u * theta[t]
     return out
 
 

@@ -38,11 +38,6 @@ class GridDomain:
     def n_nodes(self) -> int:
         return int(self.mask.sum())
 
-    def node_coords(self) -> np.ndarray:
-        iy, ix = np.nonzero(self.mask)
-        return np.column_stack([self.origin[0] + (ix + 0.5) * self.h,
-                                self.origin[1] + (iy + 0.5) * self.h])
-
     @property
     def area(self) -> float:
         return self.n_nodes * self.h * self.h

@@ -10,8 +10,6 @@ and taking sqrt of the induced inner product.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -103,24 +101,6 @@ class DiscreteMeasure:
         if density is not None:
             w = w * np.asarray(density(x, y), dtype=float)
         return DiscreteMeasure(np.column_stack([x, y]), w, spacing=h, mask=mask.copy())
-
-    @staticmethod
-    def from_csv(text_or_path) -> "DiscreteMeasure":
-        """Rows 'x[,y],weight'."""
-        if isinstance(text_or_path, str) and "\n" in text_or_path:
-            fh = io.StringIO(text_or_path)
-        else:
-            fh = open(text_or_path, newline="")
-        with fh:
-            rows = [list(map(float, row)) for row in csv.reader(fh) if row]
-        arr = np.asarray(rows)
-        return DiscreteMeasure(arr[:, :-1], arr[:, -1])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            for pt, w in zip(self.support, self.weights):
-                wr.writerow([repr(float(v)) for v in pt] + [repr(float(w))])
 
 
 # -- Wasserstein-2 -------------------------------------------------------------
@@ -279,31 +259,38 @@ def _grid_edges(mu: DiscreteMeasure):
 
 
 def hminus1_norm(mu: DiscreteMeasure, u: np.ndarray, cg_tol: float = 1e-12,
-                 meanzero_tol: float = 1e-8) -> float:
+                 meanzero_tol: float = 1e-8) -> float | np.ndarray:
     """Discrete dual norm sup { sum u phi w : sum |grad phi|^2 w <= 1 }.
 
     Assembles the weighted graph Laplacian (edge weight = mean of the endpoint
     measure weights over h^2), solves L phi = u*w on the mean-zero subspace by
     CG, and returns sqrt(sum u w phi).  Inputs whose mu-mean is not zero have
-    infinite norm and return +inf.
+    infinite norm and return +inf.  One function u of shape (N,) gives a
+    float; a stack of k functions of shape (k, N) gives k norms, all solved
+    against the one Laplacian of mu.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != mu.weights.shape:
+    if u.ndim not in (1, 2) or u.shape[-1:] != mu.weights.shape:
         raise ValueError("u must be given on the support of mu")
     w = mu.weights
-    mean_u = float(u @ w) / mu.mass
-    if abs(mean_u) > meanzero_tol * (float(np.abs(u) @ w) / mu.mass + 1e-300):
-        return math.inf
-    src, dst = _grid_edges(mu)
-    if not is_connected(w.size, src, dst):
-        raise ValueError("positive-weight support must be connected")
-    h = mu.spacing
-    ew = (w[src] + w[dst]) / (2.0 * h * h)
-    L = graph_laplacian(w.size, src, dst, ew)
-    b = (u - mean_u) * w
-    b -= b.mean()  # exact orthogonality to the constant kernel
-    phi, _ = _cg(L, b, cg_tol, maxiter=200 * w.size)
-    return math.sqrt(max(float(b @ phi), 0.0))
+    rows = np.atleast_2d(u)
+    norms = np.full(rows.shape[0], math.inf)
+    means = [float(ui @ w) / mu.mass for ui in rows]
+    solve = [i for i, (ui, mean_u) in enumerate(zip(rows, means))
+             if abs(mean_u) <= meanzero_tol * (float(np.abs(ui) @ w) / mu.mass + 1e-300)]
+    if solve:
+        src, dst = _grid_edges(mu)
+        if not is_connected(w.size, src, dst):
+            raise ValueError("positive-weight support must be connected")
+        h = mu.spacing
+        ew = (w[src] + w[dst]) / (2.0 * h * h)
+        L = graph_laplacian(w.size, src, dst, ew)
+    for i in solve:
+        b = (rows[i] - means[i]) * w
+        b -= b.mean()  # exact orthogonality to the constant kernel
+        phi, _ = _cg(L, b, cg_tol, maxiter=200 * w.size)
+        norms[i] = math.sqrt(max(float(b @ phi), 0.0))
+    return float(norms[0]) if u.ndim == 1 else norms
 
 
 # -- duality and variance-bound verification --------------------------------------
@@ -367,42 +354,35 @@ class VarianceBoundReport(NamedTuple):
     passed: bool
 
 
-def variance_bound_on_mask(mask: np.ndarray, h: float, origin: tuple[float, float],
-                           f_values: np.ndarray) -> VarianceBoundReport:
-    """Discrete check of Var(f) <= sum_i ||d_i f||^2_{H^-1} on a raster.
+def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[VarianceBoundReport]:
+    """Discrete check of Var(f) <= sum_i ||d_i f||^2_{H^-1} for each f in fs on
+    one raster of a 2D convex body.
 
-    f_values is given on the full raster (masked cells are used).  Gradients
-    are central differences, one-sided at the staircase boundary; the bound is
-    evaluated with the uniform grid measure.  Tolerance is O(h).
-    """
-    if min(mask.shape) < 32:
-        raise ValueError("grid too coarse: need >= 32 cells per axis")
-    mu = DiscreteMeasure.grid_2d(mask, h, origin)
-    vals = f_values[mask]
-    mean = float(vals @ mu.weights) / mu.mass
-    var = float(((vals - mean) ** 2) @ mu.weights)
-    gx, gy = grid_gradient(mask, f_values, h)
-    per_axis = []
-    for g in (gx, gy):
-        nrm = hminus1_norm(mu, g[mask])
-        per_axis.append(nrm * nrm)
-    bound = float(sum(per_axis))
-    tol = h * (1.0 + bound)
-    return VarianceBoundReport(var, bound, tuple(per_axis), tol, bool(var <= bound + tol))
-
-
-def verify_variance_bound(body2d, f: Callable, h: float) -> VarianceBoundReport:
-    """Rasterize a 2D convex body and check Var(f) against the dual-norm bound.
-
-    f is a vectorized callable f(x, y) evaluated at cell centers.
+    Each f is a vectorized callable f(x, y) evaluated at the cell centers.
+    Gradients are central differences, one-sided at the staircase boundary;
+    the bound is evaluated with the uniform grid measure, whose Laplacian
+    serves all 2 len(fs) dual-norm solves.  Tolerance is O(h).
     """
     from .spectral import rasterize
 
     grid = rasterize(body2d, h)
-    ny, nx = grid.mask.shape
-    cx = grid.origin[0] + (np.arange(nx) + 0.5) * h
-    cy = grid.origin[1] + (np.arange(ny) + 0.5) * h
-    X, Y = np.meshgrid(cx, cy)
-    values = np.zeros(grid.mask.shape)
-    values[grid.mask] = np.asarray(f(X[grid.mask], Y[grid.mask]), dtype=float)
-    return variance_bound_on_mask(grid.mask, h, grid.origin, values)
+    mask = grid.mask
+    mu = DiscreteMeasure.grid_2d(mask, h, grid.origin)
+    x, y = np.ascontiguousarray(mu.support.T)
+    vals, grads = [], []
+    for f in fs:
+        full = np.zeros(mask.shape)
+        full[mask] = np.asarray(f(x, y), dtype=float)
+        vals.append(full[mask])
+        grads += [g[mask] for g in grid_gradient(mask, full, h)]
+    norms = hminus1_norm(mu, np.stack(grads))
+    reports = []
+    for vals_f, axes in zip(vals, norms.reshape(-1, 2)):
+        mean = float(vals_f @ mu.weights) / mu.mass
+        var = float(((vals_f - mean) ** 2) @ mu.weights)
+        per_axis = tuple(float(nrm * nrm) for nrm in axes)
+        bound = float(sum(per_axis))
+        tol = h * (1.0 + bound)
+        reports.append(VarianceBoundReport(var, bound, per_axis, tol,
+                                           bool(var <= bound + tol)))
+    return reports

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thinshell
 from thinshell.cli import ConfigError, default_config, main, parse_config, run, version_info
 from thinshell.reporting import CSV_HEADER, CsvRow, render_csv
 
@@ -89,6 +94,24 @@ def test_workers_do_not_change_reports(tmp_path, capsys):
     assert run(cfg2) == 0
     assert (tmp_path / "w1" / "report.csv").read_bytes() == \
         (tmp_path / "w2" / "report.csv").read_bytes()
+
+
+def test_blas_threads_do_not_change_reports(tmp_path):
+    # OpenBLAS splits long dot products across its threads, which reorders the
+    # sum; 2e4 draws per variance is past the length where that starts
+    src = str(Path(thinshell.__file__).resolve().parents[1])
+    texts = []
+    for threads in ("1", "2"):
+        cfg = tmp_path / f"cfg_t{threads}.ini"
+        cfg.write_text(SMALL_THINSHELL.format(out=tmp_path / f"t{threads}")
+                       .replace("samples = 2000", "samples = 20000"))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "thinshell.cli", "thinshell",
+                               "--config", str(cfg)], env=env, capture_output=True)
+        assert proc.returncode in (0, 1), proc.stderr.decode()
+        texts.append((tmp_path / f"t{threads}" / "report.csv").read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_main_exit_codes(tmp_path, capsys):

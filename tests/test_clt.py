@@ -68,6 +68,13 @@ def test_spline_knot_continuity_exact():
             assert left == right  # Fractions: exact equality
 
 
+def test_spline_edge_piece_is_the_closed_form():
+    # __call__ evaluates [3, 4] as (4 - x)^7/7!, which in u = x - 3 is (1 - u)^7/5040
+    left, right, coeffs = KERNEL.char_fn.pos_pieces[-1]
+    assert (left, right) == (3, 4)
+    assert coeffs == [Fraction((-1) ** m * math.comb(7, m), 5040) for m in range(8)]
+
+
 def test_kernel_moments_exact_values():
     m2, m4, m6 = KERNEL.moments_exact
     assert m2 == Fraction(3360, 151)

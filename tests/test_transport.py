@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinshell import spectral, suites, transport
 from thinshell.bodies import BodySpec
+from thinshell.spectral import TooCoarseGridError
 from thinshell.transport import (
     DiscreteMeasure,
     EndpointConditionError,
     MassMismatchError,
     hminus1_norm,
     monotone_transport_1d,
-    variance_bound_on_mask,
     verify_thm258,
     verify_variance_bound,
     w2_1d,
@@ -183,6 +184,15 @@ def test_hminus1_two_atom_hand_value():
     assert hminus1_norm(mu, u) == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
+def test_hminus1_stack_matches_rows_bit_for_bit():
+    mu = DiscreteMeasure.grid_1d(-1.0, 1.0, 128)
+    x = mu.support[:, 0]
+    u1, u2, c = 2.0 * x, np.sin(math.pi * x), 1.0 + x
+    norms = hminus1_norm(mu, np.stack([u1, u2, c]))
+    assert isinstance(norms, np.ndarray)
+    assert norms.tolist() == [hminus1_norm(mu, u1), hminus1_norm(mu, u2), math.inf]
+
+
 def test_hminus1_disconnected_support():
     mask = np.zeros((40, 40), dtype=bool)
     mask[2:5, 2:5] = True
@@ -244,7 +254,7 @@ def test_thm258_2d_assignment_route():
 
 def test_variance_bound_constant_function():
     body = BodySpec.cube(2)
-    rep = verify_variance_bound(body, lambda x, y: np.full_like(x, 3.3), h=1 / 16)
+    [rep] = verify_variance_bound(body, [lambda x, y: np.full_like(x, 3.3)], h=1 / 16)
     assert rep.var == pytest.approx(0.0, abs=1e-20)
     assert rep.bound == pytest.approx(0.0, abs=1e-20)
     assert rep.passed
@@ -252,27 +262,28 @@ def test_variance_bound_constant_function():
 
 def test_variance_bound_x_squared_square():
     # separable oracle: Var = 16/45, bound = ||2x||^2 = 32/15 on [-1,1]^2
-    rep = verify_variance_bound(BodySpec.cube(2), lambda x, y: x ** 2, h=1 / 32)
+    [rep] = verify_variance_bound(BodySpec.cube(2), [lambda x, y: x ** 2], h=1 / 32)
     assert rep.var == pytest.approx(16.0 / 45.0, rel=0.01)
     assert rep.bound == pytest.approx(32.0 / 15.0, rel=0.02)
     assert rep.passed
 
 
 def test_variance_bound_radial_square():
-    rep = verify_variance_bound(BodySpec.cube(2), lambda x, y: x ** 2 + y ** 2, h=1 / 32)
+    [rep] = verify_variance_bound(BodySpec.cube(2), [lambda x, y: x ** 2 + y ** 2], h=1 / 32)
     assert rep.var == pytest.approx(32.0 / 45.0, rel=0.01)
     assert rep.bound == pytest.approx(64.0 / 15.0, rel=0.02)
     assert rep.passed
 
 
 def test_variance_bound_disc():
-    rep = verify_variance_bound(BodySpec.euclidean_ball(2), lambda x, y: x ** 2, h=1 / 32)
+    [rep] = verify_variance_bound(BodySpec.euclidean_ball(2), [lambda x, y: x ** 2], h=1 / 32)
     assert rep.passed
     assert rep.var < rep.bound
 
 
 def test_variance_bound_random_trig():
     rng = np.random.default_rng(21)
+    fs = []
     for _ in range(2):
         c = rng.uniform(-1, 1, size=(2, 2))
 
@@ -283,25 +294,42 @@ def test_variance_bound_random_trig():
                     out += c[j, k] * np.cos(j * math.pi * x) * np.cos(k * math.pi * y)
             return out
 
-        rep = verify_variance_bound(BodySpec.cube(2), f, h=1 / 32)
-        assert rep.passed
+        fs.append(f)
+    reports = verify_variance_bound(BodySpec.cube(2), fs, h=1 / 32)
+    assert len(reports) == 2
+    assert all(rep.passed for rep in reports)
+
+
+def test_variance_bound_list_matches_single_calls():
+    fs = [lambda x, y: x ** 2, lambda x, y: np.cos(math.pi * x) * y]
+    together = verify_variance_bound(BodySpec.euclidean_ball(2), fs, h=1 / 32)
+    alone = [verify_variance_bound(BodySpec.euclidean_ball(2), [f], h=1 / 32)[0] for f in fs]
+    assert together == alone
 
 
 def test_variance_bound_too_coarse():
-    with pytest.raises(ValueError):
-        variance_bound_on_mask(np.ones((8, 8), dtype=bool), 0.25, (-1, -1), np.ones((8, 8)))
+    with pytest.raises(TooCoarseGridError):
+        verify_variance_bound(BodySpec.cube(2), [lambda x, y: x], h=0.25)
+
+
+def test_transport_suite_rasterizes_once_and_builds_one_laplacian_per_measure(monkeypatch):
+    counts = {"rasterize": 0, "laplacian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "rasterize", counted("rasterize", spectral.rasterize))
+    monkeypatch.setattr(transport, "graph_laplacian",
+                        counted("laplacian", transport.graph_laplacian))
+    suites.transport_suite(20250810, raster_h=1 / 32)
+    assert counts["rasterize"] == 2  # the square and the disc
+    assert counts["laplacian"] == 3  # the 1D example, then one per raster body
 
 
 # -- measure plumbing -----------------------------------------------------------------------
-
-def test_discrete_measure_csv_round_trip(tmp_path):
-    mu = DiscreteMeasure(np.array([[0.1, 0.2], [0.3, -0.4]]), np.array([0.6, 0.4]))
-    path = tmp_path / "measure.csv"
-    mu.to_csv(path)
-    back = DiscreteMeasure.from_csv(path)
-    assert np.array_equal(back.support, mu.support)
-    assert np.array_equal(back.weights, mu.weights)
-
 
 def test_discrete_measure_validation():
     with pytest.raises(ValueError):
