@@ -64,9 +64,9 @@ class BodySpec:
             raise DimensionMismatchError("scale length must equal dim")
         if any(s <= 0 for s in self.scale):
             raise ValueError("scale entries must be strictly positive")
-        if self.kind == "lp_ball":
-            if self.p is None or self.p < 1:
-                raise ValueError("lp_ball requires p >= 1")
+        if self.kind == "lp_ball" and not (self.p is not None and 1 <= self.p < math.inf):
+            raise ValueError(f"lp_ball requires a finite p >= 1, got {self.p!r} "
+                             f"(p = inf is the cube)")
         if self.kind == "product_of_intervals":
             if self.half_widths is None or len(self.half_widths) != self.dim:
                 raise DimensionMismatchError("product_of_intervals requires dim half_widths")
@@ -141,17 +141,12 @@ def contains(body: BodySpec, x, atol: float = 0.0) -> bool:
     For counterexample_cross this is support membership only (the support has
     measure zero; sampling is done directly and never relies on this test).
     """
-    z = _canonical(body, x)
-    if z.ndim != 1:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
         raise DimensionMismatchError("contains expects a single point")
-    if body.kind == "cube":
-        return bool(np.max(np.abs(z)) <= 1.0 + atol)
-    if body.kind == "euclidean_ball":
-        return bool(z @ z <= 1.0 + atol)
-    if body.kind == "lp_ball":
-        return bool(np.sum(np.abs(z) ** body.p) <= 1.0 + atol)
-    if body.kind == "product_of_intervals":
-        return bool(np.all(np.abs(z) <= np.asarray(body.half_widths) + atol))
+    if body.is_convex:
+        return bool(contains_rows(body, x[None], atol)[0])
+    z = _canonical(body, x)
     # counterexample_cross: at most one nonzero coordinate, within the segment
     nz = np.flatnonzero(z != 0.0)
     if nz.size == 0:
@@ -231,7 +226,7 @@ def analytic_second_moments(body: BodySpec) -> np.ndarray:
 
         E X_1^2 = Gamma(3/p) Gamma(1 + n/p) / (Gamma(1/p) Gamma(1 + (n+2)/p)),
 
-    evaluated through lgamma; p = 1, 2 and inf keep their exact rational forms.
+    evaluated through lgamma; p = 1 and 2 keep their exact rational forms.
     """
     n = body.dim
     s2 = body.scale_array ** 2
@@ -248,8 +243,6 @@ def analytic_second_moments(body: BodySpec) -> np.ndarray:
             return s2 / (n + 2.0)
         if body.p == 1:
             return s2 * 2.0 / ((n + 1.0) * (n + 2.0))
-        if math.isinf(body.p):
-            return s2 / 3.0
         p = body.p
         return s2 * math.exp(math.lgamma(3.0 / p) + math.lgamma(1.0 + n / p)
                              - math.lgamma(1.0 / p) - math.lgamma(1.0 + (n + 2.0) / p))
@@ -264,8 +257,6 @@ def isotropic_body(kind: str, dim: int, p: float | None = None) -> BodySpec:
         base = BodySpec.euclidean_ball(dim)
     elif kind == "lp_ball":
         base = BodySpec.lp_ball(dim, p)
-    elif kind == "counterexample_cross":
-        return BodySpec.counterexample_cross(dim)
     else:
         raise ValueError(f"no canonical isotropic form for kind {kind!r}")
     return isotropic_scale(base, analytic_second_moments(base))

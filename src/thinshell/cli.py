@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .bodies import label_family
 from .reporting import SuiteResult, render_csv, render_json
-from .sampler import RNG_ID
+from .sampler import RNG_ID, dump_samples, sample_exact
 from .suites import (
     BALL,
     CUBE,
@@ -50,7 +50,6 @@ class ExperimentConfig:
     plot: bool = False
     workers: int = 1
     dump_samples: str | None = None
-    bodies_explicit: bool = False
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -61,6 +60,8 @@ class ExperimentConfig:
             raise ConfigError("samples must be >= 100")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        for body in self.bodies:
+            _check_body(body)
 
     def echo(self) -> dict:
         return {
@@ -83,7 +84,22 @@ _DEFAULT_N_GRID = {
 _DEFAULT_SAMPLES = {"thinshell": 10 ** 5, "berry_esseen": 10 ** 6}
 
 _EXPERIMENT_KEYS = {"name", "n_grid", "samples", "seed", "output_dir", "plot", "workers"}
-_BODY_KEYS = {"kind", "dim", "p", "half_widths", "scale", "spacing"}
+_BODY_KEYS = {"kind", "p"}
+# the kinds that both sampler.exact_blocks and bodies.isotropic_body handle
+_BODY_KINDS = ("cube", "euclidean_ball", "lp_ball")
+
+
+def _check_body(body: BodyTemplate) -> None:
+    if body.kind not in _BODY_KINDS:
+        raise ConfigError(f"body kind {body.kind!r} is not one of {', '.join(_BODY_KINDS)}")
+    if body.kind == "lp_ball" and body.p is None:
+        raise ConfigError("body kind 'lp_ball' needs key 'p'")
+    if body.kind != "lp_ball" and body.p is not None:
+        raise ConfigError(f"key 'p' does not apply to body kind {body.kind!r}")
+    try:
+        body.instantiate(1)
+    except ValueError as exc:
+        raise ConfigError(f"bad body {body.kind!r}: {exc}") from exc
 
 
 def default_config(experiment: str) -> ExperimentConfig:
@@ -143,18 +159,11 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"missing key 'kind' in [{section}]")
         try:
             p = float(block["p"]) if "p" in block else None
-            hw = tuple(float(t) for t in block["half_widths"].split()) \
-                if "half_widths" in block else None
-            scale = tuple(float(t) for t in block["scale"].split()) \
-                if "scale" in block else None
-            dim = int(block["dim"]) if "dim" in block else None
-            spacing = float(block["spacing"]) if "spacing" in block else None
         except ValueError as exc:
             raise ConfigError(f"bad value in [{section}]: {exc}") from exc
-        bodies.append(BodyTemplate(kind, p, hw, scale, dim, spacing))
+        bodies.append(BodyTemplate(kind, p))
     if bodies:
         cfg.bodies = bodies
-        cfg.bodies_explicit = True
     cfg.validate()
     return cfg
 
@@ -177,6 +186,15 @@ def run(config: ExperimentConfig) -> int:
         return 3
 
     names = EXPERIMENTS[:-1] if config.experiment == "all" else (config.experiment,)
+    if config.dump_samples is not None and "thinshell" in names:
+        body = config.bodies[0].instantiate(min(config.n_grid))
+        try:
+            dump_samples(sample_exact(body, min(config.samples, 10 ** 4), config.seed),
+                         config.dump_samples)
+        except OSError as exc:
+            print(f"I/O error: cannot write samples to {config.dump_samples}: {exc}",
+                  file=sys.stderr)
+            return 3
     result = SuiteResult(config.experiment)
     timings = {}
     for name in names:
@@ -209,8 +227,7 @@ def run(config: ExperimentConfig) -> int:
 def _dispatch(name: str, config: ExperimentConfig, out_dir: Path) -> SuiteResult:
     if name == "thinshell":
         return thinshell_suite(config.bodies, config.n_grid, config.samples,
-                               config.seed, workers=config.workers,
-                               dump_path=config.dump_samples)
+                               config.seed, workers=config.workers)
     if name == "identities":
         return identities_suite()
     if name == "clt":
@@ -221,11 +238,7 @@ def _dispatch(name: str, config: ExperimentConfig, out_dir: Path) -> SuiteResult
                                   counter_ns=(min(config.n_grid), max(config.n_grid)),
                                   samples=samples)
     if name == "transport":
-        raster = None
-        if config.bodies_explicit:
-            raster = [(t.instantiate(2), t.spacing or 1 / 32) for t in config.bodies
-                      if t.kind != "counterexample_cross"]
-        return transport_suite(config.seed, raster_bodies=raster or None)
+        return transport_suite(config.seed)
     if name == "spectral":
         return spectral_suite(config.seed, plot_dir=out_dir if config.plot else None)
     raise ConfigError(f"unknown experiment {name!r}")

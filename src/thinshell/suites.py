@@ -25,37 +25,14 @@ DISC_LAMBDA1 = 3.3900304052  # (first positive root of J_1')^2
 
 
 class BodyTemplate(NamedTuple):
-    """Body family from a config block; instantiated per dimension.
-
-    Without an explicit scale the instantiation is isotropically normalized
-    with the closed-form moments of ``bodies.analytic_second_moments``; no
-    kind needs sampling for it.  ``spacing`` is the raster spacing used by
-    grid-measure suites.
-    """
+    """Body family from a config block, isotropically normalized at each
+    dimension with the closed-form moments of ``bodies.analytic_second_moments``."""
 
     kind: str
     p: float | None = None
-    half_widths: tuple[float, ...] | None = None
-    scale: tuple[float, ...] | None = None
-    dim: int | None = None
-    spacing: float | None = None
 
-    def instantiate(self, n: int | None = None) -> bd.BodySpec:
-        n = self.dim or n
-        if n is None:
-            raise ValueError("body template needs a dimension")
-        if self.kind == "counterexample_cross":
-            return bd.BodySpec.counterexample_cross(n)
-        if self.kind == "product_of_intervals":
-            body = bd.BodySpec.product_of_intervals(self.half_widths or (1.0,) * n)
-        elif self.kind == "lp_ball":
-            body = bd.BodySpec.lp_ball(n, p=self.p)
-        else:
-            body = bd.BodySpec(self.kind, n, (1.0,) * n)
-        if self.scale is not None:
-            scale = self.scale if len(self.scale) == n else tuple(self.scale) * n
-            return bd.BodySpec(body.kind, n, scale, p=body.p, half_widths=body.half_widths)
-        return bd.isotropic_scale(body, bd.analytic_second_moments(body))
+    def instantiate(self, n: int) -> bd.BodySpec:
+        return bd.isotropic_body(self.kind, n, self.p)
 
 
 CUBE = BodyTemplate("cube")
@@ -95,8 +72,8 @@ def _thinshell_task(args):
 def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: int,
                     seed: int, workers: int = 1,
                     shell_n: tuple[int, ...] = (16, 64),
-                    shell_templates: tuple[BodyTemplate, ...] = (CUBE, L1_BALL, BALL),
-                    dump_path=None) -> SuiteResult:
+                    shell_templates: tuple[BodyTemplate, ...] = (CUBE, L1_BALL, BALL)
+                    ) -> SuiteResult:
     """Thin-shell variance law, shell deviation and the weighted-square bound.
 
     Checks, per grid body: for cubes Var(|X|^2/n) = 0.8/n within 3 MC sigma
@@ -118,15 +95,11 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
         coeffs = {(t, max(shell_n)): rng.uniform(0.0, 2.0, size=(20, max(shell_n)))
                   for t in shell_templates}
     tasks = [(t, n, samples, seed, coeffs.get((t, n), np.empty((0, n)))) for t, n in keys]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_thinshell_task, tasks))
     else:
         results = [_thinshell_task(t) for t in tasks]
-    if dump_path is not None and keys:
-        template, n = keys[0]
-        smp.dump_samples(smp.sample_exact(template.instantiate(n), min(samples, 10 ** 4),
-                                          seed), dump_path)
 
     by_family: dict[tuple[BodyTemplate, str], list[tuple[int, float]]] = {}
     for key, (label, (vr, sd), weighted) in zip(keys, results):
@@ -381,8 +354,7 @@ def _random_even_trig(rng: np.random.Generator, degree: int = 2):
 
 def transport_suite(seed: int, grid_nodes: int = 4096,
                     epsilons: tuple[float, ...] = (0.1, 0.05, 0.01),
-                    raster_h: float = 1 / 32, n_trig: int = 5,
-                    raster_bodies: list[tuple[bd.BodySpec, float]] | None = None) -> SuiteResult:
+                    raster_h: float = 1 / 32, n_trig: int = 5) -> SuiteResult:
     """Transport duality on the linear 1D example, the fiberwise monotone map,
     and the variance-vs-dual-norm inequality on 2D rasters."""
     out = SuiteResult("transport")
@@ -423,12 +395,9 @@ def transport_suite(seed: int, grid_nodes: int = 4096,
 
     fns = [("x^2", lambda x, y: x ** 2), ("x^2+y^2", lambda x, y: x ** 2 + y ** 2)]
     fns += [(f"trig{i}", _random_even_trig(rng)) for i in range(n_trig)]
-    if raster_bodies is None:
-        raster_bodies = [(bd.BodySpec.cube(2), raster_h),
-                         (bd.BodySpec.euclidean_ball(2), raster_h)]
-    for body, h in raster_bodies:
+    for body in (bd.BodySpec.cube(2), bd.BodySpec.euclidean_ball(2)):
         body_label = body.label()
-        reports = tpt.verify_variance_bound(body, [f for _, f in fns], h)
+        reports = tpt.verify_variance_bound(body, [f for _, f in fns], raster_h)
         for (fname, _), vrep in zip(fns, reports):
             out.rows.append(CsvRow("lemma21.variance_bound", f"{body_label}:{fname}",
                                    2, 0, seed, vrep.var, 0.0, vrep.bound,

@@ -19,7 +19,7 @@ from thinshell.bodies import (
     isotropic_scale,
     label_family,
 )
-from thinshell.suites import BodyTemplate
+from thinshell.suites import BALL, CUBE, L1_BALL, BodyTemplate
 
 SQRT3 = math.sqrt(3.0)
 
@@ -121,8 +121,14 @@ def test_body_template_isotropy_does_not_sample(monkeypatch):
 
     monkeypatch.setattr(sampler, "estimate_second_moments", no_sampling)
     monkeypatch.setattr(sampler, "exact_blocks", no_sampling)
-    body = BodyTemplate("lp_ball", 3.0).instantiate(6)
-    assert body == isotropic_body("lp_ball", 6, p=3.0)
+    for template in (CUBE, BALL, L1_BALL, BodyTemplate("lp_ball", 3.0)):
+        assert template.instantiate(6) == isotropic_body(template.kind, 6, p=template.p)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+def test_lp_ball_rejects_p_outside_one_to_infinity(p):
+    with pytest.raises(ValueError, match="finite p >= 1"):
+        BodySpec.lp_ball(4, p)
 
 
 @st.composite

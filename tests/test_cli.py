@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import thinshell
+from thinshell import suites
+from thinshell.bodies import isotropic_body
 from thinshell.cli import ConfigError, default_config, main, parse_config, run, version_info
 from thinshell.reporting import CSV_HEADER, CsvRow, render_csv
+from thinshell.sampler import dump_samples, sample_exact
 
 SMALL_THINSHELL = """
 [experiment]
@@ -47,6 +50,29 @@ def test_parse_config_unknown_key_is_named():
         parse_config("[experiment]\nname = thinshell\n\n[body.x]\nkind = cube\nradius = 2\n")
     with pytest.raises(ConfigError, match="missing"):
         parse_config("[body.x]\nkind = cube\n")
+
+
+@pytest.mark.parametrize("body, named", [
+    ("kind = cube\ndim = 3", "dim"),
+    ("kind = cube\nscale = 2", "scale"),
+    ("kind = product_of_intervals\nhalf_widths = 1 2 3 4", "half_widths"),
+    ("kind = cube\nspacing = 0.1", "spacing"),
+    ("kind = lp_ball", "'p'"),
+    ("kind = cube\np = 2", "'p'"),
+    ("kind = lp_ball\np = inf", "p = inf is the cube"),
+    ("kind = lp_ball\np = nan", "finite p >= 1"),
+    ("kind = counterexample_cross", "counterexample_cross"),
+    ("kind = product_of_intervals", "product_of_intervals"),
+])
+def test_config_bodies_are_kind_and_p_only(tmp_path, capsys, body, named):
+    text = SMALL_THINSHELL.format(out=tmp_path / "o").replace("kind = cube", body)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_config(text)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    assert main(["thinshell", "--config", str(cfg)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_config_validation():
@@ -135,8 +161,48 @@ def test_dump_samples_flag(tmp_path, capsys):
     cfg_path.write_text(SMALL_THINSHELL.format(out=tmp_path / "o"))
     dump = tmp_path / "rows.thsl"
     assert main(["thinshell", "--config", str(cfg_path), "--dump-samples", str(dump)]) == 0
-    raw = dump.read_bytes()
-    assert raw[:4] == b"THSL"
+    expected = tmp_path / "expected.thsl"
+    dump_samples(sample_exact(isotropic_body("cube", 4), 2000, seed=99), expected)
+    assert dump.read_bytes() == expected.read_bytes()
+
+
+def test_unwritable_dump_path_exits_before_any_suite(tmp_path, capsys, monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("no suite may run after a failed dump")
+
+    monkeypatch.setattr("thinshell.cli.thinshell_suite", no_suite)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(SMALL_THINSHELL.format(out=tmp_path / "o"))
+    bad = tmp_path / "missing" / "rows.thsl"
+    assert main(["thinshell", "--config", str(cfg_path), "--dump-samples", str(bad)]) == 3
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_dump_samples_only_with_the_thinshell_suite(tmp_path, capsys):
+    dump = tmp_path / "rows.thsl"
+    assert main(["identities", "--out", str(tmp_path / "o"), "--dump-samples", str(dump)]) == 0
+    assert not dump.exists()
+
+
+def test_workers_are_capped_at_the_task_count(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", InProcessPool)
+    suites.thinshell_suite([suites.CUBE], [4, 8, 16], 200, 99, workers=64, shell_n=())
+    assert sizes == [3]
 
 
 def test_plot_outputs(tmp_path, capsys):
