@@ -4,12 +4,11 @@ spectra."""
 
 __version__ = "0.1.0"
 
-from .bodies import AxisSection, BodySpec, axis_section, contains, isotropic_scale
+from .bodies import BodySpec, isotropic_scale
 from .estimators import EstimateWithCI, WeightVector
-from .sampler import RNG_ID, SampleMatrix, sample_counterexample, sample_exact
+from .sampler import RNG_ID, SampleMatrix, sample_exact
 
 __all__ = [
-    "__version__", "AxisSection", "BodySpec", "axis_section", "contains",
-    "isotropic_scale", "EstimateWithCI", "WeightVector", "RNG_ID",
-    "SampleMatrix", "sample_counterexample", "sample_exact",
+    "__version__", "BodySpec", "isotropic_scale", "EstimateWithCI",
+    "WeightVector", "RNG_ID", "SampleMatrix", "sample_exact",
 ]

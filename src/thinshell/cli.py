@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .bodies import label_family
+from .bodies import KINDS, label_family
 from .reporting import SuiteResult, render_csv, render_json
 from .sampler import RNG_ID, dump_samples, sample_exact
 from .suites import (
@@ -54,8 +54,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if not self.n_grid:
-            raise ConfigError("n_grid must be nonempty")
+        if not self.n_grid or any(n < 1 for n in self.n_grid):
+            raise ConfigError(f"n_grid must be a nonempty list of positive integers, "
+                              f"got {self.n_grid}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed}")
         if self.samples < 100:
             raise ConfigError("samples must be >= 100")
         if self.workers < 1:
@@ -85,13 +88,11 @@ _DEFAULT_SAMPLES = {"thinshell": 10 ** 5, "berry_esseen": 10 ** 6}
 
 _EXPERIMENT_KEYS = {"name", "n_grid", "samples", "seed", "output_dir", "plot", "workers"}
 _BODY_KEYS = {"kind", "p"}
-# the kinds that both sampler.exact_blocks and bodies.isotropic_body handle
-_BODY_KINDS = ("cube", "euclidean_ball", "lp_ball")
 
 
 def _check_body(body: BodyTemplate) -> None:
-    if body.kind not in _BODY_KINDS:
-        raise ConfigError(f"body kind {body.kind!r} is not one of {', '.join(_BODY_KINDS)}")
+    if body.kind not in KINDS:
+        raise ConfigError(f"body kind {body.kind!r} is not one of {', '.join(KINDS)}")
     if body.kind == "lp_ball" and body.p is None:
         raise ConfigError("body kind 'lp_ball' needs key 'p'")
     if body.kind != "lp_ball" and body.p is not None:
@@ -278,8 +279,7 @@ def main(argv=None) -> int:
         prog="thinshell",
         description="desk-scale verification suites for unconditional convex bodies")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("thinshell", "clt", "berry-esseen", "transport", "spectral",
-                 "identities", "all"):
+    for name in (e.replace("_", "-") for e in EXPERIMENTS):
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--config", type=str, default=None, help="config file path")
         p.add_argument("--seed", type=int, default=None, help="master seed (u64)")

@@ -69,23 +69,19 @@ def _draw_exact_block(body: BodySpec, m: int, rng: np.random.Generator) -> np.nd
     scale = body.scale_array
     if body.kind == "cube":
         return rng.uniform(-1.0, 1.0, size=(m, n)) * scale
-    if body.kind == "product_of_intervals":
-        return rng.uniform(-1.0, 1.0, size=(m, n)) * (scale * np.asarray(body.half_widths))
     if body.kind == "euclidean_ball":
         g = rng.standard_normal(size=(m, n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         r = rng.uniform(size=(m, 1)) ** (1.0 / n)
         return g * r * scale
-    if body.kind == "lp_ball":
-        p = body.p
-        # |g_i|^p ~ Gamma(1/p); signed generalized Gaussian coordinates,
-        # normalized by (sum |g_j|^p + E)^(1/p) with E standard exponential
-        gp = rng.gamma(1.0 / p, size=(m, n))
-        g = gp ** (1.0 / p) * rng.choice(np.array([-1.0, 1.0]), size=(m, n))
-        e = rng.standard_exponential(size=(m, 1))
-        w = (gp.sum(axis=1, keepdims=True) + e) ** (1.0 / p)
-        return g / w * scale
-    raise ValueError(f"unsupported kind for exact sampling: {body.kind!r}")
+    p = body.p
+    # lp_ball: |g_i|^p ~ Gamma(1/p); signed generalized Gaussian coordinates,
+    # normalized by (sum |g_j|^p + E)^(1/p) with E standard exponential
+    gp = rng.gamma(1.0 / p, size=(m, n))
+    g = gp ** (1.0 / p) * rng.choice(np.array([-1.0, 1.0]), size=(m, n))
+    e = rng.standard_exponential(size=(m, 1))
+    w = (gp.sum(axis=1, keepdims=True) + e) ** (1.0 / p)
+    return g / w * scale
 
 
 def _substream_blocks(count: int, seed: int) -> Iterator[tuple[int, int, np.random.Generator]]:
@@ -93,12 +89,6 @@ def _substream_blocks(count: int, seed: int) -> Iterator[tuple[int, int, np.rand
     chunk b draws from substream (seed, b)."""
     for stream, start in enumerate(range(0, count, BLOCK)):
         yield start, min(BLOCK, count - start), substream(seed, stream)
-
-
-def _counterexample_block(n: int, m: int, rng: np.random.Generator):
-    """Axes T uniform on 0..n-1 and values U uniform on [-sqrt(3n), sqrt(3n)]."""
-    half = math.sqrt(3.0 * n)
-    return rng.integers(0, n, size=m), rng.uniform(-half, half, size=m)
 
 
 def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
@@ -110,34 +100,21 @@ def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
 
 
 def sample_exact(body: BodySpec, count: int, seed: int) -> SampleMatrix:
-    """N independent uniform draws from a convex body kind."""
+    """N independent uniform draws from a body."""
     rows = np.concatenate(list(exact_blocks(body, count, seed)), axis=0)
     return SampleMatrix(rows, body, seed, method="exact")
 
 
-def sample_counterexample(n: int, count: int, seed: int) -> SampleMatrix:
-    """Draws U * e_T with T uniform on axes and U uniform on [-sqrt(3n), sqrt(3n)].
-
-    Each coordinate has E X_i^2 = 1 by construction; at most one coordinate of
-    every row is nonzero.
-    """
-    if n < 1 or count < 1:
-        raise ValueError("n and count must be >= 1")
-    body = BodySpec.counterexample_cross(n)
-    rows = np.zeros((count, n))
-    for start, m, rng in _substream_blocks(count, seed):
-        t, u = _counterexample_block(n, m, rng)
-        rows[np.arange(start, start + m), t] = u
-    return SampleMatrix(rows, body, seed, method="counterexample")
-
-
 def counterexample_marginal(n: int, count: int, theta: np.ndarray, seed: int) -> np.ndarray:
-    """Marginal sum(theta_i X_i) of the counterexample, sampled without the n columns."""
+    """Marginal sum(theta_i X_i) of the counterexample X = U e_T: the axis T is
+    uniform on 0..n-1 and U is uniform on [-sqrt(3n), sqrt(3n)], so E X_i^2 = 1
+    and at most one coordinate of X is nonzero.  Sampled without the n columns."""
     theta = np.asarray(theta, dtype=float)
+    half = math.sqrt(3.0 * n)
     out = np.empty(count)
     for start, m, rng in _substream_blocks(count, seed):
-        t, u = _counterexample_block(n, m, rng)
-        out[start:start + m] = u * theta[t]
+        t = rng.integers(0, n, size=m)
+        out[start:start + m] = rng.uniform(-half, half, size=m) * theta[t]
     return out
 
 
@@ -158,8 +135,6 @@ def estimate_second_moments(body: BodySpec, count: int = 10 ** 6, seed: int = 0)
 
 def membership_violations(samples: SampleMatrix, atol: float = 1e-12) -> int:
     """Number of rows failing the (closed) membership test; 0 for exact samplers."""
-    if not samples.body.is_convex:
-        raise ValueError("membership check applies to convex kinds")
     return int(np.sum(~contains_rows(samples.body, samples.data, atol=atol)))
 
 

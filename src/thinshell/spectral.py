@@ -58,10 +58,7 @@ def rasterize(body2d: BodySpec, h: float) -> GridDomain:
     """
     if body2d.dim != 2:
         raise ValueError("rasterize expects a 2D body")
-    if not body2d.is_convex:
-        raise ValueError("rasterize expects a convex kind")
-    bhw = body2d.bounding_half_widths()
-    m = [int(math.ceil(b / h)) for b in bhw]
+    m = [int(math.ceil(b / h)) for b in body2d.scale_array]
     if min(m) * 2 < 32:
         raise TooCoarseGridError(f"grid too coarse: {2 * min(m)} cells per axis, need >= 32")
     cx = (np.arange(-m[0], m[0]) + 0.5) * h
@@ -83,7 +80,7 @@ def lowest_eigenpairs(grid: GridDomain, k: int) -> list[EigenPair]:
         raise ValueError("k must be between 1 and 10")
     L = grid.operator
     n = L.shape[0]
-    bhw = float(np.max(grid.body.bounding_half_widths()))
+    bhw = float(np.max(grid.body.scale_array))
     shift = 0.5 * math.pi ** 2 / (4.0 * bhw ** 2)  # strictly between 0 and lambda_1
     v0 = np.ones(n) + 1e-3 * np.cos(np.arange(n))
     vals, vecs = spl.eigsh(L, k=k + 1, sigma=shift, which="LM", v0=v0)
@@ -238,7 +235,7 @@ def cube_comparison(bodies: list[BodySpec], R: float, h: float,
     lam_cube = lowest_eigenpairs(rasterize(cube, h), k=2)[1].value
     rows = []
     for body in bodies:
-        if np.any(body.bounding_half_widths() > R * (1 + 1e-12)):
+        if np.any(body.scale_array > R * (1 + 1e-12)):
             raise ValueError(f"{body.label()} is not contained in [-R, R]^2")
         lam = lowest_eigenpairs(rasterize(body, h), k=2)[1].value
         rows.append(CubeComparisonRow(body.label(), float(lam),
@@ -263,7 +260,7 @@ def domain_monotonicity_witness(h: float = 1 / 64) -> MonotonicityWitness:
     below the disc value 3.39; domain monotonicity fails for the disc.
     """
     disc = BodySpec.euclidean_ball(2, radius=1.0)
-    rect = BodySpec.product_of_intervals((0.9, 0.2))
+    rect = BodySpec("cube", 2, (0.9, 0.2))
     lam_disc = lowest_eigenpairs(rasterize(disc, h), k=2)[1].value
     lam_rect = lowest_eigenpairs(rasterize(rect, h / 2), k=2)[1].value
     return MonotonicityWitness(float(lam_disc), float(lam_rect),

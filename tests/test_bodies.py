@@ -8,20 +8,23 @@ from scipy.integrate import quad
 
 from thinshell import sampler
 from thinshell.bodies import (
-    AxisSection,
+    KINDS,
     BodySpec,
     DimensionMismatchError,
-    EmptySectionError,
     analytic_second_moments,
-    axis_section,
-    contains,
+    contains_rows,
     isotropic_body,
     isotropic_scale,
     label_family,
 )
+from thinshell.cli import parse_config
 from thinshell.suites import BALL, CUBE, L1_BALL, BodyTemplate
 
 SQRT3 = math.sqrt(3.0)
+
+
+def contains(body, x, atol=0.0):
+    return bool(contains_rows(body, np.asarray(x, dtype=float)[None], atol)[0])
 
 
 def test_contains_cube_center_and_outside():
@@ -38,34 +41,6 @@ def test_contains_l1_boundary_counts_as_inside():
 def test_contains_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         contains(BodySpec.cube(3), (0.0, 0.0))
-
-
-def test_axis_section_cube():
-    body = BodySpec.cube(3, half_width=2.5)
-    sec = axis_section(body, (0.3, -1.0, 2.0), 1)
-    assert sec.lo == -2.5 and sec.hi == 2.5
-
-
-def test_axis_section_ball_sphere_equation():
-    r = 2.0
-    body = BodySpec.euclidean_ball(3, radius=r)
-    x = np.array([0.5, -0.7, 0.1])
-    sec = axis_section(body, x, 1)
-    expect = math.sqrt(r ** 2 - x[0] ** 2 - x[2] ** 2)
-    assert sec.hi == pytest.approx(expect, abs=1e-14)
-    assert sec.lo == pytest.approx(-expect, abs=1e-14)
-
-
-def test_axis_section_l1():
-    body = BodySpec.lp_ball(2, p=1.0)
-    sec = axis_section(body, (0.0, 0.5), 0)
-    assert sec.lo == pytest.approx(-0.5) and sec.hi == pytest.approx(0.5)
-
-
-def test_axis_section_empty():
-    body = BodySpec.euclidean_ball(2)
-    with pytest.raises(EmptySectionError):
-        axis_section(body, (0.0, 1.5), 0)
 
 
 def test_isotropic_scale_cube():
@@ -131,19 +106,31 @@ def test_lp_ball_rejects_p_outside_one_to_infinity(p):
         BodySpec.lp_ball(4, p)
 
 
+def test_p_applies_only_to_lp_ball():
+    with pytest.raises(ValueError, match="p does not apply"):
+        BodySpec("cube", 2, (1.0, 1.0), p=3.0)
+    with pytest.raises(ValueError, match="unknown body kind"):
+        BodySpec("product_of_intervals", 2, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_samples_inside_and_parses(kind):
+    p = 2.5 if kind == "lp_ball" else None
+    samples = sampler.sample_exact(isotropic_body(kind, 3, p), 5000, seed=7)
+    assert sampler.membership_violations(samples) == 0
+    body = f"kind = {kind}" + ("\np = 2.5" if p is not None else "")
+    cfg = parse_config(f"[experiment]\nname = thinshell\n\n[body.x]\n{body}\n")
+    assert cfg.bodies == [BodyTemplate(kind, p)]
+
+
 @st.composite
 def bodies_and_points(draw):
     n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["cube", "euclidean_ball", "lp_ball", "product_of_intervals"]))
-    if kind == "lp_ball":
-        body = BodySpec.lp_ball(n, p=draw(st.floats(1.0, 8.0)))
-    elif kind == "product_of_intervals":
-        body = BodySpec.product_of_intervals(
-            [draw(st.floats(0.1, 3.0)) for _ in range(n)])
-    else:
-        body = getattr(BodySpec, kind)(n)
+    kind = draw(st.sampled_from(KINDS))
+    p = draw(st.floats(1.0, 8.0)) if kind == "lp_ball" else None
+    scale = tuple(draw(st.floats(0.1, 3.0)) for _ in range(n))
     x = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(n)])
-    return body, x
+    return BodySpec(kind, n, scale, p), x
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,19 +139,6 @@ def test_sign_flip_invariance(bp, signs):
     body, x = bp
     flips = np.array(signs[: body.dim])
     assert contains(body, x) == contains(body, flips * x)
-
-
-@settings(max_examples=100, deadline=None)
-@given(bodies_and_points())
-def test_section_symmetry(bp):
-    body, x = bp
-    x = x * 0.3  # keep the projection admissible most of the time
-    for i in range(body.dim):
-        try:
-            sec = axis_section(body, x, i)
-        except EmptySectionError:
-            continue
-        assert sec.lo == pytest.approx(-sec.hi, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -177,20 +151,6 @@ def test_convexity_spot_check(bp1, bp2, t):
         assert contains(body, t * x + (1 - t) * y, atol=1e-9)
 
 
-def test_counterexample_cross_support():
-    body = BodySpec.counterexample_cross(4)
-    assert not body.is_convex
-    assert contains(body, (0.0, 0.0, 0.0, 0.0))
-    assert contains(body, (2.0, 0.0, 0.0, 0.0))
-    assert not contains(body, (1.0, 1.0, 0.0, 0.0))
-    assert not contains(body, (math.sqrt(12) + 0.1, 0.0, 0.0, 0.0))
-
-
-def test_axis_section_validates_order():
-    with pytest.raises(ValueError):
-        AxisSection(1.0, -1.0)
-
-
 def test_isotropic_body_cube_is_unit_variance():
     assert isotropic_body("cube", 7).scale == pytest.approx((SQRT3,) * 7)
     assert analytic_second_moments(isotropic_body("lp_ball", 5, p=1.0)) == pytest.approx(np.ones(5))
@@ -201,5 +161,4 @@ def test_label_family_drops_the_dimension():
     assert label_family(BodySpec.lp_ball(16, p=1.0).label()) == "lp_ball(p=1)"
     assert label_family(BodySpec.lp_ball(3, p=3.5).label()) == "lp_ball(p=3.5)"
     assert label_family(BodySpec.cube(128).label()) == "cube"
-    assert label_family(BodySpec.product_of_intervals((1.0, 2.0)).label()) == \
-        "product_of_intervals"
+    assert label_family(BodySpec("cube", 2, (1.0, 2.0)).label()) == "cube"

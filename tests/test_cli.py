@@ -11,7 +11,15 @@ import pytest
 import thinshell
 from thinshell import suites
 from thinshell.bodies import isotropic_body
-from thinshell.cli import ConfigError, default_config, main, parse_config, run, version_info
+from thinshell.cli import (
+    EXPERIMENTS,
+    ConfigError,
+    default_config,
+    main,
+    parse_config,
+    run,
+    version_info,
+)
 from thinshell.reporting import CSV_HEADER, CsvRow, render_csv
 from thinshell.sampler import dump_samples, sample_exact
 
@@ -73,6 +81,45 @@ def test_config_bodies_are_kind_and_p_only(tmp_path, capsys, body, named):
     assert main(["thinshell", "--config", str(cfg)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_nonpositive_n_grid_is_a_config_error(tmp_path, capsys):
+    text = SMALL_THINSHELL.format(out=tmp_path / "o").replace("n_grid = 4 8 16", "n_grid = 0 4 8")
+    with pytest.raises(ConfigError, match="positive integers"):
+        parse_config(text)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    assert main(["thinshell", "--config", str(cfg)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_u64_is_a_config_error(tmp_path, capsys, seed):
+    out = tmp_path / "o"
+    assert main(["thinshell", "--seed", str(seed), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    text = SMALL_THINSHELL.format(out=out).replace("seed = 99", f"seed = {seed}")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    assert main(["thinshell", "--config", str(cfg)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_u64_seed_validates():
+    cfg = parse_config("[experiment]\nname = thinshell\nseed = 18446744073709551615\n")
+    assert cfg.seed == 2 ** 64 - 1
+
+
+def test_subcommands_are_the_experiments(capsys):
+    for name in EXPERIMENTS:
+        with pytest.raises(SystemExit) as exc:
+            main([name.replace("_", "-"), "--help"])
+        assert exc.value.code == 0
+    with pytest.raises(SystemExit):
+        main(["berry_esseen"])
+    capsys.readouterr()
 
 
 def test_parse_config_validation():

@@ -15,7 +15,6 @@ from thinshell.sampler import (
     exact_blocks,
     load_samples,
     membership_violations,
-    sample_counterexample,
     sample_exact,
     substream,
 )
@@ -25,6 +24,11 @@ SEED = 20250810
 
 def mc_sigma(values):
     return values.std(ddof=1) / math.sqrt(values.size)
+
+
+def counterexample_rows(n, count, seed):
+    """The count x n counterexample draws, column j as the marginal along e_j."""
+    return np.column_stack([counterexample_marginal(n, count, e, seed) for e in np.eye(n)])
 
 
 def test_determinism_bit_identical():
@@ -102,29 +106,26 @@ def test_sign_pattern_chi_square():
 
 
 def test_counterexample_n1_uniform_law():
-    s = sample_counterexample(1, 20000, seed=SEED)
-    u = s.data[:, 0]
+    u = counterexample_rows(1, 20000, seed=SEED)[:, 0]
     ks = kstest(u, lambda t: np.clip((t + math.sqrt(3)) / (2 * math.sqrt(3)), 0, 1))
     assert ks.pvalue > 1e-4
 
 
 def test_counterexample_isotropy():
-    s = sample_counterexample(16, 10 ** 5, seed=SEED)
-    sq = s.data ** 2
+    sq = counterexample_rows(16, 10 ** 5, seed=SEED) ** 2
     for j in range(16):
         assert abs(sq[:, j].mean() - 1.0) <= 4 * mc_sigma(sq[:, j])
 
 
 def test_counterexample_single_axis_rows():
-    s = sample_counterexample(8, 5000, seed=SEED)
-    assert np.max(np.count_nonzero(s.data, axis=1)) <= 1
+    rows = counterexample_rows(8, 5000, seed=SEED)
+    assert np.max(np.count_nonzero(rows, axis=1)) <= 1
 
 
 def test_counterexample_marginal_stream_matches_rows():
     theta = np.full(8, 1 / math.sqrt(8))
-    s = sample_counterexample(8, 4000, seed=SEED)
-    assert np.allclose(counterexample_marginal(8, 4000, theta, seed=SEED),
-                       s.data @ theta)
+    rows = counterexample_rows(8, 4000, seed=SEED)
+    assert np.allclose(counterexample_marginal(8, 4000, theta, seed=SEED), rows @ theta)
 
 
 def test_estimate_second_moments_matches_analytic():
@@ -171,4 +172,4 @@ def test_sample_matrix_rejects_bad_shapes():
     with pytest.raises(ValueError):
         SampleMatrix(np.zeros((4, 3)), body, 0)
     with pytest.raises(ValueError):
-        sample_exact(BodySpec.counterexample_cross(3), 10, seed=0)
+        SampleMatrix(np.zeros((0, 2)), body, 0)

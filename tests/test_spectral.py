@@ -88,7 +88,7 @@ def test_disc_eigenvalues(disc_pairs):
 
 def test_rectangle_simple_lowest_mode():
     # [-2,2] x [-1,1]: lambda_1 = pi^2/16 on the long axis, simple
-    grid = rasterize(BodySpec.product_of_intervals((2.0, 1.0)), h=1 / 16)
+    grid = rasterize(BodySpec("cube", 2, (2.0, 1.0)), h=1 / 16)
     pairs = lowest_eigenpairs(grid, k=3)
     assert pairs[1].value == pytest.approx(math.pi ** 2 / 16.0, rel=2e-3)
     assert len(lambda1_cluster(pairs)) == 1
@@ -108,7 +108,7 @@ def test_residuals_and_orthogonality(disc_grid, disc_pairs):
 def test_multiplicity_at_most_two():
     for body, h in [(BodySpec.cube(2), 1 / 32), (BodySpec.euclidean_ball(2), 1 / 32),
                     (BodySpec.lp_ball(2, p=1.0), 1 / 32),
-                    (BodySpec.product_of_intervals((1.5, 1.0)), 1 / 32)]:
+                    (BodySpec("cube", 2, (1.5, 1.0)), 1 / 32)]:
         pairs = lowest_eigenpairs(rasterize(body, h), k=4)
         assert len(lambda1_cluster(pairs)) <= 2
 
