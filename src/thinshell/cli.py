@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed}")
         if self.samples < 100:
             raise ConfigError("samples must be >= 100")
+        if self.experiment in ("berry_esseen", "all") and self.samples < 10 ** 4:
+            raise ConfigError("berry_esseen needs samples >= 10000")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         for body in self.bodies:
@@ -234,10 +236,9 @@ def _dispatch(name: str, config: ExperimentConfig, out_dir: Path) -> SuiteResult
     if name == "clt":
         return clt_suite(config.seed)
     if name == "berry_esseen":
-        samples = max(config.samples, 10 ** 4)
         return berry_esseen_suite(config.seed, cube_ns=tuple(config.n_grid),
                                   counter_ns=(min(config.n_grid), max(config.n_grid)),
-                                  samples=samples)
+                                  samples=config.samples)
     if name == "transport":
         return transport_suite(config.seed)
     if name == "spectral":

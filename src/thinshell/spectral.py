@@ -42,6 +42,19 @@ class GridDomain:
     def area(self) -> float:
         return self.n_nodes * self.h * self.h
 
+    def centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of the cell centers, in node order."""
+        iy, ix = np.nonzero(self.mask)
+        return self.origin[0] + (ix + 0.5) * self.h, self.origin[1] + (iy + 0.5) * self.h
+
+    def gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node values of (d/dx, d/dy) of the node function ``values``, by
+        ``grid_gradient``."""
+        full = np.zeros(self.mask.shape)
+        full[self.mask] = values
+        gx, gy = grid_gradient(self.mask, full, self.h)
+        return gx[self.mask], gy[self.mask]
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -131,11 +144,9 @@ def richardson_lambda1(body2d: BodySpec, h_values) -> RichardsonResult:
 
 def gradient_bias(grid: GridDomain, pair: EigenPair) -> np.ndarray:
     """Cell-summed discrete gradient integral (int dphi/dx, int dphi/dy)."""
-    full = np.zeros(grid.mask.shape)
-    full[grid.mask] = pair.vector
-    gx, gy = grid_gradient(grid.mask, full, grid.h)
+    gx, gy = grid.gradient(pair.vector)
     cell = grid.h * grid.h
-    return np.array([float(gx[grid.mask].sum() * cell), float(gy[grid.mask].sum() * cell)])
+    return np.array([float(gx.sum() * cell), float(gy.sum() * cell)])
 
 
 class BiasRankReport(NamedTuple):

@@ -129,6 +129,15 @@ def test_parse_config_validation():
         parse_config("[experiment]\nname = nonsense\n")
 
 
+def test_berry_esseen_rejects_fewer_than_1e4_samples(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "be.ini"
+    cfg.write_text(f"[experiment]\nname = berry_esseen\nsamples = 200\noutput_dir = {out}\n")
+    assert main(["berry-esseen", "--config", str(cfg)]) == 2
+    assert "berry_esseen needs samples >= 10000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_identities_and_artifacts(tmp_path, capsys):
     cfg = default_config("identities")
     cfg.output_dir = str(tmp_path / "out")
