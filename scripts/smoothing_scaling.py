@@ -31,7 +31,7 @@ def main() -> int:
         print(f"c = {c:>4}: slope {fit.slope:+.3f}   " +
               "  ".join(f"n={n}: {e:.4f}" for n, e in pts))
     line_plot("reports/smoothing_sup_error.svg", series, "n", "sup error",
-              "smoothed Bernoulli tail: sup |P - Phi|", loglog=True, guide_slope=-1.0)
+              "smoothed Bernoulli tail: sup |P - Phi|")
     print("wrote reports/smoothing_sup_error.svg")
     return 0
 

@@ -57,12 +57,12 @@ class BodySpec:
         return BodySpec("cube", dim, (float(half_width),) * dim)
 
     @staticmethod
-    def euclidean_ball(dim: int, radius: float = 1.0) -> "BodySpec":
-        return BodySpec("euclidean_ball", dim, (float(radius),) * dim)
+    def euclidean_ball(dim: int) -> "BodySpec":
+        return BodySpec("euclidean_ball", dim, (1.0,) * dim)
 
     @staticmethod
-    def lp_ball(dim: int, p: float, radius: float = 1.0) -> "BodySpec":
-        return BodySpec("lp_ball", dim, (float(radius),) * dim, p=float(p))
+    def lp_ball(dim: int, p: float) -> "BodySpec":
+        return BodySpec("lp_ball", dim, (1.0,) * dim, p=float(p))
 
     # -- properties ---------------------------------------------------------
 

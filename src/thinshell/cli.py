@@ -19,9 +19,7 @@ from .bodies import KINDS, label_family
 from .reporting import SuiteResult, render_csv, render_json
 from .sampler import RNG_ID, dump_samples, sample_exact
 from .suites import (
-    BALL,
     CUBE,
-    L1_BALL,
     BodyTemplate,
     berry_esseen_suite,
     clt_suite,
@@ -42,9 +40,9 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     experiment: str
+    n_grid: list[int]
+    samples: int
     bodies: list[BodyTemplate] = field(default_factory=lambda: [CUBE])
-    n_grid: list[int] = field(default_factory=lambda: [4, 8, 16, 32, 64, 128, 256])
-    samples: int = 10 ** 5
     seed: int = 20250810
     output_dir: str = "reports"
     plot: bool = False
@@ -82,11 +80,8 @@ class ExperimentConfig:
         }
 
 
-_DEFAULT_N_GRID = {
-    "thinshell": [4, 8, 16, 32, 64, 128, 256],
-    "berry_esseen": [16, 64, 256],
-}
-_DEFAULT_SAMPLES = {"thinshell": 10 ** 5, "berry_esseen": 10 ** 6}
+_DEFAULTS = {"thinshell": ([4, 8, 16, 32, 64, 128, 256], 10 ** 5),
+             "berry_esseen": ([16, 64, 256], 10 ** 6)}
 
 _EXPERIMENT_KEYS = {"name", "n_grid", "samples", "seed", "output_dir", "plot", "workers"}
 _BODY_KEYS = {"kind", "p"}
@@ -106,11 +101,8 @@ def _check_body(body: BodyTemplate) -> None:
 
 
 def default_config(experiment: str) -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=experiment,
-        n_grid=list(_DEFAULT_N_GRID.get(experiment, [16, 64])),
-        samples=_DEFAULT_SAMPLES.get(experiment, 10 ** 5),
-    )
+    n_grid, samples = _DEFAULTS.get(experiment, ([16, 64], 10 ** 5))
+    return ExperimentConfig(experiment, list(n_grid), samples)
 
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
@@ -256,14 +248,12 @@ def _write_plots(result: SuiteResult, out_dir: Path) -> None:
     if shell:
         line_plot(out_dir / "thinshell_loglog.svg",
                   {k: sorted(v) for k, v in shell.items()},
-                  "n", "Var(|X|^2/n)", "thin-shell variance vs dimension",
-                  loglog=True, guide_slope=-1.0)
+                  "n", "Var(|X|^2/n)", "thin-shell variance vs dimension")
     kol = [(row.n, row.value) for row in result.rows
            if row.estimator_id == "berry_esseen.kolmogorov"]
     if kol:
         line_plot(out_dir / "kolmogorov_vs_n.svg", {"cube marginal": sorted(kol)},
-                  "n", "Kolmogorov distance", "marginal distance to normal",
-                  loglog=True, guide_slope=-1.0)
+                  "n", "Kolmogorov distance", "marginal distance to normal")
 
 
 def version_info() -> str:

@@ -48,6 +48,11 @@ _ROWS = 256
 _NEAR = 4.0
 _NEAR_NODES = 32
 
+_PANEL_NODES = 16        # Gauss-Legendre nodes per panel of the inversion integrals
+_TAIL_POINTS = 4096      # evenly spaced t-points of the Lemma 700 sup error
+_SANDWICH = (0.99, 1.35)  # bounds of Phi(t)(t+1)/phi(t) on [0, 10]
+_MOMENT_CUT = 400.0      # quadrature of kernel moments on [0, T]; exact tail beyond
+
 
 # -- Gaussian utilities -------------------------------------------------------
 
@@ -177,9 +182,9 @@ def build_kernel() -> SmoothingKernel:
                            (float(m2), float(m4), float(m6)), (m2, m4, m6))
 
 
-def _gl_panels(a: float, b: float, n_panels: int, nodes: int = 16):
+def _gl_panels(a: float, b: float, n_panels: int):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = np.polynomial.legendre.leggauss(_PANEL_NODES)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -292,7 +297,7 @@ class Lemma700Report(NamedTuple):
     n_points: int
 
 
-def lemma700_report(theta, sigma: float, n_grid: int = 4096) -> Lemma700Report:
+def lemma700_report(theta, sigma: float) -> Lemma700Report:
     """Sup over a t-grid of |P(sigma G + sum theta_i D_i >= t) - Phi(t/|theta|)|.
 
     Requires the small-coefficient hypothesis sum_{|theta_i| >= sigma} theta_i^2
@@ -306,7 +311,7 @@ def lemma700_report(theta, sigma: float, n_grid: int = 4096) -> Lemma700Report:
         raise ValueError("hypothesis violated: sum over |theta_i| >= sigma of theta_i^2 "
                          "exceeds |theta|^2 / 2")
     nrm = math.sqrt(nrm2)
-    ts = np.linspace(-8.0 * nrm, 8.0 * nrm, n_grid)
+    ts = np.linspace(-8.0 * nrm, 8.0 * nrm, _TAIL_POINTS)
     if theta.size <= 12:
         atoms = _all_sign_sums(theta)
         ts = np.union1d(ts, atoms)
@@ -324,14 +329,14 @@ class GaussTailRow(NamedTuple):
     ratio: float
 
 
-def gauss_tail_bounds_check(t_grid, lo: float = 0.99, hi: float = 1.35):
-    """Ratios r(t) = Phi(t)(t+1)/phi(t) on [0, 10]; sandwiched in [lo, hi]."""
+def gauss_tail_bounds_check(t_grid):
+    """Ratios r(t) = Phi(t)(t+1)/phi(t) on [0, 10]; sandwiched in [0.99, 1.35]."""
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0) or np.any(t > 10):
         raise ValueError("t_grid must lie in [0, 10]")
     r = normal_upper_tail(t) * (t + 1.0) / normal_density(t)
     rows = [GaussTailRow(float(a), float(b)) for a, b in zip(t, r)]
-    passed = bool(np.all((r >= lo) & (r <= hi)))
+    passed = bool(np.all((r >= _SANDWICH[0]) & (r <= _SANDWICH[1])))
     return rows, passed
 
 
@@ -423,12 +428,11 @@ def sinc8_tail_integral(k: int, big_t):
     return float(total) if t.ndim == 0 else total
 
 
-def kernel_moment_by_quadrature(kernel: SmoothingKernel, order: int,
-                                big_t: float = 400.0) -> float:
+def kernel_moment_by_quadrature(kernel: SmoothingKernel, order: int) -> float:
     """E G^order for even order, by quadrature on [0, T] plus the exact tail."""
     if order % 2 or order < 0 or order > 6:
         raise ValueError("order must be one of 0, 2, 4, 6")
-    val, _ = quad(lambda x: x ** order * kernel.density(x), 0.0, big_t,
+    val, _ = quad(lambda x: x ** order * kernel.density(x), 0.0, _MOMENT_CUT,
                   epsabs=1e-13, epsrel=1e-13, limit=4000)
-    tail = kernel.kappa1 * sinc8_tail_integral(8 - order, big_t)
+    tail = kernel.kappa1 * sinc8_tail_integral(8 - order, _MOMENT_CUT)
     return 2.0 * (val + tail)

@@ -18,7 +18,9 @@ import numpy as np
 
 from .sampler import SampleMatrix
 
-_DK_ALPHA = 0.01
+_DK_ALPHA = 0.01         # level of the DKW band
+_SIMPSON_TOL = 0.5e-12   # per integral: half the 1e-12 tolerance of each identity
+_SIMPSON_DEPTH = 60      # recursion limit of the adaptive Simpson rule
 
 
 @dataclass(frozen=True)
@@ -183,12 +185,12 @@ class KolmogorovResult(NamedTuple):
     dkw_band: float
 
 
-def dkw_band(count: int, alpha: float = _DK_ALPHA) -> float:
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * count))
+def dkw_band(count: int) -> float:
+    return math.sqrt(math.log(2.0 / _DK_ALPHA) / (2.0 * count))
 
 
-def kolmogorov_distance(values: np.ndarray, reference_cdf: Callable[[np.ndarray], np.ndarray],
-                        alpha: float = _DK_ALPHA) -> KolmogorovResult:
+def kolmogorov_distance(values: np.ndarray,
+                        reference_cdf: Callable[[np.ndarray], np.ndarray]) -> KolmogorovResult:
     """sup_t |F_hat(t) - F(t)| evaluated exactly at the empirical jump points."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
@@ -201,7 +203,7 @@ def kolmogorov_distance(values: np.ndarray, reference_cdf: Callable[[np.ndarray]
     upper = np.arange(1, n + 1) / n - ref     # gap just after each jump
     lower = ref - np.arange(0, n) / n         # gap just before each jump
     dist = float(max(upper.max(), lower.max(), 0.0))
-    return KolmogorovResult(dist, dkw_band(n, alpha))
+    return KolmogorovResult(dist, dkw_band(n))
 
 
 class ScalingFit(NamedTuple):
@@ -228,7 +230,7 @@ def scaling_fit(points) -> ScalingFit:
 
 # -- deterministic quadrature identities ---------------------------------------
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int = 60) -> float:
+def _adaptive_simpson(f, a: float, b: float) -> float:
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -245,7 +247,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int = 60) -> flo
         return (recurse(a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
                 + recurse(m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
 
-    return recurse(a, fa, b, fb, m, fm, whole, tol, depth)
+    return recurse(a, fa, b, fb, m, fm, whole, _SIMPSON_TOL, _SIMPSON_DEPTH)
 
 
 class IdentityValues(NamedTuple):
@@ -255,7 +257,7 @@ class IdentityValues(NamedTuple):
     rhs333: float
 
 
-def verify_identities(a: float, p: float, r: float, tol: float = 1e-12) -> IdentityValues:
+def verify_identities(a: float, p: float, r: float) -> IdentityValues:
     """Quadrature values of the two segment identities for |t|^p profiles.
 
     lhs217 = int_{-r}^{r} (a|t|^p - a r^p)^2 dt, rhs217 = (2p^2/(p+1)) int (a|t|^p)^2 dt,
@@ -271,8 +273,8 @@ def verify_identities(a: float, p: float, r: float, tol: float = 1e-12) -> Ident
         return 1.0 if (p == 0) else t ** p
 
     rp = tp(r)
-    lhs217 = 2.0 * _adaptive_simpson(lambda t: (a * tp(t) - a * rp) ** 2, 0.0, r, tol / 2)
-    ipp = 2.0 * _adaptive_simpson(lambda t: (a * tp(t)) ** 2, 0.0, r, tol / 2)
+    lhs217 = 2.0 * _adaptive_simpson(lambda t: (a * tp(t) - a * rp) ** 2, 0.0, r)
+    ipp = 2.0 * _adaptive_simpson(lambda t: (a * tp(t)) ** 2, 0.0, r)
     rhs217 = 2.0 * p * p / (p + 1.0) * ipp
     lhs333 = 2.0 * r * (2.0 * a * rp) ** 2
     rhs333 = 4.0 * (2.0 * p + 1.0) * ipp

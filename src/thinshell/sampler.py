@@ -20,6 +20,7 @@ from .bodies import BodySpec, contains_rows
 
 RNG_ID = "philox4x64-128(key=(seed,stream))"
 BLOCK = 1 << 14  # rows per substream block; part of the determinism contract
+NAMED_STREAM = 1 << 32  # first stream id no block index reaches, for non-block draws
 _MASK64 = (1 << 64) - 1
 
 MAGIC = b"THSL"
@@ -34,7 +35,7 @@ class TruncatedSampleFileError(ValueError):
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:
-    """Independent generator for (seed, stream); streams never overlap."""
+    """Independent generator for (seed, stream); distinct keys never overlap."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -46,7 +47,6 @@ class SampleMatrix:
     data: np.ndarray
     body: BodySpec
     seed: int
-    method: str = "exact"
 
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[0] < 1:
@@ -102,7 +102,7 @@ def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
 def sample_exact(body: BodySpec, count: int, seed: int) -> SampleMatrix:
     """N independent uniform draws from a body."""
     rows = np.concatenate(list(exact_blocks(body, count, seed)), axis=0)
-    return SampleMatrix(rows, body, seed, method="exact")
+    return SampleMatrix(rows, body, seed)
 
 
 def counterexample_marginal(n: int, count: int, theta: np.ndarray, seed: int) -> np.ndarray:
@@ -133,9 +133,9 @@ def estimate_second_moments(body: BodySpec, count: int = 10 ** 6, seed: int = 0)
     return acc / total
 
 
-def membership_violations(samples: SampleMatrix, atol: float = 1e-12) -> int:
+def membership_violations(samples: SampleMatrix) -> int:
     """Number of rows failing the (closed) membership test; 0 for exact samplers."""
-    return int(np.sum(~contains_rows(samples.body, samples.data, atol=atol)))
+    return int(np.sum(~contains_rows(samples.body, samples.data)))
 
 
 # -- binary dump format -------------------------------------------------------
@@ -169,4 +169,4 @@ def load_samples(path, body: BodySpec | None = None) -> SampleMatrix:
         data = np.frombuffer(payload, dtype="<f8").reshape(count, n).copy()
     if body is None:
         body = BodySpec.cube(n, half_width=float(np.max(np.abs(data)) or 1.0))
-    return SampleMatrix(data, body, seed, method="loaded")
+    return SampleMatrix(data, body, seed)

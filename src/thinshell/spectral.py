@@ -21,6 +21,12 @@ import scipy.sparse.linalg as spl
 from ._lattice import graph_laplacian, grid_gradient, is_connected, lattice_edges, node_index
 from .bodies import BodySpec, contains_rows
 
+_REL_TOL = 1e-6         # relative width of an eigenvalue cluster and cut of the bias rank
+SYMMETRY_TOL = 1e-6     # largest flip defect ||sigma_i phi + phi|| / ||phi|| that passes
+_COMPARISON_TOL = 0.02  # relative slack of the bounding-cube comparison
+_COMPARISON_H = 1 / 32  # raster spacing of the bounding-cube comparison
+_WITNESS_H = 1 / 48     # raster spacing of the disc in the monotonicity witness
+
 
 class TooCoarseGridError(ValueError):
     pass
@@ -108,10 +114,10 @@ def lowest_eigenpairs(grid: GridDomain, k: int) -> list[EigenPair]:
     return pairs
 
 
-def lambda1_cluster(pairs: list[EigenPair], rel_tol: float = 1e-6) -> list[EigenPair]:
+def lambda1_cluster(pairs: list[EigenPair]) -> list[EigenPair]:
     """The eigenpairs sharing the first nonzero eigenvalue."""
     lam1 = pairs[1].value
-    return [p for p in pairs[1:] if abs(p.value - lam1) <= rel_tol * max(lam1, 1.0)]
+    return [p for p in pairs[1:] if abs(p.value - lam1) <= _REL_TOL * max(lam1, 1.0)]
 
 
 def rayleigh_quotient(grid: GridDomain, v: np.ndarray) -> float:
@@ -155,13 +161,12 @@ class BiasRankReport(NamedTuple):
     rank: int
 
 
-def gradient_bias_rank(grid: GridDomain, eigenspace: list[EigenPair],
-                       rel_tol: float = 1e-6) -> BiasRankReport:
+def gradient_bias_rank(grid: GridDomain, eigenspace: list[EigenPair]) -> BiasRankReport:
     """Rank of phi -> int grad phi on the eigenspace (full rank = every nonzero
     member of some basis has a preferred direction)."""
     M = np.column_stack([gradient_bias(grid, p) for p in eigenspace])
     sv = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.sum(sv > rel_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = int(np.sum(sv > _REL_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
     return BiasRankReport(M, tuple(float(s) for s in sv), rank)
 
 
@@ -186,8 +191,7 @@ class SymmetryReport(NamedTuple):
     passed: bool
 
 
-def symmetry_detect(grid: GridDomain, eigenspace: list[EigenPair],
-                    tol: float = 1e-6) -> SymmetryReport:
+def symmetry_detect(grid: GridDomain, eigenspace: list[EigenPair]) -> SymmetryReport:
     """Find an eigenspace member odd under some coordinate flip.
 
     The eigenvectors are post-rotated to diagonalize the flip operators inside
@@ -215,7 +219,7 @@ def symmetry_detect(grid: GridDomain, eigenspace: list[EigenPair],
     central_defect = float(np.linalg.norm(member_c[perm_c] + member_c)
                            / np.linalg.norm(member_c))
     rq = rayleigh_quotient(grid, member)
-    return SymmetryReport(axis, defect, member, central_defect, rq, bool(defect <= tol))
+    return SymmetryReport(axis, defect, member, central_defect, rq, bool(defect <= SYMMETRY_TOL))
 
 
 # -- bounding-cube comparison -----------------------------------------------------------
@@ -227,34 +231,31 @@ class CubeComparisonRow(NamedTuple):
 
 
 class CubeComparisonReport(NamedTuple):
-    R: float
     lambda1_cube: float
     interval_value: float      # pi^2/(4 R^2), the separated-variable interval value
     rows: tuple[CubeComparisonRow, ...]
     note: str
 
 
-def cube_comparison(bodies: list[BodySpec], R: float, h: float,
-                    tol_rel: float = 0.02) -> CubeComparisonReport:
-    """lambda_1(body) >= lambda_1([-R,R]^2) - tol for unconditional bodies in the cube.
+def cube_comparison(bodies: list[BodySpec]) -> CubeComparisonReport:
+    """lambda_1(body) >= (1 - 2%) lambda_1([-R,R]^2) for bodies in the cube, R = 1.
 
     The cube eigenvalue is recorded as numerically observed; it agrees with the
     interval value pi^2/(4 R^2) and is reported next to it because published
     statements of this comparison sometimes carry the constant pi^2/R^2.
     """
-    cube = BodySpec.cube(2, half_width=R)
-    lam_cube = lowest_eigenpairs(rasterize(cube, h), k=2)[1].value
+    lam_cube = lowest_eigenpairs(rasterize(BodySpec.cube(2), _COMPARISON_H), k=2)[1].value
     rows = []
     for body in bodies:
-        if np.any(body.scale_array > R * (1 + 1e-12)):
+        if np.any(body.scale_array > 1 + 1e-12):
             raise ValueError(f"{body.label()} is not contained in [-R, R]^2")
-        lam = lowest_eigenpairs(rasterize(body, h), k=2)[1].value
+        lam = lowest_eigenpairs(rasterize(body, _COMPARISON_H), k=2)[1].value
         rows.append(CubeComparisonRow(body.label(), float(lam),
-                                      bool(lam >= lam_cube - tol_rel * lam_cube)))
-    interval = math.pi ** 2 / (4.0 * R * R)
+                                      bool(lam >= lam_cube - _COMPARISON_TOL * lam_cube)))
+    interval = math.pi ** 2 / 4.0
     note = (f"observed cube lambda1 {lam_cube:.6f} matches pi^2/(4R^2) = {interval:.6f}; "
             f"the constant pi^2/R^2 = {4 * interval:.6f} is 4x larger than observed")
-    return CubeComparisonReport(R, float(lam_cube), interval, tuple(rows), note)
+    return CubeComparisonReport(float(lam_cube), interval, tuple(rows), note)
 
 
 class MonotonicityWitness(NamedTuple):
@@ -264,16 +265,16 @@ class MonotonicityWitness(NamedTuple):
     is_witness: bool
 
 
-def domain_monotonicity_witness(h: float = 1 / 64) -> MonotonicityWitness:
+def domain_monotonicity_witness() -> MonotonicityWitness:
     """Convex subdomain of the unit disc with smaller lambda_1 than the disc.
 
     A thin inscribed rectangle has first eigenvalue ~ pi^2/(2 half-length)^2,
     below the disc value 3.39; domain monotonicity fails for the disc.
     """
-    disc = BodySpec.euclidean_ball(2, radius=1.0)
+    disc = BodySpec.euclidean_ball(2)
     rect = BodySpec("cube", 2, (0.9, 0.2))
-    lam_disc = lowest_eigenpairs(rasterize(disc, h), k=2)[1].value
-    lam_rect = lowest_eigenpairs(rasterize(rect, h / 2), k=2)[1].value
+    lam_disc = lowest_eigenpairs(rasterize(disc, _WITNESS_H), k=2)[1].value
+    lam_rect = lowest_eigenpairs(rasterize(rect, _WITNESS_H / 2), k=2)[1].value
     return MonotonicityWitness(float(lam_disc), float(lam_rect),
                                "rectangle [-0.9,0.9]x[-0.2,0.2]",
                                bool(lam_rect < lam_disc))

@@ -40,6 +40,13 @@ BALL = BodyTemplate("euclidean_ball")
 L1_BALL = BodyTemplate("lp_ball", 1.0)
 
 _SLOPE_WINDOW = (-1.15, -0.85)
+_ORACLE_INSTANCES = 100        # random (theta, sigma, t) of the 2^n enumeration oracle
+_SIGMA_FACTOR = 2.0            # clt smoothing sigma = _SIGMA_FACTOR / sqrt(n)
+_GRID_NODES = 4096             # nodes of the Thm 258 segment measure
+_EPSILONS = (0.1, 0.05, 0.01)  # Thm 258 perturbation sizes
+_N_TRIG = 5                    # random even trig polynomials in the Lemma 2.1 check
+_TRIG_DEGREE = 2
+_COEFF_STREAM, _NOISE_STREAM = smp.NAMED_STREAM, smp.NAMED_STREAM + 1  # past every block
 
 
 def _within(value: float, target: float, half_width: float) -> bool:
@@ -90,8 +97,7 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
     keys = list(dict.fromkeys(grid + shell))
     coeffs = {}
     if shell_n:
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2 ** 32],
-                                                                dtype=np.uint64)))
+        rng = smp.substream(seed, _COEFF_STREAM)
         coeffs = {(t, max(shell_n)): rng.uniform(0.0, 2.0, size=(20, max(shell_n)))
                   for t in shell_templates}
     tasks = [(t, n, samples, seed, coeffs.get((t, n), np.empty((0, n)))) for t, n in keys]
@@ -173,16 +179,14 @@ def identities_suite() -> SuiteResult:
 
 # -- smoothing kernel and smoothed-sum suite ------------------------------------------
 
-def clt_suite(seed: int, oracle_instances: int = 100,
-              scaling_ns: tuple[int, ...] = (256, 512, 1024, 2048),
-              sigma_factor: float = 2.0) -> SuiteResult:
+def clt_suite(seed: int, scaling_ns: tuple[int, ...] = (256, 512, 1024, 2048)) -> SuiteResult:
     """Kernel contract, inversion-vs-enumeration equivalence, sup-error scaling,
     and the Gaussian tail inequalities.
 
-    The sup error at sigma = sigma_factor/sqrt(n) is dominated by the smoothing
-    term, whose variance sigma^2 E Gamma^2 = 89/n at the default factor 2; its
-    1/n law only shows once that variance is small, so the default n range
-    starts at the first power of two where it is at most 1/2.
+    The sup error at sigma = 2/sqrt(n) is dominated by the smoothing term,
+    whose variance sigma^2 E Gamma^2 is 89/n; its 1/n law only shows once that
+    variance is small, so the default n range starts at the first power of two
+    where it is at most 1/2.
     """
     out = SuiteResult("clt")
     kernel = clt.build_kernel()
@@ -213,9 +217,9 @@ def clt_suite(seed: int, oracle_instances: int = 100,
                            0.0, 24.0, {"m4": kernel.moments[1], "m6": kernel.moments[2]}))
 
     # Fourier inversion vs 2^n enumeration
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    rng = smp.substream(seed, 1)
     worst = 0.0
-    for _ in range(oracle_instances):
+    for _ in range(_ORACLE_INSTANCES):
         n = int(rng.integers(1, 17))
         theta = rng.uniform(-1.0, 1.0, size=n)
         if not np.any(theta):
@@ -225,22 +229,22 @@ def clt_suite(seed: int, oracle_instances: int = 100,
         diff = abs(clt.bernoulli_gamma_tail_fourier(theta, sigma, t)
                    - clt.bernoulli_gamma_tail_bruteforce(theta, sigma, t))
         worst = max(worst, diff)
-    out.rows.append(CsvRow("lemma700.oracle_gap", "bernoulli", 0, oracle_instances,
+    out.rows.append(CsvRow("lemma700.oracle_gap", "bernoulli", 0, _ORACLE_INSTANCES,
                            seed, worst, 0.0, 1e-6))
     out.assertions.append(Assertion("lemma700.oracle_equivalence", "Lemma 700", worst,
                                     f"max |fourier - brute| <= 1e-6 over "
-                                    f"{oracle_instances} instances", worst <= 1e-6))
+                                    f"{_ORACLE_INSTANCES} instances", worst <= 1e-6))
 
     # sup-error scaling in n
     errs = []
     for n in scaling_ns:
         theta = np.full(n, 1.0 / math.sqrt(n))
-        rep = clt.lemma700_report(theta, sigma=sigma_factor / math.sqrt(n))
+        rep = clt.lemma700_report(theta, sigma=_SIGMA_FACTOR / math.sqrt(n))
         errs.append((n, rep.sup_error))
         out.rows.append(CsvRow("lemma700.sup_error", f"uniform_theta(n={n})", n, 0,
                                seed, rep.sup_error, 0.0, rep.bound_rhs,
                                {"theta_spec": "uniform", "n": n,
-                                "sigma": sigma_factor / math.sqrt(n),
+                                "sigma": _SIGMA_FACTOR / math.sqrt(n),
                                 "sup_error": rep.sup_error, "bound_rhs": rep.bound_rhs,
                                 "argmax_t": rep.argmax_t}))
     fit = est.scaling_fit(errs)
@@ -250,14 +254,14 @@ def clt_suite(seed: int, oracle_instances: int = 100,
     out.assertions.append(Assertion(
         "lemma700.scaling", "Lemma 700 (O(sigma^2 + sum theta^4))", fit.slope,
         f"slope in [{_SLOPE_WINDOW[0]}, {_SLOPE_WINDOW[1]}] at sigma = "
-        f"{sigma_factor:g}/sqrt(n)", in_window))
+        f"{_SIGMA_FACTOR:g}/sqrt(n)", in_window))
     n0 = min(scaling_ns)
-    smoothing_var = kernel.moments[0] * sigma_factor ** 2 / n0
+    smoothing_var = kernel.moments[0] * _SIGMA_FACTOR ** 2 / n0
     if not in_window and smoothing_var > 0.5:
         out.notes.append(
             f"lemma700.scaling measured slope {fit.slope:.3f}: with sigma = "
-            f"{sigma_factor:g}/sqrt(n) the smoothing variance E(sigma Gamma)^2 = "
-            f"{kernel.moments[0] * sigma_factor**2:.0f}/n is {smoothing_var:.2f} at "
+            f"{_SIGMA_FACTOR:g}/sqrt(n) the smoothing variance E(sigma Gamma)^2 = "
+            f"{kernel.moments[0] * _SIGMA_FACTOR**2:.0f}/n is {smoothing_var:.2f} at "
             f"n = {n0}, above 1/2, so the measured sup error is still far "
             f"from its 1/n asymptote; start the n range where that variance is small.")
 
@@ -330,7 +334,7 @@ def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
     n = 64
     marg = _streamed_cube_marginal(n, min(samples, 10 ** 5), seed)
     rep = clt.smoothing_comparison(marg, est.WeightVector.uniform_direction(n).array,
-                                   clt.build_kernel(), smp.substream(seed, 3))
+                                   clt.build_kernel(), smp.substream(seed, _NOISE_STREAM))
     out.rows.append(CsvRow("smoothing.comparison", f"cube(n={n})", n, marg.size, seed,
                            rep.raw_dist, rep.dkw, 10.0 * rep.epsilon ** 2,
                            {"smoothed_dist": rep.smoothed_dist, "epsilon": rep.epsilon}))
@@ -339,8 +343,8 @@ def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
 
 # -- transport suite ------------------------------------------------------------------------
 
-def _random_even_trig(rng: np.random.Generator, degree: int = 2):
-    c = rng.uniform(-1.0, 1.0, size=(degree + 1, degree + 1))
+def _random_even_trig(rng: np.random.Generator):
+    c = rng.uniform(-1.0, 1.0, size=(_TRIG_DEGREE + 1, _TRIG_DEGREE + 1))
 
     def f(x, y, c=c):
         out = np.zeros_like(x)
@@ -352,21 +356,19 @@ def _random_even_trig(rng: np.random.Generator, degree: int = 2):
     return f
 
 
-def transport_suite(seed: int, grid_nodes: int = 4096,
-                    epsilons: tuple[float, ...] = (0.1, 0.05, 0.01),
-                    raster_h: float = 1 / 32, n_trig: int = 5) -> SuiteResult:
+def transport_suite(seed: int, raster_h: float = 1 / 32) -> SuiteResult:
     """Transport duality on the linear 1D example, the fiberwise monotone map,
     and the variance-vs-dual-norm inequality on 2D rasters."""
     out = SuiteResult("transport")
     target = math.sqrt(16.0 / 15.0)
 
-    mu = tpt.DiscreteMeasure.grid_1d(-1.0, 1.0, grid_nodes)
+    mu = tpt.DiscreteMeasure.grid_1d(-1.0, 1.0, _GRID_NODES)
     h_fn = 2.0 * mu.support[:, 0]
-    rep = tpt.verify_thm258(mu, h_fn, epsilons)
+    rep = tpt.verify_thm258(mu, h_fn, _EPSILONS)
     for eps, ratio in rep.ratios:
-        out.rows.append(CsvRow("thm258.ratio", "segment[-1,1]", grid_nodes, 0, seed,
+        out.rows.append(CsvRow("thm258.ratio", "segment[-1,1]", _GRID_NODES, 0, seed,
                                ratio, 0.0, rep.norm, {"epsilon": eps}))
-    out.rows.append(CsvRow("thm258.norm", "segment[-1,1]", grid_nodes, 0, seed,
+    out.rows.append(CsvRow("thm258.norm", "segment[-1,1]", _GRID_NODES, 0, seed,
                            rep.norm, 0.0, target))
     out.assertions.append(Assertion("thm258.norm_value", "Thm 258 example", rep.norm,
                                     f"= {target:.4f} +- 0.01",
@@ -379,13 +381,14 @@ def transport_suite(seed: int, grid_nodes: int = 4096,
                                     "norm <= min ratio + tolerance", rep.passed))
 
     tmap = tpt.monotone_transport_1d(lambda x: x ** 2, -1.0, 1.0, 0.1)
-    defect = tmap.pushforward_defect(1000)
-    out.rows.append(CsvRow("monotone_transport.defect", "segment[-1,1]", 1000, 0, seed,
-                           defect, 0.0, 1e-10, {"epsilon": 0.1}))
-    out.assertions.append(Assertion("monotone_transport.pushforward", "Lemma 3.2",
-                                    defect, "<= 1e-10 at 1000 points", defect <= 1e-10))
+    defect = tmap.pushforward_defect()
+    out.rows.append(CsvRow("monotone_transport.defect", "segment[-1,1]", tpt.PUSHFORWARD_POINTS,
+                           0, seed, defect, 0.0, 1e-10, {"epsilon": 0.1}))
+    out.assertions.append(Assertion("monotone_transport.pushforward", "Lemma 3.2", defect,
+                                    f"<= 1e-10 at {tpt.PUSHFORWARD_POINTS} points",
+                                    defect <= 1e-10))
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 7], dtype=np.uint64)))
+    rng = smp.substream(seed, 7)
     a, b = rng.normal(size=64), rng.normal(size=64)
     mu64 = tpt.DiscreteMeasure(a[:, None], np.full(64, 1 / 64))
     nu64 = tpt.DiscreteMeasure(b[:, None], np.full(64, 1 / 64))
@@ -394,7 +397,7 @@ def transport_suite(seed: int, grid_nodes: int = 4096,
                                     "agree to 1e-10 in 1D", gap <= 1e-10))
 
     fns = [("x^2", lambda x, y: x ** 2), ("x^2+y^2", lambda x, y: x ** 2 + y ** 2)]
-    fns += [(f"trig{i}", _random_even_trig(rng)) for i in range(n_trig)]
+    fns += [(f"trig{i}", _random_even_trig(rng)) for i in range(_N_TRIG)]
     for body in (bd.BodySpec.cube(2), bd.BodySpec.euclidean_ball(2)):
         body_label = body.label()
         reports = tpt.verify_variance_bound(body, [f for _, f in fns], raster_h)
@@ -466,7 +469,7 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
                                         rank.rank == len(cluster)))
         sym = spec.symmetry_detect(grid, cluster)
         out.rows.append(CsvRow("spectral.antisymmetry_defect", label, 2, 0, seed,
-                               sym.defect, 0.0, 1e-6,
+                               sym.defect, 0.0, spec.SYMMETRY_TOL,
                                {"symmetry_report": {"axis": sym.axis, "defect": sym.defect,
                                                     "central_defect": sym.central_defect,
                                                     "passed": sym.passed}}))
@@ -480,7 +483,7 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
             heatmap(f"{plot_dir}/eigenfunction_{label}.svg", grid.mask, full,
                     f"first nontrivial Neumann eigenfunction, {label}")
 
-    comp = spec.cube_comparison([disc, bd.BodySpec.lp_ball(2, p=1.0)], R=1.0, h=1 / 32)
+    comp = spec.cube_comparison([disc, bd.BodySpec.lp_ball(2, p=1.0)])
     for row in comp.rows:
         out.rows.append(CsvRow("spectral.cube_comparison", row.label, 2, 0, seed,
                                row.lambda1, 0.0, comp.lambda1_cube))
@@ -490,7 +493,7 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
                                         row.passed))
     out.notes.append(comp.note)
 
-    witness = spec.domain_monotonicity_witness(h=1 / 48)
+    witness = spec.domain_monotonicity_witness()
     out.rows.append(CsvRow("spectral.monotonicity_witness", witness.subdomain, 2, 0,
                            seed, witness.lambda1_subdomain, 0.0, witness.lambda1_disc))
     out.notes.append(

@@ -8,6 +8,8 @@ import math
 import numpy as np
 
 _W, _H, _PAD = 640, 440, 60
+_TICKS = 5
+_GUIDE_SLOPE = -1.0  # the 1/n law every chart is read against
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):
@@ -16,16 +18,15 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return [(v - lo) / (hi - lo) * (out_hi - out_lo) + out_lo for v in vals]
 
 
-def _axis_ticks(lo, hi, n=5):
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _axis_ticks(lo, hi):
+    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
-def line_plot(path, series: dict, xlabel: str, ylabel: str, title: str,
-              loglog: bool = False, guide_slope: float | None = None) -> None:
-    """Polyline chart; series maps label -> list of (x, y)."""
-    tf = (lambda v: math.log10(v)) if loglog else (lambda v: v)
-    xs = [tf(x) for pts in series.values() for x, _ in pts]
-    ys = [tf(y) for pts in series.values() for _, y in pts]
+def line_plot(path, series: dict, xlabel: str, ylabel: str, title: str) -> None:
+    """Log-log polyline chart with a dashed slope -1 guide; series maps
+    label -> list of (x, y)."""
+    xs = [math.log10(x) for pts in series.values() for x, _ in pts]
+    ys = [math.log10(y) for pts in series.values() for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     y_pad = 0.05 * (y_hi - y_lo or 1.0)
@@ -39,30 +40,27 @@ def line_plot(path, series: dict, xlabel: str, ylabel: str, title: str,
     parts.append(f'<line x1="{_PAD}" y1="{_PAD}" x2="{_PAD}" y2="{_H-_PAD}" stroke="black"/>')
     for t in _axis_ticks(x_lo, x_hi):
         px = _scale([t], x_lo, x_hi, _PAD, _W - _PAD)[0]
-        label = f"{10**t:.3g}" if loglog else f"{t:.3g}"
-        parts.append(f'<text x="{px}" y="{_H-_PAD+18}" text-anchor="middle">{label}</text>')
+        parts.append(f'<text x="{px}" y="{_H-_PAD+18}" text-anchor="middle">{10**t:.3g}</text>')
     for t in _axis_ticks(y_lo, y_hi):
         py = _scale([t], y_lo, y_hi, _H - _PAD, _PAD)[0]
-        label = f"{10**t:.3g}" if loglog else f"{t:.3g}"
-        parts.append(f'<text x="{_PAD-6}" y="{py+4}" text-anchor="end">{label}</text>')
+        parts.append(f'<text x="{_PAD-6}" y="{py+4}" text-anchor="end">{10**t:.3g}</text>')
     parts.append(f'<text x="{_W/2}" y="{_H-14}" text-anchor="middle">{xlabel}</text>')
     parts.append(f'<text x="16" y="{_H/2}" text-anchor="middle" '
                  f'transform="rotate(-90 16 {_H/2})">{ylabel}</text>')
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-    if guide_slope is not None and loglog:
-        gx = [x_lo, x_hi]
-        mid_y = (y_lo + y_hi) / 2
-        gy = [mid_y + guide_slope * (x - (x_lo + x_hi) / 2) for x in gx]
-        px = _scale(gx, x_lo, x_hi, _PAD, _W - _PAD)
-        py = _scale(gy, y_lo, y_hi, _H - _PAD, _PAD)
-        parts.append(f'<line x1="{px[0]:.2f}" y1="{py[0]:.2f}" x2="{px[1]:.2f}" y2="{py[1]:.2f}" '
-                     f'stroke="#999" stroke-dasharray="6 4"/>')
-        parts.append(f'<text x="{px[1]-4:.2f}" y="{py[1]-6:.2f}" text-anchor="end" '
-                     f'fill="#666">slope {guide_slope:g}</text>')
+    gx = [x_lo, x_hi]
+    mid_y = (y_lo + y_hi) / 2
+    gy = [mid_y + _GUIDE_SLOPE * (x - (x_lo + x_hi) / 2) for x in gx]
+    px = _scale(gx, x_lo, x_hi, _PAD, _W - _PAD)
+    py = _scale(gy, y_lo, y_hi, _H - _PAD, _PAD)
+    parts.append(f'<line x1="{px[0]:.2f}" y1="{py[0]:.2f}" x2="{px[1]:.2f}" y2="{py[1]:.2f}" '
+                 f'stroke="#999" stroke-dasharray="6 4"/>')
+    parts.append(f'<text x="{px[1]-4:.2f}" y="{py[1]-6:.2f}" text-anchor="end" '
+                 f'fill="#666">slope {_GUIDE_SLOPE:g}</text>')
     for ci, (label, pts) in enumerate(sorted(series.items())):
         col = colors[ci % len(colors)]
-        px = _scale([tf(x) for x, _ in pts], x_lo, x_hi, _PAD, _W - _PAD)
-        py = _scale([tf(y) for _, y in pts], y_lo, y_hi, _H - _PAD, _PAD)
+        px = _scale([math.log10(x) for x, _ in pts], x_lo, x_hi, _PAD, _W - _PAD)
+        py = _scale([math.log10(y) for _, y in pts], y_lo, y_hi, _H - _PAD, _PAD)
         coords = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{col}" stroke-width="1.5"/>')
         for a, b in zip(px, py):

@@ -29,6 +29,7 @@ _DUALITY_TOL = 0.02        # relative slack of the Thm 258 comparison
 _ENDPOINT_TOL = 1e-9       # |Psi(p) - Psi(q)| relative to 1 + max |Psi|
 _DENSITY_CHECKS = 2048     # points where 1 + eps Psi' must stay positive
 _DIFF_STEP = 1e-6          # central-difference step of Psi'
+PUSHFORWARD_POINTS = 1000  # panels of the pushforward-defect quadrature
 
 
 class MassMismatchError(ValueError):
@@ -148,14 +149,14 @@ class TransportMap1D:
         d = (self.psi(x + _DIFF_STEP) - self.psi(x - _DIFF_STEP)) / (2.0 * _DIFF_STEP)
         return 1.0 + self.epsilon * d
 
-    def pushforward_defect(self, n_points: int = 1000) -> float:
+    def pushforward_defect(self) -> float:
         """max_x |int_p^x (1 + eps Psi') dt - (T(x) - p)|, quadrature oracle.
 
         The pushforward of the perturbed density under T is Lebesgue on [p, q]
         exactly; this measures the defect with an independent quadrature.
         """
         xg, wg = np.polynomial.legendre.leggauss(24)
-        edges = np.linspace(self.p, self.q, n_points + 1)
+        edges = np.linspace(self.p, self.q, PUSHFORWARD_POINTS + 1)
         mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         nodes = mid + half * xg[None, :]

@@ -59,8 +59,7 @@ def thinshell_result():
 
 @pytest.fixture(scope="module")
 def clt_result():
-    return clt_suite(SEED, oracle_instances=100, scaling_ns=(256, 512, 1024, 2048),
-                     sigma_factor=2.0)
+    return clt_suite(SEED, scaling_ns=(256, 512, 1024, 2048))
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +70,7 @@ def berry_esseen_result():
 
 @pytest.fixture(scope="module")
 def transport_result():
-    return transport_suite(SEED, grid_nodes=2 ** 12, epsilons=(0.1, 0.05, 0.01),
-                           raster_h=1 / 32, n_trig=5)
+    return transport_suite(SEED, raster_h=1 / 32)
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from thinshell.bodies import isotropic_body
 from thinshell.cli import (
     EXPERIMENTS,
     ConfigError,
+    ExperimentConfig,
     default_config,
     main,
     parse_config,
@@ -43,6 +44,14 @@ def test_parse_config_defaults_and_overrides():
     cfg2 = parse_config("[experiment]\nname = berry-esseen\n")
     assert cfg2.experiment == "berry_esseen"
     assert cfg2.samples == 10 ** 6
+
+
+def test_experiment_config_has_no_defaults_of_its_own():
+    # n_grid and samples differ per experiment; only default_config knows them
+    with pytest.raises(TypeError):
+        ExperimentConfig(experiment="berry_esseen")
+    cfg = default_config("berry_esseen")
+    assert (cfg.n_grid, cfg.samples) == ([16, 64, 256], 10 ** 6)
 
 
 def test_parse_config_bodies():

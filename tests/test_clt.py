@@ -387,7 +387,7 @@ def test_smoothing_comparison_cube_uniform_direction():
     s = sample_exact(isotropic_body("cube", n), 10 ** 5, seed=707)
     theta = np.full(n, 1 / math.sqrt(n))
     rep = smoothing_comparison(s.data @ theta, theta, KERNEL, substream(707, 1))
-    assert rep.raw_dist <= max(3 * dkw_band(10 ** 5), 10 * rep.epsilon ** 2)
+    assert rep.raw_dist <= max(3 * dkw_band(10 ** 5), 10 / n)
 
 
 def test_normal_cdf_consistency():

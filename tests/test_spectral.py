@@ -169,7 +169,7 @@ def test_odd_member_rayleigh_is_eigenvalue(square_grid, square_pairs):
 
 
 def test_cube_comparison_includes_self():
-    rep = cube_comparison([BodySpec.cube(2)], R=1.0, h=1 / 32)
+    rep = cube_comparison([BodySpec.cube(2)])
     assert rep.rows[0].passed
     assert rep.rows[0].lambda1 == pytest.approx(rep.lambda1_cube, rel=1e-12)
     assert rep.lambda1_cube == pytest.approx(rep.interval_value, rel=2e-3)
@@ -177,8 +177,7 @@ def test_cube_comparison_includes_self():
 
 
 def test_cube_comparison_disc_and_l1():
-    rep = cube_comparison([BodySpec.euclidean_ball(2), BodySpec.lp_ball(2, p=1.0)],
-                          R=1.0, h=1 / 32)
+    rep = cube_comparison([BodySpec.euclidean_ball(2), BodySpec.lp_ball(2, p=1.0)])
     assert all(row.passed for row in rep.rows)
     assert rep.rows[0].lambda1 == pytest.approx(DISC_LAMBDA1, rel=0.02)
     assert rep.rows[0].lambda1 >= rep.lambda1_cube
@@ -186,11 +185,11 @@ def test_cube_comparison_disc_and_l1():
 
 def test_cube_comparison_containment_guard():
     with pytest.raises(ValueError):
-        cube_comparison([BodySpec.cube(2, half_width=2.0)], R=1.0, h=1 / 32)
+        cube_comparison([BodySpec.cube(2, half_width=2.0)])
 
 
 def test_domain_monotonicity_failure_witness():
-    rep = domain_monotonicity_witness(h=1 / 48)
+    rep = domain_monotonicity_witness()
     assert rep.is_witness
     assert rep.lambda1_subdomain < rep.lambda1_disc
     assert rep.lambda1_subdomain == pytest.approx(math.pi ** 2 / (4 * 0.81), rel=0.02)

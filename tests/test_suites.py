@@ -6,9 +6,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from thinshell import clt
 from thinshell import sampler as smp
 from thinshell.estimators import WeightVector, thin_shell_stats, weighted_square_variance
-from thinshell.suites import BALL, CUBE, L1_BALL, BodyTemplate, _thinshell_task, thinshell_suite
+from thinshell.suites import (
+    BALL,
+    CUBE,
+    L1_BALL,
+    BodyTemplate,
+    _thinshell_task,
+    berry_esseen_suite,
+    thinshell_suite,
+)
 
 SEED = 515
 
@@ -76,3 +85,19 @@ def test_slope_rows_name_the_exponent():
                              SEED, shell_templates=())
     slopes = [r.body for r in result.rows if r.estimator_id == "thin_shell.loglog_slope"]
     assert slopes == ["lp_ball(p=1)", "lp_ball(p=3)"]
+
+
+def test_smoothing_noise_stream_is_no_block_of_the_marginal(monkeypatch):
+    # 10^5 rows of the cube marginal are drawn from streams 0..6, one per block
+    seen = []
+    compare = clt.smoothing_comparison
+
+    def recording(marginal, theta, kernel, rng):
+        seen.append(int(rng.bit_generator.state["state"]["key"][1]))
+        return compare(marginal, theta, kernel, rng)
+
+    monkeypatch.setattr(clt, "smoothing_comparison", recording)
+    berry_esseen_suite(SEED, cube_ns=(64,), counter_ns=(), samples=10 ** 5)
+    blocks = range(-(-10 ** 5 // smp.BLOCK))
+    assert len(seen) == 1 and list(blocks) == list(range(7))
+    assert seen[0] not in blocks
