@@ -16,6 +16,8 @@ from pathlib import Path
 
 from . import __version__
 from .bodies import KINDS, label_family
+from .clt import TruncationError, cube_marginal_cut
+from .estimators import WeightVector
 from .reporting import SuiteResult, render_csv, render_json
 from .sampler import RNG_ID, dump_samples, sample_exact
 from .suites import (
@@ -59,8 +61,14 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed}")
         if self.samples < 100:
             raise ConfigError("samples must be >= 100")
-        if self.experiment in ("berry_esseen", "all") and self.samples < 10 ** 4:
-            raise ConfigError("berry_esseen needs samples >= 10000")
+        if self.experiment in ("berry_esseen", "all"):
+            if self.samples < 10 ** 4:
+                raise ConfigError("berry_esseen needs samples >= 10000")
+            for n in self.n_grid:
+                try:
+                    cube_marginal_cut(WeightVector.uniform_direction(n).array)
+                except TruncationError as exc:
+                    raise ConfigError(f"berry_esseen cannot reach n = {n}: {exc}") from exc
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         for body in self.bodies:
@@ -81,7 +89,7 @@ class ExperimentConfig:
 
 
 _DEFAULTS = {"thinshell": ([4, 8, 16, 32, 64, 128, 256], 10 ** 5),
-             "berry_esseen": ([16, 64, 256], 10 ** 6)}
+             "berry_esseen": ([16, 64, 256], 10 ** 5)}
 
 _EXPERIMENT_KEYS = {"name", "n_grid", "samples", "seed", "output_dir", "plot", "workers"}
 _BODY_KEYS = {"kind", "p"}

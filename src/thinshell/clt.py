@@ -1,5 +1,5 @@
 """Band-limited smoothing kernel and Fourier-inversion tail probabilities for
-smoothed Bernoulli sums, plus the Gaussian-tail utilities they are compared to.
+smoothed Bernoulli sums and cube marginals, plus the Gaussian-tail utilities.
 
 The kernel G is the symmetric random variable whose characteristic function g
 is the 8-fold self-convolution of the indicator of [-1/8, 1/8], normalized to
@@ -31,10 +31,11 @@ from scipy.integrate import quad
 from scipy.special import erfc, sici
 
 __all__ = [
-    "SmoothingKernel", "build_kernel", "sample_kernel",
+    "SmoothingKernel", "build_kernel", "TruncationError",
     "bernoulli_gamma_tail_fourier", "bernoulli_gamma_tail_bruteforce",
+    "cube_marginal_cut", "cube_marginal_tail", "tail_grid",
     "lemma700_report", "gauss_tail_bounds_check", "lemma1034_check",
-    "smoothing_comparison", "normal_density", "normal_upper_tail", "normal_cdf",
+    "normal_density", "normal_upper_tail", "normal_cdf",
 ]
 
 # Rows per block of the (points x nodes) and (nodes x n) tables below: memory
@@ -49,9 +50,15 @@ _NEAR = 4.0
 _NEAR_NODES = 32
 
 _PANEL_NODES = 16        # Gauss-Legendre nodes per panel of the inversion integrals
-_TAIL_POINTS = 4096      # evenly spaced t-points of the Lemma 700 sup error
+_TAIL_POINTS = 4096      # evenly spaced t-points of the sup errors (tail_grid)
 _SANDWICH = (0.99, 1.35)  # bounds of Phi(t)(t+1)/phi(t) on [0, 10]
 _MOMENT_CUT = 400.0      # quadrature of kernel moments on [0, T]; exact tail beyond
+_TRUNCATION_TOL = 1e-13  # bound on the dropped tail int_cut^inf |phi|/xi of the cube inversion
+_CUT_BUDGET = 1000.0     # largest cube cut times |theta|: uniform n = 5 needs 372, n = 4 1452
+
+
+class TruncationError(ValueError):
+    """The cube inversion's truncation bound needs a cut past _CUT_BUDGET."""
 
 
 # -- Gaussian utilities -------------------------------------------------------
@@ -191,53 +198,50 @@ def _gl_panels(a: float, b: float, n_panels: int):
     return (mid + half * xg[None, :]).ravel(), (half * wg[None, :]).ravel()
 
 
-def sample_kernel(kernel: SmoothingKernel, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Rejection sampler for G: uniform envelope on [-8, 8], x^-8 Pareto tails."""
-    f0 = float(kernel.density(0.0))
-    mass_center = 16.0 * f0
-    mass_tail = 2.0 * kernel.kappa1 / (7.0 * 8.0 ** 7)
-    p_center = mass_center / (mass_center + mass_tail)
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        m = max(1024, int(1.8 * (size - filled)))
-        u_region = rng.uniform(size=m)
-        x = np.empty(m)
-        center = u_region < p_center
-        x[center] = rng.uniform(-8.0, 8.0, size=int(center.sum()))
-        k = int((~center).sum())
-        x[~center] = 8.0 * rng.uniform(size=k) ** (-1.0 / 7.0) * rng.choice([-1.0, 1.0], size=k)
-        u = rng.uniform(size=m)
-        fx = kernel.density(x)
-        envelope = np.where(center, f0, kernel.kappa1 / x ** 8)
-        acc = x[u * envelope <= fx]
-        take = min(acc.size, size - filled)
-        out[filled:filled + take] = acc[:take]
-        filled += take
-    return out
+# -- Fourier-inversion tails ----------------------------------------------------
 
-
-# -- smoothed Bernoulli tails ---------------------------------------------------
-
-def _char_bernoulli(theta: np.ndarray, xi):
-    """prod_i cos(theta_i xi), vectorized over xi in blocks of _ROWS values."""
+def _char_product(factor, theta: np.ndarray, xi):
+    """prod_i factor(theta_i xi), vectorized over xi in blocks of _ROWS values."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     out = np.empty(xi.size)
     for i in range(0, xi.size, _ROWS):
-        out[i:i + _ROWS] = np.prod(np.cos(np.multiply.outer(xi[i:i + _ROWS], theta)), axis=1)
+        out[i:i + _ROWS] = np.prod(factor(np.multiply.outer(xi[i:i + _ROWS], theta)), axis=1)
     return out
+
+
+def _sine_transform(ts: np.ndarray, xi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j sin(t xi_j) weights_j for each t, in blocks of _ROWS t-values."""
+    out = np.empty_like(ts)
+    for i in range(0, ts.size, _ROWS):
+        out[i:i + _ROWS] = np.sin(np.multiply.outer(ts[i:i + _ROWS], xi)) @ weights
+    return out
+
+
+def _inversion_tail(char_fn, cut: float, nrm2: float, spread: float, t):
+    """P(S >= t) for a symmetric S with E S^2 = nrm2 and |S| <= spread, by Gil-Pelaez
+    inversion of char_fn - (that of N(0, nrm2)), char_fn taken as 0 past the cut, on
+    Gauss-Legendre panels sized to the oscillation frequency max|t| + spread; the
+    normal tail is added back in closed form.  A scalar t gives a float."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    nrm = math.sqrt(nrm2)
+    omega = float(np.max(np.abs(ts))) + spread + 1.0
+    xi, w = _gl_panels(0.0, cut, max(16, math.ceil(cut * omega / 5.0)))
+    main = _sine_transform(ts, xi, (char_fn(xi) - np.exp(-0.5 * xi * xi * nrm2)) / xi * w)
+    gauss_hi = math.sqrt(1420.0) / nrm  # integrand underflows past here
+    g_tail = np.zeros_like(ts)
+    if gauss_hi > cut:
+        xi2, w2 = _gl_panels(cut, gauss_hi, max(8, math.ceil((gauss_hi - cut) * omega / 5.0)))
+        g_tail = _sine_transform(ts, xi2, np.exp(-0.5 * xi2 * xi2 * nrm2) / xi2 * w2)
+    out = normal_upper_tail(ts / nrm) - main / math.pi + g_tail / math.pi
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def bernoulli_gamma_tail_fourier(theta, sigma: float, t):
     """P(sigma G + sum_i theta_i D_i >= t) for symmetric Bernoulli D_i, at a
     scalar t (a float) or an array of t.
 
-    Inversion with the Gaussian reference N(0, |theta|^2) subtracted: since the
-    characteristic function gamma(sigma xi) prod cos(theta_i xi) vanishes for
-    |xi| >= 1/sigma, the non-Gaussian part of the integral is supported there,
-    and the Gaussian remainder beyond 1/sigma is integrated separately.  Both
-    integrals run on composite Gauss-Legendre panels sized to the total
-    oscillation frequency.
+    The characteristic function gamma(sigma xi) prod cos(theta_i xi) vanishes
+    for |xi| >= 1/sigma, so the inversion is cut there with no truncation error.
     """
     theta = np.asarray(theta, dtype=float)
     if sigma <= 0:
@@ -245,30 +249,38 @@ def bernoulli_gamma_tail_fourier(theta, sigma: float, t):
     nrm2 = float(theta @ theta)
     if nrm2 == 0:
         raise ValueError("theta must be nonzero")
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
     kernel = build_kernel()
-    nrm = math.sqrt(nrm2)
-    cut = 1.0 / sigma
-    omega = float(np.max(np.abs(ts))) + float(np.sum(np.abs(theta))) + 1.0
-    n_pan = max(16, int(math.ceil(cut * omega / 5.0)))
-    xi, w = _gl_panels(0.0, cut, n_pan)
-    chi = kernel.char_fn(sigma * xi) * _char_bernoulli(theta, xi)
-    diff_w = (chi - np.exp(-0.5 * xi * xi * nrm2)) / xi * w
-    main = np.empty_like(ts)
-    for i in range(0, ts.size, _ROWS):
-        blk = ts[i:i + _ROWS]
-        main[i:i + _ROWS] = np.sin(np.multiply.outer(blk, xi)) @ diff_w
-    gauss_hi = math.sqrt(1420.0) / nrm  # integrand underflows past here
-    g_tail = np.zeros_like(ts)
-    if gauss_hi > cut:
-        n_pan2 = max(8, int(math.ceil((gauss_hi - cut) * omega / 5.0)))
-        xi2, w2 = _gl_panels(cut, gauss_hi, n_pan2)
-        gw2 = np.exp(-0.5 * xi2 * xi2 * nrm2) / xi2 * w2
-        for i in range(0, ts.size, _ROWS):
-            blk = ts[i:i + _ROWS]
-            g_tail[i:i + _ROWS] = np.sin(np.multiply.outer(blk, xi2)) @ gw2
-    out = normal_upper_tail(ts / nrm) - main / math.pi + g_tail / math.pi
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _inversion_tail(lambda xi: kernel.char_fn(sigma * xi) * _char_product(np.cos, theta, xi),
+                           1.0 / sigma, nrm2, float(np.sum(np.abs(theta))), t)
+
+
+def cube_marginal_cut(theta) -> float:
+    """Cut of the cube inversion.  For a_(1) >= a_(2) >= ... the nonzero
+    sqrt(3)|theta_i|, |phi(xi)| <= prod_{i <= k} 1/(a_(i) xi), so the dropped tail
+    int_cut^inf |phi|/xi is at most prod_{i <= k} 1/(a_(i) cut) / k for every k;
+    the cut is the least one that holds that to _TRUNCATION_TOL.  Raises
+    TruncationError past _CUT_BUDGET / |theta|."""
+    theta = np.asarray(theta, dtype=float)
+    a = np.sort(math.sqrt(3.0) * np.abs(theta[theta != 0]))[::-1]
+    if a.size == 0:
+        raise ValueError("theta must be nonzero")
+    k = np.arange(1, a.size + 1)
+    cut = float(np.min(np.exp(-(np.log(k * _TRUNCATION_TOL) + np.cumsum(np.log(a))) / k)))
+    reach = cut * math.sqrt(float(theta @ theta))
+    if reach > _CUT_BUDGET:
+        raise TruncationError(f"the cube inversion needs a cut of {reach:.4g}/|theta| at "
+                              f"n = {theta.size}, past the budget {_CUT_BUDGET:g}/|theta|")
+    return cut
+
+
+def cube_marginal_tail(theta, t):
+    """P(theta . X >= t) for X uniform on the isotropic cube [-sqrt 3, sqrt 3]^n, at a
+    scalar t (a float) or an array of t, from the characteristic function
+    prod sinc(sqrt(3) theta_i xi) on [0, cube_marginal_cut(theta)]."""
+    theta = np.asarray(theta, dtype=float)
+    scaled = theta * (math.sqrt(3.0) / math.pi)  # np.sinc(x) = sin(pi x)/(pi x)
+    return _inversion_tail(lambda xi: _char_product(np.sinc, scaled, xi), cube_marginal_cut(theta),
+                           float(theta @ theta), math.sqrt(3.0) * float(np.sum(np.abs(theta))), t)
 
 
 def _all_sign_sums(theta: np.ndarray) -> np.ndarray:
@@ -288,6 +300,11 @@ def bernoulli_gamma_tail_bruteforce(theta, sigma: float, t: float) -> float:
         raise ValueError("sigma must be positive")
     sums = _all_sign_sums(theta)
     return float(np.mean(build_kernel().cdf((sums - t) / sigma)))
+
+
+def tail_grid(nrm: float) -> np.ndarray:
+    """The t-grid of the sup errors: _TAIL_POINTS even steps over [-8 nrm, 8 nrm]."""
+    return np.linspace(-8.0 * nrm, 8.0 * nrm, _TAIL_POINTS)
 
 
 class Lemma700Report(NamedTuple):
@@ -311,10 +328,9 @@ def lemma700_report(theta, sigma: float) -> Lemma700Report:
         raise ValueError("hypothesis violated: sum over |theta_i| >= sigma of theta_i^2 "
                          "exceeds |theta|^2 / 2")
     nrm = math.sqrt(nrm2)
-    ts = np.linspace(-8.0 * nrm, 8.0 * nrm, _TAIL_POINTS)
+    ts = tail_grid(nrm)
     if theta.size <= 12:
-        atoms = _all_sign_sums(theta)
-        ts = np.union1d(ts, atoms)
+        ts = np.union1d(ts, _all_sign_sums(theta))
     probs = bernoulli_gamma_tail_fourier(theta, sigma, ts)
     errs = np.abs(probs - normal_upper_tail(ts / nrm))
     k = int(np.argmax(errs))
@@ -370,29 +386,6 @@ def lemma1034_check(t0_grid) -> Lemma1034Report:
     lower_recip = 1.0 / phi0 - c2 * delta ** (-0.75)
     ok = bool(np.all(lower_recip >= 1.0 / (2.0 * phi0) - 1e-12))
     return Lemma1034Report(c1_i, c1_iii, c2, part_ii, ok)
-
-
-# -- smoothing comparison on sampled marginals -----------------------------------
-
-class SmoothingComparison(NamedTuple):
-    smoothed_dist: float
-    raw_dist: float
-    epsilon: float
-    dkw: float
-
-
-def smoothing_comparison(marginal: np.ndarray, theta, kernel: SmoothingKernel,
-                         rng: np.random.Generator) -> SmoothingComparison:
-    """Kolmogorov distance against the normal CDF of a sampled marginal, with and
-    without the additive eps*G smoothing, eps = 10 sqrt(sum theta_i^4)."""
-    from .estimators import kolmogorov_distance
-
-    theta = np.asarray(theta, dtype=float)
-    eps = 10.0 * math.sqrt(float(np.sum(theta ** 4)))
-    raw = kolmogorov_distance(marginal, normal_cdf)
-    g = sample_kernel(kernel, marginal.size, rng)
-    smooth = kolmogorov_distance(marginal + eps * g, normal_cdf)
-    return SmoothingComparison(smooth.distance, raw.distance, eps, raw.dkw_band)
 
 
 # -- closed-form oscillatory tails (G's CDF; a cross-check of kernel moments) ----

@@ -156,7 +156,6 @@ def gradient_bias(grid: GridDomain, pair: EigenPair) -> np.ndarray:
 
 
 class BiasRankReport(NamedTuple):
-    matrix: np.ndarray        # 2 x dim(eigenspace), columns int grad phi_a
     singular_values: tuple[float, ...]
     rank: int
 
@@ -167,7 +166,7 @@ def gradient_bias_rank(grid: GridDomain, eigenspace: list[EigenPair]) -> BiasRan
     M = np.column_stack([gradient_bias(grid, p) for p in eigenspace])
     sv = np.linalg.svd(M, compute_uv=False)
     rank = int(np.sum(sv > _REL_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
-    return BiasRankReport(M, tuple(float(s) for s in sv), rank)
+    return BiasRankReport(tuple(float(s) for s in sv), rank)
 
 
 # -- symmetry structure --------------------------------------------------------------
@@ -187,7 +186,6 @@ class SymmetryReport(NamedTuple):
     defect: float             # ||sigma_i phi + phi|| / ||phi||
     member: np.ndarray
     central_defect: float     # odd-under-point-reflection member, when central
-    rayleigh: float
     passed: bool
 
 
@@ -218,8 +216,7 @@ def symmetry_detect(grid: GridDomain, eigenspace: list[EigenPair]) -> SymmetryRe
     member_c = Q @ evecs[:, 0]
     central_defect = float(np.linalg.norm(member_c[perm_c] + member_c)
                            / np.linalg.norm(member_c))
-    rq = rayleigh_quotient(grid, member)
-    return SymmetryReport(axis, defect, member, central_defect, rq, bool(defect <= SYMMETRY_TOL))
+    return SymmetryReport(axis, defect, member, central_defect, bool(defect <= SYMMETRY_TOL))
 
 
 # -- bounding-cube comparison -----------------------------------------------------------
@@ -232,7 +229,6 @@ class CubeComparisonRow(NamedTuple):
 
 class CubeComparisonReport(NamedTuple):
     lambda1_cube: float
-    interval_value: float      # pi^2/(4 R^2), the separated-variable interval value
     rows: tuple[CubeComparisonRow, ...]
     note: str
 
@@ -241,7 +237,7 @@ def cube_comparison(bodies: list[BodySpec]) -> CubeComparisonReport:
     """lambda_1(body) >= (1 - 2%) lambda_1([-R,R]^2) for bodies in the cube, R = 1.
 
     The cube eigenvalue is recorded as numerically observed; it agrees with the
-    interval value pi^2/(4 R^2) and is reported next to it because published
+    interval value pi^2/(4 R^2), which the note sets beside it because published
     statements of this comparison sometimes carry the constant pi^2/R^2.
     """
     lam_cube = lowest_eigenpairs(rasterize(BodySpec.cube(2), _COMPARISON_H), k=2)[1].value
@@ -255,14 +251,13 @@ def cube_comparison(bodies: list[BodySpec]) -> CubeComparisonReport:
     interval = math.pi ** 2 / 4.0
     note = (f"observed cube lambda1 {lam_cube:.6f} matches pi^2/(4R^2) = {interval:.6f}; "
             f"the constant pi^2/R^2 = {4 * interval:.6f} is 4x larger than observed")
-    return CubeComparisonReport(float(lam_cube), interval, tuple(rows), note)
+    return CubeComparisonReport(float(lam_cube), tuple(rows), note)
 
 
 class MonotonicityWitness(NamedTuple):
     lambda1_disc: float
     lambda1_subdomain: float
     subdomain: str
-    is_witness: bool
 
 
 def domain_monotonicity_witness() -> MonotonicityWitness:
@@ -276,5 +271,4 @@ def domain_monotonicity_witness() -> MonotonicityWitness:
     lam_disc = lowest_eigenpairs(rasterize(disc, _WITNESS_H), k=2)[1].value
     lam_rect = lowest_eigenpairs(rasterize(rect, _WITNESS_H / 2), k=2)[1].value
     return MonotonicityWitness(float(lam_disc), float(lam_rect),
-                               "rectangle [-0.9,0.9]x[-0.2,0.2]",
-                               bool(lam_rect < lam_disc))
+                               "rectangle [-0.9,0.9]x[-0.2,0.2]")

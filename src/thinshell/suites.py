@@ -46,7 +46,7 @@ _GRID_NODES = 4096             # nodes of the Thm 258 segment measure
 _EPSILONS = (0.1, 0.05, 0.01)  # Thm 258 perturbation sizes
 _N_TRIG = 5                    # random even trig polynomials in the Lemma 2.1 check
 _TRIG_DEGREE = 2
-_COEFF_STREAM, _NOISE_STREAM = smp.NAMED_STREAM, smp.NAMED_STREAM + 1  # past every block
+_COEFF_STREAM = smp.NAMED_STREAM  # past every block
 
 
 def _within(value: float, target: float, half_width: float) -> bool:
@@ -286,58 +286,62 @@ def clt_suite(seed: int, scaling_ns: tuple[int, ...] = (256, 512, 1024, 2048)) -
 
 # -- Berry-Esseen trend suite -----------------------------------------------------------
 
-def _streamed_cube_marginal(n: int, count: int, seed: int) -> np.ndarray:
-    body = bd.isotropic_body("cube", n)
-    theta = est.WeightVector.uniform_direction(n).array
-    out = np.empty(count)
-    done = 0
-    for block in smp.exact_blocks(body, count, seed):
-        out[done:done + block.shape[0]] = block @ theta
-        done += block.shape[0]
-    return out
+def _counterexample_cdf(theta: np.ndarray, n: int):
+    """CDF of ``sampler.counterexample_marginal``: the mean over i of the uniform
+    laws on [-h_i, h_i], h_i = sqrt(3n)|theta_i|, for theta with no zero entry."""
+    half, count = np.unique(math.sqrt(3.0 * n) * np.abs(theta), return_counts=True)
+    return lambda t: np.clip(np.multiply.outer(t, 0.5 / half) + 0.5, 0.0, 1.0) @ (count / n)
 
 
 def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
                        counter_ns: tuple[int, ...] = (16, 256),
-                       samples: int = 10 ** 6) -> SuiteResult:
-    """Kolmogorov distance of uniform-direction marginals: decay for the cube,
-    a positive constant for the axis-segment counterexample density."""
+                       samples: int = 10 ** 5) -> SuiteResult:
+    """Exact Kolmogorov distance max |F - Phi| on ``clt.tail_grid`` of uniform-direction
+    marginals: decay for the cube (F by ``clt.cube_marginal_tail``), a positive
+    constant for the axis-segment counterexample (F in closed form).  The draws
+    test each sampler against its exact law (the cube's grid F, linearly
+    interpolated) within 3 DKW bands: false failure at most 2 * 200^-9."""
     out = SuiteResult("berry_esseen")
-    for n in sorted(cube_ns):
-        vals = _streamed_cube_marginal(n, samples, seed)
-        res = est.kolmogorov_distance(vals, clt.normal_cdf)
-        bound = max(3.0 * res.dkw_band, 10.0 / n)
-        floor_dominates = 3.0 * res.dkw_band >= 10.0 / n
-        out.rows.append(CsvRow("berry_esseen.kolmogorov", f"cube(n={n})", n, samples,
-                               seed, res.distance, res.dkw_band, bound,
-                               {"mc_floor_dominates": floor_dominates}))
+    ts = clt.tail_grid(1.0)
+
+    def exact_and_sampled(law, n, grid_cdf, vals, cdf) -> tuple[float, float]:
+        """Sampler row and check against the exact cdf; max |F - Phi| on ts, and its t."""
+        res = est.kolmogorov_distance(vals, cdf)
+        out.rows.append(CsvRow("berry_esseen.sampler", f"{law}(n={n})", n, samples, seed,
+                               res.distance, res.dkw_band, 3.0 * res.dkw_band))
         out.assertions.append(Assertion(
-            f"berry_esseen.cube.n{n}", "Thm 1.1 eq (2)", res.distance,
-            f"<= max(3 DKW = {3*res.dkw_band:.2e}, 10/n = {10/n:.2e})",
-            res.distance <= bound))
-        if floor_dominates:
-            out.notes.append(f"cube n={n}: the DKW Monte Carlo floor dominates the "
-                             f"10/n reference; the distance is resolution-limited")
-    for n in sorted(counter_ns):
+            f"berry_esseen.sampler.{law}.n{n}", "exact sampler", res.distance,
+            f"<= 3 DKW = {3 * res.dkw_band:.3g} against the exact law",
+            res.distance <= 3.0 * res.dkw_band))
+        errs = np.abs(grid_cdf - clt.normal_cdf(ts))
+        k = int(np.argmax(errs))
+        return float(errs[k]), float(ts[k])
+
+    for n in sorted(set(cube_ns)):
         theta = est.WeightVector.uniform_direction(n).array
+        grid_cdf = 1.0 - clt.cube_marginal_tail(theta, ts)
+        vals = np.concatenate([block @ theta for block in
+                               smp.exact_blocks(bd.isotropic_body("cube", n), samples, seed)])
+        dist, at = exact_and_sampled("cube", n, grid_cdf, vals,
+                                     lambda v: np.interp(v, ts, grid_cdf))
+        out.rows.append(CsvRow("berry_esseen.kolmogorov", f"cube(n={n})", n, 0, seed,
+                               dist, 0.0, 10.0 / n, {"argmax_t": at}))
+        out.assertions.append(Assertion(
+            f"berry_esseen.cube.n{n}", "Thm 1.1 eq (2)", dist,
+            f"<= 10/n = {10 / n:.2e} (exact)", dist <= 10.0 / n))
+    for n in sorted(set(counter_ns)):
+        theta = est.WeightVector.uniform_direction(n).array
+        cdf = _counterexample_cdf(theta, n)
         # per-n seed offset: the marginal law is n-independent, so reusing the
         # stream verbatim would repeat the identical draw sequence
         vals = smp.counterexample_marginal(n, samples, theta, seed + n)
-        res = est.kolmogorov_distance(vals, clt.normal_cdf)
+        dist, at = exact_and_sampled("counterexample", n, cdf(ts), vals, cdf)
         out.rows.append(CsvRow("berry_esseen.counterexample", f"counterexample(n={n})",
-                               n, samples, seed, res.distance, res.dkw_band, 0.045))
+                               n, 0, seed, dist, 0.0, 0.045, {"argmax_t": at}))
         out.assertions.append(Assertion(
             f"berry_esseen.counterexample.n{n}", "no gaussian limit: axis-segment density",
-            res.distance, ">= 0.045 and within 0.0572 +- 0.01",
-            res.distance >= 0.045 and abs(res.distance - 0.0572) <= 0.01))
-    # smoothing comparison, constants reported
-    n = 64
-    marg = _streamed_cube_marginal(n, min(samples, 10 ** 5), seed)
-    rep = clt.smoothing_comparison(marg, est.WeightVector.uniform_direction(n).array,
-                                   clt.build_kernel(), smp.substream(seed, _NOISE_STREAM))
-    out.rows.append(CsvRow("smoothing.comparison", f"cube(n={n})", n, marg.size, seed,
-                           rep.raw_dist, rep.dkw, 10.0 * rep.epsilon ** 2,
-                           {"smoothed_dist": rep.smoothed_dist, "epsilon": rep.epsilon}))
+            dist, ">= 0.045 and within 0.0572 +- 0.01 (exact)",
+            dist >= 0.045 and abs(dist - 0.0572) <= 0.01))
     return out
 
 

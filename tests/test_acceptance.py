@@ -65,7 +65,7 @@ def clt_result():
 @pytest.fixture(scope="module")
 def berry_esseen_result():
     return berry_esseen_suite(SEED, cube_ns=(16, 64, 256), counter_ns=(16, 256),
-                              samples=10 ** 6)
+                              samples=10 ** 5)
 
 
 @pytest.fixture(scope="module")
@@ -124,14 +124,15 @@ def test_c06_kernel_contract(clt_result):
 
 def test_c07_counterexample_non_gaussianity(berry_esseen_result):
     _check(berry_esseen_result, "berry_esseen.counterexample",
-           "07 counterexample marginal distance >= 0.045, = 0.0572 +- 0.01, n in {16,256}")
+           "07 counterexample marginal exact distance >= 0.045, = 0.0572 +- 0.01, "
+           "n in {16,256}")
 
 
 def test_c08_berry_esseen_trend(berry_esseen_result):
     _check(berry_esseen_result, "berry_esseen.cube",
-           "08 cube marginal distance <= max(3 DKW, 10/n), n in {16,64,256}")
-    notes = [n for n in berry_esseen_result.notes if "floor" in n]
-    _report("08b MC-floor notes", True, f"{len(notes)} note(s) on DKW-floor dominance")
+           "08 cube marginal exact distance <= 10/n, n in {16,64,256}")
+    _check(berry_esseen_result, "berry_esseen.sampler",
+           "08b cube and counterexample samplers within 3 DKW of their exact laws")
 
 
 def test_c09_transport_duality(transport_result):

@@ -43,7 +43,7 @@ def test_parse_config_defaults_and_overrides():
     assert cfg.seed == 7
     cfg2 = parse_config("[experiment]\nname = berry-esseen\n")
     assert cfg2.experiment == "berry_esseen"
-    assert cfg2.samples == 10 ** 6
+    assert cfg2.samples == 10 ** 5
 
 
 def test_experiment_config_has_no_defaults_of_its_own():
@@ -51,7 +51,7 @@ def test_experiment_config_has_no_defaults_of_its_own():
     with pytest.raises(TypeError):
         ExperimentConfig(experiment="berry_esseen")
     cfg = default_config("berry_esseen")
-    assert (cfg.n_grid, cfg.samples) == ([16, 64, 256], 10 ** 6)
+    assert (cfg.n_grid, cfg.samples) == ([16, 64, 256], 10 ** 5)
 
 
 def test_parse_config_bodies():
@@ -189,20 +189,40 @@ def test_workers_do_not_change_reports(tmp_path, capsys):
 
 def test_blas_threads_do_not_change_reports(tmp_path):
     # OpenBLAS splits long dot products across its threads, which reorders the
-    # sum; 2e4 draws per variance is past the length where that starts
+    # sum; 2e4 draws per variance is past the length where that starts.  The
+    # berry_esseen rows add the inversion's sine tables (4096 t-points).
     src = str(Path(thinshell.__file__).resolve().parents[1])
-    texts = []
-    for threads in ("1", "2"):
-        cfg = tmp_path / f"cfg_t{threads}.ini"
-        cfg.write_text(SMALL_THINSHELL.format(out=tmp_path / f"t{threads}")
-                       .replace("samples = 2000", "samples = 20000"))
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-m", "thinshell.cli", "thinshell",
-                               "--config", str(cfg)], env=env, capture_output=True)
-        assert proc.returncode in (0, 1), proc.stderr.decode()
-        texts.append((tmp_path / f"t{threads}" / "report.csv").read_bytes())
-    assert texts[0] == texts[1]
+    configs = {
+        "thinshell": SMALL_THINSHELL.replace("samples = 2000", "samples = 20000"),
+        "berry_esseen": "[experiment]\nname = berry_esseen\nn_grid = 16 64\n"
+                        "samples = 10000\noutput_dir = {out}\n",
+    }
+    for name, text in configs.items():
+        texts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}_t{threads}"
+            cfg = tmp_path / f"{name}_t{threads}.ini"
+            cfg.write_text(text.format(out=out))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run([sys.executable, "-m", "thinshell.cli", name.replace("_", "-"),
+                                   "--config", str(cfg)], env=env, capture_output=True)
+            assert proc.returncode in (0, 1), proc.stderr.decode()
+            texts.append((out / "report.csv").read_bytes())
+        assert texts[0] == texts[1], name
+
+
+@pytest.mark.parametrize("experiment", ["berry_esseen", "all"])
+def test_dimension_the_inversion_cannot_reach_is_a_config_error(tmp_path, capsys, experiment):
+    # uniform theta at n = 4 needs a cut of 1452/|theta|, past the budget of 1000
+    out = tmp_path / "out"
+    cfg = tmp_path / "reach.ini"
+    cfg.write_text(f"[experiment]\nname = {experiment}\nn_grid = 4 16\n"
+                   f"samples = 10000\noutput_dir = {out}\n")
+    assert main([experiment.replace("_", "-"), "--config", str(cfg)]) == 2
+    assert "berry_esseen cannot reach n = 4" in capsys.readouterr().err
+    assert not out.exists()
+    parse_config(f"[experiment]\nname = {experiment}\nn_grid = 5 16\nsamples = 10000\n")
 
 
 def test_main_exit_codes(tmp_path, capsys):

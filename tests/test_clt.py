@@ -5,12 +5,15 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from thinshell import clt
 from thinshell.clt import (
+    TruncationError,
     bernoulli_gamma_tail_bruteforce,
     bernoulli_gamma_tail_fourier,
     build_kernel,
+    cube_marginal_tail,
     gauss_tail_bounds_check,
     kernel_moment_by_quadrature,
     lemma700_report,
@@ -18,15 +21,12 @@ from thinshell.clt import (
     normal_cdf,
     normal_density,
     normal_upper_tail,
-    sample_kernel,
-    smoothing_comparison,
-    _char_bernoulli,
+    tail_grid,
+    _char_product,
     _gl_panels,
     sinc8_tail_integral,
 )
-from thinshell.estimators import dkw_band, kolmogorov_distance
-from thinshell.sampler import counterexample_marginal, sample_exact, substream
-from thinshell.bodies import isotropic_body
+from thinshell.estimators import WeightVector
 
 KERNEL = build_kernel()
 
@@ -136,12 +136,6 @@ def test_sinc8_tail_integral_is_elementwise():
         sinc8_tail_integral(8, np.array([1.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
         sinc8_tail_integral(8, np.array([-3.0]))
-
-
-def test_sample_kernel_matches_cdf():
-    draws = sample_kernel(KERNEL, 10 ** 5, substream(99, 0))
-    res = kolmogorov_distance(draws, KERNEL.cdf)
-    assert res.distance <= res.dkw_band
 
 
 # -- Gaussian utilities ---------------------------------------------------------
@@ -271,7 +265,7 @@ def test_blocked_tables_are_bit_identical(monkeypatch):
     xi, _ = _gl_panels(0.0, cut, math.ceil(cut * omega / 5.0))
     assert xi.size > clt._ROWS
     whole = np.prod(np.cos(np.multiply.outer(xi, theta)), axis=1)
-    assert np.array_equal(_char_bernoulli(theta, xi), whole)
+    assert np.array_equal(_char_product(np.cos, theta, xi), whole)
     ts = np.linspace(-8.0, 8.0, 4096)
     blocked = bernoulli_gamma_tail_fourier(theta, sigma, ts)
     monkeypatch.setattr(clt, "_ROWS", 1 << 20)  # one block: the unblocked tables
@@ -359,35 +353,60 @@ def test_lemma700_sup_error_smoothing_limit(n):
     assert n * rep.sup_error == pytest.approx(limit, rel=0.05)
 
 
-# -- smoothing comparison --------------------------------------------------------------
+# -- exact cube and counterexample marginals ------------------------------------------
 
-def test_smoothing_comparison_counterexample():
-    n = 16
-    theta = np.full(n, 1 / math.sqrt(n))
-    marg = counterexample_marginal(n, 2 * 10 ** 5, theta, seed=505)
-    rep = smoothing_comparison(marg, theta, KERNEL, substream(505, 1))
-    assert rep.raw_dist == pytest.approx(0.0572, abs=0.01)
-    assert rep.epsilon == pytest.approx(10 / math.sqrt(n))
+def _irwin_hall_cdf(n: int, x: Fraction) -> Fraction:
+    # P(U_1 + ... + U_n <= x) for uniform U_i on [0, 1], in exact rationals
+    return sum((-1) ** k * math.comb(n, k) * (x - k) ** n
+               for k in range(math.floor(x) + 1)) / math.factorial(n)
 
 
-def test_smoothing_comparison_axis_direction_cube():
-    # theta = e_1: the marginal is one uniform coordinate, distance ~ 0.0572,
-    # and the eps^2 bound is vacuous there (sum theta^4 = 1)
-    n = 4
-    s = sample_exact(isotropic_body("cube", n), 2 * 10 ** 5, seed=606)
-    theta = np.zeros(n)
-    theta[0] = 1.0
-    rep = smoothing_comparison(s.data @ theta, theta, KERNEL, substream(606, 1))
-    assert rep.raw_dist == pytest.approx(0.0572, abs=0.01)
-    assert rep.epsilon == 10.0
+@pytest.mark.parametrize("n", [16, 64])
+def test_cube_marginal_matches_irwin_hall(n):
+    # theta . X with theta_i = 1/sqrt(n) and X_i = sqrt(3)(2 U_i - 1) is
+    # sqrt(3/n)(2 S - n) for the Irwin-Hall sum S; x runs over rationals out to
+    # |t| = 3 sqrt(3), about 5.2 standard deviations
+    xs = [Fraction(n, 2) + Fraction(j, 8) * math.isqrt(n) for j in range(-12, 13)]
+    exact = np.array([float(_irwin_hall_cdf(n, x)) for x in xs])
+    ts = np.array([math.sqrt(3.0 / n) * (2.0 * float(x) - n) for x in xs])
+    tail = cube_marginal_tail(np.full(n, 1 / math.sqrt(n)), ts)
+    assert np.max(np.abs(1.0 - tail - exact)) <= 1e-13
+    # a scalar t gives a float; its panels follow its own |t|, so it agrees to rounding
+    scalar = cube_marginal_tail(np.full(n, 1 / math.sqrt(n)), float(ts[3]))
+    assert isinstance(scalar, float) and scalar == pytest.approx(tail[3], abs=1e-13)
 
 
-def test_smoothing_comparison_cube_uniform_direction():
-    n = 64
-    s = sample_exact(isotropic_body("cube", n), 10 ** 5, seed=707)
-    theta = np.full(n, 1 / math.sqrt(n))
-    rep = smoothing_comparison(s.data @ theta, theta, KERNEL, substream(707, 1))
-    assert rep.raw_dist <= max(3 * dkw_band(10 ** 5), 10 / n)
+def test_cube_marginal_sup_error_edgeworth_limit():
+    # F(t) - Phi(t) ~ -(kappa_4 / 24n) He_3(t) phi(t) with kappa_4 = -6/5 for a
+    # uniform coordinate, so n sup |F - Phi| -> (6/5)/24 max |(t^3 - 3t) phi(t)|
+    res = minimize_scalar(lambda t: -abs((t ** 3 - 3 * t) * float(normal_density(t))),
+                          bounds=(0.0, 1.5), method="bounded", options={"xatol": 1e-12})
+    limit = 1.2 / 24 * -res.fun
+    assert limit == pytest.approx(0.0275294, abs=1e-7)
+    n = 1024
+    ts = tail_grid(1.0)
+    gap = np.abs(1.0 - cube_marginal_tail(np.full(n, 1 / math.sqrt(n)), ts) - normal_cdf(ts))
+    assert n * np.max(gap) == pytest.approx(limit, rel=5e-3)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_cube_marginal_out_of_reach_raises(n):
+    # theta = e_1 (any n) leaves one sinc factor, whose tail |phi|/xi ~ 1/xi^2
+    # needs a cut near 6e12; uniform theta at n = 3 and 4 needs 14,940 and 1452
+    axis = np.zeros(n)
+    axis[0] = 1.0
+    with pytest.raises(TruncationError, match="past the budget"):
+        cube_marginal_tail(axis, 0.5)
+    if n > 1:
+        with pytest.raises(TruncationError):
+            cube_marginal_tail(WeightVector.uniform_direction(n).array, 0.5)
+
+
+def test_cube_marginal_reaches_n5():
+    assert clt.cube_marginal_cut(WeightVector.uniform_direction(5).array) == pytest.approx(
+        372.5, abs=0.1)
+    with pytest.raises(ValueError):
+        cube_marginal_tail(np.zeros(5), 0.0)
 
 
 def test_normal_cdf_consistency():

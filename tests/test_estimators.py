@@ -19,6 +19,7 @@ from thinshell.estimators import (
     weighted_square_variance,
 )
 from thinshell.sampler import counterexample_marginal, sample_exact
+from thinshell.suites import berry_esseen_suite
 
 SEED = 4242
 SQRT3 = math.sqrt(3.0)
@@ -175,6 +176,16 @@ def test_counterexample_marginal_far_from_normal():
         res = kolmogorov_distance(vals, normal_cdf)
         assert res.distance >= 0.04
         assert res.distance == pytest.approx(oracle, abs=3 * res.dkw_band + 1e-3)
+
+
+def test_counterexample_distance_matches_the_uniform_oracle():
+    # for uniform theta the counterexample marginal is uniform on [-sqrt 3, sqrt 3]
+    result = berry_esseen_suite(505, cube_ns=(), counter_ns=(16, 256), samples=10 ** 4)
+    values = [r.value for r in result.rows if r.estimator_id == "berry_esseen.counterexample"]
+    assert len(values) == 2
+    for value in values:
+        assert value == pytest.approx(kolmogorov_uniform_vs_normal_oracle(), abs=1e-6)
+    assert all(a.passed for a in result.assertions)
 
 
 def test_scaling_fit_exact_law():

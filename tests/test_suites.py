@@ -1,13 +1,15 @@
-"""The thinshell suite draws each (body, n) once and reduces it block by block."""
+"""The thinshell suite draws each (body, n) once and reduces it block by block;
+the berry_esseen suite runs each of its dimensions once."""
 
+import json
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from thinshell import clt
 from thinshell import sampler as smp
+from thinshell.cli import parse_config, run
 from thinshell.estimators import WeightVector, thin_shell_stats, weighted_square_variance
 from thinshell.suites import (
     BALL,
@@ -15,7 +17,6 @@ from thinshell.suites import (
     L1_BALL,
     BodyTemplate,
     _thinshell_task,
-    berry_esseen_suite,
     thinshell_suite,
 )
 
@@ -87,17 +88,13 @@ def test_slope_rows_name_the_exponent():
     assert slopes == ["lp_ball(p=1)", "lp_ball(p=3)"]
 
 
-def test_smoothing_noise_stream_is_no_block_of_the_marginal(monkeypatch):
-    # 10^5 rows of the cube marginal are drawn from streams 0..6, one per block
-    seen = []
-    compare = clt.smoothing_comparison
-
-    def recording(marginal, theta, kernel, rng):
-        seen.append(int(rng.bit_generator.state["state"]["key"][1]))
-        return compare(marginal, theta, kernel, rng)
-
-    monkeypatch.setattr(clt, "smoothing_comparison", recording)
-    berry_esseen_suite(SEED, cube_ns=(64,), counter_ns=(), samples=10 ** 5)
-    blocks = range(-(-10 ** 5 // smp.BLOCK))
-    assert len(seen) == 1 and list(blocks) == list(range(7))
-    assert seen[0] not in blocks
+@pytest.mark.parametrize("n_grid", ["64", "64 64"])
+def test_berry_esseen_dimensions_are_distinct(tmp_path, n_grid):
+    # the CLI passes counter_ns = (min, max) of n_grid, which is (64, 64) here
+    cfg = parse_config(f"[experiment]\nname = berry_esseen\nn_grid = {n_grid}\n"
+                       f"samples = 10000\noutput_dir = {tmp_path}\n")
+    assert run(cfg) == 0
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    names = [a["name"] for a in json.loads((tmp_path / "report.json").read_text())["assertions"]]
+    assert len(lines) == len(set(lines)) == 5  # header, then 2 rows per law
+    assert len(names) == len(set(names)) == 4
