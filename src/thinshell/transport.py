@@ -4,10 +4,10 @@ and the fiberwise monotone perturbation map.
 W2 between 1D discrete measures is evaluated exactly through merged quantile
 functions; small equal-weight clouds go through an exact assignment solve.
 The dual norm ||u||_{H^-1(mu)} is computed by solving the weighted
-Neumann-graph Poisson problem with conjugate gradients and taking sqrt of the
-induced inner product: on 1D grid measures with their own path-graph
-Laplacian, and for the Lemma 2.1 check on 2D rasters with the raster's
-Neumann operator from ``spectral.rasterize``.
+Neumann-graph Poisson problem with CG preconditioned by the grounded sparse LU
+and taking sqrt of the induced inner product: on 1D grid measures with their
+own path-graph Laplacian, and for the Lemma 2.1 check on 2D rasters with the
+raster's Neumann operator from ``spectral.rasterize``.
 """
 
 from __future__ import annotations
@@ -17,13 +17,16 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.linalg import splu
 from scipy.spatial.distance import cdist
 
 from ._lattice import graph_laplacian
 
 _MASS_TOL = 1e-12
 _CG_TOL = 1e-12            # relative residual of each H^-1 solve
+_CG_MAXITER = 10           # CG steps per solve; the grounded LU needs at most 2
 _MEANZERO_TOL = 1e-8       # |mean u| / mean |u| below which u counts as mean zero
 _DUALITY_TOL = 0.02        # relative slack of the Thm 258 comparison
 _ENDPOINT_TOL = 1e-9       # |Psi(p) - Psi(q)| relative to 1 + max |Psi|
@@ -34,6 +37,10 @@ PUSHFORWARD_POINTS = 1000  # panels of the pushforward-defect quadrature
 
 class MassMismatchError(ValueError):
     pass
+
+
+class ConvergenceError(RuntimeError):
+    """An H^-1 solve missed its residual tolerance within its step budget."""
 
 
 class EndpointConditionError(ValueError):
@@ -194,42 +201,74 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _cg(L, b: np.ndarray, tol: float, maxiter: int) -> tuple[np.ndarray, int]:
-    """Plain conjugate gradients; the Krylov space of a mean-zero b stays
-    orthogonal to the constant kernel, so the singular system is harmless."""
+def _cg(L, b: np.ndarray, precondition: Callable, project: Callable,
+        tol: float = _CG_TOL, maxiter: int = _CG_MAXITER) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients for L x = b with b orthogonal to the
+    kernel of L.  ``project`` removes the kernel part of the residual after
+    every update: rounding in L @ p leaves one that no step removes.  Raises
+    ConvergenceError when the relative residual misses ``tol`` within
+    ``maxiter`` steps."""
     x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = _dot(r, r)
     bn = math.sqrt(_dot(b, b))
     if bn == 0.0:
         return x, 0
+    r = b.copy()
+    p = precondition(r)
+    rz = _dot(r, p)
     for it in range(maxiter):
         lp = L @ p
-        alpha = rs / _dot(p, lp)
+        alpha = rz / _dot(p, lp)
         x += alpha * p
-        r -= alpha * lp
-        rs_new = _dot(r, r)
-        if math.sqrt(rs_new) <= tol * bn:
+        r = project(r - alpha * lp)
+        if math.sqrt(_dot(r, r)) <= tol * bn:
             return x, it + 1
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise RuntimeError(f"CG did not reach tol {tol} in {maxiter} iterations")
+        z = precondition(r)
+        rz_new = _dot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise ConvergenceError(f"CG did not reach tol {tol} in {maxiter} iterations")
 
 
 def _dual_norms(L, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sqrt(sum u w phi) with L phi = u w on the mean-zero subspace, for each
     row u of ``rows`` against the one Laplacian L of the weights w; +inf for a
-    row whose w-mean is not zero."""
-    mass = float(w.sum())
+    row whose w-mean is not zero on every connected component of L.
+
+    The kernel of L is the constants on each component.  Fixing phi at one
+    node per component ("grounding") leaves a nonsingular system; its sparse
+    LU preconditions CG, which then converges in one or two steps.
+    """
+    graph = L.tocsr(copy=True)
+    graph.eliminate_zeros()
+    n_comp, labels = sp.csgraph.connected_components(graph, directed=False)
+    sizes = np.bincount(labels, minlength=n_comp)
+    free = np.ones(w.size)
+    free[np.unique(labels, return_index=True)[1]] = 0.0
+    grounded = (sp.diags(free) @ L @ sp.diags(free) + sp.diags(1.0 - free)).tocsc()
+    # a symmetric ordering: on the h = 1/128 rasters it halves the fill of the
+    # default COLAMD, factors 1.4-1.6x and solves about 2x faster
+    lu = splu(grounded, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+
+    def component_sums(v):
+        return np.bincount(labels, weights=v, minlength=n_comp)
+
+    def project(v):
+        return v - (component_sums(v) / sizes)[labels]
+
+    def precondition(r):
+        return lu.solve(r * free)
+
+    mass = component_sums(w)
+    mass[mass == 0.0] = 1.0  # a massless component carries u w = 0
     norms = np.full(rows.shape[0], math.inf)
     for i, ui in enumerate(rows):
-        mean_u = _dot(ui, w) / mass
-        if abs(mean_u) > _MEANZERO_TOL * (_dot(np.abs(ui), w) / mass + 1e-300):
+        uw = ui * w
+        sums = component_sums(uw)
+        if np.any(np.abs(sums) > _MEANZERO_TOL * (component_sums(np.abs(uw)) + 1e-300)):
             continue
-        b = (ui - mean_u) * w
-        b -= b.mean()  # exact orthogonality to the constant kernel
-        phi, _ = _cg(L, b, _CG_TOL, maxiter=200 * w.size)
+        b = project(uw - (sums / mass)[labels] * w)  # exact orthogonality to the kernel
+        phi, _ = _cg(L, b, precondition, project)
         norms[i] = math.sqrt(max(_dot(b, phi), 0.0))
     return norms
 
@@ -240,10 +279,12 @@ def hminus1_norm(mu: DiscreteMeasure, u: np.ndarray) -> float | np.ndarray:
 
     Assembles the weighted path-graph Laplacian (edge weight = mean of the
     endpoint measure weights over h^2), solves L phi = u*w on the mean-zero
-    subspace by CG, and returns sqrt(sum u w phi).  Inputs whose mu-mean is
-    not zero have infinite norm and return +inf.  One function u of shape
-    (N,) gives a float; a stack of k functions of shape (k, N) gives k norms,
-    all solved against the one Laplacian of mu.
+    subspace by CG preconditioned by the grounded sparse LU, and returns
+    sqrt(sum u w phi).  Inputs whose mu-mean is not zero on each connected
+    piece of the graph have infinite norm and return +inf; where the density
+    vanishes on a stretch, the segment falls apart into such pieces.  One
+    function u of shape (N,) gives a float; a stack of k functions of shape
+    (k, N) gives k norms, all solved against the one Laplacian of mu.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1:] != mu.weights.shape:

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dctn
 
 import thinshell
 from thinshell import spectral, suites, transport
 from thinshell.bodies import BodySpec
 from thinshell.spectral import TooCoarseGridError
 from thinshell.transport import (
+    ConvergenceError,
     DiscreteMeasure,
     EndpointConditionError,
     MassMismatchError,
@@ -190,6 +192,61 @@ def test_hminus1_stack_matches_rows_bit_for_bit():
     assert norms.tolist() == [hminus1_norm(mu, u1), hminus1_norm(mu, u2), math.inf]
 
 
+def _x_squared_centered(mu):
+    u = mu.support[:, 0] ** 2
+    return u - float(u @ mu.weights) / mu.mass
+
+
+def test_hminus1_zero_density_part_matches_its_support():
+    # density max(x, 0) on [-1, 1]: the left half carries no mass and leaves
+    # the path graph in pieces; the norm is that of density x on [0, 1]
+    mu = DiscreteMeasure.grid_1d(-1.0, 1.0, 512, density=lambda x: np.maximum(x, 0.0))
+    half = DiscreteMeasure.grid_1d(0.0, 1.0, 256, density=lambda x: x)
+    full = hminus1_norm(mu, _x_squared_centered(mu))
+    assert full == pytest.approx(hminus1_norm(half, _x_squared_centered(half)), rel=1e-12)
+
+
+def test_hminus1_mean_zero_on_each_component_only():
+    mu = DiscreteMeasure.grid_1d(-1.0, 1.0, 512,
+                                 density=lambda x: (np.abs(x) > 0.5).astype(float))
+    x = mu.support[:, 0]
+    assert abs(float(x @ mu.weights)) < 1e-12  # mean zero overall ...
+    assert hminus1_norm(mu, x) == math.inf     # ... but not on each half
+    per_half = np.sign(x) * (np.abs(x) - 0.75)
+    assert math.isfinite(hminus1_norm(mu, per_half))
+
+
+def test_cg_step_cap_raises_a_named_error():
+    mu = DiscreteMeasure.grid_1d(-1.0, 1.0, 4096)
+    L = transport.graph_laplacian(4096, np.arange(4095), np.arange(1, 4096),
+                                  np.full(4095, 1.0 / mu.spacing))
+    b = 2.0 * mu.support[:, 0] * mu.weights
+    identity = lambda r: r
+    with pytest.raises(ConvergenceError):
+        transport._cg(L, b, identity, identity)
+    assert issubclass(ConvergenceError, RuntimeError)
+
+
+def test_dual_norms_match_a_dct_solve_on_the_square():
+    # the square raster's operator is a Kronecker sum of path Laplacians, which
+    # the orthonormal DCT-II diagonalizes: ||u||^2 = sum_k bhat_k^2 / lambda_k
+    h = 1 / 128
+    grid = spectral.rasterize(BodySpec.cube(2), h)
+    n = grid.mask.shape[0]
+    assert grid.mask.all() and grid.mask.shape == (n, n)
+    x, y = grid.centers()
+    vals = [x ** 2 + y ** 2, np.cos(math.pi * x) * np.cos(math.pi * y) + x * y]
+    rows = np.stack([g for v in vals for g in grid.gradient(v)])
+    w = np.full(x.size, h * h)
+    norms = transport._dual_norms(h * h * grid.operator, w, rows)
+    path = 4.0 * np.sin(math.pi * np.arange(n) / (2 * n)) ** 2
+    eig = path[:, None] + path[None, :]
+    eig[0, 0] = np.inf  # the constants: b has no part there
+    for u, norm in zip(rows, norms):
+        bhat = dctn((u * w).reshape(n, n), type=2, norm="ortho")
+        assert norm == pytest.approx(math.sqrt(np.sum(bhat ** 2 / eig)), rel=1e-12)
+
+
 # -- duality verification ----------------------------------------------------------------
 
 def test_thm258_linear_example():
@@ -247,6 +304,17 @@ def test_variance_bound_radial_square():
     assert rep.var == pytest.approx(32.0 / 45.0, rel=0.01)
     assert rep.bound == pytest.approx(64.0 / 15.0, rel=0.02)
     assert rep.passed
+
+
+def test_variance_bound_x_squared_square_refines_to_the_closed_forms():
+    # the errors of Var = 16/45 and of the bound 32/15 shrink about 4x per
+    # halving of h (order 2); assert at least 3x
+    reps = [verify_variance_bound(BodySpec.cube(2), [lambda x, y: x ** 2], h=1 / m)[0]
+            for m in (32, 64, 128)]
+    for field, exact in (("var", 16.0 / 45.0), ("bound", 32.0 / 15.0)):
+        errs = [abs(getattr(rep, field) - exact) for rep in reps]
+        assert errs[0] >= 3.0 * errs[1] and errs[1] >= 3.0 * errs[2], (field, errs)
+    assert all(rep.passed for rep in reps)
 
 
 def test_variance_bound_disc():
