@@ -340,20 +340,14 @@ def lemma700_report(theta, sigma: float) -> Lemma700Report:
 
 # -- Gaussian tail inequality checks --------------------------------------------
 
-class GaussTailRow(NamedTuple):
-    t: float
-    ratio: float
-
-
-def gauss_tail_bounds_check(t_grid):
-    """Ratios r(t) = Phi(t)(t+1)/phi(t) on [0, 10]; sandwiched in [0.99, 1.35]."""
+def gauss_tail_bounds_check(t_grid) -> tuple[np.ndarray, bool]:
+    """Ratios r(t) = Phi(t)(t+1)/phi(t) over ``t_grid`` in [0, 10], and whether
+    all of them lie in the sandwich [0.99, 1.35]."""
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0) or np.any(t > 10):
         raise ValueError("t_grid must lie in [0, 10]")
     r = normal_upper_tail(t) * (t + 1.0) / normal_density(t)
-    rows = [GaussTailRow(float(a), float(b)) for a, b in zip(t, r)]
-    passed = bool(np.all((r >= _SANDWICH[0]) & (r <= _SANDWICH[1])))
-    return rows, passed
+    return r, bool(np.all((r >= _SANDWICH[0]) & (r <= _SANDWICH[1])))
 
 
 class Lemma1034Report(NamedTuple):

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bodies import BodySpec, contains_rows
+from .bodies import BodySpec
 
 RNG_ID = "philox4x64-128(key=(seed,stream))"
 BLOCK = 1 << 14  # rows per substream block; part of the determinism contract
@@ -131,11 +131,6 @@ def estimate_second_moments(body: BodySpec, count: int = 10 ** 6, seed: int = 0)
         acc += np.einsum("ij,ij->j", block, block)
         total += block.shape[0]
     return acc / total
-
-
-def membership_violations(samples: SampleMatrix) -> int:
-    """Number of rows failing the (closed) membership test; 0 for exact samplers."""
-    return int(np.sum(~contains_rows(samples.body, samples.data)))
 
 
 # -- binary dump format -------------------------------------------------------

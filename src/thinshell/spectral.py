@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
-from ._lattice import graph_laplacian, grid_gradient, is_connected, lattice_edges, node_index
 from .bodies import BodySpec, contains_rows
 
 _REL_TOL = 1e-6         # relative width of an eigenvalue cluster and cut of the bias rank
@@ -32,34 +31,79 @@ class TooCoarseGridError(ValueError):
     pass
 
 
+def _neighbors(k: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Slices of each cell and of its successor along array axis k."""
+    head = (slice(None),) * k
+    return head + (slice(None, -1),), head + (slice(1, None),)
+
+
 @dataclass(frozen=True)
 class GridDomain:
+    """The raster of a body.  Array axis ``ndim - 1 - i`` of ``mask`` runs
+    along coordinate i, so a 2D mask is indexed (y, x), and the nodes are its
+    True cells in row-major order."""
+
     body: BodySpec
     h: float
-    mask: np.ndarray            # 2D bool, row-major (y, x)
-    origin: tuple[float, float]  # lower-left corner of cell (0, 0)
+    mask: np.ndarray
+    origin: tuple[float, ...]   # lower corner of cell (0, ..., 0), in coordinate order
     operator: sp.csr_matrix = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
         return int(self.mask.sum())
 
-    @property
-    def area(self) -> float:
-        return self.n_nodes * self.h * self.h
-
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y of the cell centers, in node order."""
-        iy, ix = np.nonzero(self.mask)
-        return self.origin[0] + (ix + 0.5) * self.h, self.origin[1] + (iy + 0.5) * self.h
-
-    def gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node values of (d/dx, d/dy) of the node function ``values``, by
-        ``grid_gradient``."""
-        full = np.zeros(self.mask.shape)
+    def image(self, values: np.ndarray) -> np.ndarray:
+        """The node vector ``values`` laid out on the mask's cells, 0 elsewhere."""
+        full = np.zeros(self.mask.shape, dtype=np.result_type(values))
         full[self.mask] = values
-        gx, gy = grid_gradient(self.mask, full, self.h)
-        return gx[self.mask], gy[self.mask]
+        return full
+
+    def centers(self) -> tuple[np.ndarray, ...]:
+        """Coordinates of the cell centers, in node order: (x, y) in 2D."""
+        cells = np.nonzero(self.mask)[::-1]
+        return tuple(o + (c + 0.5) * self.h for o, c in zip(self.origin, cells))
+
+    def flip(self, axis: int) -> np.ndarray:
+        """Node permutation of the reflection of coordinate ``axis``; the mask
+        must be symmetric under it."""
+        k = self.mask.ndim - 1 - axis
+        if not np.array_equal(self.mask, np.flip(self.mask, k)):
+            raise ValueError("mask is not symmetric under this flip")
+        return np.flip(self.image(np.arange(self.n_nodes)), k)[self.mask]
+
+    def gradient(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Node values of (d/dx, d/dy, ...) of the node function ``values``.
+
+        Central differences where both neighbors are nodes, one-sided next to
+        the staircase boundary, 0 along an axis where the cell has neither.
+        """
+        full = self.image(values)
+        grads = []
+        for k in reversed(range(full.ndim)):
+            lo, hi = _neighbors(k)
+            both = self.mask[lo] & self.mask[hi]
+            up, down = np.zeros_like(full), np.zeros_like(full)
+            has_up, has_down = np.zeros_like(self.mask), np.zeros_like(self.mask)
+            up[lo], has_up[lo] = full[hi], both
+            down[hi], has_down[hi] = full[lo], both
+            g = np.select([has_up & has_down, has_up, has_down],
+                          [(up - down) / (2.0 * self.h), (up - full) / self.h,
+                           (full - down) / self.h])
+            grads.append(g[self.mask])
+        return tuple(grads)
+
+
+def graph_laplacian(n_nodes: int, src: np.ndarray, dst: np.ndarray,
+                    edge_weights: np.ndarray) -> sp.csr_matrix:
+    """Weighted graph Laplacian: quadratic form sum_e w_e (phi_src - phi_dst)^2."""
+    deg = np.zeros(n_nodes)
+    np.add.at(deg, src, edge_weights)
+    np.add.at(deg, dst, edge_weights)
+    rows = np.concatenate([src, dst, np.arange(n_nodes)])
+    cols = np.concatenate([dst, src, np.arange(n_nodes)])
+    vals = np.concatenate([-edge_weights, -edge_weights, deg])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
 
 
 @dataclass(frozen=True)
@@ -80,17 +124,22 @@ def rasterize(body2d: BodySpec, h: float) -> GridDomain:
     m = [int(math.ceil(b / h)) for b in body2d.scale_array]
     if min(m) * 2 < 32:
         raise TooCoarseGridError(f"grid too coarse: {2 * min(m)} cells per axis, need >= 32")
-    cx = (np.arange(-m[0], m[0]) + 0.5) * h
-    cy = (np.arange(-m[1], m[1]) + 0.5) * h
-    X, Y = np.meshgrid(cx, cy)
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    mask = contains_rows(body2d, pts).reshape(X.shape)
-    src, dst = lattice_edges(mask)
-    n = int(mask.sum())
-    if not is_connected(n, src, dst):
+    axes = [(np.arange(-k, k) + 0.5) * h for k in m]         # cell centers along x, y
+    coords = np.meshgrid(*axes[::-1], indexing="ij")[::-1]  # x, y on the (y, x) array
+    inside = contains_rows(body2d, np.column_stack([c.ravel() for c in coords]))
+    mask = inside.reshape(coords[0].shape)
+    node = np.cumsum(mask).reshape(mask.shape) - 1  # the node number on True cells
+    src, dst = [], []
+    for k in reversed(range(mask.ndim)):  # the edges along x, then along y
+        lo, hi = _neighbors(k)
+        both = mask[lo] & mask[hi]
+        src.append(node[lo][both])
+        dst.append(node[hi][both])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    L = graph_laplacian(int(mask.sum()), src, dst, np.full(src.size, 1.0 / (h * h)))
+    if sp.csgraph.connected_components(L, directed=False, return_labels=False) != 1:
         raise ValueError("rasterized body is not connected at this h")
-    L = graph_laplacian(n, src, dst, np.full(src.size, 1.0 / (h * h)))
-    return GridDomain(body2d, h, mask, (float(-m[0] * h), float(-m[1] * h)), L)
+    return GridDomain(body2d, h, mask, tuple(float(-k * h) for k in m), L)
 
 
 def lowest_eigenpairs(grid: GridDomain, k: int) -> list[EigenPair]:
@@ -120,8 +169,9 @@ def lambda1_cluster(pairs: list[EigenPair]) -> list[EigenPair]:
     return [p for p in pairs[1:] if abs(p.value - lam1) <= _REL_TOL * max(lam1, 1.0)]
 
 
-def rayleigh_quotient(grid: GridDomain, v: np.ndarray) -> float:
-    return float(v @ (grid.operator @ v)) / float(v @ v)
+def lambda1(body2d: BodySpec, h: float) -> float:
+    """The first nonzero eigenvalue on the body's raster of spacing h."""
+    return lowest_eigenpairs(rasterize(body2d, h), k=2)[1].value
 
 
 class RichardsonResult(NamedTuple):
@@ -136,10 +186,7 @@ def richardson_lambda1(body2d: BodySpec, h_values) -> RichardsonResult:
     hs = sorted((float(h) for h in h_values), reverse=True)
     if len(hs) != 3 or not math.isclose(hs[0], 2 * hs[1]) or not math.isclose(hs[1], 2 * hs[2]):
         raise ValueError("need three h values in ratio 4:2:1")
-    lams = []
-    for h in hs:
-        pairs = lowest_eigenpairs(rasterize(body2d, h), k=2)
-        lams.append(pairs[1].value)
+    lams = [lambda1(body2d, h) for h in hs]
     d1, d2 = lams[0] - lams[1], lams[1] - lams[2]
     order = math.log2(abs(d1 / d2)) if d2 != 0 else float("inf")
     extrap = lams[2] + (lams[2] - lams[1]) / (2.0 ** order - 1.0) if math.isfinite(order) else lams[2]
@@ -149,10 +196,9 @@ def richardson_lambda1(body2d: BodySpec, h_values) -> RichardsonResult:
 # -- gradient bias -----------------------------------------------------------------
 
 def gradient_bias(grid: GridDomain, pair: EigenPair) -> np.ndarray:
-    """Cell-summed discrete gradient integral (int dphi/dx, int dphi/dy)."""
-    gx, gy = grid.gradient(pair.vector)
-    cell = grid.h * grid.h
-    return np.array([float(gx.sum() * cell), float(gy.sum() * cell)])
+    """Cell-summed discrete gradient integral (int dphi/dx, int dphi/dy, ...)."""
+    cell = grid.h ** grid.mask.ndim
+    return np.array([float(g.sum() * cell) for g in grid.gradient(pair.vector)])
 
 
 class BiasRankReport(NamedTuple):
@@ -170,16 +216,6 @@ def gradient_bias_rank(grid: GridDomain, eigenspace: list[EigenPair]) -> BiasRan
 
 
 # -- symmetry structure --------------------------------------------------------------
-
-def _flip_permutation(mask: np.ndarray, axis: int) -> np.ndarray:
-    """Node permutation of the coordinate flip; requires a flip-symmetric mask."""
-    flipped = np.flip(mask, axis=1 - axis)  # axis 0 = x-flip reverses columns
-    if not np.array_equal(mask, flipped):
-        raise ValueError("mask is not symmetric under this flip")
-    idx = node_index(mask)
-    idx_f = np.flip(idx, axis=1 - axis)
-    return idx_f[mask]
-
 
 class SymmetryReport(NamedTuple):
     axis: int                 # axis index with the antisymmetric member
@@ -199,7 +235,7 @@ def symmetry_detect(grid: GridDomain, eigenspace: list[EigenPair]) -> SymmetryRe
     V = np.column_stack([p.vector for p in eigenspace])
     Q, _ = np.linalg.qr(V)
     best = None
-    perms = {a: _flip_permutation(grid.mask, a) for a in (0, 1)}
+    perms = {a: grid.flip(a) for a in range(grid.mask.ndim)}
     for axis, perm in perms.items():
         S = Q.T @ Q[perm]
         evals, evecs = np.linalg.eigh(0.5 * (S + S.T))
@@ -209,8 +245,10 @@ def symmetry_detect(grid: GridDomain, eigenspace: list[EigenPair]) -> SymmetryRe
         if best is None or defect < best[1]:
             best = (axis, defect, member)
     axis, defect, member = best
-    # central point reflection = composition of the two flips
-    perm_c = perms[0][perms[1]]
+    # central point reflection = composition of the coordinate flips
+    perm_c = np.arange(grid.n_nodes)
+    for perm in perms.values():
+        perm_c = perm_c[perm]
     S = Q.T @ Q[perm_c]
     evals, evecs = np.linalg.eigh(0.5 * (S + S.T))
     member_c = Q @ evecs[:, 0]
@@ -240,18 +278,18 @@ def cube_comparison(bodies: list[BodySpec]) -> CubeComparisonReport:
     interval value pi^2/(4 R^2), which the note sets beside it because published
     statements of this comparison sometimes carry the constant pi^2/R^2.
     """
-    lam_cube = lowest_eigenpairs(rasterize(BodySpec.cube(2), _COMPARISON_H), k=2)[1].value
+    lam_cube = lambda1(BodySpec.cube(2), _COMPARISON_H)
     rows = []
     for body in bodies:
         if np.any(body.scale_array > 1 + 1e-12):
             raise ValueError(f"{body.label()} is not contained in [-R, R]^2")
-        lam = lowest_eigenpairs(rasterize(body, _COMPARISON_H), k=2)[1].value
-        rows.append(CubeComparisonRow(body.label(), float(lam),
+        lam = lambda1(body, _COMPARISON_H)
+        rows.append(CubeComparisonRow(body.label(), lam,
                                       bool(lam >= lam_cube - _COMPARISON_TOL * lam_cube)))
     interval = math.pi ** 2 / 4.0
     note = (f"observed cube lambda1 {lam_cube:.6f} matches pi^2/(4R^2) = {interval:.6f}; "
             f"the constant pi^2/R^2 = {4 * interval:.6f} is 4x larger than observed")
-    return CubeComparisonReport(float(lam_cube), tuple(rows), note)
+    return CubeComparisonReport(lam_cube, tuple(rows), note)
 
 
 class MonotonicityWitness(NamedTuple):
@@ -268,7 +306,5 @@ def domain_monotonicity_witness() -> MonotonicityWitness:
     """
     disc = BodySpec.euclidean_ball(2)
     rect = BodySpec("cube", 2, (0.9, 0.2))
-    lam_disc = lowest_eigenpairs(rasterize(disc, _WITNESS_H), k=2)[1].value
-    lam_rect = lowest_eigenpairs(rasterize(rect, _WITNESS_H / 2), k=2)[1].value
-    return MonotonicityWitness(float(lam_disc), float(lam_rect),
+    return MonotonicityWitness(lambda1(disc, _WITNESS_H), lambda1(rect, _WITNESS_H / 2),
                                "rectangle [-0.9,0.9]x[-0.2,0.2]")

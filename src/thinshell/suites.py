@@ -266,12 +266,11 @@ def clt_suite(seed: int, scaling_ns: tuple[int, ...] = (256, 512, 1024, 2048)) -
             f"from its 1/n asymptote; start the n range where that variance is small.")
 
     # Gaussian tail sandwich and the shifted-tail constants
-    rows, passed = clt.gauss_tail_bounds_check(np.linspace(0.0, 10.0, 201))
-    ratios = [r.ratio for r in rows]
+    ratios, passed = clt.gauss_tail_bounds_check(np.linspace(0.0, 10.0, 201))
     out.rows.append(CsvRow("gauss_tail.ratio_range", "normal", 0, 0, 0,
-                           float(min(ratios)), 0.0, float(max(ratios))))
+                           float(ratios.min()), 0.0, float(ratios.max())))
     out.assertions.append(Assertion("gauss_tail.sandwich", "eq_640",
-                                    float(max(ratios)),
+                                    float(ratios.max()),
                                     "Phi(t)(t+1)/phi(t) in [0.99, 1.35] on [0, 10]",
                                     passed))
     rep = clt.lemma1034_check(np.linspace(0.0, 6.0, 121))
@@ -482,9 +481,8 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
                                         sym.passed))
         if plot_dir is not None:
             from .svgplot import heatmap
-            full = np.zeros(grid.mask.shape)
-            full[grid.mask] = pairs[1].vector
-            heatmap(f"{plot_dir}/eigenfunction_{label}.svg", grid.mask, full,
+            heatmap(f"{plot_dir}/eigenfunction_{label}.svg", grid.mask,
+                    grid.image(pairs[1].vector),
                     f"first nontrivial Neumann eigenfunction, {label}")
 
     comp = spec.cube_comparison([disc, bd.BodySpec.lp_ball(2, p=1.0)])

@@ -73,7 +73,8 @@ def line_plot(path, series: dict, xlabel: str, ylabel: str, title: str) -> None:
 
 
 def heatmap(path, mask: np.ndarray, values: np.ndarray, title: str) -> None:
-    """Cellwise diverging heatmap of a function on a masked raster."""
+    """Cellwise diverging heatmap of the image ``values`` on the cells of ``mask``
+    (indexed (y, x), as ``spectral.GridDomain.image`` lays it out)."""
     ny, nx = mask.shape
     cell = max(2, int(480 / max(nx, ny)))
     w, h = nx * cell, ny * cell + 30
@@ -82,13 +83,11 @@ def heatmap(path, mask: np.ndarray, values: np.ndarray, title: str) -> None:
              f'viewBox="0 0 {w} {h}" font-family="monospace" font-size="12">',
              f'<rect width="{w}" height="{h}" fill="white"/>',
              f'<text x="{w/2}" y="16" text-anchor="middle">{title}</text>']
-    full = np.zeros(mask.shape)
-    full[mask] = values[mask]
     for iy in range(ny):
         for ix in range(nx):
             if not mask[iy, ix]:
                 continue
-            v = full[iy, ix] / vmax
+            v = values[iy, ix] / vmax
             if v >= 0:
                 r, g, b = 255, int(255 * (1 - v)), int(255 * (1 - v))
             else:

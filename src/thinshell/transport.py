@@ -6,8 +6,9 @@ functions; small equal-weight clouds go through an exact assignment solve.
 The dual norm ||u||_{H^-1(mu)} is computed by solving the weighted
 Neumann-graph Poisson problem with CG preconditioned by the grounded sparse LU
 and taking sqrt of the induced inner product: on 1D grid measures with their
-own path-graph Laplacian, and for the Lemma 2.1 check on 2D rasters with the
-raster's Neumann operator from ``spectral.rasterize``.
+own path-graph Laplacian (``spectral.graph_laplacian``), and for the Lemma
+2.1 check on the 2D raster that ``spectral.rasterize`` builds, with that
+raster's Neumann operator.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import splu
 from scipy.spatial.distance import cdist
 
-from ._lattice import graph_laplacian
+from . import spectral
+from .spectral import graph_laplacian
 
 _MASS_TOL = 1e-12
 _CG_TOL = 1e-12            # relative residual of each H^-1 solve
@@ -356,17 +358,16 @@ def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[Variance
     cell), whose Laplacian is h^2 times the raster's Neumann operator and
     serves all 2 len(fs) dual-norm solves.  Tolerance is O(h).
     """
-    from .spectral import rasterize
-
-    grid = rasterize(body2d, h)
-    x, y = grid.centers()
-    w = np.full(x.size, h * h)
-    vals = [np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape) for f in fs]
+    grid = spectral.rasterize(body2d, h)
+    centers = grid.centers()
+    cell = h ** grid.mask.ndim
+    w = np.full(grid.n_nodes, cell)
+    vals = [np.broadcast_to(np.asarray(f(*centers), dtype=float), w.shape) for f in fs]
     grads = [g for v in vals for g in grid.gradient(v)]
-    norms = _dual_norms(h * h * grid.operator, w, np.stack(grads))
+    norms = _dual_norms(cell * grid.operator, w, np.stack(grads))
     mass = float(w.sum())
     reports = []
-    for vals_f, axes in zip(vals, norms.reshape(-1, 2)):
+    for vals_f, axes in zip(vals, norms.reshape(len(fs), -1)):
         mean = _dot(vals_f, w) / mass
         var = _dot((vals_f - mean) ** 2, w)
         per_axis = tuple(float(nrm * nrm) for nrm in axes)

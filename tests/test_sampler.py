@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta, chisquare, kstest
 
-from thinshell.bodies import BodySpec, analytic_second_moments, isotropic_body
+from thinshell.bodies import BodySpec, analytic_second_moments, contains_rows, isotropic_body
 from thinshell.sampler import (
     BLOCK,
     SampleMatrix,
@@ -14,7 +14,6 @@ from thinshell.sampler import (
     estimate_second_moments,
     exact_blocks,
     load_samples,
-    membership_violations,
     sample_exact,
     substream,
 )
@@ -94,7 +93,7 @@ def test_exact_membership_always():
     for body in [isotropic_body("cube", 5), isotropic_body("euclidean_ball", 3),
                  isotropic_body("lp_ball", 4, p=1.0), BodySpec.lp_ball(2, p=3.0)]:
         s = sample_exact(body, 20000, seed=SEED)
-        assert membership_violations(s) == 0
+        assert contains_rows(s.body, s.data).all()
 
 
 def test_sign_pattern_chi_square():

@@ -15,7 +15,6 @@ from thinshell.spectral import (
     lambda1_cluster,
     lowest_eigenpairs,
     rasterize,
-    rayleigh_quotient,
     richardson_lambda1,
     symmetry_detect,
 )
@@ -50,7 +49,7 @@ def test_rasterize_square_full_mask(square_grid):
 
 
 def test_rasterize_disc_area(disc_grid):
-    assert disc_grid.area == pytest.approx(math.pi, rel=0.02)
+    assert disc_grid.n_nodes * disc_grid.h ** 2 == pytest.approx(math.pi, rel=0.02)
 
 
 def test_rasterize_flip_symmetry():
@@ -58,6 +57,21 @@ def test_rasterize_flip_symmetry():
         mask = rasterize(body, 1 / 32).mask
         assert np.array_equal(mask, mask[:, ::-1])
         assert np.array_equal(mask, mask[::-1, :])
+
+
+def test_raster_layout_on_a_rectangle():
+    # the two axes differ, so a swapped axis shows; at h = 1/64 the short side
+    # would be too coarse, and a power of two keeps the centers exactly mirrored
+    grid = rasterize(BodySpec("cube", 2, (0.9, 0.2)), h=1 / 128)
+    assert grid.mask.shape == (52, 232)  # (y, x)
+    x, y = grid.centers()
+    assert np.array_equal(x[grid.flip(0)], -x) and np.array_equal(y[grid.flip(0)], y)
+    assert np.array_equal(x[grid.flip(1)], x) and np.array_equal(y[grid.flip(1)], -y)
+    v = np.arange(grid.n_nodes, dtype=float)
+    assert np.array_equal(grid.image(v)[grid.mask], v)
+    for f, expected in [(x, (1.0, 0.0)), (y, (0.0, 1.0))]:
+        for g, e in zip(grid.gradient(f), expected):
+            assert np.max(np.abs(g - e)) <= 1e-12
 
 
 def test_rasterize_too_coarse():
@@ -162,8 +176,8 @@ def test_symmetry_detect_disc(disc_grid, disc_pairs):
 
 def test_odd_member_rayleigh_is_eigenvalue(square_grid, square_pairs):
     # eigen-identity: any lambda_1-eigenspace member has Rayleigh quotient lambda_1
-    rep = symmetry_detect(square_grid, lambda1_cluster(square_pairs))
-    assert rayleigh_quotient(square_grid, rep.member) == pytest.approx(
+    v = symmetry_detect(square_grid, lambda1_cluster(square_pairs)).member
+    assert v @ (square_grid.operator @ v) / (v @ v) == pytest.approx(
         square_pairs[1].value, rel=1e-9)
 
 
