@@ -174,3 +174,13 @@ kind = cube
     identical = blobs[0] == blobs[1]
     _report("12 byte-identical report.csv on rerun", identical, f"{len(blobs[0])} bytes")
     assert identical
+
+
+def test_c12_lattice_suites_rerun_byte_identical(spectral_result, transport_result):
+    for first, rerun in [(spectral_result, spectral_suite(SEED)),
+                         (transport_result, transport_suite(SEED))]:
+        blobs = [render_csv(r.rows).encode() for r in (first, rerun)]
+        identical = blobs[0] == blobs[1]
+        _report(f"12 byte-identical {first.name} report.csv on rerun", identical,
+                f"{len(blobs[0])} bytes")
+        assert identical

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import jnp_zeros
 
+from thinshell import spectral, suites
 from thinshell.bodies import BodySpec
 from thinshell.spectral import (
     EigenPair,
@@ -106,6 +107,48 @@ def test_rectangle_simple_lowest_mode():
     pairs = lowest_eigenpairs(grid, k=3)
     assert pairs[1].value == pytest.approx(math.pi ** 2 / 16.0, rel=2e-3)
     assert len(lambda1_cluster(pairs)) == 1
+
+
+@pytest.mark.parametrize("half_widths, h", [((1.0, 1.0), 1 / 64), ((2.0, 1.0), 1 / 32)])
+def test_box_eigenvalues_match_the_exact_raster_spectrum(half_widths, h):
+    # the 5-point Neumann operator on an m_x x m_y box raster separates:
+    # (4/h^2) (sin^2(pi i / 2 m_x) + sin^2(pi j / 2 m_y))
+    grid = rasterize(BodySpec("cube", 2, half_widths), h)
+    m_y, m_x = grid.mask.shape
+    axis = [np.sin(math.pi * np.arange(m) / (2 * m)) ** 2 for m in (m_x, m_y)]
+    exact = np.sort((4 / h ** 2 * np.add.outer(*axis)).ravel())[:5]
+    got = np.array([p.value for p in lowest_eigenpairs(grid, k=4)])
+    np.testing.assert_allclose(got, exact, rtol=1e-10, atol=1e-10 * exact[1])
+
+
+@pytest.mark.parametrize("body", [BodySpec.euclidean_ball(2), BodySpec.lp_ball(2, p=1.0)])
+def test_staircase_eigenvalues_match_a_dense_solve(body):
+    grid = rasterize(body, 1 / 16)  # 812 and 544 nodes
+    exact = np.linalg.eigvalsh(grid.operator.toarray())[:5]
+    got = np.array([p.value for p in lowest_eigenpairs(grid, k=4)])
+    np.testing.assert_allclose(got, exact, rtol=1e-10, atol=1e-10 * exact[1])
+
+
+def test_each_lattice_solve_factors_once_through_the_helper(monkeypatch):
+    factored, opinv = [], []
+
+    def counted_factorize(A):
+        factored.append(A.shape[0])
+        return factorize(A)
+
+    def recorded_eigsh(*args, **kwargs):
+        opinv.append(kwargs.get("OPinv") is not None)
+        return eigsh(*args, **kwargs)
+
+    factorize, eigsh = spectral.factorize, spectral.spl.eigsh
+    monkeypatch.setattr(spectral, "factorize", counted_factorize)
+    monkeypatch.setattr(spectral.spl, "eigsh", recorded_eigsh)
+    suites.spectral_suite(20250810)
+    assert len(factored) == len(opinv) == 13  # one per eigen solve
+    assert all(opinv)  # so eigsh factors nothing of its own
+    factored.clear()
+    suites.transport_suite(20250810)
+    assert len(factored) == 3  # one per Laplacian: the segment, the square, the disc
 
 
 def test_residuals_and_orthogonality(disc_grid, disc_pairs):
