@@ -240,43 +240,41 @@ def gradient_bias_rank(grid: GridDomain, eigenspace: list[EigenPair]) -> BiasRan
 # -- symmetry structure --------------------------------------------------------------
 
 class SymmetryReport(NamedTuple):
-    axis: int                 # axis index with the antisymmetric member
-    defect: float             # ||sigma_i phi + phi|| / ||phi||
-    member: np.ndarray
-    central_defect: float     # odd-under-point-reflection member, when central
+    defects: tuple[float, ...]  # per coordinate axis i: ||sigma_i phi + phi|| / ||phi||
+    defect: float               # the smallest of them
+    member: np.ndarray          # a member with the smallest defect
+    central_defect: float       # odd-under-point-reflection member, when central
     passed: bool
 
 
 def symmetry_detect(grid: GridDomain, eigenspace: list[EigenPair]) -> SymmetryReport:
-    """Find an eigenspace member odd under some coordinate flip.
+    """Find eigenspace members odd under each coordinate flip.
 
     The eigenvectors are post-rotated to diagonalize the flip operators inside
-    the (possibly degenerate) eigenspace; never passes silently, the defect is
-    always measured and reported.
+    the (possibly degenerate) eigenspace; never passes silently, the defect of
+    every flip is always measured and reported.  The defects do not depend on
+    the basis of the eigenspace; which flip attains the smallest can, when
+    they tie at rounding level.
     """
     V = np.column_stack([p.vector for p in eigenspace])
     Q, _ = np.linalg.qr(V)
-    best = None
-    perms = {a: grid.flip(a) for a in range(grid.mask.ndim)}
-    for axis, perm in perms.items():
+    perms = [grid.flip(a) for a in range(grid.mask.ndim)]
+
+    def odd_member(perm):
         S = Q.T @ Q[perm]
-        evals, evecs = np.linalg.eigh(0.5 * (S + S.T))
-        w = evecs[:, 0]  # most negative eigenvalue ~ -1 when a flip-odd member exists
-        member = Q @ w
-        defect = float(np.linalg.norm(member[perm] + member) / np.linalg.norm(member))
-        if best is None or defect < best[1]:
-            best = (axis, defect, member)
-    axis, defect, member = best
+        _, evecs = np.linalg.eigh(0.5 * (S + S.T))
+        member = Q @ evecs[:, 0]  # most negative eigenvalue ~ -1 when a flip-odd member exists
+        return float(np.linalg.norm(member[perm] + member) / np.linalg.norm(member)), member
+
+    found = [odd_member(perm) for perm in perms]
+    defect, member = min(found, key=lambda f: f[0])
     # central point reflection = composition of the coordinate flips
     perm_c = np.arange(grid.n_nodes)
-    for perm in perms.values():
+    for perm in perms:
         perm_c = perm_c[perm]
-    S = Q.T @ Q[perm_c]
-    evals, evecs = np.linalg.eigh(0.5 * (S + S.T))
-    member_c = Q @ evecs[:, 0]
-    central_defect = float(np.linalg.norm(member_c[perm_c] + member_c)
-                           / np.linalg.norm(member_c))
-    return SymmetryReport(axis, defect, member, central_defect, bool(defect <= SYMMETRY_TOL))
+    central_defect, _ = odd_member(perm_c)
+    return SymmetryReport(tuple(d for d, _ in found), defect, member, central_defect,
+                          bool(defect <= SYMMETRY_TOL))
 
 
 # -- bounding-cube comparison -----------------------------------------------------------

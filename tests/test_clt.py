@@ -22,8 +22,10 @@ from thinshell.clt import (
     normal_density,
     normal_upper_tail,
     tail_grid,
+    _all_sign_sums,
     _char_product,
     _gl_panels,
+    _leggauss,
     sinc8_tail_integral,
 )
 from thinshell.estimators import WeightVector
@@ -125,6 +127,51 @@ def test_cdf_basic_properties():
     assert np.all(np.diff(c) >= -4e-15)
     assert 0.0 < c[0] < 1e-10 and 1.0 - 1e-10 < c[-1] <= 1.0
     assert np.allclose(c + KERNEL.cdf(-xs), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_cdf_does_not_depend_on_the_batch():
+    # each row of the near rule is reduced on its own: a point's CDF has the
+    # same bits alone, in a short batch and in a long one
+    xs = np.random.default_rng(5).uniform(-4.5, 4.5, size=600)
+    batch = KERNEL.cdf(xs)
+    assert np.array_equal(np.concatenate([KERNEL.cdf(xs[i:i + 7]) for i in range(0, 600, 7)]),
+                          batch)
+    assert all(KERNEL.cdf(float(x)) == b for x, b in zip(xs[::37], batch[::37]))
+
+
+def test_density_against_the_sinc_power():
+    # the series branch (|y| < 1e-4) against 40-digit arithmetic; the sin(y)/y
+    # branch against the same float sin(y)/y raised by pow, which checks the
+    # three squarings; and the value at 0
+    c = KERNEL.kappa1 * KERNEL.kappa2 ** 8
+    mpmath.mp.dps = 40
+    below = np.array([5e-324, 1e-12, 3e-5, 9.9e-5, np.nextafter(1e-4, 0.0)])
+    above = np.array([1e-4, np.nextafter(1e-4, 1.0), 1.01e-4, 2e-4, 1e-3])
+    for ys, ref in [(below, [c * float((mpmath.sin(y) / y) ** 8) for y in map(mpmath.mpf, below)]),
+                    (above, c * np.power(np.sin(above) / above, 8))]:
+        for sign in (1.0, -1.0):
+            got = KERNEL.density(sign * ys / KERNEL.kappa2)
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+    assert KERNEL.density(0.0) == c
+
+
+def test_density_return_shapes():
+    for x in (0.0, 3.0, np.array(3.0), np.float64(3.0)):
+        d = KERNEL.density(x)
+        assert np.shape(d) == () and isinstance(d, float)
+    assert KERNEL.density(np.zeros((2, 3))).shape == (2, 3)
+    assert KERNEL.density(np.zeros(0)).shape == (0,)
+    assert KERNEL.density([0.0, 8.0]).shape == (2,)
+
+
+def test_gauss_legendre_tables_are_shared_and_read_only():
+    nodes, weights = _leggauss(16)
+    assert _leggauss(16)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
 
 
 def test_sinc8_tail_integral_is_elementwise():
@@ -262,7 +309,7 @@ def test_blocked_tables_are_bit_identical(monkeypatch):
     sigma = 2 / math.sqrt(n)
     cut = 1 / sigma
     omega = 8.0 + float(np.sum(theta)) + 1.0
-    xi, _ = _gl_panels(0.0, cut, math.ceil(cut * omega / 5.0))
+    xi = _gl_panels(0.0, cut, math.ceil(cut * omega / 5.0)).points.ravel()
     assert xi.size > clt._ROWS
     whole = np.prod(np.cos(np.multiply.outer(xi, theta)), axis=1)
     assert np.array_equal(_char_product(np.cos, theta, xi), whole)
@@ -270,6 +317,74 @@ def test_blocked_tables_are_bit_identical(monkeypatch):
     blocked = bernoulli_gamma_tail_fourier(theta, sigma, ts)
     monkeypatch.setattr(clt, "_ROWS", 1 << 20)  # one block: the unblocked tables
     assert np.array_equal(bernoulli_gamma_tail_fourier(theta, sigma, ts), blocked)
+
+
+def _direct_sine_transform(ts, panels, integrand):
+    # the unfactored sum_j sin(t xi_j) w_j over the flattened node table
+    xi = panels.points.ravel()
+    weights = integrand(xi) * np.repeat(panels.half * panels.weights, panels.mid.size)
+    return np.sin(np.multiply.outer(ts, xi)) @ weights
+
+
+def test_factored_sine_transform_matches_the_direct_sum():
+    rng = np.random.default_rng(21)
+    panels = _gl_panels(0.0, 7.5, 40)
+    ts = np.concatenate([[0.0, -1e-3, 2.5], rng.uniform(-60.0, 60.0, size=700)])
+    for integrand in (np.cos, lambda xi: np.exp(-xi) / (1.0 + xi)):
+        scale = np.abs(integrand(panels.points)).sum() * panels.half
+        assert np.allclose(clt._sine_transform(ts, panels, integrand),
+                           _direct_sine_transform(ts, panels, integrand),
+                           rtol=0.0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("n", [5, 12, 40])
+def test_factored_inversion_matches_the_direct_sum(monkeypatch, n):
+    # tail probabilities through the factored transform and through the direct
+    # sum agree to 1e-14: at a scalar t, at random unsorted t, on the tail grid
+    # united with the sign sums (n <= 12) and out to |t| = 8|theta| + sum|theta|
+    rng = np.random.default_rng(n)
+    theta = rng.uniform(-1.0, 1.0, size=n)
+    theta[: n // 2] = theta[0]  # repeated values as well as distinct ones
+    nrm = float(np.linalg.norm(theta))
+    reach = 8.0 * nrm + float(np.sum(np.abs(theta)))
+    ts = np.concatenate([rng.uniform(-reach, reach, size=300), [reach, -reach]])
+    if n <= 12:
+        ts = np.concatenate([ts, np.union1d(tail_grid(nrm)[::8], _all_sign_sums(theta))])
+    sigma = 2.0 / math.sqrt(n)
+    factored = bernoulli_gamma_tail_fourier(theta, sigma, ts)
+    scalar = bernoulli_gamma_tail_fourier(theta, sigma, 0.3)
+    cube = cube_marginal_tail(theta, ts[:50]) if n >= 12 else None
+    monkeypatch.setattr(clt, "_sine_transform", _direct_sine_transform)
+    assert np.max(np.abs(factored - bernoulli_gamma_tail_fourier(theta, sigma, ts))) <= 1e-14
+    assert abs(scalar - bernoulli_gamma_tail_fourier(theta, sigma, 0.3)) <= 1e-14
+    if cube is not None:
+        assert np.max(np.abs(cube - cube_marginal_tail(theta, ts[:50]))) <= 1e-14
+
+
+def test_grouped_char_product_with_repeated_theta():
+    rng = np.random.default_rng(8)
+    theta = rng.permutation(np.repeat([0.3, -0.7, 0.05, 1.2], [20, 7, 36, 1]))
+    xi = np.linspace(-9.0, 9.0, 1001)
+    for factor in (np.cos, np.sinc):
+        plain = np.prod(factor(np.multiply.outer(xi, theta)), axis=1)
+        grouped = _char_product(factor, theta, xi)
+        assert np.allclose(grouped, plain, rtol=1e-13, atol=0.0)
+
+
+def test_grouped_char_product_with_distinct_theta_is_the_plain_product():
+    theta = np.random.default_rng(9).uniform(-1.0, 1.0, size=300)
+    xi = np.linspace(-5.0, 5.0, 700)
+    for factor in (np.cos, np.sinc):
+        plain = np.prod(factor(np.multiply.outer(xi, theta)), axis=1)
+        assert np.array_equal(_char_product(factor, theta, xi), plain)
+
+
+def test_tail_grid_is_mirrored():
+    ts = tail_grid(1.3)
+    assert ts.size == clt._TAIL_POINTS
+    assert np.array_equal(ts, -ts[::-1])
+    assert np.array_equal(ts[ts.size // 2:], np.linspace(-10.4, 10.4, ts.size)[ts.size // 2:])
+    assert np.all(np.diff(ts) > 0)
 
 
 def test_bruteforce_size_guard():
@@ -287,6 +402,7 @@ def test_lemma700_hypothesis_violation():
 def test_lemma700_sup_error_bounded():
     theta = np.full(16, 0.25)
     rep = lemma700_report(theta, sigma=0.5)
+    assert rep.argmax_t >= 0.0
     assert rep.bound_rhs == pytest.approx(0.25 / 1.0 + 16 * 0.25 ** 4, abs=1e-12)
     assert rep.sup_error <= 10.0 * rep.bound_rhs
     assert rep.sup_error > 0.0

@@ -207,6 +207,9 @@ def test_symmetry_detect_square(square_grid, square_pairs):
     rep = symmetry_detect(square_grid, lambda1_cluster(square_pairs))
     assert rep.passed
     assert rep.defect <= 1e-8
+    # the eigenspace spans cos-modes along x and along y: both flips have an odd member
+    assert len(rep.defects) == 2 and rep.defect == min(rep.defects)
+    assert max(rep.defects) <= 1e-8
     assert rep.central_defect <= 1e-6
 
 
@@ -214,6 +217,8 @@ def test_symmetry_detect_disc(disc_grid, disc_pairs):
     rep = symmetry_detect(disc_grid, lambda1_cluster(disc_pairs))
     assert rep.passed
     assert rep.defect <= 1e-6
+    assert len(rep.defects) == 2 and rep.defect == min(rep.defects)
+    assert max(rep.defects) <= 1e-6
     assert rep.central_defect <= 1e-6
 
 
