@@ -443,19 +443,18 @@ def lemma1034_check(t0_grid) -> Lemma1034Report:
 # -- closed-form oscillatory tails (G's CDF; a cross-check of kernel moments) ----
 
 def _tail_cos_over_xk(a: float, k: int, big_t):
-    """int_T^inf cos(a x)/x^k dx by reduction to the sine/cosine integrals,
-    elementwise over an array T."""
-    if k == 1:
-        return -sici(a * big_t)[1]
-    return (np.cos(a * big_t) * big_t ** (1 - k)) / (k - 1) \
-        - a / (k - 1) * _tail_sin_over_xk(a, k - 1, big_t)
-
-
-def _tail_sin_over_xk(a: float, k: int, big_t):
-    if k == 1:
-        return math.pi / 2.0 - sici(a * big_t)[0]
-    return (np.sin(a * big_t) * big_t ** (1 - k)) / (k - 1) \
-        + a / (k - 1) * _tail_cos_over_xk(a, k - 1, big_t)
+    """int_T^inf cos(a x)/x^k dx, elementwise over an array T: upward from the
+    sine/cosine integrals at k = 1 by parts, C_j = (cos(aT) T^(1-j) -
+    a S_(j-1))/(j-1) and S_j = (sin(aT) T^(1-j) + a C_(j-1))/(j-1)."""
+    si, ci = sici(a * big_t)
+    cos_tail, sin_tail = -ci, math.pi / 2.0 - si
+    cos_at, sin_at = np.cos(a * big_t), np.sin(a * big_t)
+    power = 1.0  # T^(1-j)
+    for j in range(2, k + 1):
+        power = power / big_t
+        cos_tail, sin_tail = (cos_at * power / (j - 1) - a / (j - 1) * sin_tail,
+                              sin_at * power / (j - 1) + a / (j - 1) * cos_tail)
+    return cos_tail
 
 
 def sinc8_tail_integral(k: int, big_t):

@@ -143,8 +143,9 @@ def dump_samples(samples: SampleMatrix, path) -> None:
         fh.write(np.ascontiguousarray(samples.data, dtype="<f8").tobytes())
 
 
-def load_samples(path, body: BodySpec | None = None) -> SampleMatrix:
-    """Read a THSL dump; a short header or payload raises TruncatedSampleFileError."""
+def load_samples(path, body: BodySpec) -> SampleMatrix:
+    """Read a THSL dump of draws from ``body``; a short header or payload raises
+    TruncatedSampleFileError, and a body of another dimension ValueError."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -162,6 +163,4 @@ def load_samples(path, body: BodySpec | None = None) -> SampleMatrix:
                 f"THSL payload of {count} x {n} rows needs {expected} bytes, "
                 f"file has {len(payload)}")
         data = np.frombuffer(payload, dtype="<f8").reshape(count, n).copy()
-    if body is None:
-        body = BodySpec.cube(n, half_width=float(np.max(np.abs(data)) or 1.0))
     return SampleMatrix(data, body, seed)

@@ -27,8 +27,6 @@ from .bodies import BodySpec, contains_rows
 _REL_TOL = 1e-6         # relative width of an eigenvalue cluster and cut of the bias rank
 SYMMETRY_TOL = 1e-6     # largest flip defect ||sigma_i phi + phi|| / ||phi|| that passes
 _COMPARISON_TOL = 0.02  # relative slack of the bounding-cube comparison
-_COMPARISON_H = 1 / 32  # raster spacing of the bounding-cube comparison
-_WITNESS_H = 1 / 48     # raster spacing of the disc in the monotonicity witness
 
 
 class TooCoarseGridError(ValueError):
@@ -191,11 +189,6 @@ def lambda1_cluster(pairs: list[EigenPair]) -> list[EigenPair]:
     return [p for p in pairs[1:] if abs(p.value - lam1) <= _REL_TOL * max(lam1, 1.0)]
 
 
-def lambda1(body2d: BodySpec, h: float) -> float:
-    """The first nonzero eigenvalue on the body's raster of spacing h."""
-    return lowest_eigenpairs(rasterize(body2d, h), k=2)[1].value
-
-
 class RichardsonResult(NamedTuple):
     h_values: tuple[float, ...]
     lambda1_values: tuple[float, ...]
@@ -203,16 +196,18 @@ class RichardsonResult(NamedTuple):
     extrapolated: float
 
 
-def richardson_lambda1(body2d: BodySpec, h_values) -> RichardsonResult:
-    """lambda_1 on three grids with the order estimated from the differences."""
-    hs = sorted((float(h) for h in h_values), reverse=True)
+def richardson_lambda1(h_values, lambda1_values) -> RichardsonResult:
+    """The order of lambda_1 estimated from its values on three grids, and
+    the extrapolation to h = 0."""
+    pairs = sorted(((float(h), float(lam)) for h, lam in
+                    zip(h_values, lambda1_values, strict=True)), reverse=True)
+    hs, lams = tuple(h for h, _ in pairs), tuple(lam for _, lam in pairs)
     if len(hs) != 3 or not math.isclose(hs[0], 2 * hs[1]) or not math.isclose(hs[1], 2 * hs[2]):
         raise ValueError("need three h values in ratio 4:2:1")
-    lams = [lambda1(body2d, h) for h in hs]
     d1, d2 = lams[0] - lams[1], lams[1] - lams[2]
     order = math.log2(abs(d1 / d2)) if d2 != 0 else float("inf")
     extrap = lams[2] + (lams[2] - lams[1]) / (2.0 ** order - 1.0) if math.isfinite(order) else lams[2]
-    return RichardsonResult(tuple(hs), tuple(lams), order, extrap)
+    return RichardsonResult(hs, lams, order, extrap)
 
 
 # -- gradient bias -----------------------------------------------------------------
@@ -291,40 +286,22 @@ class CubeComparisonReport(NamedTuple):
     note: str
 
 
-def cube_comparison(bodies: list[BodySpec]) -> CubeComparisonReport:
-    """lambda_1(body) >= (1 - 2%) lambda_1([-R,R]^2) for bodies in the cube, R = 1.
+def cube_comparison(lambda1_cube: float,
+                    bodies: list[tuple[BodySpec, float]]) -> CubeComparisonReport:
+    """lambda_1(body) >= (1 - 2%) lambda_1([-R,R]^2) for (body, lambda_1) pairs
+    of bodies in the cube, R = 1.
 
     The cube eigenvalue is recorded as numerically observed; it agrees with the
     interval value pi^2/(4 R^2), which the note sets beside it because published
     statements of this comparison sometimes carry the constant pi^2/R^2.
     """
-    lam_cube = lambda1(BodySpec.cube(2), _COMPARISON_H)
     rows = []
-    for body in bodies:
+    for body, lam in bodies:
         if np.any(body.scale_array > 1 + 1e-12):
             raise ValueError(f"{body.label()} is not contained in [-R, R]^2")
-        lam = lambda1(body, _COMPARISON_H)
         rows.append(CubeComparisonRow(body.label(), lam,
-                                      bool(lam >= lam_cube - _COMPARISON_TOL * lam_cube)))
+                                      bool(lam >= lambda1_cube - _COMPARISON_TOL * lambda1_cube)))
     interval = math.pi ** 2 / 4.0
-    note = (f"observed cube lambda1 {lam_cube:.6f} matches pi^2/(4R^2) = {interval:.6f}; "
+    note = (f"observed cube lambda1 {lambda1_cube:.6f} matches pi^2/(4R^2) = {interval:.6f}; "
             f"the constant pi^2/R^2 = {4 * interval:.6f} is 4x larger than observed")
-    return CubeComparisonReport(lam_cube, tuple(rows), note)
-
-
-class MonotonicityWitness(NamedTuple):
-    lambda1_disc: float
-    lambda1_subdomain: float
-    subdomain: str
-
-
-def domain_monotonicity_witness() -> MonotonicityWitness:
-    """Convex subdomain of the unit disc with smaller lambda_1 than the disc.
-
-    A thin inscribed rectangle has first eigenvalue ~ pi^2/(2 half-length)^2,
-    below the disc value 3.39; domain monotonicity fails for the disc.
-    """
-    disc = BodySpec.euclidean_ball(2)
-    rect = BodySpec("cube", 2, (0.9, 0.2))
-    return MonotonicityWitness(lambda1(disc, _WITNESS_H), lambda1(rect, _WITNESS_H / 2),
-                               "rectangle [-0.9,0.9]x[-0.2,0.2]")
+    return CubeComparisonReport(lambda1_cube, tuple(rows), note)

@@ -419,13 +419,32 @@ def transport_suite(seed: int, raster_h: float = 1 / 32) -> SuiteResult:
 
 def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
     """Neumann spectra on the square and disc: eigenvalues with Richardson
-    extrapolation, multiplicity, gradient bias, flip antisymmetry, and the
-    bounding-cube comparison."""
+    extrapolation, multiplicity, gradient bias, flip antisymmetry, the
+    bounding-cube comparison and a domain-monotonicity witness; every value
+    comes from one eigen solve per (body, h)."""
     out = SuiteResult("spectral")
     square = bd.BodySpec.cube(2)
     disc = bd.BodySpec.euclidean_ball(2)
+    l1_ball = bd.BodySpec.lp_ball(2, p=1.0)
+    # a thin rectangle inscribed in the disc has lambda_1 ~ pi^2/(2 half-length)^2,
+    # below the disc value 3.39: domain monotonicity fails for the disc
+    rect = bd.BodySpec("cube", 2, (0.9, 0.2))
+    rect_label = "rectangle [-0.9,0.9]x[-0.2,0.2]"
+    comparison_h = 1 / 32
+    witness_h = 1 / 48  # of the disc; the rectangle's raster is twice as fine
+    solved = {}  # (body, h) -> (grid, its lowest eigenpairs)
 
-    rich_sq = spec.richardson_lambda1(square, [1 / 16, 1 / 32, 1 / 64])
+    def eigen(body, h):
+        if (body, h) not in solved:
+            grid = spec.rasterize(body, h)
+            solved[body, h] = grid, spec.lowest_eigenpairs(grid, k=4)
+        return solved[body, h]
+
+    def lambda1(body, h):
+        return eigen(body, h)[1][1].value
+
+    h_sq = [1 / 16, 1 / 32, 1 / 64]
+    rich_sq = spec.richardson_lambda1(h_sq, [lambda1(square, h) for h in h_sq])
     target_sq = math.pi ** 2 / 4.0
     out.rows.append(CsvRow("spectral.lambda1", "square", 2, 0, seed,
                            rich_sq.extrapolated, 0.0, target_sq,
@@ -436,7 +455,8 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
                                     rich_sq.extrapolated, f"= {target_sq:.4f} +- 1%",
                                     abs(rich_sq.extrapolated - target_sq) <= 0.01 * target_sq))
 
-    rich_disc = spec.richardson_lambda1(disc, [1 / 32, 1 / 64, 1 / 128])
+    h_disc = [1 / 32, 1 / 64, 1 / 128]
+    rich_disc = spec.richardson_lambda1(h_disc, [lambda1(disc, h) for h in h_disc])
     out.rows.append(CsvRow("spectral.lambda1", "disc", 2, 0, seed,
                            rich_disc.extrapolated, 0.0, DISC_LAMBDA1,
                            {"h_values": list(rich_disc.h_values),
@@ -448,8 +468,7 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
                                     <= 0.01 * DISC_LAMBDA1))
 
     for body, label, h in [(square, "square", 1 / 32), (disc, "disc", 1 / 64)]:
-        grid = spec.rasterize(body, h)
-        pairs = spec.lowest_eigenpairs(grid, k=4)
+        grid, pairs = eigen(body, h)
         cluster = spec.lambda1_cluster(pairs)
         out.rows.append(CsvRow("spectral.eigen_report", label, 2, 0, seed,
                                pairs[1].value, 0.0, float("nan"), {
@@ -485,7 +504,8 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
                     grid.image(pairs[1].vector),
                     f"first nontrivial Neumann eigenfunction, {label}")
 
-    comp = spec.cube_comparison([disc, bd.BodySpec.lp_ball(2, p=1.0)])
+    comp = spec.cube_comparison(lambda1(square, comparison_h),
+                                [(b, lambda1(b, comparison_h)) for b in (disc, l1_ball)])
     for row in comp.rows:
         out.rows.append(CsvRow("spectral.cube_comparison", row.label, 2, 0, seed,
                                row.lambda1, 0.0, comp.lambda1_cube))
@@ -495,11 +515,10 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
                                         row.passed))
     out.notes.append(comp.note)
 
-    witness = spec.domain_monotonicity_witness()
-    out.rows.append(CsvRow("spectral.monotonicity_witness", witness.subdomain, 2, 0,
-                           seed, witness.lambda1_subdomain, 0.0, witness.lambda1_disc))
+    lam_disc, lam_rect = lambda1(disc, witness_h), lambda1(rect, witness_h / 2)
+    out.rows.append(CsvRow("spectral.monotonicity_witness", rect_label, 2, 0,
+                           seed, lam_rect, 0.0, lam_disc))
     out.notes.append(
-        f"domain monotonicity fails for the disc: {witness.subdomain} has lambda1 = "
-        f"{witness.lambda1_subdomain:.4f} < {witness.lambda1_disc:.4f} (reported, "
-        f"not asserted)")
+        f"domain monotonicity fails for the disc: {rect_label} has lambda1 = "
+        f"{lam_rect:.4f} < {lam_disc:.4f} (reported, not asserted)")
     return out

@@ -155,7 +155,7 @@ def test_load_rejects_truncated_header(tmp_path):
     path = tmp_path / "short.thsl"
     path.write_bytes(b"THSL" + bytes(6))
     with pytest.raises(TruncatedSampleFileError, match="32 bytes, file has 10"):
-        load_samples(path)
+        load_samples(path, body=isotropic_body("cube", 3))
 
 
 def test_load_rejects_truncated_payload(tmp_path):
@@ -163,7 +163,14 @@ def test_load_rejects_truncated_payload(tmp_path):
     dump_samples(sample_exact(isotropic_body("cube", 3), 100, seed=SEED), path)
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(TruncatedSampleFileError, match="2400 bytes, file has 2395"):
-        load_samples(path)
+        load_samples(path, body=isotropic_body("cube", 3))
+
+
+def test_load_rejects_a_body_of_another_dimension(tmp_path):
+    path = tmp_path / "rows.thsl"
+    dump_samples(sample_exact(isotropic_body("cube", 3), 100, seed=SEED), path)
+    with pytest.raises(ValueError, match="column count must equal body dim"):
+        load_samples(path, body=isotropic_body("cube", 2))
 
 
 def test_sample_matrix_rejects_bad_shapes():

@@ -10,7 +10,6 @@ from thinshell.spectral import (
     EigenPair,
     TooCoarseGridError,
     cube_comparison,
-    domain_monotonicity_witness,
     gradient_bias,
     gradient_bias_rank,
     lambda1_cluster,
@@ -130,7 +129,7 @@ def test_staircase_eigenvalues_match_a_dense_solve(body):
 
 
 def test_each_lattice_solve_factors_once_through_the_helper(monkeypatch):
-    factored, opinv = [], []
+    factored, opinv, rastered = [], [], []
 
     def counted_factorize(A):
         factored.append(A.shape[0])
@@ -140,12 +139,18 @@ def test_each_lattice_solve_factors_once_through_the_helper(monkeypatch):
         opinv.append(kwargs.get("OPinv") is not None)
         return eigsh(*args, **kwargs)
 
+    def recorded_rasterize(body, h):
+        rastered.append((body, h))
+        return rasterize(body, h)
+
     factorize, eigsh = spectral.factorize, spectral.spl.eigsh
     monkeypatch.setattr(spectral, "factorize", counted_factorize)
     monkeypatch.setattr(spectral.spl, "eigsh", recorded_eigsh)
+    monkeypatch.setattr(spectral, "rasterize", recorded_rasterize)
     suites.spectral_suite(20250810)
-    assert len(factored) == len(opinv) == 13  # one per eigen solve
+    assert len(factored) == len(opinv) == 9  # one per eigen solve
     assert all(opinv)  # so eigsh factors nothing of its own
+    assert len(rastered) == len(set(rastered)) == 9  # each (body, h) once
     factored.clear()
     suites.transport_suite(20250810)
     assert len(factored) == 3  # one per Laplacian: the segment, the square, the disc
@@ -170,10 +175,27 @@ def test_multiplicity_at_most_two():
         assert len(lambda1_cluster(pairs)) <= 2
 
 
+def _lambda1(body, h):
+    return lowest_eigenpairs(rasterize(body, h), k=4)[1].value
+
+
 def test_richardson_square_order_and_value():
-    res = richardson_lambda1(BodySpec.cube(2), [1 / 16, 1 / 32, 1 / 64])
+    hs = [1 / 16, 1 / 32, 1 / 64]
+    res = richardson_lambda1(hs, [_lambda1(BodySpec.cube(2), h) for h in hs])
     assert res.observed_order >= 1.5
     assert res.extrapolated == pytest.approx(SQUARE_LAMBDA1, rel=1e-4)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+def test_richardson_arithmetic_on_a_quadratic_law(order):
+    # lambda(h) = 2 + 3 h^2: order 2, extrapolated value 2, in any input order
+    hs = [[0.1, 0.05, 0.025][i] for i in order]
+    res = richardson_lambda1(hs, [2 + 3 * h * h for h in hs])
+    assert res.h_values == (0.1, 0.05, 0.025)
+    assert res.observed_order == pytest.approx(2.0, abs=1e-9)
+    assert res.extrapolated == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(ValueError, match="4:2:1"):
+        richardson_lambda1([0.1, 0.05, 0.02], [2.0, 2.0, 2.0])
 
 
 def test_gradient_bias_constant_mode(square_grid, square_pairs):
@@ -230,7 +252,8 @@ def test_odd_member_rayleigh_is_eigenvalue(square_grid, square_pairs):
 
 
 def test_cube_comparison_includes_self():
-    rep = cube_comparison([BodySpec.cube(2)])
+    cube = BodySpec.cube(2)
+    rep = cube_comparison(_lambda1(cube, 1 / 32), [(cube, _lambda1(cube, 1 / 32))])
     assert rep.rows[0].passed
     assert rep.rows[0].lambda1 == pytest.approx(rep.lambda1_cube, rel=1e-12)
     assert rep.lambda1_cube == pytest.approx(math.pi ** 2 / 4, rel=2e-3)
@@ -238,7 +261,9 @@ def test_cube_comparison_includes_self():
 
 
 def test_cube_comparison_disc_and_l1():
-    rep = cube_comparison([BodySpec.euclidean_ball(2), BodySpec.lp_ball(2, p=1.0)])
+    bodies = [BodySpec.euclidean_ball(2), BodySpec.lp_ball(2, p=1.0)]
+    rep = cube_comparison(_lambda1(BodySpec.cube(2), 1 / 32),
+                          [(b, _lambda1(b, 1 / 32)) for b in bodies])
     assert all(row.passed for row in rep.rows)
     assert rep.rows[0].lambda1 == pytest.approx(DISC_LAMBDA1, rel=0.02)
     assert rep.rows[0].lambda1 >= rep.lambda1_cube
@@ -246,10 +271,11 @@ def test_cube_comparison_disc_and_l1():
 
 def test_cube_comparison_containment_guard():
     with pytest.raises(ValueError):
-        cube_comparison([BodySpec.cube(2, half_width=2.0)])
+        cube_comparison(SQUARE_LAMBDA1, [(BodySpec.cube(2, half_width=2.0), 1.0)])
 
 
 def test_domain_monotonicity_failure_witness():
-    rep = domain_monotonicity_witness()
-    assert rep.lambda1_subdomain < rep.lambda1_disc
-    assert rep.lambda1_subdomain == pytest.approx(math.pi ** 2 / (4 * 0.81), rel=0.02)
+    lam_disc = _lambda1(BodySpec.euclidean_ball(2), 1 / 48)
+    lam_rect = _lambda1(BodySpec("cube", 2, (0.9, 0.2)), 1 / 96)
+    assert lam_rect < lam_disc
+    assert lam_rect == pytest.approx(math.pi ** 2 / (4 * 0.81), rel=0.02)
