@@ -48,7 +48,6 @@ class ExperimentConfig:
     seed: int = 20250810
     output_dir: str = "reports"
     plot: bool = False
-    workers: int = 1
     dump_samples: str | None = None
 
     def validate(self) -> None:
@@ -69,8 +68,6 @@ class ExperimentConfig:
                     cube_marginal_cut(WeightVector.uniform_direction(n).array)
                 except TruncationError as exc:
                     raise ConfigError(f"berry_esseen cannot reach n = {n}: {exc}") from exc
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         for body in self.bodies:
             _check_body(body)
 
@@ -84,14 +81,13 @@ class ExperimentConfig:
             "seed": self.seed,
             "output_dir": self.output_dir,
             "plot": self.plot,
-            "workers": self.workers,
         }
 
 
 _DEFAULTS = {"thinshell": ([4, 8, 16, 32, 64, 128, 256], 10 ** 5),
              "berry_esseen": ([16, 64, 256], 10 ** 5)}
 
-_EXPERIMENT_KEYS = {"name", "n_grid", "samples", "seed", "output_dir", "plot", "workers"}
+_EXPERIMENT_KEYS = {"name", "n_grid", "samples", "seed", "output_dir", "plot"}
 _BODY_KEYS = {"kind", "p"}
 
 
@@ -142,8 +138,6 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
             cfg.output_dir = sec["output_dir"]
         if "plot" in sec:
             cfg.plot = sec.getboolean("plot")
-        if "workers" in sec:
-            cfg.workers = int(sec["workers"])
     except ValueError as exc:
         raise ConfigError(f"bad value in [experiment]: {exc}") from exc
 
@@ -229,8 +223,7 @@ def run(config: ExperimentConfig) -> int:
 
 def _dispatch(name: str, config: ExperimentConfig, out_dir: Path) -> SuiteResult:
     if name == "thinshell":
-        return thinshell_suite(config.bodies, config.n_grid, config.samples,
-                               config.seed, workers=config.workers)
+        return thinshell_suite(config.bodies, config.n_grid, config.samples, config.seed)
     if name == "identities":
         return identities_suite()
     if name == "clt":
@@ -284,7 +277,6 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="master seed (u64)")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--plot", action="store_true", help="write SVG plots")
-        p.add_argument("--workers", type=int, default=None, help="worker pool size")
         p.add_argument("--dump-samples", type=str, default=None,
                        help="dump the first sample matrix to this path (THSL binary)")
     sub.add_parser("version", help="print version and RNG identifiers")
@@ -312,8 +304,6 @@ def main(argv=None) -> int:
             config.output_dir = args.out
         if args.plot:
             config.plot = True
-        if args.workers is not None:
-            config.workers = args.workers
         if args.dump_samples is not None:
             config.dump_samples = args.dump_samples
         config.validate()

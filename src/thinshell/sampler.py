@@ -3,16 +3,19 @@ substreams, and the THSL binary dump format.
 
 Reproducibility contract: draws are generated in fixed blocks of ``BLOCK``
 rows; block b of a run with master seed s comes from an independent Philox
-substream keyed by (s, b).  The result is bit-identical for any worker count
-and any chunked consumption order.
+substream keyed by (s, b).  The result is bit-identical for any thread count
+and any order in which the blocks are drawn or consumed.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -64,24 +67,43 @@ class SampleMatrix:
         return self.data.shape[1]
 
 
-def _draw_exact_block(body: BodySpec, m: int, rng: np.random.Generator) -> np.ndarray:
-    n = body.dim
+# rows per chunk of the ball norms and the lp signs, so that no temporary has
+# the size of a whole block
+_CHUNK = 1024
+
+
+def _draw_exact_block(body: BodySpec, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
+    """Fill the m x n array ``x`` with m draws from ``body`` and return it."""
+    m, n = x.shape
     scale = body.scale_array
     if body.kind == "cube":
-        return rng.uniform(-1.0, 1.0, size=(m, n)) * scale
+        # -1 + 2u, the arithmetic of uniform(-1, 1)
+        rng.random(out=x)
+        x *= 2.0
+        x += -1.0
+        x *= scale
+        return x
     if body.kind == "euclidean_ball":
-        g = rng.standard_normal(size=(m, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = rng.uniform(size=(m, 1)) ** (1.0 / n)
-        return g * r * scale
+        rng.standard_normal(out=x)
+        for c in range(0, m, _CHUNK):
+            rows = x[c:c + _CHUNK]
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        x *= rng.random((m, 1)) ** (1.0 / n)
+        x *= scale
+        return x
     p = body.p
     # lp_ball: |g_i|^p ~ Gamma(1/p); signed generalized Gaussian coordinates,
     # normalized by (sum |g_j|^p + E)^(1/p) with E standard exponential
-    gp = rng.gamma(1.0 / p, size=(m, n))
-    g = gp ** (1.0 / p) * rng.choice(np.array([-1.0, 1.0]), size=(m, n))
-    e = rng.standard_exponential(size=(m, 1))
-    w = (gp.sum(axis=1, keepdims=True) + e) ** (1.0 / p)
-    return g / w * scale
+    rng.standard_gamma(1.0 / p, out=x)
+    gp_sums = x.sum(axis=1, keepdims=True)
+    np.power(x, 1.0 / p, out=x)
+    # integers(0, 2) reads the stream as choice([-1, 1]) does; 0 is the minus sign
+    for c in range(0, m, _CHUNK):
+        rows = x[c:c + _CHUNK]
+        np.negative(rows, out=rows, where=rng.integers(0, 2, size=rows.shape) == 0)
+    x /= (gp_sums + rng.standard_exponential((m, 1))) ** (1.0 / p)
+    x *= scale
+    return x
 
 
 def _substream_blocks(count: int, seed: int) -> Iterator[tuple[int, int, np.random.Generator]]:
@@ -91,12 +113,53 @@ def _substream_blocks(count: int, seed: int) -> Iterator[tuple[int, int, np.rand
         yield start, min(BLOCK, count - start), substream(seed, stream)
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
     """Yield the exact-sampler rows in their canonical BLOCK-sized chunks."""
     if count < 1:
         raise ValueError("count must be >= 1")
     for _, m, rng in _substream_blocks(count, seed):
-        yield _draw_exact_block(body, m, rng)
+        yield _draw_exact_block(body, rng, np.empty((m, body.dim)))
+
+
+def for_each_block(body: BodySpec, count: int, seed: int,
+                   visit: Callable[[slice, np.ndarray], None]) -> None:
+    """Draw the rows of ``exact_blocks`` on min(usable cores, blocks) threads and
+    call ``visit(rows, block)`` in the thread that drew each block, in no fixed
+    order; ``rows`` is the block's slice of the count-row draw.  ``block`` is a
+    per-thread buffer that the next draw overwrites, so it is valid only during
+    the call, and ``visit`` may change it.  ``visit`` runs concurrently with
+    itself, so it should write only to its own rows of shared arrays."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    blocks = _substream_blocks(count, seed)
+    lock = threading.Lock()
+
+    def work(buffer: np.ndarray) -> None:
+        while True:
+            with lock:
+                item = next(blocks, None)
+            if item is None:
+                return
+            start, m, rng = item
+            visit(slice(start, start + m), _draw_exact_block(body, rng, buffer[:m]))
+
+    threads = min(_usable_cores(), -(-count // BLOCK))
+    # allocated in the calling thread: buffers allocated in the drawing threads
+    # come from per-thread malloc arenas, which kept more memory resident
+    # (families peak RSS 138-157 MB against 119 MB)
+    buffers = [np.empty((min(BLOCK, count), body.dim)) for _ in range(threads)]
+    if threads == 1:
+        work(buffers[0])
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for done in [pool.submit(work, b) for b in buffers]:
+            done.result()
 
 
 def sample_exact(body: BodySpec, count: int, seed: int) -> SampleMatrix:

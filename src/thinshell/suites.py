@@ -8,7 +8,6 @@ The same functions back the command-line runner and the acceptance tests.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -55,30 +54,29 @@ def _within(value: float, target: float, half_width: float) -> bool:
 
 # -- thin-shell suite -----------------------------------------------------------
 
-def _thinshell_task(args):
-    """Draw one (body, n) once and reduce each block as it is drawn: |X|^2 per
-    draw and, for each coefficient vector a, sum a_i X_i^2 per draw."""
-    template, n, samples, seed, coeffs = args
+def _thinshell_task(template: BodyTemplate, n: int, samples: int, seed: int,
+                    coeffs: np.ndarray):
+    """Draw one (body, n) once and reduce each block in the thread that drew it:
+    |X|^2 per draw and, for each coefficient vector a, sum a_i X_i^2 per draw."""
     body = template.instantiate(n)
     sq = np.empty(samples)
     y = np.empty((len(coeffs), samples))
-    done = 0
-    for block in smp.exact_blocks(body, samples, seed):
-        rows = slice(done, done + block.shape[0])
+
+    def visit(rows: slice, block: np.ndarray) -> None:
         sq[rows] = np.einsum("ij,ij->i", block, block)
         if len(coeffs):
-            squares = block * block
+            block *= block
             for yk, a in zip(y, coeffs):
-                yk[rows] = squares @ a
-        done = rows.stop
+                yk[rows] = block @ a
+
+    smp.for_each_block(body, samples, seed, visit)
     weighted = [est.weighted_square_variance(yk, est.WeightVector.coefficients(a))
                 for yk, a in zip(y, coeffs)]
     return body.label(), est.thin_shell_stats(sq, body.dim), weighted
 
 
 def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: int,
-                    seed: int, workers: int = 1,
-                    shell_n: tuple[int, ...] = (16, 64),
+                    seed: int, shell_n: tuple[int, ...] = (16, 64),
                     shell_templates: tuple[BodyTemplate, ...] = (CUBE, L1_BALL, BALL)
                     ) -> SuiteResult:
     """Thin-shell variance law, shell deviation and the weighted-square bound.
@@ -89,7 +87,8 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
     E(|X| - sqrt n)^2 <= 16, and at the largest one
     Var(sum a_i X_i^2) <= 16 sum a_i^2 for 20 random nonnegative coefficient
     vectors.  Each distinct (body, n) of the grid and the shell checks is
-    drawn once.
+    drawn once, one after another; the blocks of each draw are drawn and
+    reduced on every usable core (``sampler.for_each_block``).
     """
     out = SuiteResult("thinshell")
     grid = [(t, n) for t in templates for n in sorted(n_grid)]
@@ -100,12 +99,8 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
         rng = smp.substream(seed, _COEFF_STREAM)
         coeffs = {(t, max(shell_n)): rng.uniform(0.0, 2.0, size=(20, max(shell_n)))
                   for t in shell_templates}
-    tasks = [(t, n, samples, seed, coeffs.get((t, n), np.empty((0, n)))) for t, n in keys]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_thinshell_task, tasks))
-    else:
-        results = [_thinshell_task(t) for t in tasks]
+    results = [_thinshell_task(t, n, samples, seed, coeffs.get((t, n), np.empty((0, n))))
+               for t, n in keys]
 
     by_family: dict[tuple[BodyTemplate, str], list[tuple[int, float]]] = {}
     for key, (label, (vr, sd), weighted) in zip(keys, results):
@@ -320,8 +315,12 @@ def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
     for n in sorted(set(cube_ns)):
         theta = est.WeightVector.uniform_direction(n).array
         grid_cdf = 1.0 - clt.cube_marginal_tail(theta, ts)
-        vals = np.concatenate([block @ theta for block in
-                               smp.exact_blocks(bd.isotropic_body("cube", n), samples, seed)])
+        vals = np.empty(samples)
+
+        def visit(rows: slice, block: np.ndarray) -> None:
+            vals[rows] = block @ theta
+
+        smp.for_each_block(bd.isotropic_body("cube", n), samples, seed, visit)
         dist, at = exact_and_sampled("cube", n, grid_cdf, vals,
                                      lambda v: np.interp(v, ts, grid_cdf))
         out.rows.append(CsvRow("berry_esseen.kolmogorov", f"cube(n={n})", n, 0, seed,

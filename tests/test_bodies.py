@@ -96,6 +96,7 @@ def test_body_template_isotropy_does_not_sample(monkeypatch):
 
     monkeypatch.setattr(sampler, "estimate_second_moments", no_sampling)
     monkeypatch.setattr(sampler, "exact_blocks", no_sampling)
+    monkeypatch.setattr(sampler, "for_each_block", no_sampling)
     for template in (CUBE, BALL, L1_BALL, BodyTemplate("lp_ball", 3.0)):
         assert template.instantiate(6) == isotropic_body(template.kind, 6, p=template.p)
 

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import thinshell
-from thinshell import suites
 from thinshell.bodies import isotropic_body
 from thinshell.cli import (
     EXPERIMENTS,
@@ -67,6 +66,22 @@ def test_parse_config_unknown_key_is_named():
         parse_config("[experiment]\nname = thinshell\n\n[body.x]\nkind = cube\nradius = 2\n")
     with pytest.raises(ConfigError, match="missing"):
         parse_config("[body.x]\nkind = cube\n")
+
+
+def test_leftover_workers_key_is_a_config_error(tmp_path, capsys):
+    # the process pool and its option are gone; the draws use every usable core
+    text = SMALL_THINSHELL.format(out=tmp_path / "o").replace("seed = 99\n",
+                                                               "seed = 99\nworkers = 2\n")
+    with pytest.raises(ConfigError, match="'workers'"):
+        parse_config(text)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    assert main(["thinshell", "--config", str(cfg)]) == 2
+    assert "'workers'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["thinshell", "--config", str(cfg), "--workers", "2"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("body, named", [
@@ -177,16 +192,6 @@ def _write_cfg(tmp_path, sub):
     return str(p)
 
 
-def test_workers_do_not_change_reports(tmp_path, capsys):
-    cfg1 = parse_config(SMALL_THINSHELL.format(out=tmp_path / "w1"))
-    cfg2 = parse_config(SMALL_THINSHELL.format(out=tmp_path / "w2"))
-    cfg2.workers = 2
-    assert run(cfg1) == 0
-    assert run(cfg2) == 0
-    assert (tmp_path / "w1" / "report.csv").read_bytes() == \
-        (tmp_path / "w2" / "report.csv").read_bytes()
-
-
 def test_blas_threads_do_not_change_reports(tmp_path):
     # OpenBLAS splits long dot products across its threads, which reorders the
     # sum; 2e4 draws per variance is past the length where that starts.  The
@@ -269,27 +274,6 @@ def test_dump_samples_only_with_the_thinshell_suite(tmp_path, capsys):
     dump = tmp_path / "rows.thsl"
     assert main(["identities", "--out", str(tmp_path / "o"), "--dump-samples", str(dump)]) == 0
     assert not dump.exists()
-
-
-def test_workers_are_capped_at_the_task_count(monkeypatch):
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", InProcessPool)
-    suites.thinshell_suite([suites.CUBE], [4, 8, 16], 200, 99, workers=64, shell_n=())
-    assert sizes == [3]
 
 
 def test_plot_outputs(tmp_path, capsys):

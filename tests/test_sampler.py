@@ -1,9 +1,14 @@
+import hashlib
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.stats import beta, chisquare, kstest
 
+from thinshell import sampler
 from thinshell.bodies import BodySpec, analytic_second_moments, contains_rows, isotropic_body
 from thinshell.sampler import (
     BLOCK,
@@ -13,6 +18,7 @@ from thinshell.sampler import (
     dump_samples,
     estimate_second_moments,
     exact_blocks,
+    for_each_block,
     load_samples,
     sample_exact,
     substream,
@@ -46,6 +52,91 @@ def test_block_partition_matches_single_stream():
     whole = sample_exact(body, n, seed=SEED).data
     parts = np.concatenate(list(exact_blocks(body, n, seed=SEED)), axis=0)
     assert np.array_equal(whole, parts)
+
+
+# sha256 of the little-endian float64 bytes of sample_exact(isotropic_body(kind,
+# 5, p), 40000, SEED): three blocks, the last one short.  A change to any draw
+# must change these and RNG_ID together.
+GOLDEN_STREAMS = {
+    ("cube", None): "6c119b728d536044303fd3034eb62f4020723d58d1fa8b9ce13004be82dd2bff",
+    ("euclidean_ball", None): "15d86848fdb8e81a221ca594b813a8ec1001e85a4c4280149a38d0917463d3a1",
+    ("lp_ball", 1.0): "15e01e4359e3b3f91b04c5f25d9ca053773c2f25e0232f8cafd5640cc77e57a2",
+    ("lp_ball", 3.0): "ec3b59c097118c607fac3e709bcb9a03519b55d1d23132626338e52d74c510a5",
+}
+
+
+@pytest.mark.parametrize("kind, p", list(GOLDEN_STREAMS))
+def test_exact_sampler_streams_are_golden(kind, p):
+    data = sample_exact(isotropic_body(kind, 5, p), 40000, SEED).data
+    got = hashlib.sha256(np.ascontiguousarray(data, dtype="<f8").tobytes()).hexdigest()
+    assert got == GOLDEN_STREAMS[kind, p]
+
+
+@pytest.mark.parametrize("kind, p", list(GOLDEN_STREAMS))
+def test_every_thread_count_visits_the_exact_rows(monkeypatch, kind, p):
+    body = isotropic_body(kind, 7, p)
+    count = 2 * BLOCK + 333
+    want = sample_exact(body, count, SEED).data
+    for threads in (1, 3):
+        monkeypatch.setattr(sampler, "_usable_cores", lambda: threads)
+        got = np.full_like(want, np.nan)
+
+        def visit(rows, block):
+            got[rows] = block
+
+        for_each_block(body, count, SEED, visit)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count, blocks", [(1, 1), (BLOCK, 1), (BLOCK + 1, 2), (3 * BLOCK, 3)])
+def test_pool_threads_are_capped_at_the_block_count(monkeypatch, count, blocks):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 64)
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", RecordingPool)
+    drawn_by = []
+    for_each_block(isotropic_body("cube", 3), count, SEED,
+                   lambda rows, block: drawn_by.append(threading.get_ident()))
+    assert len(drawn_by) == blocks
+    if blocks == 1:
+        assert pools == [] and drawn_by == [threading.get_ident()]
+    else:
+        assert pools == [blocks]
+        assert threading.get_ident() not in drawn_by
+
+
+def test_many_threads_draw_every_block_once(monkeypatch):
+    # more threads than cores and a short switch interval: a block handed to two
+    # threads, or to none, changes the rows or the visit count
+    body = isotropic_body("cube", 1)
+    count = 24 * BLOCK + 5
+    want = sample_exact(body, count, SEED).data
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 8)
+    got = np.full_like(want, np.nan)
+    visits = []
+
+    def visit(rows, block):
+        got[rows] = block
+        visits.append(rows.start)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for_each_block(body, count, SEED, visit)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(visits) == list(range(0, count, BLOCK))
+    assert np.array_equal(got, want)
+
+
+def test_for_each_block_rejects_an_empty_draw():
+    with pytest.raises(ValueError):
+        for_each_block(isotropic_body("cube", 3), 0, SEED, lambda rows, block: None)
 
 
 def test_substreams_do_not_collide():

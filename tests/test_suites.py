@@ -2,6 +2,7 @@
 the berry_esseen suite runs each of its dimensions once."""
 
 import json
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -11,16 +12,19 @@ import pytest
 from thinshell import sampler as smp
 from thinshell.cli import parse_config, run
 from thinshell.estimators import WeightVector, thin_shell_stats, weighted_square_variance
+from thinshell.reporting import render_csv
 from thinshell.suites import (
     BALL,
     CUBE,
     L1_BALL,
     BodyTemplate,
     _thinshell_task,
+    berry_esseen_suite,
     thinshell_suite,
 )
 
 SEED = 515
+FOR_EACH_BLOCK = smp.for_each_block
 
 
 @pytest.mark.parametrize("template", [CUBE, BALL, BodyTemplate("lp_ball", 3.0)])
@@ -28,7 +32,7 @@ def test_blockwise_reduction_matches_the_full_matrix(template):
     # 40000 draws span three sampler blocks, the last one short
     n, count = 24, 40000
     a = np.random.default_rng(3).uniform(0.0, 2.0, size=(3, n))
-    label, stats, weighted = _thinshell_task((template, n, count, SEED, a))
+    label, stats, weighted = _thinshell_task(template, n, count, SEED, a)
     full = smp.sample_exact(template.instantiate(n), count, SEED).data
     assert label == template.instantiate(n).label()
     assert stats == thin_shell_stats(np.einsum("ij,ij->i", full, full), n)
@@ -39,13 +43,13 @@ def test_blockwise_reduction_matches_the_full_matrix(template):
 
 def test_each_body_and_dimension_is_drawn_once(monkeypatch):
     drawn = Counter()
-    blocks = smp.exact_blocks
+    draw = smp.for_each_block
 
-    def counting(body, count, seed):
+    def counting(body, count, seed, visit):
         drawn[body.label()] += 1
-        return blocks(body, count, seed)
+        return draw(body, count, seed, visit)
 
-    monkeypatch.setattr(smp, "exact_blocks", counting)
+    monkeypatch.setattr(smp, "for_each_block", counting)
     result = thinshell_suite([CUBE, L1_BALL], [4, 8, 16], 500, SEED, shell_n=(8, 32),
                              shell_templates=(CUBE, L1_BALL, BALL))
     keys = {(t, n) for t in (CUBE, L1_BALL) for n in (4, 8, 16)}
@@ -56,6 +60,47 @@ def test_each_body_and_dimension_is_drawn_once(monkeypatch):
     rows = [(r.estimator_id, r.body) for r in result.rows]
     assert len(rows) == len(set(rows))
     assert sum(r.estimator_id == "cor204i.worst_margin" for r in result.rows) == 3
+
+
+def _reports_at(monkeypatch, threads):
+    """thinshell and berry_esseen report.csv text with the drawing pool at
+    ``threads`` threads, and the order in which each draw's blocks were reduced.
+    With more than one thread, each draw's first block is reduced last."""
+    monkeypatch.setattr(smp, "_usable_cores", lambda: threads)
+    orders = []
+
+    def first_block_last(body, count, seed, visit):
+        blocks = -(-count // smp.BLOCK)
+        order = []
+        others_done = threading.Event()
+
+        def late_first(rows, block):
+            if rows.start == 0 and threads > 1:
+                assert others_done.wait(timeout=30)
+            visit(rows, block)
+            order.append(rows.start // smp.BLOCK)
+            if len(order) == blocks - 1:
+                others_done.set()
+
+        FOR_EACH_BLOCK(body, count, seed, late_first)
+        orders.append(order)
+
+    monkeypatch.setattr(smp, "for_each_block", first_block_last)
+    # three blocks, the last one short
+    thin = thinshell_suite([CUBE, BALL, L1_BALL, BodyTemplate("lp_ball", 3.0)], [4, 16],
+                           2 * smp.BLOCK + 500, SEED, shell_n=(16, 32))
+    be = berry_esseen_suite(SEED, cube_ns=(16,), counter_ns=(16,), samples=2 * smp.BLOCK + 500)
+    return render_csv(thin.rows), render_csv(be.rows), orders
+
+
+def test_reports_do_not_depend_on_the_thread_count(monkeypatch):
+    thin1, be1, orders1 = _reports_at(monkeypatch, 1)
+    thin3, be3, orders3 = _reports_at(monkeypatch, 3)
+    assert thin1 == thin3
+    assert be1 == be3
+    assert len(orders1) == len(orders3) == 12  # 11 thinshell draws, 1 cube marginal
+    assert all(order == [0, 1, 2] for order in orders1)
+    assert all(order[-1] == 0 and sorted(order) == [0, 1, 2] for order in orders3)
 
 
 def test_peak_memory_stays_below_one_sample_matrix():
