@@ -129,7 +129,7 @@ def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
 
 def for_each_block(body: BodySpec, count: int, seed: int,
                    visit: Callable[[slice, np.ndarray], None]) -> None:
-    """Draw the rows of ``exact_blocks`` on min(usable cores, blocks) threads and
+    """Draw the rows of ``exact_blocks`` on up to one thread per usable core and
     call ``visit(rows, block)`` in the thread that drew each block, in no fixed
     order; ``rows`` is the block's slice of the count-row draw.  ``block`` is a
     per-thread buffer that the next draw overwrites, so it is valid only during
@@ -149,7 +149,11 @@ def for_each_block(body: BodySpec, count: int, seed: int,
             start, m, rng = item
             visit(slice(start, start + m), _draw_exact_block(body, rng, buffer[:m]))
 
-    threads = min(_usable_cores(), -(-count // BLOCK))
+    # one thread per usable core, but the per-thread buffers never hold more than
+    # half the draw's rows, so on any host the draw stays well below the
+    # count-row matrix that block-wise reduction avoids; a draw of fewer than
+    # 4 * BLOCK rows starts no pool
+    threads = min(_usable_cores(), max(1, count // (2 * BLOCK)))
     # allocated in the calling thread: buffers allocated in the drawing threads
     # come from per-thread malloc arenas, which kept more memory resident
     # (families peak RSS 138-157 MB against 119 MB)

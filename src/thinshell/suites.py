@@ -88,7 +88,7 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
     Var(sum a_i X_i^2) <= 16 sum a_i^2 for 20 random nonnegative coefficient
     vectors.  Each distinct (body, n) of the grid and the shell checks is
     drawn once, one after another; the blocks of each draw are drawn and
-    reduced on every usable core (``sampler.for_each_block``).
+    reduced on up to one thread per usable core (``sampler.for_each_block``).
     """
     out = SuiteResult("thinshell")
     grid = [(t, n) for t in templates for n in sorted(n_grid)]

@@ -69,7 +69,8 @@ def test_parse_config_unknown_key_is_named():
 
 
 def test_leftover_workers_key_is_a_config_error(tmp_path, capsys):
-    # the process pool and its option are gone; the draws use every usable core
+    # the process pool and its option are gone; the drawing threads follow from
+    # the usable cores and the draw size
     text = SMALL_THINSHELL.format(out=tmp_path / "o").replace("seed = 99\n",
                                                                "seed = 99\nworkers = 2\n")
     with pytest.raises(ConfigError, match="'workers'"):

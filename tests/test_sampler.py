@@ -75,7 +75,7 @@ def test_exact_sampler_streams_are_golden(kind, p):
 @pytest.mark.parametrize("kind, p", list(GOLDEN_STREAMS))
 def test_every_thread_count_visits_the_exact_rows(monkeypatch, kind, p):
     body = isotropic_body(kind, 7, p)
-    count = 2 * BLOCK + 333
+    count = 6 * BLOCK + 333  # seven blocks, the last one short; three threads fit
     want = sample_exact(body, count, SEED).data
     for threads in (1, 3):
         monkeypatch.setattr(sampler, "_usable_cores", lambda: threads)
@@ -88,8 +88,11 @@ def test_every_thread_count_visits_the_exact_rows(monkeypatch, kind, p):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("count, blocks", [(1, 1), (BLOCK, 1), (BLOCK + 1, 2), (3 * BLOCK, 3)])
-def test_pool_threads_are_capped_at_the_block_count(monkeypatch, count, blocks):
+@pytest.mark.parametrize("cores, count, threads", [
+    (64, 1, 1), (64, BLOCK, 1), (64, BLOCK + 1, 1), (64, 3 * BLOCK, 1),
+    (64, 4 * BLOCK - 1, 1), (64, 4 * BLOCK, 2), (64, 7 * BLOCK + 1, 3),
+    (2, 7 * BLOCK + 1, 2), (64, 20 * BLOCK, 10)])
+def test_pool_threads_are_capped_by_cores_blocks_and_memory(monkeypatch, cores, count, threads):
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -97,16 +100,19 @@ def test_pool_threads_are_capped_at_the_block_count(monkeypatch, count, blocks):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(sampler, "_usable_cores", lambda: 64)
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: cores)
     monkeypatch.setattr(sampler, "ThreadPoolExecutor", RecordingPool)
     drawn_by = []
-    for_each_block(isotropic_body("cube", 3), count, SEED,
+    for_each_block(isotropic_body("cube", 1), count, SEED,
                    lambda rows, block: drawn_by.append(threading.get_ident()))
+    blocks = -(-count // BLOCK)
     assert len(drawn_by) == blocks
-    if blocks == 1:
-        assert pools == [] and drawn_by == [threading.get_ident()]
+    if threads == 1:
+        assert pools == [] and set(drawn_by) == {threading.get_ident()}
     else:
-        assert pools == [blocks]
+        assert pools == [threads] and threads <= blocks
+        # the per-thread buffers hold at most half the draw's rows
+        assert 2 * threads * BLOCK <= count
         assert threading.get_ident() not in drawn_by
 
 
