@@ -5,10 +5,10 @@ spectra."""
 __version__ = "0.1.0"
 
 from .bodies import BodySpec, isotropic_scale
-from .estimators import EstimateWithCI, WeightVector
+from .estimators import EstimateWithCI
 from .sampler import RNG_ID, SampleMatrix, sample_exact
 
 __all__ = [
     "__version__", "BodySpec", "isotropic_scale", "EstimateWithCI",
-    "WeightVector", "RNG_ID", "SampleMatrix", "sample_exact",
+    "RNG_ID", "SampleMatrix", "sample_exact",
 ]

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .bodies import KINDS, label_family
 from .clt import TruncationError, cube_marginal_cut
-from .estimators import WeightVector
+from .estimators import uniform_direction
 from .reporting import SuiteResult, render_csv, render_json
 from .sampler import RNG_ID, dump_samples, sample_exact
 from .suites import (
@@ -65,7 +65,7 @@ class ExperimentConfig:
                 raise ConfigError("berry_esseen needs samples >= 10000")
             for n in self.n_grid:
                 try:
-                    cube_marginal_cut(WeightVector.uniform_direction(n).array)
+                    cube_marginal_cut(uniform_direction(n))
                 except TruncationError as exc:
                     raise ConfigError(f"berry_esseen cannot reach n = {n}: {exc}") from exc
         for body in self.bodies:

@@ -1,11 +1,12 @@
 """Monte Carlo estimators for variance, moment and distance quantities of
-isotropic unconditional laws, with 3-sigma confidence half-widths.
+isotropic unconditional laws, with 3-sigma confidence half-widths, and the
+closed-form segment identities behind the power-sum bound.
 
-The thin-shell estimators take per-draw values (|X|^2, sum a_i X_i^2), which
-the thinshell suite reduces from each sample block as it is drawn, so no
-N x n sample matrix is needed.  All reductions use numpy's fixed-order
-pairwise summation, so estimates from identical draws are bit-identical
-across reruns.
+Every estimator takes plain float arrays: per-draw values (|X|^2,
+sum a_i X_i^2, sum a_i |X_i|^{p_i}), which the suites reduce from each sample
+block as it is drawn, so no N x n sample matrix is needed, and weight vectors
+as numpy arrays.  All reductions use numpy's fixed-order pairwise summation,
+so estimates from identical draws are bit-identical across reruns.
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .sampler import SampleMatrix
-
 _DK_ALPHA = 0.01         # level of the DKW band
-_SIMPSON_TOL = 0.5e-12   # per integral: half the 1e-12 tolerance of each identity
-_SIMPSON_DEPTH = 60      # recursion limit of the adaptive Simpson rule
 
 
 @dataclass(frozen=True)
@@ -31,63 +28,18 @@ class EstimateWithCI:
     half_width: float
     count: int
     estimator_id: str
-    degenerate: bool = False  # all-equal input, half_width forced to 0
 
     def __post_init__(self):
         if self.half_width < 0:
             raise ValueError("half_width must be nonnegative")
 
 
-class WeightKind:
-    DIRECTION = "direction"
-    COEFFICIENTS = "coefficients"
-    EXPONENTS = "exponents"
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Validated weights: a unit direction, nonnegative coefficients, or
-    strictly positive exponents."""
-
-    entries: tuple[float, ...]
-    kind: str
-
-    def __post_init__(self):
-        e = np.asarray(self.entries)
-        if self.kind == WeightKind.DIRECTION:
-            if abs(e @ e - 1.0) > 1e-12:
-                raise ValueError("direction weights must satisfy sum(theta^2) = 1 within 1e-12")
-        elif self.kind == WeightKind.COEFFICIENTS:
-            if np.any(e < 0):
-                raise ValueError("coefficient weights must be nonnegative")
-        elif self.kind == WeightKind.EXPONENTS:
-            if np.any(e <= 0):
-                raise ValueError("exponent weights must be strictly positive")
-        else:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-
-    @staticmethod
-    def direction(entries) -> "WeightVector":
-        e = np.asarray(entries, dtype=float)
-        return WeightVector(tuple(e), WeightKind.DIRECTION)
-
-    @staticmethod
-    def uniform_direction(n: int) -> "WeightVector":
-        e = np.full(n, 1.0 / math.sqrt(n))
-        e[0] = math.sqrt(1.0 - float(e[1:] @ e[1:]))  # exact unit norm
-        return WeightVector(tuple(e), WeightKind.DIRECTION)
-
-    @staticmethod
-    def coefficients(entries) -> "WeightVector":
-        return WeightVector(tuple(np.asarray(entries, dtype=float)), WeightKind.COEFFICIENTS)
-
-    @staticmethod
-    def exponents(entries) -> "WeightVector":
-        return WeightVector(tuple(np.asarray(entries, dtype=float)), WeightKind.EXPONENTS)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.entries)
+def uniform_direction(n: int) -> np.ndarray:
+    """The unit vector with equal entries 1/sqrt(n), its first entry adjusted
+    so that the norm is 1 to rounding."""
+    e = np.full(n, 1.0 / math.sqrt(n))
+    e[0] = math.sqrt(1.0 - float(e[1:] @ e[1:]))
+    return e
 
 
 # -- variance with CI ---------------------------------------------------------
@@ -105,9 +57,7 @@ def _variance_estimate(y: np.ndarray, estimator_id: str) -> EstimateWithCI:
     d = y - mean
     d2 = d * d
     sum_d2 = float(np.sum(d2))
-    s2 = sum_d2 / (n - 1)
-    if s2 == 0.0:
-        return EstimateWithCI(0.0, 0.0, n, estimator_id, degenerate=True)
+    s2 = sum_d2 / (n - 1)  # all-equal y gives s2 = 0 and half-width 0 below
     if n >= 10 ** 4:
         m4 = float(np.sum(d2 * d2)) / n
         var_of_var = max(m4 - s2 * s2, 0.0) / n
@@ -121,8 +71,7 @@ def _variance_estimate(y: np.ndarray, estimator_id: str) -> EstimateWithCI:
 def _mean_estimate(y: np.ndarray, estimator_id: str) -> EstimateWithCI:
     n = y.size
     se = float(y.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return EstimateWithCI(float(y.mean()), 3.0 * se, n, estimator_id,
-                          degenerate=(se == 0.0 and n > 1))
+    return EstimateWithCI(float(y.mean()), 3.0 * se, n, estimator_id)
 
 
 # -- shell statistics ---------------------------------------------------------
@@ -147,35 +96,34 @@ class BoundedEstimate(NamedTuple):
     bound: float
 
 
-def weighted_square_variance(y: np.ndarray, a: WeightVector) -> BoundedEstimate:
+def _coefficients(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if np.any(a < 0):
+        raise ValueError("coefficients must be nonnegative")
+    return a
+
+
+def weighted_square_variance(y: np.ndarray, a) -> BoundedEstimate:
     """Var(sum a_i X_i^2) from its per-draw values y, together with the
-    comparison bound 16 sum a_i^2."""
-    if a.kind != WeightKind.COEFFICIENTS:
-        raise ValueError("weighted_square_variance expects coefficient weights")
-    av = a.array
-    if np.all(av == 0.0):
-        est = EstimateWithCI(0.0, 0.0, y.size, "weighted_square_variance", degenerate=True)
-    else:
-        est = _variance_estimate(y, "weighted_square_variance")
-    return BoundedEstimate(est, 16.0 * float(av @ av))
+    comparison bound 16 sum a_i^2 for the coefficients a >= 0."""
+    a = _coefficients(a)
+    return BoundedEstimate(_variance_estimate(y, "weighted_square_variance"),
+                           16.0 * float(a @ a))
 
 
-def power_sum_variance(samples: SampleMatrix, a: WeightVector, p: WeightVector) -> BoundedEstimate:
-    """Var(sum a_i |X_i|^{p_i}) with the bound sum (2 p_i^2/(p_i+1)) a_i^2 E|X_i|^{2 p_i},
-    the expectation estimated from the same sample."""
-    if a.kind != WeightKind.COEFFICIENTS or p.kind != WeightKind.EXPONENTS:
-        raise ValueError("power_sum_variance expects coefficients a and exponents p")
-    av, pv = a.array, p.array
-    if av.size != samples.dim or pv.size != samples.dim:
-        raise ValueError("weight length mismatch")
-    if np.any(pv > 32):
-        raise ValueError("exponents above 32 are rejected (overflow guard)")
-    absx = np.abs(samples.data)
-    y = (absx ** pv) @ av
-    est = _variance_estimate(y, "power_sum_variance")
-    mom2p = np.mean(absx ** (2.0 * pv), axis=0)
-    bound = float(np.sum(2.0 * pv ** 2 / (pv + 1.0) * av ** 2 * mom2p))
-    return BoundedEstimate(est, bound)
+def power_sum_variance(y: np.ndarray, moments, a, p) -> BoundedEstimate:
+    """Var(sum a_i |X_i|^{p_i}) from its per-draw values y, together with the
+    bound sum (2 p_i^2/(p_i+1)) a_i^2 E|X_i|^{2 p_i}, where ``moments`` holds
+    the per-axis E|X_i|^{2 p_i}, for coefficients a >= 0 and exponents
+    0 < p_i <= 32 (larger ones overflow |X_i|^{2 p_i})."""
+    a = _coefficients(a)
+    p, moments = np.asarray(p, dtype=float), np.asarray(moments, dtype=float)
+    if not a.shape == p.shape == moments.shape:
+        raise ValueError("a, p and moments must have one entry per axis")
+    if np.any(p <= 0) or np.any(p > 32):
+        raise ValueError("exponents must lie in (0, 32]")
+    bound = float(np.sum(2.0 * p ** 2 / (p + 1.0) * a ** 2 * moments))
+    return BoundedEstimate(_variance_estimate(y, "power_sum_variance"), bound)
 
 
 # -- Kolmogorov distance ------------------------------------------------------
@@ -228,27 +176,7 @@ def scaling_fit(points) -> ScalingFit:
     return ScalingFit(float(slope), float(intercept), r2)
 
 
-# -- deterministic quadrature identities ---------------------------------------
-
-def _adaptive_simpson(f, a: float, b: float) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
-                + recurse(m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
-
-    return recurse(a, fa, b, fb, m, fm, whole, _SIMPSON_TOL, _SIMPSON_DEPTH)
-
+# -- segment identities -------------------------------------------------------
 
 class IdentityValues(NamedTuple):
     lhs217: float
@@ -258,23 +186,23 @@ class IdentityValues(NamedTuple):
 
 
 def verify_identities(a: float, p: float, r: float) -> IdentityValues:
-    """Quadrature values of the two segment identities for |t|^p profiles.
+    """Closed-form values of the two segment identities for |t|^p profiles.
 
     lhs217 = int_{-r}^{r} (a|t|^p - a r^p)^2 dt, rhs217 = (2p^2/(p+1)) int (a|t|^p)^2 dt,
     lhs333 = int (2 a r^p)^2 dt, rhs333 = 4(2p+1) int (a|t|^p)^2 dt.
-    The integrands are even with a kink at 0, so integrate on [0, r] and double.
+    The integrands are even, so each is twice its integral over [0, r],
+    expanded into powers of t and integrated by int_0^r t^q dt = r^{q+1}/(q+1).
     """
     if a < 0 or p < 0 or r < 0:
         raise ValueError("a, p, r must be nonnegative")
-    if r == 0:
-        return IdentityValues(0.0, 0.0, 0.0, 0.0)
 
-    def tp(t):
-        return 1.0 if (p == 0) else t ** p
+    def power_integral(q: float) -> float:
+        return r ** (q + 1.0) / (q + 1.0)
 
-    rp = tp(r)
-    lhs217 = 2.0 * _adaptive_simpson(lambda t: (a * tp(t) - a * rp) ** 2, 0.0, r)
-    ipp = 2.0 * _adaptive_simpson(lambda t: (a * tp(t)) ** 2, 0.0, r)
+    rp = r ** p
+    lhs217 = 2.0 * a * a * (power_integral(2.0 * p) - 2.0 * rp * power_integral(p)
+                            + rp * rp * power_integral(0.0))
+    ipp = 2.0 * a * a * power_integral(2.0 * p)
     rhs217 = 2.0 * p * p / (p + 1.0) * ipp
     lhs333 = 2.0 * r * (2.0 * a * rp) ** 2
     rhs333 = 4.0 * (2.0 * p + 1.0) * ipp

@@ -37,9 +37,13 @@ def _quote(field: str) -> str:
 CSV_HEADER = "estimator_id,body,n,N,seed,value,half_width,bound,extra_json"
 
 
+def _report_order(rows: list[CsvRow]) -> list[CsvRow]:
+    """Rows in report order: by body, then n, then estimator id."""
+    return sorted(rows, key=lambda r: (r.body, r.n, r.estimator_id))
+
+
 def render_csv(rows: list[CsvRow]) -> str:
-    ordered = sorted(rows, key=lambda r: (r.body, r.n, r.estimator_id))
-    return "\n".join([CSV_HEADER] + [r.render() for r in ordered]) + "\n"
+    return "\n".join([CSV_HEADER] + [r.render() for r in _report_order(rows)]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ def render_json(result: SuiteResult, config_echo: dict, timestamp: str, version:
         "notes": result.notes,
         "rows": [
             {**{k: v for k, v in asdict(r).items() if k != "extra"}, "extra": r.extra}
-            for r in sorted(result.rows, key=lambda r: (r.body, r.n, r.estimator_id))
+            for r in _report_order(result.rows)
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"

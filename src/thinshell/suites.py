@@ -70,8 +70,7 @@ def _thinshell_task(template: BodyTemplate, n: int, samples: int, seed: int,
                 yk[rows] = block @ a
 
     smp.for_each_block(body, samples, seed, visit)
-    weighted = [est.weighted_square_variance(yk, est.WeightVector.coefficients(a))
-                for yk, a in zip(y, coeffs)]
+    weighted = [est.weighted_square_variance(yk, a) for yk, a in zip(y, coeffs)]
     return body.label(), est.thin_shell_stats(sq, body.dim), weighted
 
 
@@ -313,7 +312,7 @@ def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
         return float(errs[k]), abs(float(ts[k]))
 
     for n in sorted(set(cube_ns)):
-        theta = est.WeightVector.uniform_direction(n).array
+        theta = est.uniform_direction(n)
         grid_cdf = 1.0 - clt.cube_marginal_tail(theta, ts)
         vals = np.empty(samples)
 
@@ -329,7 +328,7 @@ def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
             f"berry_esseen.cube.n{n}", "Thm 1.1 eq (2)", dist,
             f"<= 10/n = {10 / n:.2e} (exact)", dist <= 10.0 / n))
     for n in sorted(set(counter_ns)):
-        theta = est.WeightVector.uniform_direction(n).array
+        theta = est.uniform_direction(n)
         cdf = _counterexample_cdf(theta, n)
         # per-n seed offset: the marginal law is n-independent, so reusing the
         # stream verbatim would repeat the identical draw sequence

@@ -28,7 +28,7 @@ from thinshell.clt import (
     _leggauss,
     sinc8_tail_integral,
 )
-from thinshell.estimators import WeightVector
+from thinshell.estimators import uniform_direction
 
 KERNEL = build_kernel()
 
@@ -515,12 +515,11 @@ def test_cube_marginal_out_of_reach_raises(n):
         cube_marginal_tail(axis, 0.5)
     if n > 1:
         with pytest.raises(TruncationError):
-            cube_marginal_tail(WeightVector.uniform_direction(n).array, 0.5)
+            cube_marginal_tail(uniform_direction(n), 0.5)
 
 
 def test_cube_marginal_reaches_n5():
-    assert clt.cube_marginal_cut(WeightVector.uniform_direction(5).array) == pytest.approx(
-        372.5, abs=0.1)
+    assert clt.cube_marginal_cut(uniform_direction(5)) == pytest.approx(372.5, abs=0.1)
     with pytest.raises(ValueError):
         cube_marginal_tail(np.zeros(5), 0.0)
 

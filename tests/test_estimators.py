@@ -10,11 +10,11 @@ from thinshell.bodies import BodySpec, isotropic_body
 from thinshell.estimators import (
     IDENTITY_GRID,
     EstimateWithCI,
-    WeightVector,
     kolmogorov_distance,
     power_sum_variance,
     scaling_fit,
     thin_shell_stats,
+    uniform_direction,
     verify_identities,
     weighted_square_variance,
 )
@@ -45,7 +45,13 @@ def squared_norms(s):
 
 
 def weighted_squares(s, a):
-    return (s.data ** 2) @ a.array
+    return (s.data ** 2) @ a
+
+
+def power_sums(s, a, p):
+    # per-draw sum a_i |X_i|^{p_i} and per-axis E|X_i|^{2 p_i}, from the sample
+    absx = np.abs(s.data)
+    return (absx ** p) @ a, np.mean(absx ** (2.0 * p), axis=0)
 
 
 def test_thin_shell_cube_matches_quadrature_oracle(cube16):
@@ -66,20 +72,19 @@ def test_thin_shell_ball_beta_oracle():
 
 def test_weighted_square_variance_cases(cube16):
     n = 16
-    ones = WeightVector.coefficients(np.ones(n))
+    ones = np.ones(n)
     est, bound = weighted_square_variance(weighted_squares(cube16, ones), ones)
     assert bound == pytest.approx(16.0 * n)
     assert abs(est.value - 0.8 * n) <= est.half_width
-    e1 = WeightVector.coefficients(np.eye(n)[0])
+    e1 = np.eye(n)[0]
     est1, bound1 = weighted_square_variance(weighted_squares(cube16, e1), e1)
     assert abs(est1.value - 0.8) <= est1.half_width
-    zero = WeightVector.coefficients(np.zeros(n))
+    zero = np.zeros(n)
     est0, bound0 = weighted_square_variance(weighted_squares(cube16, zero), zero)
     assert est0.value == 0.0 and est0.half_width == 0.0 and bound0 == 0.0
-    assert est0.degenerate and est0.count == 10 ** 5
-    with pytest.raises(ValueError, match="coefficient"):
-        weighted_square_variance(weighted_squares(cube16, ones),
-                                 WeightVector.exponents(np.ones(n)))
+    assert est0.count == 10 ** 5
+    with pytest.raises(ValueError, match="nonnegative"):
+        weighted_square_variance(weighted_squares(cube16, ones), -e1)
 
 
 def test_thin_shell_stats_needs_100_draws(cube16):
@@ -90,16 +95,15 @@ def test_thin_shell_stats_needs_100_draws(cube16):
 def test_weighted_square_variance_bound_random_directions(cube16):
     rng = np.random.default_rng(7)
     for _ in range(20):
-        a = WeightVector.coefficients(rng.uniform(0, 2, size=16))
+        a = rng.uniform(0, 2, size=16)
         est, bound = weighted_square_variance(weighted_squares(cube16, a), a)
         assert est.value <= bound + 4 * est.half_width
 
 
 def test_power_sum_variance_reduces_to_squares(cube16):
     n = 16
-    a = WeightVector.coefficients(np.ones(n))
-    p2 = WeightVector.exponents(np.full(n, 2.0))
-    est_pow, bound_pow = power_sum_variance(cube16, a, p2)
+    a, p2 = np.ones(n), np.full(n, 2.0)
+    est_pow, bound_pow = power_sum_variance(*power_sums(cube16, a, p2), a, p2)
     est_sq, _ = weighted_square_variance(weighted_squares(cube16, a), a)
     assert est_pow.value == pytest.approx(est_sq.value, rel=1e-12)
     # the p=2 bound uses E X^4 from the sample: (2*4/3) * n * E X^4
@@ -108,9 +112,8 @@ def test_power_sum_variance_reduces_to_squares(cube16):
 
 def test_power_sum_variance_p1_oracle(cube16):
     n = 16
-    a = WeightVector.coefficients(np.ones(n))
-    p1 = WeightVector.exponents(np.ones(n))
-    est, bound = power_sum_variance(cube16, a, p1)
+    a = p1 = np.ones(n)
+    est, bound = power_sum_variance(*power_sums(cube16, a, p1), a, p1)
     var_abs = uniform_moment(2) - uniform_moment(1) ** 2  # 1 - 3/4
     assert var_abs == pytest.approx(0.25)
     assert abs(est.value - n * var_abs) <= est.half_width
@@ -120,17 +123,20 @@ def test_power_sum_variance_p1_oracle(cube16):
 
 def test_power_sum_variance_n1_inequality():
     s = sample_exact(isotropic_body("cube", 1), 10 ** 5, seed=SEED)
-    est, bound = power_sum_variance(s, WeightVector.coefficients([1.0]),
-                                    WeightVector.exponents([2.0]))
+    a, p = np.array([1.0]), np.array([2.0])
+    est, bound = power_sum_variance(*power_sums(s, a, p), a, p)
     assert abs(est.value - 0.8) <= est.half_width
     assert bound == pytest.approx((8.0 / 3.0) * 1.8, rel=0.02)
     assert est.value <= bound
 
 
 def test_power_sum_variance_overflow_guard(cube16):
-    with pytest.raises(ValueError):
-        power_sum_variance(cube16, WeightVector.coefficients(np.ones(16)),
-                           WeightVector.exponents(np.full(16, 40.0)))
+    a = np.ones(16)
+    y, moments = power_sums(cube16, a, np.full(16, 32.0))
+    est, bound = power_sum_variance(y, moments, a, np.full(16, 32.0))
+    assert math.isfinite(est.value) and math.isfinite(bound)
+    with pytest.raises(ValueError, match="exponents"):
+        power_sum_variance(y, moments, a, np.full(16, 40.0))
 
 
 def kolmogorov_uniform_vs_normal_oracle(a=SQRT3):
@@ -171,8 +177,7 @@ def test_counterexample_marginal_far_from_normal():
     # the uniform-direction marginal is Uniform[-sqrt3, sqrt3] for every n
     oracle = kolmogorov_uniform_vs_normal_oracle()
     for n in (4, 64):
-        vals = counterexample_marginal(n, 10 ** 5, WeightVector.uniform_direction(n).array,
-                                       seed=SEED)
+        vals = counterexample_marginal(n, 10 ** 5, uniform_direction(n), seed=SEED)
         res = kolmogorov_distance(vals, normal_cdf)
         assert res.distance >= 0.04
         assert res.distance == pytest.approx(oracle, abs=3 * res.dkw_band + 1e-3)
@@ -223,6 +228,14 @@ def test_verify_identities_grid(a, p, r):
     vals = verify_identities(a, p, r)
     assert abs(vals.lhs217 - vals.rhs217) <= 1e-10 * (1 + abs(vals.rhs217))
     assert abs(vals.lhs333 - vals.rhs333) <= 1e-10 * (1 + abs(vals.rhs333))
+    # the closed-form integrals against numerical quadrature of the integrands
+    lhs217, _ = quad(lambda t: (a * abs(t) ** p - a * r ** p) ** 2, -r, r, points=[0.0],
+                     epsabs=1e-13, epsrel=1e-12)
+    ipp, _ = quad(lambda t: (a * abs(t) ** p) ** 2, -r, r, points=[0.0],
+                  epsabs=1e-13, epsrel=1e-12)
+    assert vals.lhs217 == pytest.approx(lhs217, rel=1e-10, abs=1e-12)
+    assert vals.rhs217 == pytest.approx(2 * p * p / (p + 1) * ipp, rel=1e-10, abs=1e-12)
+    assert vals.rhs333 == pytest.approx(4 * (2 * p + 1) * ipp, rel=1e-10, abs=1e-12)
 
 
 def test_identity_grid_is_twelve_points():
@@ -230,14 +243,25 @@ def test_identity_grid_is_twelve_points():
 
 
 def test_weight_vector_validation():
-    with pytest.raises(ValueError):
-        WeightVector.direction([1.0, 1.0])
-    with pytest.raises(ValueError):
-        WeightVector.coefficients([-0.5])
-    with pytest.raises(ValueError):
-        WeightVector.exponents([0.0])
-    theta = WeightVector.uniform_direction(7)
-    assert sum(t * t for t in theta.entries) == pytest.approx(1.0, abs=1e-15)
+    # negative coefficients and exponents <= 0 are rejected by both estimators
+    y, ones = np.ones(100), np.ones(3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        weighted_square_variance(y, [1.0, -0.5, 1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        power_sum_variance(y, ones, [1.0, -0.5, 1.0], ones)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="exponents"):
+            power_sum_variance(y, ones, ones, [1.0, bad, 1.0])
+    with pytest.raises(ValueError, match="one entry per axis"):
+        power_sum_variance(y, ones, ones, np.ones(4))
+    for n in (5, 16, 64, 256):
+        theta = uniform_direction(n)
+        assert theta.dtype == np.float64 and theta.shape == (n,)
+        assert float(theta @ theta) == pytest.approx(1.0, abs=1e-15)
+        # the construction of the former WeightVector.uniform_direction(n).array
+        e = np.full(n, 1.0 / math.sqrt(n))
+        e[0] = math.sqrt(1.0 - float(e[1:] @ e[1:]))
+        assert theta.tobytes() == np.asarray(tuple(e)).tobytes()
 
 
 def test_estimate_with_ci_validation():
