@@ -1,10 +1,24 @@
-"""Exact samplers for the body families, with reproducible counter-based
-substreams, and the THSL binary dump format.
+"""Exact samplers for the body families, with reproducible block streams,
+and the THSL binary dump format.
 
 Reproducibility contract: draws are generated in fixed blocks of ``BLOCK``
-rows; block b of a run with master seed s comes from an independent Philox
-substream keyed by (s, b).  The result is bit-identical for any thread count
-and any order in which the blocks are drawn or consumed.
+rows.  Block b of a draw with master seed s comes from its own generator,
+``Generator(SFC64(SeedSequence(s, spawn_key=(*draw_id, b))))``, where the
+draw id is fixed by what is drawn: (kind, bits of p, n) for a body (p's
+float64 bits, 0 for the cube and the ball) and (3, 0, n) for the
+counterexample marginal.  So the result is bit-identical for any thread count
+and any order in which the blocks are drawn or consumed, and two draws of
+different bodies or dimensions share no stream.  SeedSequence hashes each key
+to a 128-bit state, so distinct keys give independent streams with
+overwhelming probability (a collision of two keys has probability about
+2^-128), not by construction as distinct Philox keys do.
+
+Named streams, ``substream(seed, stream)``, stay on Philox keyed by
+(seed, stream): the suites' non-block draws (the clt oracle's instances at
+stream 1, the transport suite's point clouds at 7, the thinshell coefficient
+vectors at ``NAMED_STREAM``) keep their values, and the benchmark replays
+the clt key to size its workload.  They are Philox and the block streams are
+SFC64, so no block stream is a named stream.
 """
 
 from __future__ import annotations
@@ -21,9 +35,10 @@ import numpy as np
 
 from .bodies import BodySpec
 
-RNG_ID = "philox4x64-128(key=(seed,stream))"
-BLOCK = 1 << 14  # rows per substream block; part of the determinism contract
-NAMED_STREAM = 1 << 32  # first stream id no block index reaches, for non-block draws
+RNG_ID = ("sfc64(SeedSequence(seed,spawn_key=(kind,p,n,block))); "
+          "named: philox4x64-128(key=(seed,stream))")
+BLOCK = 1 << 14  # rows per block stream; part of the determinism contract
+NAMED_STREAM = 1 << 32  # the thinshell coefficient vectors' named stream
 _MASK64 = (1 << 64) - 1
 
 MAGIC = b"THSL"
@@ -38,7 +53,7 @@ class TruncatedSampleFileError(ValueError):
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:
-    """Independent generator for (seed, stream); distinct keys never overlap."""
+    """Named Philox stream (seed, stream); distinct keys never overlap."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -67,50 +82,81 @@ class SampleMatrix:
         return self.data.shape[1]
 
 
-# rows per chunk of the ball norms and the lp signs, so that no temporary has
-# the size of a whole block
-_CHUNK = 1024
+# draw ids: the first entry of every block stream's spawn key
+_KIND_IDS = {"cube": 0, "euclidean_ball": 1, "lp_ball": 2}
+_COUNTEREXAMPLE_ID = 3
 
 
-def _draw_exact_block(body: BodySpec, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
-    """Fill the m x n array ``x`` with m draws from ``body`` and return it."""
+def _draw_id(body: BodySpec) -> tuple[int, int, int]:
+    """(kind, float64 bits of p or 0, n): the part of a body's block keys that
+    names the draw."""
+    p_bits = 0 if body.p is None else struct.unpack("<Q", struct.pack("<d", body.p))[0]
+    return _KIND_IDS[body.kind], p_bits, body.dim
+
+
+# rows per chunk of the lp draw: the chunk and its scratch stay in cache while
+# the draw makes its passes over them
+_CHUNK = 256
+
+
+def _scratch(dim: int) -> np.ndarray:
+    """Per-thread scratch of ``_draw_exact_block``; only the lp draw touches it."""
+    return np.empty((_CHUNK, dim))
+
+
+def _draw_exact_block(body: BodySpec, rng: np.random.Generator, x: np.ndarray,
+                      scratch: np.ndarray) -> np.ndarray:
+    """Fill the m x n array ``x`` with m draws from ``body`` and return it;
+    ``scratch`` is a ``_scratch(n)`` array the call may overwrite."""
     m, n = x.shape
     scale = body.scale_array
     if body.kind == "cube":
-        # -1 + 2u, the arithmetic of uniform(-1, 1)
         rng.random(out=x)
-        x *= 2.0
-        x += -1.0
-        x *= scale
+        x *= 2.0 * scale
+        x -= scale
         return x
     if body.kind == "euclidean_ball":
         rng.standard_normal(out=x)
-        for c in range(0, m, _CHUNK):
-            rows = x[c:c + _CHUNK]
-            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        x *= rng.random((m, 1)) ** (1.0 / n)
+        radius = rng.random(m) ** (1.0 / n)
+        radius /= np.sqrt(np.einsum("ij,ij->i", x, x))
+        x *= radius[:, None]
         x *= scale
         return x
     p = body.p
-    # lp_ball: |g_i|^p ~ Gamma(1/p); signed generalized Gaussian coordinates,
-    # normalized by (sum |g_j|^p + E)^(1/p) with E standard exponential
-    rng.standard_gamma(1.0 / p, out=x)
-    gp_sums = x.sum(axis=1, keepdims=True)
-    np.power(x, 1.0 / p, out=x)
-    # integers(0, 2) reads the stream as choice([-1, 1]) does; 0 is the minus sign
+    # lp_ball (Barthe, Guedon, Mendelson and Naor 2005): g_i = V_i Y_i^(1/p)
+    # with Y_i ~ Gamma(1 + 1/p) and V_i ~ U(-1, 1) has density prop. to
+    # exp(-|g|^p), and x = g / (sum |g_j|^p + E)^(1/p) with E standard
+    # exponential; |g_j|^p = Y_j |V_j|^p
     for c in range(0, m, _CHUNK):
-        rows = x[c:c + _CHUNK]
-        np.negative(rows, out=rows, where=rng.integers(0, 2, size=rows.shape) == 0)
-    x /= (gp_sums + rng.standard_exponential((m, 1))) ** (1.0 / p)
-    x *= scale
+        g = x[c:c + _CHUNK]
+        v = scratch[:g.shape[0]]
+        if p == 1.0:
+            # Gamma(2) as the sum of two standard exponentials, which costs
+            # about 0.6 of standard_gamma(2.0)
+            rng.standard_exponential(out=g)
+            g += rng.standard_exponential(out=v)
+        else:
+            rng.standard_gamma(1.0 + 1.0 / p, out=g)
+        rng.random(out=v)
+        v *= 2.0
+        v -= 1.0
+        np.power(g, 1.0 / p, out=g)
+        g *= v
+        np.abs(g, out=v)
+        np.power(v, p, out=v)
+        norm = (v.sum(axis=1) + rng.standard_exponential(g.shape[0])) ** (-1.0 / p)
+        g *= norm[:, None]
+        g *= scale
     return x
 
 
-def _substream_blocks(count: int, seed: int) -> Iterator[tuple[int, int, np.random.Generator]]:
+def _blocks(count: int, seed: int, draw_id: tuple[int, ...]
+            ) -> Iterator[tuple[int, int, np.random.Generator]]:
     """(first row, rows, generator) of each BLOCK-sized chunk of a count-row draw;
-    chunk b draws from substream (seed, b)."""
-    for stream, start in enumerate(range(0, count, BLOCK)):
-        yield start, min(BLOCK, count - start), substream(seed, stream)
+    chunk b draws from SFC64 seeded by SeedSequence(seed, spawn_key=(*draw_id, b))."""
+    for b, start in enumerate(range(0, count, BLOCK)):
+        key = np.random.SeedSequence(seed & _MASK64, spawn_key=(*draw_id, b))
+        yield start, min(BLOCK, count - start), np.random.Generator(np.random.SFC64(key))
 
 
 def _usable_cores() -> int:
@@ -123,8 +169,9 @@ def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
     """Yield the exact-sampler rows in their canonical BLOCK-sized chunks."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    for _, m, rng in _substream_blocks(count, seed):
-        yield _draw_exact_block(body, rng, np.empty((m, body.dim)))
+    scratch = _scratch(body.dim)
+    for _, m, rng in _blocks(count, seed, _draw_id(body)):
+        yield _draw_exact_block(body, rng, np.empty((m, body.dim)), scratch)
 
 
 def for_each_block(body: BodySpec, count: int, seed: int,
@@ -137,17 +184,17 @@ def for_each_block(body: BodySpec, count: int, seed: int,
     itself, so it should write only to its own rows of shared arrays."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    blocks = _substream_blocks(count, seed)
+    blocks = _blocks(count, seed, _draw_id(body))
     lock = threading.Lock()
 
-    def work(buffer: np.ndarray) -> None:
+    def work(buffer: np.ndarray, scratch: np.ndarray) -> None:
         while True:
             with lock:
                 item = next(blocks, None)
             if item is None:
                 return
             start, m, rng = item
-            visit(slice(start, start + m), _draw_exact_block(body, rng, buffer[:m]))
+            visit(slice(start, start + m), _draw_exact_block(body, rng, buffer[:m], scratch))
 
     # one thread per usable core, but the per-thread buffers never hold more than
     # half the draw's rows, so on any host the draw stays well below the
@@ -157,12 +204,13 @@ def for_each_block(body: BodySpec, count: int, seed: int,
     # allocated in the calling thread: buffers allocated in the drawing threads
     # come from per-thread malloc arenas, which kept more memory resident
     # (families peak RSS 138-157 MB against 119 MB)
-    buffers = [np.empty((min(BLOCK, count), body.dim)) for _ in range(threads)]
+    buffers = [(np.empty((min(BLOCK, count), body.dim)), _scratch(body.dim))
+               for _ in range(threads)]
     if threads == 1:
-        work(buffers[0])
+        work(*buffers[0])
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for done in [pool.submit(work, b) for b in buffers]:
+        for done in [pool.submit(work, *b) for b in buffers]:
             done.result()
 
 
@@ -179,7 +227,7 @@ def counterexample_marginal(n: int, count: int, theta: np.ndarray, seed: int) ->
     theta = np.asarray(theta, dtype=float)
     half = math.sqrt(3.0 * n)
     out = np.empty(count)
-    for start, m, rng in _substream_blocks(count, seed):
+    for start, m, rng in _blocks(count, seed, (_COUNTEREXAMPLE_ID, 0, n)):
         t = rng.integers(0, n, size=m)
         out[start:start + m] = rng.uniform(-half, half, size=m) * theta[t]
     return out

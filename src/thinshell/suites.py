@@ -45,7 +45,7 @@ _GRID_NODES = 4096             # nodes of the Thm 258 segment measure
 _EPSILONS = (0.1, 0.05, 0.01)  # Thm 258 perturbation sizes
 _N_TRIG = 5                    # random even trig polynomials in the Lemma 2.1 check
 _TRIG_DEGREE = 2
-_COEFF_STREAM = smp.NAMED_STREAM  # past every block
+_COEFF_STREAM = smp.NAMED_STREAM  # the coefficient vectors' named Philox stream
 
 
 def _within(value: float, target: float, half_width: float) -> bool:
@@ -330,9 +330,7 @@ def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
     for n in sorted(set(counter_ns)):
         theta = est.uniform_direction(n)
         cdf = _counterexample_cdf(theta, n)
-        # per-n seed offset: the marginal law is n-independent, so reusing the
-        # stream verbatim would repeat the identical draw sequence
-        vals = smp.counterexample_marginal(n, samples, theta, seed + n)
+        vals = smp.counterexample_marginal(n, samples, theta, seed)
         dist, at = exact_and_sampled("counterexample", n, cdf(ts), vals, cdf)
         out.rows.append(CsvRow("berry_esseen.counterexample", f"counterexample(n={n})",
                                n, 0, seed, dist, 0.0, 0.045, {"argmax_t": at}))

@@ -240,13 +240,13 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["thinshell", "--config", str(tmp_path / "missing.ini")]) == 3
     assert main(["version"]) == 0
     out = capsys.readouterr().out
-    assert "thinshell" in out and "philox" in out
+    assert "thinshell" in out and "sfc64" in out
 
 
 def test_version_info_stable():
     a, b = version_info(), version_info()
     assert a == b
-    assert "philox4x64" in a
+    assert "sfc64" in a and "philox4x64" in a
 
 
 def test_dump_samples_flag(tmp_path, capsys):

@@ -6,12 +6,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import beta, chisquare, kstest
 
 from thinshell import sampler
 from thinshell.bodies import BodySpec, analytic_second_moments, contains_rows, isotropic_body
 from thinshell.sampler import (
     BLOCK,
+    NAMED_STREAM,
     SampleMatrix,
     TruncatedSampleFileError,
     counterexample_marginal,
@@ -58,10 +60,10 @@ def test_block_partition_matches_single_stream():
 # 5, p), 40000, SEED): three blocks, the last one short.  A change to any draw
 # must change these and RNG_ID together.
 GOLDEN_STREAMS = {
-    ("cube", None): "6c119b728d536044303fd3034eb62f4020723d58d1fa8b9ce13004be82dd2bff",
-    ("euclidean_ball", None): "15d86848fdb8e81a221ca594b813a8ec1001e85a4c4280149a38d0917463d3a1",
-    ("lp_ball", 1.0): "15e01e4359e3b3f91b04c5f25d9ca053773c2f25e0232f8cafd5640cc77e57a2",
-    ("lp_ball", 3.0): "ec3b59c097118c607fac3e709bcb9a03519b55d1d23132626338e52d74c510a5",
+    ("cube", None): "07d4123fbb81d48b9a557f1d5c4cb261301bd74f0626133613d5b17318efeced",
+    ("euclidean_ball", None): "0649caf8bd871a40324cffadf9a7dd716334551faf60a25e4ee45be3423e21ce",
+    ("lp_ball", 1.0): "09cc32859dbd6bff4d96992783256cde59ae5baf02fb06da0f7300f02cf8bc43",
+    ("lp_ball", 3.0): "7f974561dfc3e34cc3a0457216083cc95687d81a1c778bd1f9e88832e0157d52",
 }
 
 
@@ -149,6 +151,62 @@ def test_substreams_do_not_collide():
     a = substream(SEED, 0).uniform(size=8)
     b = substream(SEED, 1).uniform(size=8)
     assert not np.allclose(a, b)
+
+
+def test_block_streams_are_not_named_streams():
+    # the clt oracle (stream 1), the transport clouds (7) and the thinshell
+    # coefficients (NAMED_STREAM) draw from named Philox streams, which block b
+    # of every draw reproduced while blocks were keyed (seed, b)
+    named = [substream(SEED, s).random(8) for s in (1, 7, NAMED_STREAM)]
+    draw_ids = [sampler._draw_id(isotropic_body(kind, n, p))
+                for kind, p in [("cube", None), ("euclidean_ball", None),
+                                ("lp_ball", 1.0), ("lp_ball", 3.0)] for n in (1, 16, 64)]
+    draw_ids += [(sampler._COUNTEREXAMPLE_ID, 0, n) for n in (16, 256)]
+    assert len(set(draw_ids)) == len(draw_ids)
+    firsts = [rng.random(8) for draw_id in draw_ids
+              for _, _, rng in sampler._blocks(16 * BLOCK, SEED, draw_id)]
+    assert len(firsts) == 16 * len(draw_ids)
+    values = np.concatenate(firsts)
+    assert np.unique(values).size == values.size
+    assert not np.isin(np.concatenate(named), values).any()
+
+
+def test_cube_draws_of_two_dimensions_share_no_values():
+    # keyed by (seed, block) alone, row 0 of the n = 64 draw was rows 0..3 of
+    # the n = 16 draw
+    a = sample_exact(isotropic_body("cube", 16), 4096, SEED).data
+    b = sample_exact(isotropic_body("cube", 64), 1024, SEED).data
+    assert np.intersect1d(a, b).size == 0
+
+
+def _lp_moment(p, n, qs):
+    """E prod_i |X_i|^(q_i) for X uniform on the unit lp ball of R^n (Barthe,
+    Guedon, Mendelson and Naor 2005)."""
+    qs = np.asarray(qs, dtype=float)
+    return math.exp(np.sum(gammaln((qs + 1) / p) - gammaln(1 / p))
+                    + gammaln(1 + n / p) - gammaln(1 + (n + qs.sum()) / p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_lp_draw_exact_moments(p, n):
+    body = BodySpec.lp_ball(n, p)
+    count = 10 ** 6
+    x2, x4, x2y2 = np.empty(count), np.empty(count), np.empty(count)
+    inside = np.empty(count, dtype=bool)
+
+    def visit(rows, block):
+        x2[rows] = block[:, 0] ** 2
+        x4[rows] = x2[rows] ** 2
+        x2y2[rows] = x2[rows] * block[:, -1] ** 2
+        inside[rows] = contains_rows(body, block)
+
+    for_each_block(body, count, SEED, visit)
+    assert inside.all()
+    cases = [(x2, (2,)), (x4, (4,))] + ([(x2y2, (2, 2))] if n > 1 else [])
+    for values, qs in cases:
+        z = (values.mean() - _lp_moment(p, n, qs)) / mc_sigma(values)
+        assert abs(z) <= 5.0, (qs, z)
 
 
 def test_cube_isotropic_by_construction():

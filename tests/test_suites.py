@@ -151,3 +151,22 @@ def test_berry_esseen_dimensions_are_distinct(tmp_path, n_grid):
     names = [a["name"] for a in json.loads((tmp_path / "report.json").read_text())["assertions"]]
     assert len(lines) == len(set(lines)) == 5  # header, then 2 rows per law
     assert len(names) == len(set(names)) == 4
+
+
+def test_counterexample_draws_of_two_dimensions_share_no_values(monkeypatch):
+    # a seed + n offset made the n = 64 draw at SEED the n = 16 draw at SEED + 48
+    drawn = []
+    draw = smp.counterexample_marginal
+
+    def recording(n, count, theta, seed):
+        drawn.append(draw(n, count, theta, seed))
+        return drawn[-1]
+
+    monkeypatch.setattr(smp, "counterexample_marginal", recording)
+    berry_esseen_suite(SEED, cube_ns=(), counter_ns=(64,), samples=2000)
+    berry_esseen_suite(SEED + 48, cube_ns=(), counter_ns=(16,), samples=2000)
+    # uniform theta makes both marginals sqrt(3) (2u - 1), so shared uniforms
+    # give values equal up to rounding
+    values = np.sort(np.concatenate(drawn))
+    assert values.size == 4000
+    assert np.diff(values).min() > 1e-12
