@@ -34,7 +34,7 @@ __all__ = [
     "SmoothingKernel", "build_kernel", "TruncationError",
     "bernoulli_gamma_tail_fourier", "bernoulli_gamma_tail_bruteforce",
     "cube_marginal_cut", "cube_marginal_tail", "tail_grid",
-    "lemma700_report", "gauss_tail_bounds_check", "lemma1034_check",
+    "lemma700_report", "lemma1034_check",
     "normal_density", "normal_upper_tail", "normal_cdf",
 ]
 
@@ -51,7 +51,6 @@ _NEAR_NODES = 32
 
 _PANEL_NODES = 16        # Gauss-Legendre nodes per panel of the inversion integrals
 _TAIL_POINTS = 4096      # evenly spaced t-points of the sup errors (tail_grid)
-_SANDWICH = (0.99, 1.35)  # bounds of Phi(t)(t+1)/phi(t) on [0, 10]
 _MOMENT_CUT = 400.0      # quadrature of kernel moments on [0, T]; exact tail beyond
 _TRUNCATION_TOL = 1e-13  # bound on the dropped tail int_cut^inf |phi|/xi of the cube inversion
 _CUT_BUDGET = 1000.0     # largest cube cut times |theta|: uniform n = 5 needs 372, n = 4 1452
@@ -396,17 +395,7 @@ def lemma700_report(theta, sigma: float) -> Lemma700Report:
     return Lemma700Report(float(errs[k]), bound, abs(float(ts[k])), ts.size)
 
 
-# -- Gaussian tail inequality checks --------------------------------------------
-
-def gauss_tail_bounds_check(t_grid) -> tuple[np.ndarray, bool]:
-    """Ratios r(t) = Phi(t)(t+1)/phi(t) over ``t_grid`` in [0, 10], and whether
-    all of them lie in the sandwich [0.99, 1.35]."""
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t < 0) or np.any(t > 10):
-        raise ValueError("t_grid must lie in [0, 10]")
-    r = normal_upper_tail(t) * (t + 1.0) / normal_density(t)
-    return r, bool(np.all((r >= _SANDWICH[0]) & (r <= _SANDWICH[1])))
-
+# -- the shifted-tail lemma ------------------------------------------------------
 
 class Lemma1034Report(NamedTuple):
     c1_part_i: float       # max over grid of delta / Phi(t0 + 2 delta^(1/4))

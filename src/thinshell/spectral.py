@@ -1,6 +1,6 @@
 """Neumann Laplacian on rasterized 2D convex bodies: lowest eigenpairs,
-gradient bias of the first nontrivial eigenspace, reflection symmetry
-structure, and the bounding-cube comparison.
+gradient bias of the first nontrivial eigenspace and reflection symmetry
+structure.
 
 Discretization: cell-centered raster, cell included iff its center lies in the
 body; the operator is the 5-point graph Laplacian over included cells divided
@@ -24,9 +24,7 @@ import scipy.sparse.linalg as spl
 
 from .bodies import BodySpec, contains_rows
 
-_REL_TOL = 1e-6         # relative width of an eigenvalue cluster and cut of the bias rank
-SYMMETRY_TOL = 1e-6     # largest flip defect ||sigma_i phi + phi|| / ||phi|| that passes
-_COMPARISON_TOL = 0.02  # relative slack of the bounding-cube comparison
+_REL_TOL = 1e-6  # relative width of an eigenvalue cluster and cut of the bias rank
 
 
 class TooCoarseGridError(ValueError):
@@ -239,17 +237,16 @@ class SymmetryReport(NamedTuple):
     defect: float               # the smallest of them
     member: np.ndarray          # a member with the smallest defect
     central_defect: float       # odd-under-point-reflection member, when central
-    passed: bool
 
 
 def symmetry_detect(grid: GridDomain, eigenspace: list[EigenPair]) -> SymmetryReport:
     """Find eigenspace members odd under each coordinate flip.
 
     The eigenvectors are post-rotated to diagonalize the flip operators inside
-    the (possibly degenerate) eigenspace; never passes silently, the defect of
-    every flip is always measured and reported.  The defects do not depend on
-    the basis of the eigenspace; which flip attains the smallest can, when
-    they tie at rounding level.
+    the (possibly degenerate) eigenspace; the defect of every flip is
+    measured and reported.  The defects do not depend on the basis of the
+    eigenspace; which flip attains the smallest can, when they tie at
+    rounding level.
     """
     V = np.column_stack([p.vector for p in eigenspace])
     Q, _ = np.linalg.qr(V)
@@ -268,40 +265,5 @@ def symmetry_detect(grid: GridDomain, eigenspace: list[EigenPair]) -> SymmetryRe
     for perm in perms:
         perm_c = perm_c[perm]
     central_defect, _ = odd_member(perm_c)
-    return SymmetryReport(tuple(d for d, _ in found), defect, member, central_defect,
-                          bool(defect <= SYMMETRY_TOL))
+    return SymmetryReport(tuple(d for d, _ in found), defect, member, central_defect)
 
-
-# -- bounding-cube comparison -----------------------------------------------------------
-
-class CubeComparisonRow(NamedTuple):
-    label: str
-    lambda1: float
-    passed: bool
-
-
-class CubeComparisonReport(NamedTuple):
-    lambda1_cube: float
-    rows: tuple[CubeComparisonRow, ...]
-    note: str
-
-
-def cube_comparison(lambda1_cube: float,
-                    bodies: list[tuple[BodySpec, float]]) -> CubeComparisonReport:
-    """lambda_1(body) >= (1 - 2%) lambda_1([-R,R]^2) for (body, lambda_1) pairs
-    of bodies in the cube, R = 1.
-
-    The cube eigenvalue is recorded as numerically observed; it agrees with the
-    interval value pi^2/(4 R^2), which the note sets beside it because published
-    statements of this comparison sometimes carry the constant pi^2/R^2.
-    """
-    rows = []
-    for body, lam in bodies:
-        if np.any(body.scale_array > 1 + 1e-12):
-            raise ValueError(f"{body.label()} is not contained in [-R, R]^2")
-        rows.append(CubeComparisonRow(body.label(), lam,
-                                      bool(lam >= lambda1_cube - _COMPARISON_TOL * lambda1_cube)))
-    interval = math.pi ** 2 / 4.0
-    note = (f"observed cube lambda1 {lambda1_cube:.6f} matches pi^2/(4R^2) = {interval:.6f}; "
-            f"the constant pi^2/R^2 = {4 * interval:.6f} is 4x larger than observed")
-    return CubeComparisonReport(lambda1_cube, tuple(rows), note)

@@ -2,7 +2,9 @@
 
 Each suite returns a SuiteResult of CSV rows plus pass/fail assertions, with
 every assertion carrying the anchor string of the inequality it instantiates.
-The same functions back the command-line runner and the acceptance tests.
+Every tolerance and every verdict lives here: the modules the suites call
+return what they measure, and the suites compare it with its target.  The same
+functions back the command-line runner and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ _EPSILONS = (0.1, 0.05, 0.01)  # Thm 258 perturbation sizes
 _N_TRIG = 5                    # random even trig polynomials in the Lemma 2.1 check
 _TRIG_DEGREE = 2
 _COEFF_STREAM = smp.NAMED_STREAM  # the coefficient vectors' named Philox stream
+_SANDWICH = (0.99, 1.35)       # bounds of Phi(t)(t+1)/phi(t) on [0, 10]
+_DUALITY_TOL = 0.02            # relative slack of the Thm 258 comparison
+# Var x^2 = 16/45 and its bound 32/15 on the square raster: relative errors
+# -1.22e-3 and -2.44e-3 at h = 1/32, falling 4x per halving; about 4x of that
+_X2_VAR_TOL = 0.005
+_X2_BOUND_TOL = 0.01
+_SYMMETRY_TOL = 1e-6           # largest flip defect ||sigma_i phi + phi|| / ||phi|| that passes
+_COMPARISON_TOL = 0.02         # relative slack of the bounding-cube comparison
 
 
 def _within(value: float, target: float, half_width: float) -> bool:
@@ -260,13 +270,13 @@ def clt_suite(seed: int, scaling_ns: tuple[int, ...] = (256, 512, 1024, 2048)) -
             f"from its 1/n asymptote; start the n range where that variance is small.")
 
     # Gaussian tail sandwich and the shifted-tail constants
-    ratios, passed = clt.gauss_tail_bounds_check(np.linspace(0.0, 10.0, 201))
-    out.rows.append(CsvRow("gauss_tail.ratio_range", "normal", 0, 0, 0,
-                           float(ratios.min()), 0.0, float(ratios.max())))
-    out.assertions.append(Assertion("gauss_tail.sandwich", "eq_640",
-                                    float(ratios.max()),
+    t = np.linspace(0.0, 10.0, 201)
+    ratios = clt.normal_upper_tail(t) * (t + 1.0) / clt.normal_density(t)
+    lo, hi = float(ratios.min()), float(ratios.max())
+    out.rows.append(CsvRow("gauss_tail.ratio_range", "normal", 0, 0, 0, lo, 0.0, hi))
+    out.assertions.append(Assertion("gauss_tail.sandwich", "eq_640", hi,
                                     "Phi(t)(t+1)/phi(t) in [0.99, 1.35] on [0, 10]",
-                                    passed))
+                                    _SANDWICH[0] <= lo and hi <= _SANDWICH[1]))
     rep = clt.lemma1034_check(np.linspace(0.0, 6.0, 121))
     out.rows.append(CsvRow("lemma1034.constants", "normal", 0, 0, 0, rep.c1_part_i,
                            0.0, rep.c1_part_iii,
@@ -377,8 +387,9 @@ def transport_suite(seed: int, raster_h: float = 1 / 32) -> SuiteResult:
     out.assertions.append(Assertion("thm258.ratio_at_0.01", "Thm 258", ratio_001,
                                     "W2(mu, mu_eps)/eps within 2% of the dual norm",
                                     abs(ratio_001 - rep.norm) <= 0.02 * rep.norm))
-    out.assertions.append(Assertion("thm258.duality", "Thm 258", rep.min_ratio,
-                                    "norm <= min ratio + tolerance", rep.passed))
+    out.assertions.append(Assertion(
+        "thm258.duality", "Thm 258", rep.min_ratio, "norm <= min ratio + tolerance",
+        rep.norm <= rep.min_ratio + _DUALITY_TOL * max(rep.norm, rep.min_ratio)))
 
     tmap = tpt.monotone_transport_1d(lambda x: x ** 2, -1.0, 1.0, 0.1)
     defect = tmap.pushforward_defect()
@@ -398,16 +409,26 @@ def transport_suite(seed: int, raster_h: float = 1 / 32) -> SuiteResult:
 
     fns = [("x^2", lambda x, y: x ** 2), ("x^2+y^2", lambda x, y: x ** 2 + y ** 2)]
     fns += [(f"trig{i}", _random_even_trig(rng)) for i in range(_N_TRIG)]
-    for body in (bd.BodySpec.cube(2), bd.BodySpec.euclidean_ball(2)):
+    square = bd.BodySpec.cube(2)
+    for body in (square, bd.BodySpec.euclidean_ball(2)):
         body_label = body.label()
         reports = tpt.verify_variance_bound(body, [f for _, f in fns], raster_h)
         for (fname, _), vrep in zip(fns, reports):
+            tol = raster_h * (1.0 + vrep.bound)
             out.rows.append(CsvRow("lemma21.variance_bound", f"{body_label}:{fname}",
-                                   2, 0, seed, vrep.var, 0.0, vrep.bound,
-                                   {"tolerance": vrep.tolerance}))
+                                   2, 0, seed, vrep.var, 0.0, vrep.bound, {"tolerance": tol}))
             out.assertions.append(Assertion(
                 f"lemma21.{body_label}.{fname}", "Lemma 2.1", vrep.var,
-                f"Var <= dual-norm bound {vrep.bound:.4g} + O(h)", vrep.passed))
+                f"Var <= dual-norm bound {vrep.bound:.4g} + O(h)", vrep.var <= vrep.bound + tol))
+            if body == square and fname == "x^2":
+                # the bound above is one-sided: an operator too small only
+                # inflates it, so the separable closed forms pin both sides
+                var_x2, bound_x2 = 16.0 / 45.0, 32.0 / 15.0
+                out.assertions.append(Assertion(
+                    f"lemma21.{body_label}.{fname}.closed_form", "Lemma 2.1, separable oracle",
+                    vrep.bound, "Var = 16/45 +- 0.5% and bound = 32/15 +- 1%",
+                    abs(vrep.var - var_x2) <= _X2_VAR_TOL * var_x2
+                    and abs(vrep.bound - bound_x2) <= _X2_BOUND_TOL * bound_x2))
     return out
 
 
@@ -485,31 +506,35 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
                                         "gradient-bias map injective on the eigenspace",
                                         rank.rank == len(cluster)))
         sym = spec.symmetry_detect(grid, cluster)
+        sym_passed = sym.defect <= _SYMMETRY_TOL
         out.rows.append(CsvRow("spectral.antisymmetry_defect", label, 2, 0, seed,
-                               sym.defect, 0.0, spec.SYMMETRY_TOL,
+                               sym.defect, 0.0, _SYMMETRY_TOL,
                                {"symmetry_report": {"defects": list(sym.defects),
                                                     "defect": sym.defect,
                                                     "central_defect": sym.central_defect,
-                                                    "passed": sym.passed}}))
+                                                    "passed": sym_passed}}))
         out.assertions.append(Assertion(f"spectral.antisymmetric_member.{label}",
                                         "Cor 4.2(i)", sym.defect, "defect <= 1e-6",
-                                        sym.passed))
+                                        sym_passed))
         if plot_dir is not None:
             from .svgplot import heatmap
             heatmap(f"{plot_dir}/eigenfunction_{label}.svg", grid.mask,
                     grid.image(pairs[1].vector),
                     f"first nontrivial Neumann eigenfunction, {label}")
 
-    comp = spec.cube_comparison(lambda1(square, comparison_h),
-                                [(b, lambda1(b, comparison_h)) for b in (disc, l1_ball)])
-    for row in comp.rows:
-        out.rows.append(CsvRow("spectral.cube_comparison", row.label, 2, 0, seed,
-                               row.lambda1, 0.0, comp.lambda1_cube))
-        out.assertions.append(Assertion(f"spectral.cube_comparison.{row.label}",
-                                        "Cor 4.3", row.lambda1,
-                                        f">= lambda1(cube) = {comp.lambda1_cube:.4f}",
-                                        row.passed))
-    out.notes.append(comp.note)
+    # Cor 4.3 for bodies in the cube [-1, 1]^2, which the disc and the l1 ball are
+    lam_cube = lambda1(square, comparison_h)
+    for body in (disc, l1_ball):
+        lam = lambda1(body, comparison_h)
+        out.rows.append(CsvRow("spectral.cube_comparison", body.label(), 2, 0, seed,
+                               lam, 0.0, lam_cube))
+        out.assertions.append(Assertion(f"spectral.cube_comparison.{body.label()}",
+                                        "Cor 4.3", lam, f">= lambda1(cube) = {lam_cube:.4f}",
+                                        lam >= (1.0 - _COMPARISON_TOL) * lam_cube))
+    # published statements of the comparison sometimes carry pi^2/R^2
+    out.notes.append(f"observed cube lambda1 {lam_cube:.6f} matches pi^2/(4R^2) = "
+                     f"{target_sq:.6f}; the constant pi^2/R^2 = {4 * target_sq:.6f} "
+                     f"is 4x larger than observed")
 
     lam_disc, lam_rect = lambda1(disc, witness_h), lambda1(rect, witness_h / 2)
     out.rows.append(CsvRow("spectral.monotonicity_witness", rect_label, 2, 0,

@@ -30,7 +30,6 @@ _MASS_TOL = 1e-12
 _CG_TOL = 1e-12            # relative residual of each H^-1 solve
 _CG_MAXITER = 10           # CG steps per solve; the grounded LU needs at most 2
 _MEANZERO_TOL = 1e-8       # |mean u| / mean |u| below which u counts as mean zero
-_DUALITY_TOL = 0.02        # relative slack of the Thm 258 comparison
 _ENDPOINT_TOL = 1e-9       # |Psi(p) - Psi(q)| relative to 1 + max |Psi|
 _DENSITY_CHECKS = 2048     # points where 1 + eps Psi' must stay positive
 _DIFF_STEP = 1e-6          # central-difference step of Psi'
@@ -303,19 +302,17 @@ def hminus1_norm(mu: DiscreteMeasure, u: np.ndarray) -> float | np.ndarray:
     return float(norms[0]) if u.ndim == 1 else norms
 
 
-# -- duality and variance-bound verification --------------------------------------
+# -- the two sides of Thm 258 and of Lemma 2.1 -------------------------------------
 
 class DualityReport(NamedTuple):
     norm: float
     ratios: tuple[tuple[float, float], ...]   # (epsilon, W2/epsilon)
     min_ratio: float
-    tolerance: float
-    passed: bool
 
 
 def verify_thm258(mu: DiscreteMeasure, h_values: np.ndarray, epsilons) -> DualityReport:
-    """Check ||h||_{H^-1(mu)} <= min_eps W2(mu, mu_eps)/eps + tolerance on a
-    1D grid measure.
+    """The two sides of ||h||_{H^-1(mu)} <= min_eps W2(mu, mu_eps)/eps on a 1D
+    grid measure.
 
     mu_eps has density 1 + eps h with respect to mu; requires mean-zero bounded
     h and eps max|h| < 1.  Ratios for every requested eps are reported.
@@ -332,29 +329,23 @@ def verify_thm258(mu: DiscreteMeasure, h_values: np.ndarray, epsilons) -> Dualit
     for eps in eps_list:
         nu = DiscreteMeasure(mu.support, mu.weights * (1.0 + eps * h_values))
         ratios.append((eps, w2_1d(mu, nu) / eps))
-    min_ratio = min(r for _, r in ratios)
-    rel_tol = _DUALITY_TOL * max(norm, min_ratio)
-    return DualityReport(norm, tuple(ratios), min_ratio, _DUALITY_TOL,
-                         bool(norm <= min_ratio + rel_tol))
+    return DualityReport(norm, tuple(ratios), min(r for _, r in ratios))
 
 
 class VarianceBoundReport(NamedTuple):
     var: float
     bound: float
-    per_axis: tuple[float, ...]
-    tolerance: float
-    passed: bool
 
 
 def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[VarianceBoundReport]:
-    """Discrete check of Var(f) <= sum_i ||d_i f||^2_{H^-1} for each f in fs on
+    """The two sides of Var(f) <= sum_i ||d_i f||^2_{H^-1} for each f in fs on
     one raster of a 2D convex body.
 
     Each f is a vectorized callable f(x, y) evaluated at the cell centers.
     Gradients are central differences, one-sided at the staircase boundary;
     the bound is evaluated with the uniform grid measure (weight h^2 per
     cell), whose Laplacian is h^2 times the raster's Neumann operator and
-    serves all 2 len(fs) dual-norm solves.  Tolerance is O(h).
+    serves all 2 len(fs) dual-norm solves.
     """
     grid = spectral.rasterize(body2d, h)
     centers = grid.centers()
@@ -368,9 +359,5 @@ def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[Variance
     for vals_f, axes in zip(vals, norms.reshape(len(fs), -1)):
         mean = _dot(vals_f, w) / mass
         var = _dot((vals_f - mean) ** 2, w)
-        per_axis = tuple(float(nrm * nrm) for nrm in axes)
-        bound = float(sum(per_axis))
-        tol = h * (1.0 + bound)
-        reports.append(VarianceBoundReport(var, bound, per_axis, tol,
-                                           bool(var <= bound + tol)))
+        reports.append(VarianceBoundReport(var, float(sum(nrm * nrm for nrm in axes))))
     return reports

@@ -152,6 +152,28 @@ def test_c11_spectral(spectral_result):
            "11e antisymmetric member, defect <= 1e-6")
     _check(spectral_result, "spectral.cube_comparison",
            "11f lambda1(body) >= lambda1(cube) for disc and l1 ball")
+    assert any("4x" in note for note in spectral_result.notes)
+
+
+def test_rows_support_their_verdicts(transport_result, spectral_result):
+    # the suites decide each verdict from the values their rows carry
+    verdicts = {a.name: a.passed
+                for result in (transport_result, spectral_result) for a in result.assertions}
+
+    def rows(result, estimator_id):
+        found = [r for r in result.rows if r.estimator_id == estimator_id]
+        assert found, estimator_id
+        return found
+
+    for row in rows(transport_result, "lemma21.variance_bound"):
+        name = "lemma21." + row.body.replace(":", ".")
+        assert verdicts[name] == (row.value <= row.bound + row.extra["tolerance"]), name
+    for row in rows(spectral_result, "spectral.antisymmetry_defect"):
+        passed = row.extra["symmetry_report"]["passed"]
+        assert passed == (row.value <= row.bound)
+        assert verdicts[f"spectral.antisymmetric_member.{row.body}"] == passed
+    for row in rows(spectral_result, "spectral.cube_comparison"):
+        assert verdicts[f"spectral.cube_comparison.{row.body}"] == (row.value >= 0.98 * row.bound)
 
 
 def test_c12_determinism(tmp_path):

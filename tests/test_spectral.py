@@ -9,7 +9,6 @@ from thinshell.bodies import BodySpec
 from thinshell.spectral import (
     EigenPair,
     TooCoarseGridError,
-    cube_comparison,
     gradient_bias,
     gradient_bias_rank,
     lambda1_cluster,
@@ -227,7 +226,6 @@ def test_gradient_bias_separable_oracle(square_grid):
 
 def test_symmetry_detect_square(square_grid, square_pairs):
     rep = symmetry_detect(square_grid, lambda1_cluster(square_pairs))
-    assert rep.passed
     assert rep.defect <= 1e-8
     # the eigenspace spans cos-modes along x and along y: both flips have an odd member
     assert len(rep.defects) == 2 and rep.defect == min(rep.defects)
@@ -237,7 +235,6 @@ def test_symmetry_detect_square(square_grid, square_pairs):
 
 def test_symmetry_detect_disc(disc_grid, disc_pairs):
     rep = symmetry_detect(disc_grid, lambda1_cluster(disc_pairs))
-    assert rep.passed
     assert rep.defect <= 1e-6
     assert len(rep.defects) == 2 and rep.defect == min(rep.defects)
     assert max(rep.defects) <= 1e-6
@@ -252,26 +249,15 @@ def test_odd_member_rayleigh_is_eigenvalue(square_grid, square_pairs):
 
 
 def test_cube_comparison_includes_self():
-    cube = BodySpec.cube(2)
-    rep = cube_comparison(_lambda1(cube, 1 / 32), [(cube, _lambda1(cube, 1 / 32))])
-    assert rep.rows[0].passed
-    assert rep.rows[0].lambda1 == pytest.approx(rep.lambda1_cube, rel=1e-12)
-    assert rep.lambda1_cube == pytest.approx(math.pi ** 2 / 4, rel=2e-3)
-    assert "4x" in rep.note
+    assert _lambda1(BodySpec.cube(2), 1 / 32) == pytest.approx(SQUARE_LAMBDA1, rel=2e-3)
 
 
 def test_cube_comparison_disc_and_l1():
-    bodies = [BodySpec.euclidean_ball(2), BodySpec.lp_ball(2, p=1.0)]
-    rep = cube_comparison(_lambda1(BodySpec.cube(2), 1 / 32),
-                          [(b, _lambda1(b, 1 / 32)) for b in bodies])
-    assert all(row.passed for row in rep.rows)
-    assert rep.rows[0].lambda1 == pytest.approx(DISC_LAMBDA1, rel=0.02)
-    assert rep.rows[0].lambda1 >= rep.lambda1_cube
-
-
-def test_cube_comparison_containment_guard():
-    with pytest.raises(ValueError):
-        cube_comparison(SQUARE_LAMBDA1, [(BodySpec.cube(2, half_width=2.0), 1.0)])
+    lam_cube = _lambda1(BodySpec.cube(2), 1 / 32)
+    lam_disc, lam_l1 = (_lambda1(b, 1 / 32) for b in
+                        (BodySpec.euclidean_ball(2), BodySpec.lp_ball(2, p=1.0)))
+    assert lam_disc == pytest.approx(DISC_LAMBDA1, rel=0.02)
+    assert lam_disc >= lam_cube and lam_l1 >= 0.98 * lam_cube
 
 
 def test_domain_monotonicity_failure_witness():
