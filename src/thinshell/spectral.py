@@ -1,15 +1,17 @@
-"""Neumann Laplacian on rasterized 2D convex bodies: lowest eigenpairs,
-gradient bias of the first nontrivial eigenspace and reflection symmetry
-structure.
+"""Neumann Laplacian on rasterized 2D convex bodies: its flip classes, lowest
+eigenpairs and the gradient bias of the first nontrivial eigenspace.
 
 Discretization: cell-centered raster, cell included iff its center lies in the
 body; the operator is the 5-point graph Laplacian over included cells divided
 by h^2 (ghost-cell reflection makes missing neighbors drop out), which is
 symmetric with the constants in its kernel by construction.
 
-Every lattice solve goes through one sparse factorization, ``factorize``:
-the shift-invert eigen solves here factor L - shift I with it, and the H^-1
-solves in ``transport`` factor their grounded Laplacian with it.
+The bodies are unconditional, so the operator commutes with the d coordinate
+flips and splits exactly into 2^d flip classes (``GridDomain.flip_class``).
+
+Every lattice solve goes through one sparse factorization, ``factorize``: the
+eigen solves here factor a class operator minus a shift with it, the Lemma 2.1
+solves in ``transport`` an odd class operator, the 1D H^-1 solves a grounded one.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ class GridDomain:
 
     body: BodySpec
     h: float
-    mask: np.ndarray
-    origin: tuple[float, ...]   # lower corner of cell (0, ..., 0), in coordinate order
+    mask: np.ndarray   # over a box centered on the origin, 2 m_k cells along array axis k
     operator: sp.csr_matrix = field(repr=False)
 
     @property
@@ -60,9 +61,11 @@ class GridDomain:
         return full
 
     def centers(self) -> tuple[np.ndarray, ...]:
-        """Coordinates of the cell centers, in node order: (x, y) in 2D."""
+        """Coordinates of the cell centers, in node order: (x, y) in 2D.  Cell c
+        of 2m along an axis is centered at (c - m + 0.5) h: exactly mirrored."""
         cells = np.nonzero(self.mask)[::-1]
-        return tuple(o + (c + 0.5) * self.h for o, c in zip(self.origin, cells))
+        return tuple((c - m // 2 + 0.5) * self.h
+                     for c, m in zip(cells, self.mask.shape[::-1]))
 
     def flip(self, axis: int) -> np.ndarray:
         """Node permutation of the reflection of coordinate ``axis``; the mask
@@ -71,6 +74,22 @@ class GridDomain:
         if not np.array_equal(self.mask, np.flip(self.mask, k)):
             raise ValueError("mask is not symmetric under this flip")
         return np.flip(self.image(np.arange(self.n_nodes)), k)[self.mask]
+
+    def flip_class(self, odd: tuple[bool, ...]) -> tuple[np.ndarray, sp.csr_matrix]:
+        """The positive-orthant nodes and the parity extension E from them to
+        the whole raster, odd across the plane x_i = 0 where odd[i], else even.
+        The class operator (operator @ E)[nodes] is the orthant Laplacian plus
+        2/h^2 on the cells next to the plane of each odd axis."""
+        nodes = np.flatnonzero(np.all([c > 0 for c in self.centers()], axis=0))
+        rows, signs = [nodes], [np.ones(nodes.size)]
+        for axis, odd_axis in zip(range(self.mask.ndim), odd, strict=True):
+            perm = self.flip(axis)
+            rows += [perm[r] for r in rows]
+            signs += [-s if odd_axis else s for s in signs]
+        cols = np.tile(np.arange(nodes.size), len(rows))
+        E = sp.csr_matrix((np.concatenate(signs), (np.concatenate(rows), cols)),
+                          shape=(self.n_nodes, nodes.size))
+        return nodes, E
 
     def gradient(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
         """Node values of (d/dx, d/dy, ...) of the node function ``values``.
@@ -115,10 +134,17 @@ def factorize(A: sp.spmatrix) -> spl.SuperLU:
     factors 1.4-1.6x and solves about 2x faster.  The diagonal pivot threshold
     stays at SuperLU's default: at threshold 0 the indefinite L - shift I of
     the eigen solves loses accuracy (the largest eigen residual of the
-    spectral suite rises from 3.6e-11 to 4.0e-9), while the grounded
-    Laplacians of the H^-1 solves pivot on the diagonal either way.
+    spectral suite rises from 3.6e-11 to 4.0e-9), while the positive definite
+    matrices of the other solves pivot on the diagonal either way.
     """
     return spl.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i in numpy's own single-threaded loop.  A BLAS dot splits
+    long vectors across threads, so its rounding, and with it report.csv,
+    would depend on OPENBLAS_NUM_THREADS."""
+    return float(np.einsum("i,i->", a, b))
 
 
 @dataclass(frozen=True)
@@ -139,10 +165,8 @@ def rasterize(body2d: BodySpec, h: float) -> GridDomain:
     m = [int(math.ceil(b / h)) for b in body2d.scale_array]
     if min(m) * 2 < 32:
         raise TooCoarseGridError(f"grid too coarse: {2 * min(m)} cells per axis, need >= 32")
-    axes = [(np.arange(-k, k) + 0.5) * h for k in m]         # cell centers along x, y
-    coords = np.meshgrid(*axes[::-1], indexing="ij")[::-1]  # x, y on the (y, x) array
-    inside = contains_rows(body2d, np.column_stack([c.ravel() for c in coords]))
-    mask = inside.reshape(coords[0].shape)
+    box = GridDomain(body2d, h, np.ones([2 * k for k in m[::-1]], dtype=bool), None)
+    mask = contains_rows(body2d, np.column_stack(box.centers())).reshape(box.mask.shape)
     node = np.cumsum(mask).reshape(mask.shape) - 1  # the node number on True cells
     src, dst = [], []
     for k in reversed(range(mask.ndim)):  # the edges along x, then along y
@@ -154,29 +178,35 @@ def rasterize(body2d: BodySpec, h: float) -> GridDomain:
     L = graph_laplacian(int(mask.sum()), src, dst, np.full(src.size, 1.0 / (h * h)))
     if sp.csgraph.connected_components(L, directed=False, return_labels=False) != 1:
         raise ValueError("rasterized body is not connected at this h")
-    return GridDomain(body2d, h, mask, tuple(float(-k * h) for k in m), L)
+    return GridDomain(body2d, h, mask, L)
 
 
-def lowest_eigenpairs(grid: GridDomain, k: int) -> list[EigenPair]:
-    """lambda_0 = 0 through lambda_k by shift-invert Lanczos on the sparse
-    operator, with L - shift I factored once by ``factorize``."""
+def lowest_eigenpairs(grid: GridDomain, k: int,
+                      odd: tuple[bool, ...] | None = None) -> list[EigenPair]:
+    """The k + 1 lowest eigenpairs of the flip class ``odd``, or of the whole
+    raster when odd is None, by shift-invert Lanczos with A - shift I factored
+    once by ``factorize``.  The eigenvectors are extended to the whole raster,
+    and their residuals are taken against the whole operator."""
     if not 1 <= k <= 10:
         raise ValueError("k must be between 1 and 10")
     L = grid.operator
-    n = L.shape[0]
+    nodes, E = (grid.flip_class(odd) if odd is not None
+                else (slice(None), sp.identity(grid.n_nodes, format="csr")))
+    A = (L @ E)[nodes]
+    n = A.shape[0]
     bhw = float(np.max(grid.body.scale_array))
     shift = 0.5 * math.pi ** 2 / (4.0 * bhw ** 2)  # strictly between 0 and lambda_1
     v0 = np.ones(n) + 1e-3 * np.cos(np.arange(n))
-    lu = factorize(L - shift * sp.identity(n, format="csr"))
-    vals, vecs = spl.eigsh(L, k=k + 1, sigma=shift, which="LM", v0=v0,
-                           OPinv=spl.LinearOperator(L.shape, matvec=lu.solve, dtype=L.dtype))
-    order = np.argsort(vals)
+    lu = factorize(A - shift * sp.identity(n, format="csr"))
+    vals, vecs = spl.eigsh(A, k=k + 1, sigma=shift, which="LM", v0=v0,
+                           OPinv=spl.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype))
     pairs = []
-    for idx in order:
+    for idx in np.argsort(vals):
         lam = float(vals[idx])
-        vec = vecs[:, idx]
-        vec = vec / (np.linalg.norm(vec) * grid.h)  # L2(grid) normalization
-        res = float(np.linalg.norm(L @ vec - lam * vec) * grid.h)
+        vec = E @ vecs[:, idx]
+        vec = vec / (math.sqrt(_dot(vec, vec)) * grid.h)  # L2(grid) normalization
+        r = L @ vec - lam * vec
+        res = math.sqrt(_dot(r, r)) * grid.h
         pairs.append(EigenPair(lam, vec, res))
     return pairs
 
@@ -228,42 +258,3 @@ def gradient_bias_rank(grid: GridDomain, eigenspace: list[EigenPair]) -> BiasRan
     sv = np.linalg.svd(M, compute_uv=False)
     rank = int(np.sum(sv > _REL_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
     return BiasRankReport(tuple(float(s) for s in sv), rank)
-
-
-# -- symmetry structure --------------------------------------------------------------
-
-class SymmetryReport(NamedTuple):
-    defects: tuple[float, ...]  # per coordinate axis i: ||sigma_i phi + phi|| / ||phi||
-    defect: float               # the smallest of them
-    member: np.ndarray          # a member with the smallest defect
-    central_defect: float       # odd-under-point-reflection member, when central
-
-
-def symmetry_detect(grid: GridDomain, eigenspace: list[EigenPair]) -> SymmetryReport:
-    """Find eigenspace members odd under each coordinate flip.
-
-    The eigenvectors are post-rotated to diagonalize the flip operators inside
-    the (possibly degenerate) eigenspace; the defect of every flip is
-    measured and reported.  The defects do not depend on the basis of the
-    eigenspace; which flip attains the smallest can, when they tie at
-    rounding level.
-    """
-    V = np.column_stack([p.vector for p in eigenspace])
-    Q, _ = np.linalg.qr(V)
-    perms = [grid.flip(a) for a in range(grid.mask.ndim)]
-
-    def odd_member(perm):
-        S = Q.T @ Q[perm]
-        _, evecs = np.linalg.eigh(0.5 * (S + S.T))
-        member = Q @ evecs[:, 0]  # most negative eigenvalue ~ -1 when a flip-odd member exists
-        return float(np.linalg.norm(member[perm] + member) / np.linalg.norm(member)), member
-
-    found = [odd_member(perm) for perm in perms]
-    defect, member = min(found, key=lambda f: f[0])
-    # central point reflection = composition of the coordinate flips
-    perm_c = np.arange(grid.n_nodes)
-    for perm in perms:
-        perm_c = perm_c[perm]
-    central_defect, _ = odd_member(perm_c)
-    return SymmetryReport(tuple(d for d, _ in found), defect, member, central_defect)
-

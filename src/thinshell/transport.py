@@ -3,13 +3,12 @@ and the fiberwise monotone perturbation map.
 
 W2 between 1D discrete measures is evaluated exactly through merged quantile
 functions; small equal-weight clouds go through an exact assignment solve.
-The dual norm ||u||_{H^-1(mu)} is computed by solving the weighted
-Neumann-graph Poisson problem with CG preconditioned by the grounded sparse LU
-(``spectral.factorize``, the one factorization that the eigen solves use too)
-and taking sqrt of the induced inner product: on 1D grid measures with their
-own path-graph Laplacian (``spectral.graph_laplacian``), and for the Lemma
-2.1 check on the 2D raster that ``spectral.rasterize`` builds, with that
-raster's Neumann operator.
+The dual norm ||u||_{H^-1(mu)} is sqrt of the inner product that a weighted
+Neumann-graph Poisson solve induces.  On 1D grid measures (path-graph
+Laplacian, ``spectral.graph_laplacian``) CG preconditioned by the grounded LU
+solves it; for the Lemma 2.1 check on a raster from ``spectral.rasterize``,
+one direct solve in the odd flip class of each gradient.  Each LU is
+``spectral.factorize``, the one factorization that the eigen solves use too.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from . import spectral
-from .spectral import graph_laplacian
+from .spectral import _dot, graph_laplacian
 
 _MASS_TOL = 1e-12
 _CG_TOL = 1e-12            # relative residual of each H^-1 solve
@@ -46,6 +45,10 @@ class ConvergenceError(RuntimeError):
 
 class EndpointConditionError(ValueError):
     """The section function does not agree at the two segment endpoints."""
+
+
+class NotEvenError(ValueError):
+    """A Lemma 2.1 test function is not even in every coordinate."""
 
 
 @dataclass(frozen=True)
@@ -195,13 +198,6 @@ def monotone_transport_1d(psi: Callable, p: float, q: float, epsilon: float) -> 
 
 # -- dual Sobolev norm -----------------------------------------------------------
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum_i a_i b_i in numpy's own single-threaded loop.  A BLAS dot splits
-    long vectors across threads, so its rounding, and with it report.csv,
-    would depend on OPENBLAS_NUM_THREADS."""
-    return float(np.einsum("i,i->", a, b))
-
-
 def _cg(L, b: np.ndarray, precondition: Callable, project: Callable,
         tol: float = _CG_TOL, maxiter: int = _CG_MAXITER) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients for L x = b with b orthogonal to the
@@ -341,23 +337,33 @@ def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[Variance
     """The two sides of Var(f) <= sum_i ||d_i f||^2_{H^-1} for each f in fs on
     one raster of a 2D convex body.
 
-    Each f is a vectorized callable f(x, y) evaluated at the cell centers.
-    Gradients are central differences, one-sided at the staircase boundary;
-    the bound is evaluated with the uniform grid measure (weight h^2 per
-    cell), whose Laplacian is h^2 times the raster's Neumann operator and
-    serves all 2 len(fs) dual-norm solves.
+    Each f is a vectorized callable f(x, y) evaluated at the cell centers,
+    even in every coordinate to 1e-12 of max |f| (else NotEvenError).
+    Gradients are central differences, one-sided at the staircase boundary,
+    so d_i f lies in the flip class odd in x_i alone, whose operator is
+    nonsingular: one LU and a direct solve per f.  The measure is uniform
+    (h^2 per cell), so its Laplacian is h^2 times the Neumann operator.
     """
     grid = spectral.rasterize(body2d, h)
-    centers = grid.centers()
-    cell = h ** grid.mask.ndim
+    centers, d = grid.centers(), grid.mask.ndim
+    cell = h ** d
     w = np.full(grid.n_nodes, cell)
     vals = [np.broadcast_to(np.asarray(f(*centers), dtype=float), w.shape) for f in fs]
-    grads = [g for v in vals for g in grid.gradient(v)]
-    norms = _dual_norms(cell * grid.operator, w, np.stack(grads))
+    grads = [grid.gradient(v) for v in vals]
+    bounds = np.zeros(len(fs))
+    for axis in range(d):
+        mirror = grid.flip(axis)
+        if any(np.max(np.abs(v - v[mirror])) > 1e-12 * np.max(np.abs(v)) for v in vals):
+            raise NotEvenError(f"a function is not even in coordinate {axis}")
+        nodes, E = grid.flip_class(tuple(a == axis for a in range(d)))
+        lu = spectral.factorize((grid.operator @ E)[nodes])
+        for j, g in enumerate(grads):  # one at a time: a block solve rounds otherwise
+            u = g[axis][nodes]  # sum u phi over the raster: 2^d mirror images per node
+            bounds[j] += 2 ** d * cell * _dot(u, lu.solve(u))
     mass = float(w.sum())
     reports = []
-    for vals_f, axes in zip(vals, norms.reshape(len(fs), -1)):
+    for vals_f, bound in zip(vals, bounds):
         mean = _dot(vals_f, w) / mass
         var = _dot((vals_f - mean) ** 2, w)
-        reports.append(VarianceBoundReport(var, float(sum(nrm * nrm for nrm in axes))))
+        reports.append(VarianceBoundReport(var, float(bound)))
     return reports

@@ -149,9 +149,11 @@ def test_c11_spectral(spectral_result):
     _check(spectral_result, "spectral.multiplicity", "11c multiplicity 2 on both")
     _check(spectral_result, "spectral.bias_rank", "11d gradient-bias rank 2 on both")
     _check(spectral_result, "spectral.antisymmetric_member",
-           "11e antisymmetric member, defect <= 1e-6")
+           "11e lowest odd flip class below the even class's first nonzero eigenvalue")
     _check(spectral_result, "spectral.cube_comparison",
            "11f lambda1(body) >= lambda1(cube) for disc and l1 ball")
+    _check(spectral_result, "spectral.flip_classes",
+           "11g flip classes together = whole-raster spectrum to 1e-10, 3 rasters")
     assert any("4x" in note for note in spectral_result.notes)
 
 
@@ -168,10 +170,8 @@ def test_rows_support_their_verdicts(transport_result, spectral_result):
     for row in rows(transport_result, "lemma21.variance_bound"):
         name = "lemma21." + row.body.replace(":", ".")
         assert verdicts[name] == (row.value <= row.bound + row.extra["tolerance"]), name
-    for row in rows(spectral_result, "spectral.antisymmetry_defect"):
-        passed = row.extra["symmetry_report"]["passed"]
-        assert passed == (row.value <= row.bound)
-        assert verdicts[f"spectral.antisymmetric_member.{row.body}"] == passed
+    for row in rows(spectral_result, "spectral.antisymmetric_margin"):
+        assert verdicts[f"spectral.antisymmetric_member.{row.body}"] == (row.value > row.bound)
     for row in rows(spectral_result, "spectral.cube_comparison"):
         assert verdicts[f"spectral.cube_comparison.{row.body}"] == (row.value >= 0.98 * row.bound)
 

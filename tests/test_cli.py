@@ -197,13 +197,15 @@ def test_blas_threads_do_not_change_reports(tmp_path):
     # OpenBLAS splits long dot products across its threads, which reorders the
     # sum; 2e4 draws per variance is past the length where that starts.  The
     # berry_esseen rows add the inversion's sine tables (4096 t-points), and
-    # the transport rows the sparse LU factor, which makes its own BLAS calls.
+    # the transport rows the sparse LU factor, which makes its own BLAS calls,
+    # and the spectral rows ARPACK, which makes its own BLAS calls too.
     src = str(Path(thinshell.__file__).resolve().parents[1])
     configs = {
         "thinshell": SMALL_THINSHELL.replace("samples = 2000", "samples = 20000"),
         "berry_esseen": "[experiment]\nname = berry_esseen\nn_grid = 16 64\n"
                         "samples = 10000\noutput_dir = {out}\n",
         "transport": "[experiment]\nname = transport\noutput_dir = {out}\n",
+        "spectral": "[experiment]\nname = spectral\noutput_dir = {out}\n",
     }
     for name, text in configs.items():
         texts = []

@@ -202,8 +202,11 @@ def test_gauss_tail_bounds():
     assert np.all((ratios >= 0.99) & (ratios <= 1.35))
     table = dict(zip(grid, ratios))
     assert table[0.0] == pytest.approx(math.sqrt(2 * math.pi) / 2, abs=1e-12)
-    assert table[1.0] == pytest.approx(
-        float(normal_upper_tail(1.0)) * 2.0 / float(normal_density(1.0)), abs=1e-12)
+    # (1 - Phi(1)) (1 + 1) / phi(1) = erfc(1/sqrt 2) sqrt(2 pi e), from mpmath
+    with mpmath.workdps(30):
+        ref = mpmath.erfc(1 / mpmath.sqrt(2)) * mpmath.sqrt(2 * mpmath.pi * mpmath.e)
+    assert float(ref) == pytest.approx(1.31135908484, abs=1e-11)
+    assert table[1.0] == pytest.approx(float(ref), abs=1e-12)
     assert table[1.0] == pytest.approx(1.311, abs=2e-3)
     # asymptotically r(t) ~ (1 + 1/t)(1 - 1/t^2 + ...) -> 1.089 at t = 10
     assert table[10.0] == pytest.approx(1.089, abs=2e-3)

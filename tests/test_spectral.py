@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from thinshell.spectral import (
     lowest_eigenpairs,
     rasterize,
     richardson_lambda1,
-    symmetry_detect,
 )
 
 SQUARE_LAMBDA1 = math.pi ** 2 / 4.0                 # interval oracle, [-1,1]
@@ -58,19 +58,24 @@ def test_rasterize_flip_symmetry():
         assert np.array_equal(mask, mask[::-1, :])
 
 
+PARITIES = list(itertools.product((False, True), repeat=2))  # (x odd, y odd)
+
+
 def test_raster_layout_on_a_rectangle():
-    # the two axes differ, so a swapped axis shows; at h = 1/64 the short side
-    # would be too coarse, and a power of two keeps the centers exactly mirrored
-    grid = rasterize(BodySpec("cube", 2, (0.9, 0.2)), h=1 / 128)
-    assert grid.mask.shape == (52, 232)  # (y, x)
-    x, y = grid.centers()
-    assert np.array_equal(x[grid.flip(0)], -x) and np.array_equal(y[grid.flip(0)], y)
-    assert np.array_equal(x[grid.flip(1)], x) and np.array_equal(y[grid.flip(1)], -y)
-    v = np.arange(grid.n_nodes, dtype=float)
-    assert np.array_equal(grid.image(v)[grid.mask], v)
-    for f, expected in [(x, (1.0, 0.0)), (y, (0.0, 1.0))]:
-        for g, e in zip(grid.gradient(f), expected):
-            assert np.max(np.abs(g - e)) <= 1e-12
+    # the two axes differ, so a swapped axis shows; the centers mirror exactly
+    # at any h, a power of two or not
+    for half_widths, h, shape in [((0.9, 0.2), 1 / 128, (52, 232)),
+                                  ((0.9, 0.4), 1 / 48, (40, 88))]:
+        grid = rasterize(BodySpec("cube", 2, half_widths), h)
+        assert grid.mask.shape == shape  # (y, x)
+        x, y = grid.centers()
+        assert np.array_equal(x[grid.flip(0)], -x) and np.array_equal(y[grid.flip(0)], y)
+        assert np.array_equal(x[grid.flip(1)], x) and np.array_equal(y[grid.flip(1)], -y)
+        v = np.arange(grid.n_nodes, dtype=float)
+        assert np.array_equal(grid.image(v)[grid.mask], v)
+        for f, expected in [(x, (1.0, 0.0)), (y, (0.0, 1.0))]:
+            for g, e in zip(grid.gradient(f), expected):
+                assert np.max(np.abs(g - e)) <= 1e-12
 
 
 def test_rasterize_too_coarse():
@@ -127,6 +132,45 @@ def test_staircase_eigenvalues_match_a_dense_solve(body):
     np.testing.assert_allclose(got, exact, rtol=1e-10, atol=1e-10 * exact[1])
 
 
+@pytest.mark.parametrize("body", [BodySpec.euclidean_ball(2), BodySpec.lp_ball(2, p=1.0),
+                                  BodySpec("cube", 2, (2.0, 1.0))])
+def test_flip_class_spectra_together_match_a_dense_solve(body):
+    # the five lowest eigenvalues of each class contain the five lowest of the
+    # whole raster, whichever classes they fall in
+    grid = rasterize(body, 1 / 16)
+    exact = np.linalg.eigvalsh(grid.operator.toarray())[:5]
+    pairs = [p for odd in PARITIES for p in lowest_eigenpairs(grid, 4, odd)]
+    got = np.sort([p.value for p in pairs])[:5]
+    np.testing.assert_allclose(got, exact, rtol=1e-10, atol=1e-10 * exact[1])
+    for p in pairs:
+        assert p.vector.shape == (grid.n_nodes,)
+        assert p.residual <= 1e-10 * max(p.value, 1.0)  # against the whole operator
+
+
+def test_flip_class_extension_and_operator():
+    grid = rasterize(BodySpec.euclidean_ball(2), 1 / 32)
+    x, y = grid.centers()
+    _, even = grid.flip_class((False, False))
+    A_even = grid.operator @ even
+    for odd in PARITIES:
+        nodes, E = grid.flip_class(odd)
+        assert np.all(x[nodes] > 0) and np.all(y[nodes] > 0)
+        assert 4 * nodes.size == grid.n_nodes
+        np.testing.assert_array_equal((E.T @ E).toarray(), 4 * np.identity(nodes.size))
+        psi = np.cos(np.arange(nodes.size))
+        v = E @ psi
+        assert np.array_equal(v[nodes], psi)
+        for axis, odd_axis in enumerate(odd):
+            assert np.array_equal(v[grid.flip(axis)], -v if odd_axis else v)
+        # a ghost cell holding -psi across the plane of each odd axis adds 2/h^2
+        ghost = sum((np.abs(c[nodes]) < grid.h for c, o in zip((x, y), odd) if o),
+                    np.zeros(nodes.size))
+        diff = ((grid.operator @ E)[nodes] - A_even[nodes]).toarray()
+        np.testing.assert_array_equal(diff, np.diag(2.0 / grid.h ** 2 * ghost))
+    with pytest.raises(ValueError):  # one parity per coordinate
+        grid.flip_class((True,))
+
+
 def test_each_lattice_solve_factors_once_through_the_helper(monkeypatch):
     factored, opinv, rastered = [], [], []
 
@@ -147,12 +191,14 @@ def test_each_lattice_solve_factors_once_through_the_helper(monkeypatch):
     monkeypatch.setattr(spectral.spl, "eigsh", recorded_eigsh)
     monkeypatch.setattr(spectral, "rasterize", recorded_rasterize)
     suites.spectral_suite(20250810)
-    assert len(factored) == len(opinv) == 9  # one per eigen solve
+    # one per eigen solve: 4 flip classes of 9 rasters, and 3 whole rasters
+    assert len(factored) == len(opinv) == 4 * 9 + 3
     assert all(opinv)  # so eigsh factors nothing of its own
     assert len(rastered) == len(set(rastered)) == 9  # each (body, h) once
     factored.clear()
     suites.transport_suite(20250810)
-    assert len(factored) == 3  # one per Laplacian: the segment, the square, the disc
+    # the segment's Laplacian, and the two odd classes of the square and the disc
+    assert len(factored) == 1 + 2 * 2
 
 
 def test_residuals_and_orthogonality(disc_grid, disc_pairs):
@@ -212,40 +258,14 @@ def test_gradient_bias_rank_two(square_grid, square_pairs, disc_grid, disc_pairs
 
 def test_gradient_bias_separable_oracle(square_grid):
     # phi = -sin(pi x / 2): int dphi/dx = -pi/2 * int cos = -2 per unit y-length
-    ny, nx = square_grid.mask.shape
-    cx = square_grid.origin[0] + (np.arange(nx) + 0.5) * square_grid.h
-    X = np.tile(cx, (ny, 1))
-    phi = -np.sin(math.pi * X[square_grid.mask] / 2.0)
+    x, _ = square_grid.centers()
+    phi = -np.sin(math.pi * x / 2.0)
     phi /= np.linalg.norm(phi) * square_grid.h
     pair = EigenPair(SQUARE_LAMBDA1, phi, 0.0)
     bias = gradient_bias(square_grid, pair)
     # normalized mode: integral of the derivative is nonzero along x only
     assert abs(bias[0]) > 0.5
     assert abs(bias[1]) < 1e-10
-
-
-def test_symmetry_detect_square(square_grid, square_pairs):
-    rep = symmetry_detect(square_grid, lambda1_cluster(square_pairs))
-    assert rep.defect <= 1e-8
-    # the eigenspace spans cos-modes along x and along y: both flips have an odd member
-    assert len(rep.defects) == 2 and rep.defect == min(rep.defects)
-    assert max(rep.defects) <= 1e-8
-    assert rep.central_defect <= 1e-6
-
-
-def test_symmetry_detect_disc(disc_grid, disc_pairs):
-    rep = symmetry_detect(disc_grid, lambda1_cluster(disc_pairs))
-    assert rep.defect <= 1e-6
-    assert len(rep.defects) == 2 and rep.defect == min(rep.defects)
-    assert max(rep.defects) <= 1e-6
-    assert rep.central_defect <= 1e-6
-
-
-def test_odd_member_rayleigh_is_eigenvalue(square_grid, square_pairs):
-    # eigen-identity: any lambda_1-eigenspace member has Rayleigh quotient lambda_1
-    v = symmetry_detect(square_grid, lambda1_cluster(square_pairs)).member
-    assert v @ (square_grid.operator @ v) / (v @ v) == pytest.approx(
-        square_pairs[1].value, rel=1e-9)
 
 
 def test_cube_comparison_includes_self():

@@ -19,6 +19,7 @@ from thinshell.transport import (
     DiscreteMeasure,
     EndpointConditionError,
     MassMismatchError,
+    NotEvenError,
     hminus1_norm,
     monotone_transport_1d,
     verify_thm258,
@@ -234,17 +235,45 @@ def test_dual_norms_match_a_dct_solve_on_the_square():
     grid = spectral.rasterize(BodySpec.cube(2), h)
     n = grid.mask.shape[0]
     assert grid.mask.all() and grid.mask.shape == (n, n)
-    x, y = grid.centers()
-    vals = [x ** 2 + y ** 2, np.cos(math.pi * x) * np.cos(math.pi * y) + x * y]
-    rows = np.stack([g for v in vals for g in grid.gradient(v)])
-    w = np.full(x.size, h * h)
-    norms = transport._dual_norms(h * h * grid.operator, w, rows)
+    fs = [lambda x, y: x ** 2 + y ** 2,
+          lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y) + x * x * y * y]
     path = 4.0 * np.sin(math.pi * np.arange(n) / (2 * n)) ** 2
     eig = path[:, None] + path[None, :]
     eig[0, 0] = np.inf  # the constants: b has no part there
-    for u, norm in zip(rows, norms):
-        bhat = dctn((u * w).reshape(n, n), type=2, norm="ortho")
-        assert norm == pytest.approx(math.sqrt(np.sum(bhat ** 2 / eig)), rel=1e-12)
+    for f, rep in zip(fs, verify_variance_bound(BodySpec.cube(2), fs, h)):
+        bhats = [dctn(h * h * u.reshape(n, n), type=2, norm="ortho")
+                 for u in grid.gradient(f(*grid.centers()))]
+        assert rep.bound == pytest.approx(sum(np.sum(b ** 2 / eig) for b in bhats), rel=1e-12)
+
+
+def test_flip_class_norms_match_the_whole_raster_solve_on_the_disc():
+    # the grounded CG solve on the whole raster shares no symmetry with the classes
+    h = 1 / 32
+    fs = [lambda x, y: x ** 2, lambda x, y: np.cos(math.pi * x) * y ** 2]
+    grid = spectral.rasterize(BodySpec.euclidean_ball(2), h)
+    rows = np.stack([g for f in fs for g in grid.gradient(f(*grid.centers()))])
+    norms = transport._dual_norms(h * h * grid.operator, np.full(grid.n_nodes, h * h), rows)
+    whole = (norms ** 2).reshape(len(fs), -1).sum(axis=1)
+    for rep, bound in zip(verify_variance_bound(BodySpec.euclidean_ball(2), fs, h), whole):
+        assert rep.bound == pytest.approx(bound, rel=1e-12)
+
+
+def test_variance_bound_solves_without_cg(monkeypatch):
+    def no_cg(*args, **kwargs):
+        raise AssertionError("a raster solve went through CG")
+
+    monkeypatch.setattr(transport, "_cg", no_cg)
+    for body in (BodySpec.cube(2), BodySpec.euclidean_ball(2)):
+        [rep] = verify_variance_bound(body, [lambda x, y: x ** 2 + y ** 2], h=1 / 32)
+        assert 0.0 < rep.var < rep.bound
+
+
+@pytest.mark.parametrize("f", [lambda x, y: x, lambda x, y: x * y ** 2,
+                               lambda x, y: y + 1e-6 * x ** 2])
+def test_variance_bound_rejects_a_function_that_is_not_even(f):
+    with pytest.raises(NotEvenError):
+        verify_variance_bound(BodySpec.euclidean_ball(2), [lambda x, y: x ** 2, f], h=1 / 32)
+    assert issubclass(NotEvenError, ValueError)
 
 
 # -- duality verification ----------------------------------------------------------------
@@ -341,7 +370,7 @@ def test_variance_bound_random_trig():
 
 
 def test_variance_bound_list_matches_single_calls():
-    fs = [lambda x, y: x ** 2, lambda x, y: np.cos(math.pi * x) * y]
+    fs = [lambda x, y: x ** 2, lambda x, y: np.cos(math.pi * x) * y ** 2]
     together = verify_variance_bound(BodySpec.euclidean_ball(2), fs, h=1 / 32)
     alone = [verify_variance_bound(BodySpec.euclidean_ball(2), [f], h=1 / 32)[0] for f in fs]
     assert together == alone
@@ -375,7 +404,7 @@ import numpy as np
 from thinshell.bodies import BodySpec
 from thinshell.transport import verify_variance_bound
 fs = [lambda x, y: x ** 2 + y ** 2,
-      lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y) + x * y]
+      lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y) + x * x * y * y]
 for rep in verify_variance_bound(BodySpec.cube(2), fs, 1 / 64):
     print(repr(rep))
 """
