@@ -27,7 +27,6 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfc, sici
 
 __all__ = [
@@ -459,6 +458,18 @@ def sinc8_tail_integral(k: int, big_t):
     for c, a in coefs[1:]:
         total += c / 128.0 * _tail_cos_over_xk(a, k, t)
     return float(total) if t.ndim == 0 else total
+
+
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    Only the kernel-moment check integrates adaptively, so a run that does not
+    make it never loads ``scipy.integrate``.  It stays a module-level name so
+    that a tracer or a test can wrap ``clt.quad`` and count its calls.
+    """
+    from scipy.integrate import quad as adaptive_quad
+
+    return adaptive_quad(func, a, b, **kwargs)
 
 
 def kernel_moment_by_quadrature(kernel: SmoothingKernel, order: int) -> float:

@@ -357,10 +357,12 @@ def _random_even_trig(rng: np.random.Generator):
     c = rng.uniform(-1.0, 1.0, size=(_TRIG_DEGREE + 1, _TRIG_DEGREE + 1))
 
     def f(x, y, c=c):
+        cx = [np.cos(j * math.pi * x) for j in range(c.shape[0])]
+        cy = [np.cos(k * math.pi * y) for k in range(c.shape[1])]
         out = np.zeros_like(x)
         for j in range(c.shape[0]):
             for k in range(c.shape[1]):
-                out += c[j, k] * np.cos(j * math.pi * x) * np.cos(k * math.pi * y)
+                out += c[j, k] * cx[j] * cy[k]
         return out
 
     return f

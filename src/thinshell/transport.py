@@ -19,8 +19,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from . import spectral
 from .spectral import _dot, graph_laplacian
@@ -133,7 +131,9 @@ def w2_assignment(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     for m in (mu, nu):
         if np.max(np.abs(m.weights - m.mass / m.weights.size)) > 1e-9 * m.mass:
             raise ValueError("w2_assignment requires equal-weight atoms")
-    cost = cdist(mu.support, nu.support, metric="sqeuclidean")
+    from scipy.optimize import linear_sum_assignment  # loaded by this check alone
+
+    cost = ((mu.support[:, None] - nu.support[None]) ** 2).sum(-1)
     rows, cols = linear_sum_assignment(cost)
     return math.sqrt(float(mu.mass / cost.shape[0] * cost[rows, cols].sum()))
 

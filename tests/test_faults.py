@@ -1,14 +1,16 @@
-"""Fault injection: a wrong lattice operator or flip-class extension must fail
-at least one suite assertion.
+"""Fault injection: a wrong lattice operator, flip-class extension, Fourier
+inversion or isotropic scale must fail at least one suite assertion.
 
-Each fault monkeypatches the function that builds the operator or the
-extension, then runs the transport suite at raster spacing 1/32 (and, for the
-extension, the spectral suite).
+Each fault monkeypatches the function that builds the operator, the extension,
+the inversion's sine transform or the isotropic body, then runs the suites
+that use it: transport at raster spacing 1/32, spectral, clt, and thinshell on
+its default cube grid.
 """
 
 import pytest
 
-from thinshell import spectral, suites, transport
+from thinshell import bodies, clt, spectral, suites, transport
+from thinshell.cli import default_config
 
 SEED = 20250810
 
@@ -52,3 +54,37 @@ def test_a_sign_error_in_the_parity_extension_fails_both_lattice_suites(monkeypa
     failed = [a.name for a in suites.spectral_suite(SEED).assertions if not a.passed]
     assert failed == [f"spectral.flip_classes.{body}" for body in
                       ("cube(n=2)", "euclidean_ball(n=2)", "lp_ball(p=1,n=2)")]
+
+
+def test_a_sign_error_in_the_sine_transform_fails_only_the_bruteforce_oracle(monkeypatch):
+    # negated reference nodes, with the integrand still taken at the true
+    # nodes: sin(t half x_g) changes sign and cos(t half x_g) does not, so only
+    # the cross term cos(t mid) sin(t half x_g) of the panel rule flips
+    sine_transform = clt._sine_transform
+
+    def flipped(ts, panels, integrand):
+        return sine_transform(ts, panels._replace(nodes=-panels.nodes),
+                              lambda _: integrand(panels.points))
+
+    monkeypatch.setattr(clt, "_sine_transform", flipped)
+    failed = [a.name for a in suites.clt_suite(SEED).assertions if not a.passed]
+    assert failed == ["lemma700.oracle_equivalence"]
+
+
+def test_a_cube_one_percent_too_large_fails_every_thinshell_variance_ratio(monkeypatch):
+    # Var(|X|^2/n) grows by 1.01^4, 4%: outside 3 MC sigma at 1e5 draws for
+    # every n of the grid; the marginal's cdf moves by at most 0.0025, inside
+    # berry_esseen's 3 DKW bands, so its sampler checks do not see the fault
+    isotropic_body = bodies.isotropic_body
+
+    def too_large(kind, dim, p=None):
+        return bodies.isotropic_scale(isotropic_body(kind, dim, p), [1.01 ** -2] * dim)
+
+    monkeypatch.setattr(bodies, "isotropic_body", too_large)
+    cfg = default_config("thinshell")
+    result = suites.thinshell_suite([suites.CUBE], cfg.n_grid, cfg.samples, SEED, shell_n=())
+    assert [a.name for a in result.assertions if not a.passed] == [
+        f"thinshell.var_ratio.cube(n={n})" for n in cfg.n_grid]
+    sampler = [a for a in suites.berry_esseen_suite(SEED).assertions
+               if a.name.startswith("berry_esseen.sampler.cube")]
+    assert len(sampler) == 3 and all(a.passed for a in sampler)

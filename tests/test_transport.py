@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dctn
+from scipy.spatial.distance import cdist
 
 import thinshell
 from thinshell import spectral, suites, transport
@@ -91,6 +94,34 @@ def test_w2_assignment_vertical_shift():
     mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.full(2, 0.5))
     nu = DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 1.0]]), np.full(2, 0.5))
     assert w2_assignment(mu, nu) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_w2_assignment_cost_matches_scipy_cdist(monkeypatch, dim):
+    # the cost matrix is caught on its way into the assignment solver; a
+    # DiscreteMeasure has d in {1, 2}, so no other dimension reaches it
+    solve = scipy.optimize.linear_sum_assignment
+    costs = []
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda cost: costs.append(cost) or solve(cost))
+    rng = np.random.default_rng(dim)
+    a, b = rng.normal(size=(40, dim)), rng.uniform(-3, 3, size=(40, dim))
+    w2_assignment(DiscreteMeasure(a, np.full(40, 1 / 40)), DiscreteMeasure(b, np.full(40, 1 / 40)))
+    expected = cdist(a, b, "sqeuclidean")
+    if dim == 1:
+        assert np.array_equal(costs[0], expected)
+    else:
+        np.testing.assert_allclose(costs[0], expected, rtol=1e-15, atol=0)
+
+
+def test_w2_assignment_is_the_best_of_all_permutations():
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        a, b = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        mu, nu = DiscreteMeasure(a, np.full(6, 0.5 / 6)), DiscreteMeasure(b, np.full(6, 0.5 / 6))
+        best = min(sum(float(np.sum((a[i] - b[j]) ** 2)) for i, j in enumerate(perm))
+                   for perm in itertools.permutations(range(6)))
+        assert w2_assignment(mu, nu) == pytest.approx(math.sqrt(0.5 / 6 * best), rel=1e-12)
 
 
 def test_w2_assignment_rejects_bad_inputs():
