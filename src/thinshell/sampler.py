@@ -99,6 +99,24 @@ def _draw_id(body: BodySpec) -> tuple[int, int, int]:
 _CHUNK = 256
 
 
+# a cube or lp block is drawn and visited in tiles of _tile_rows(n) rows, the
+# largest multiple of _CHUNK with at most _TILE_FLOATS floats (2 MiB), so a
+# drawing thread holds a cache-sized tile instead of a BLOCK x n block.  The
+# tiles start at multiples of 256 rows because OpenBLAS gemv can round a row
+# differently with the call's row count and the row's offset: B[s:s+k] @ a
+# differed from (B @ a)[s:s+k] only at k in {1, 3, 255, 4095} in a scan of
+# 192 (n, k, s) cases, never at k in {1000, 1024, 1696}; tiles on 256-row
+# boundaries keep the whole block's row groups and alignment, so the visits'
+# reductions give the same bits.  The lp draw consumes its stream in _CHUNK
+# rows, so its chunks also stay where they were.
+_TILE_FLOATS = 1 << 18
+
+
+def _tile_rows(dim: int) -> int:
+    """Rows per tile of a cube or lp draw in ``dim`` dimensions."""
+    return min(BLOCK, max(_CHUNK, _TILE_FLOATS // dim // _CHUNK * _CHUNK))
+
+
 def _scratch(dim: int) -> np.ndarray:
     """Per-thread scratch of ``_draw_exact_block``; only the lp draw touches it."""
     return np.empty((_CHUNK, dim))
@@ -177,14 +195,18 @@ def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
 def for_each_block(body: BodySpec, count: int, seed: int,
                    visit: Callable[[slice, np.ndarray], None]) -> None:
     """Draw the rows of ``exact_blocks`` on up to one thread per usable core and
-    call ``visit(rows, block)`` in the thread that drew each block, in no fixed
-    order; ``rows`` is the block's slice of the count-row draw.  ``block`` is a
+    call ``visit(rows, tile)`` in the thread that drew each tile, in no fixed
+    order.  ``rows`` is the tile's slice of the count-row draw: it lies within
+    one block and holds at most BLOCK rows, ``_tile_rows(n)`` of a cube or lp
+    block (fewer at the block's end) and the whole block of the euclidean ball,
+    whose radii follow all of the block's normals in its stream.  ``tile`` is a
     per-thread buffer that the next draw overwrites, so it is valid only during
     the call, and ``visit`` may change it.  ``visit`` runs concurrently with
     itself, so it should write only to its own rows of shared arrays."""
     if count < 1:
         raise ValueError("count must be >= 1")
     blocks = _blocks(count, seed, _draw_id(body))
+    tile = BLOCK if body.kind == "euclidean_ball" else _tile_rows(body.dim)
     lock = threading.Lock()
 
     def work(buffer: np.ndarray, scratch: np.ndarray) -> None:
@@ -194,17 +216,21 @@ def for_each_block(body: BodySpec, count: int, seed: int,
             if item is None:
                 return
             start, m, rng = item
-            visit(slice(start, start + m), _draw_exact_block(body, rng, buffer[:m], scratch))
+            # the cube fills rows in order and the lp draw in whole _CHUNKs, so
+            # drawing a block tile by tile from its generator gives its rows
+            for t in range(start, start + m, tile):
+                k = min(tile, start + m - t)
+                visit(slice(t, t + k), _draw_exact_block(body, rng, buffer[:k], scratch))
 
     # one thread per usable core, but the per-thread buffers never hold more than
     # half the draw's rows, so on any host the draw stays well below the
-    # count-row matrix that block-wise reduction avoids; a draw of fewer than
-    # 4 * BLOCK rows starts no pool
+    # count-row matrix that block-wise reduction avoids (the ball's buffers are
+    # whole blocks); a draw of fewer than 4 * BLOCK rows starts no pool
     threads = min(_usable_cores(), max(1, count // (2 * BLOCK)))
     # allocated in the calling thread: buffers allocated in the drawing threads
     # come from per-thread malloc arenas, which kept more memory resident
     # (families peak RSS 138-157 MB against 119 MB)
-    buffers = [(np.empty((min(BLOCK, count), body.dim)), _scratch(body.dim))
+    buffers = [(np.empty((min(tile, count), body.dim)), _scratch(body.dim))
                for _ in range(threads)]
     if threads == 1:
         work(*buffers[0])

@@ -1,8 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +91,80 @@ def test_every_thread_count_visits_the_exact_rows(monkeypatch, kind, p):
 
         for_each_block(body, count, SEED, visit)
         assert np.array_equal(got, want)
+
+
+def _row_prints(x):
+    """One uint64 per row, the row's float64 bits times odd column weights,
+    summed mod 2^64: rows that differ in one value always print differently,
+    and the print does not depend on how the rows are grouped."""
+    weights = np.random.default_rng(0).integers(0, 2 ** 63, size=x.shape[1],
+                                                dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    return (x.view(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+
+
+# blocks of 2048 rows (8 tiles of 256) keep the seven-block draws small at
+# n = 1100; the row identity of a tile does not depend on the block size, and
+# the cube at n = 300 checks the real BLOCK
+@pytest.mark.parametrize("kind, p, n, block", [
+    (kind, p, n, 2048) for kind, p in GOLDEN_STREAMS for n in (1, 7, 300, 1100)]
+    + [("cube", None, 300, BLOCK)])
+def test_tiles_visit_the_exact_rows_at_every_thread_count(monkeypatch, kind, p, n, block):
+    monkeypatch.setattr(sampler, "BLOCK", block)
+    body = isotropic_body(kind, n, p)
+    tile = block if kind == "euclidean_ball" else sampler._tile_rows(n)
+    # seven blocks; the last spans a whole tile and one of 333 rows, where
+    # tiles are shorter than blocks
+    count = 6 * block + tile + 333
+    want = np.concatenate([_row_prints(block) for block in exact_blocks(body, count, SEED)])
+    for threads in (1, 3):
+        monkeypatch.setattr(sampler, "_usable_cores", lambda: threads)
+        got = np.zeros_like(want)
+        visits = []
+
+        def visit(rows, block):
+            got[rows] = _row_prints(block)
+            visits.append((rows.start, rows.stop))
+
+        for_each_block(body, count, SEED, visit)
+        assert np.array_equal(got, want)
+        visits.sort()
+        assert [v[0] for v in visits] == [0] + [v[1] for v in visits[:-1]]
+        assert visits[-1][1] == count
+        for start, stop in visits:
+            first = start % block
+            if kind == "euclidean_ball":
+                assert first == 0 and stop == min(start + block, count)
+            else:
+                assert stop - start <= max(256, 2 ** 18 // n) and first % 256 == 0
+                assert (stop - 1) // block == start // block
+
+
+_WIDE_CUBE_DRAW = """
+import resource
+import numpy as np
+from thinshell import sampler
+from thinshell.bodies import isotropic_body
+sampler._usable_cores = lambda: 2
+count = 4 * sampler.BLOCK
+sums = np.empty(count)
+
+def visit(rows, tile):
+    sums[rows] = tile.sum(axis=1)
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sampler.for_each_block(isotropic_body("cube", 2048), count, 0, visit)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_a_wide_cube_draw_holds_tiles_not_blocks(tmp_path):
+    # one block is 256 MiB at n = 2048; two threads of 256-row tiles hold 8 MiB
+    src = str(Path(sampler.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _WIDE_CUBE_DRAW], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 64.0  # MB of ru_maxrss the draw adds
 
 
 @pytest.mark.parametrize("cores, count, threads", [

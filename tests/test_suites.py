@@ -63,29 +63,36 @@ def test_each_body_and_dimension_is_drawn_once(monkeypatch):
 
 def _reports_at(monkeypatch, threads):
     """thinshell and berry_esseen report.csv text with the drawing pool at
-    ``threads`` threads, and the order in which each draw's blocks were reduced.
+    ``threads`` threads, and the block of each visited tile in visit order.
     With more than one thread, each draw's first block is reduced last."""
     monkeypatch.setattr(smp, "_usable_cores", lambda: threads)
     orders = []
 
     def first_block_last(body, count, seed, visit):
-        blocks = -(-count // smp.BLOCK)
+        others = count - min(smp.BLOCK, count)  # rows outside the first block
         order = []
+        done = [0]
+        lock = threading.Lock()
         others_done = threading.Event()
 
-        def late_first(rows, block):
-            if rows.start == 0 and threads > 1:
+        def late_first(rows, tile):
+            block = rows.start // smp.BLOCK
+            if block == 0 and threads > 1:
                 assert others_done.wait(timeout=30)
-            visit(rows, block)
-            order.append(rows.start // smp.BLOCK)
-            if len(order) == blocks - 1:
-                others_done.set()
+            visit(rows, tile)
+            order.append(block)
+            if block > 0:
+                with lock:
+                    done[0] += rows.stop - rows.start
+                    if done[0] == others:
+                        others_done.set()
 
         FOR_EACH_BLOCK(body, count, seed, late_first)
         orders.append(order)
 
     monkeypatch.setattr(smp, "for_each_block", first_block_last)
-    # seven blocks, the last one short: the fewest rows that three threads draw
+    # seven blocks, the last one short: the fewest rows that three threads draw;
+    # at n = 32 each block is two tiles
     count = 6 * smp.BLOCK + 500
     thin = thinshell_suite([CUBE, BALL, L1_BALL, BodyTemplate("lp_ball", 3.0)], [4, 16],
                            count, SEED, shell_n=(16, 32))
@@ -99,8 +106,27 @@ def test_reports_do_not_depend_on_the_thread_count(monkeypatch):
     assert thin1 == thin3
     assert be1 == be3
     assert len(orders1) == len(orders3) == 12  # 11 thinshell draws, 1 cube marginal
-    assert all(order == list(range(7)) for order in orders1)
-    assert all(order[-1] == 0 and sorted(order) == list(range(7)) for order in orders3)
+    assert any(len(order) > 7 for order in orders1)  # some blocks span several tiles
+    assert all(order == sorted(order) and set(order) == set(range(7)) for order in orders1)
+    for order in orders3:
+        first = order.index(0)
+        assert set(order) == set(range(7)) and set(order[first:]) == {0}
+
+
+def _tiled_reports(count):
+    thin = thinshell_suite([CUBE, L1_BALL], [64, 300], count, SEED, shell_n=(300,),
+                           shell_templates=(CUBE, L1_BALL))
+    be = berry_esseen_suite(SEED, cube_ns=(300,), counter_ns=(16,), samples=count)
+    return render_csv(thin.rows), render_csv(be.rows)
+
+
+def test_reports_do_not_depend_on_the_tile_rows(monkeypatch):
+    # at n = 300 a block is drawn in tiles of 768 rows; the second block is a
+    # whole tile and one of 333 rows, which whole-block draws visit at once
+    count = smp.BLOCK + smp._tile_rows(300) + 333
+    tiled = _tiled_reports(count)
+    monkeypatch.setattr(smp, "_tile_rows", lambda dim: smp.BLOCK)
+    assert _tiled_reports(count) == tiled
 
 
 def _thinshell_peak_mb():

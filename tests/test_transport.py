@@ -376,6 +376,17 @@ def test_variance_bound_x_squared_square_refines_to_the_closed_forms():
     assert all(rep.var <= rep.bound for rep in reps)
 
 
+def test_variance_bound_x_squared_disc_bound_error_falls_at_each_halving():
+    # Var = pi/16 and bound = 7 pi/24 on the unit disc; the staircase boundary
+    # makes the bound's error fall unevenly: 1.48e-2, 8.47e-3, 1.42e-3
+    reps = [verify_variance_bound(BodySpec.euclidean_ball(2), [lambda x, y: x ** 2], h=1 / m)[0]
+            for m in (32, 64, 128)]
+    errs = [abs(rep.bound - 7.0 * np.pi / 24.0) for rep in reps]
+    assert errs[0] > errs[1] > errs[2], errs
+    assert abs(reps[-1].var - np.pi / 16.0) <= 1e-3 * np.pi / 16.0
+    assert all(rep.var <= rep.bound for rep in reps)
+
+
 def test_variance_bound_disc():
     [rep] = verify_variance_bound(BodySpec.euclidean_ball(2), [lambda x, y: x ** 2], h=1 / 32)
     assert rep.var < rep.bound
