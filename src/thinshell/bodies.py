@@ -24,8 +24,9 @@ class DimensionMismatchError(ValueError):
 class BodySpec:
     """Canonical unconditional convex shape with per-axis positive scaling.
 
-    Canonical shapes: cube = [-1,1]^n, euclidean_ball = unit euclidean ball,
-    lp_ball = unit lp ball (p finite, p >= 1); each fits exactly in [-1,1]^n.
+    Canonical shapes, unit balls of the lp norm at p = ``exponent`` that fit
+    exactly in [-1,1]^n: cube = [-1,1]^n (the sup norm), euclidean_ball (p = 2,
+    read as the lp ball at 2 by every caller), lp_ball (p finite, p >= 1).
     ``scale`` multiplies coordinates after the canonical shape, so
     ``BodySpec("cube", 2, (0.9, 0.2))`` is the rectangle [-0.9,0.9]x[-0.2,0.2].
     """
@@ -72,6 +73,13 @@ class BodySpec:
         containing the body."""
         return np.asarray(self.scale, dtype=float)
 
+    @property
+    def exponent(self) -> float | None:
+        """p of the canonical shape's norm; None for the cube's sup norm."""
+        if self.kind == "cube":
+            return None
+        return 2.0 if self.kind == "euclidean_ball" else self.p
+
     def label(self) -> str:
         if self.kind == "lp_ball":
             return f"lp_ball(p={self.p:g},n={self.dim})"
@@ -96,11 +104,9 @@ def contains_rows(body: BodySpec, rows: np.ndarray, atol: float = 1e-12) -> np.n
     """Closed membership of each row of an N x dim array; boundary points
     count as inside."""
     z = _canonical(body, rows)
-    if body.kind == "cube":
+    if body.exponent is None:
         return np.max(np.abs(z), axis=1) <= 1.0 + atol
-    if body.kind == "euclidean_ball":
-        return np.einsum("ij,ij->i", z, z) <= 1.0 + atol
-    return np.sum(np.abs(z) ** body.p, axis=1) <= 1.0 + atol
+    return np.sum(np.abs(z) ** body.exponent, axis=1) <= 1.0 + atol
 
 
 def isotropic_scale(body: BodySpec, second_moments) -> BodySpec:
@@ -124,15 +130,14 @@ def analytic_second_moments(body: BodySpec) -> np.ndarray:
 
     evaluated through lgamma; p = 1 and 2 keep their exact rational forms.
     """
-    n = body.dim
+    n, p = body.dim, body.exponent
     s2 = body.scale_array ** 2
-    if body.kind == "cube":
+    if p is None:
         return s2 / 3.0
-    if body.kind == "euclidean_ball" or body.p == 2:
+    if p == 2:
         return s2 / (n + 2.0)
-    if body.p == 1:
+    if p == 1:
         return s2 * 2.0 / ((n + 1.0) * (n + 2.0))
-    p = body.p
     return s2 * math.exp(math.lgamma(3.0 / p) + math.lgamma(1.0 + n / p)
                          - math.lgamma(1.0 / p) - math.lgamma(1.0 + (n + 2.0) / p))
 

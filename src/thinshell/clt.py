@@ -401,7 +401,7 @@ class Lemma1034Report(NamedTuple):
     c1_part_iii: float     # max over grid of 4 phi(t0)^2 / delta
     c2_max: float          # largest admissible c2 = min delta^(3/4) / (2 phi(t0))
     part_ii_min: float     # min of (1 - Phi(t0 - 2 delta^(1/4)))
-    implication_ok: bool
+    implication_margin: float  # min of (1/phi - c2 delta^(-3/4)) - 1/(2 phi)
 
 
 def lemma1034_check(t0_grid) -> Lemma1034Report:
@@ -421,11 +421,11 @@ def lemma1034_check(t0_grid) -> Lemma1034Report:
     phi0 = normal_density(t0)
     c2 = float(np.min(delta ** 0.75 / (2.0 * phi0)))
     c1_iii = float(np.max(4.0 * phi0 ** 2 / delta))
-    # verify the implication with the measured c2: worst admissible x is
-    # 1/(1/phi - c2 delta^(-3/4)) <= 2 phi, hence x^2 <= 4 phi^2 <= c1_iii delta
+    # the worst admissible x with the measured c2, 1/(1/phi - c2 delta^(-3/4)),
+    # is <= 2 phi where the margin is >= 0, hence x^2 <= 4 phi^2 <= c1_iii delta
     lower_recip = 1.0 / phi0 - c2 * delta ** (-0.75)
-    ok = bool(np.all(lower_recip >= 1.0 / (2.0 * phi0) - 1e-12))
-    return Lemma1034Report(c1_i, c1_iii, c2, part_ii, ok)
+    margin = float(np.min(lower_recip - 1.0 / (2.0 * phi0)))
+    return Lemma1034Report(c1_i, c1_iii, c2, part_ii, margin)
 
 
 # -- closed-form oscillatory tails (G's CDF; a cross-check of kernel moments) ----

@@ -1,5 +1,6 @@
-"""Exact samplers for the body families, with reproducible block streams,
-and the THSL binary dump format.
+"""Exact samplers for the body families (the cube, and every other body as the
+lp ball at p = ``BodySpec.exponent``), with reproducible block streams, and
+the THSL binary dump format.
 
 Reproducibility contract: draws are generated in fixed blocks of ``BLOCK``
 rows.  Block b of a draw with master seed s comes from its own generator,
@@ -35,7 +36,7 @@ import numpy as np
 
 from .bodies import BodySpec
 
-RNG_ID = ("sfc64(SeedSequence(seed,spawn_key=(kind,p,n,block))); "
+RNG_ID = ("sfc64(SeedSequence(seed,spawn_key=(kind,p,n,block))), ball as lp p=2; "
           "named: philox4x64-128(key=(seed,stream))")
 BLOCK = 1 << 14  # rows per block stream; part of the determinism contract
 NAMED_STREAM = 1 << 32  # the thinshell coefficient vectors' named stream
@@ -94,75 +95,68 @@ def _draw_id(body: BodySpec) -> tuple[int, int, int]:
     return _KIND_IDS[body.kind], p_bits, body.dim
 
 
-# rows per chunk of the lp draw: the chunk and its scratch stay in cache while
-# the draw makes its passes over them
+# rows per chunk of every draw but the cube's: the chunk and its scratch stay in
+# cache while the draw makes its passes over them
 _CHUNK = 256
 
 
-# a cube or lp block is drawn and visited in tiles of _tile_rows(n) rows, the
-# largest multiple of _CHUNK with at most _TILE_FLOATS floats (2 MiB), so a
-# drawing thread holds a cache-sized tile instead of a BLOCK x n block.  The
-# tiles start at multiples of 256 rows because OpenBLAS gemv can round a row
+# a block is drawn and visited in tiles of _tile_rows(n) rows, the largest
+# multiple of _CHUNK with at most _TILE_FLOATS floats (2 MiB), so a drawing
+# thread holds a cache-sized tile instead of a BLOCK x n block.  The tiles
+# start at multiples of 256 rows because OpenBLAS gemv can round a row
 # differently with the call's row count and the row's offset: B[s:s+k] @ a
 # differed from (B @ a)[s:s+k] only at k in {1, 3, 255, 4095} in a scan of
 # 192 (n, k, s) cases, never at k in {1000, 1024, 1696}; tiles on 256-row
 # boundaries keep the whole block's row groups and alignment, so the visits'
-# reductions give the same bits.  The lp draw consumes its stream in _CHUNK
-# rows, so its chunks also stay where they were.
+# reductions give the same bits.  The chunked draws consume their stream in
+# _CHUNK rows, so their chunks also stay where they were.
 _TILE_FLOATS = 1 << 18
 
 
 def _tile_rows(dim: int) -> int:
-    """Rows per tile of a cube or lp draw in ``dim`` dimensions."""
+    """Rows per tile of a draw in ``dim`` dimensions."""
     return min(BLOCK, max(_CHUNK, _TILE_FLOATS // dim // _CHUNK * _CHUNK))
-
-
-def _scratch(dim: int) -> np.ndarray:
-    """Per-thread scratch of ``_draw_exact_block``; only the lp draw touches it."""
-    return np.empty((_CHUNK, dim))
 
 
 def _draw_exact_block(body: BodySpec, rng: np.random.Generator, x: np.ndarray,
                       scratch: np.ndarray) -> np.ndarray:
     """Fill the m x n array ``x`` with m draws from ``body`` and return it;
-    ``scratch`` is a ``_scratch(n)`` array the call may overwrite."""
-    m, n = x.shape
+    the draws at p != 2 overwrite ``scratch``, a _CHUNK x n array."""
+    m = x.shape[0]
     scale = body.scale_array
-    if body.kind == "cube":
+    p = body.exponent
+    if p is None:
         rng.random(out=x)
         x *= 2.0 * scale
         x -= scale
         return x
-    if body.kind == "euclidean_ball":
-        rng.standard_normal(out=x)
-        radius = rng.random(m) ** (1.0 / n)
-        radius /= np.sqrt(np.einsum("ij,ij->i", x, x))
-        x *= radius[:, None]
-        x *= scale
-        return x
-    p = body.p
-    # lp_ball (Barthe, Guedon, Mendelson and Naor 2005): g_i = V_i Y_i^(1/p)
-    # with Y_i ~ Gamma(1 + 1/p) and V_i ~ U(-1, 1) has density prop. to
-    # exp(-|g|^p), and x = g / (sum |g_j|^p + E)^(1/p) with E standard
-    # exponential; |g_j|^p = Y_j |V_j|^p
+    # the unit lp ball (Schechtman and Zinn 1990; Barthe, Guedon, Mendelson and
+    # Naor 2005): if the g_i have density prop. to exp(-|g|^p) and E is standard
+    # exponential, x = g / (sum |g_j|^p + E)^(1/p) is uniform on the ball
     for c in range(0, m, _CHUNK):
         g = x[c:c + _CHUNK]
         v = scratch[:g.shape[0]]
-        if p == 1.0:
-            # Gamma(2) as the sum of two standard exponentials, which costs
-            # about 0.6 of standard_gamma(2.0)
-            rng.standard_exponential(out=g)
-            g += rng.standard_exponential(out=v)
+        if p == 2.0:  # N(0, 1/2) has density prop. to exp(-g^2)
+            rng.standard_normal(out=g)
+            g *= math.sqrt(0.5)
+            power_sum = np.einsum("ij,ij->i", g, g)
         else:
-            rng.standard_gamma(1.0 + 1.0 / p, out=g)
-        rng.random(out=v)
-        v *= 2.0
-        v -= 1.0
-        np.power(g, 1.0 / p, out=g)
-        g *= v
-        np.abs(g, out=v)
-        np.power(v, p, out=v)
-        norm = (v.sum(axis=1) + rng.standard_exponential(g.shape[0])) ** (-1.0 / p)
+            # g_i = V_i Y_i^(1/p), Y_i ~ Gamma(1 + 1/p), V_i ~ U(-1, 1); at p = 1
+            # Gamma(2) is two standard exponentials, 0.6 of standard_gamma's cost
+            if p == 1.0:
+                rng.standard_exponential(out=g)
+                g += rng.standard_exponential(out=v)
+            else:
+                rng.standard_gamma(1.0 + 1.0 / p, out=g)
+            rng.random(out=v)
+            v *= 2.0
+            v -= 1.0
+            np.power(g, 1.0 / p, out=g)
+            g *= v
+            np.abs(g, out=v)
+            np.power(v, p, out=v)
+            power_sum = v.sum(axis=1)
+        norm = (power_sum + rng.standard_exponential(g.shape[0])) ** (-1.0 / p)
         g *= norm[:, None]
         g *= scale
     return x
@@ -187,7 +181,7 @@ def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
     """Yield the exact-sampler rows in their canonical BLOCK-sized chunks."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    scratch = _scratch(body.dim)
+    scratch = np.empty((_CHUNK, body.dim))
     for _, m, rng in _blocks(count, seed, _draw_id(body)):
         yield _draw_exact_block(body, rng, np.empty((m, body.dim)), scratch)
 
@@ -197,16 +191,15 @@ def for_each_block(body: BodySpec, count: int, seed: int,
     """Draw the rows of ``exact_blocks`` on up to one thread per usable core and
     call ``visit(rows, tile)`` in the thread that drew each tile, in no fixed
     order.  ``rows`` is the tile's slice of the count-row draw: it lies within
-    one block and holds at most BLOCK rows, ``_tile_rows(n)`` of a cube or lp
-    block (fewer at the block's end) and the whole block of the euclidean ball,
-    whose radii follow all of the block's normals in its stream.  ``tile`` is a
-    per-thread buffer that the next draw overwrites, so it is valid only during
-    the call, and ``visit`` may change it.  ``visit`` runs concurrently with
-    itself, so it should write only to its own rows of shared arrays."""
+    one block and holds ``_tile_rows(n)`` rows, fewer at the block's end.
+    ``tile`` is a per-thread buffer that the next draw overwrites, so it is
+    valid only during the call, and ``visit`` may change it.  ``visit`` runs
+    concurrently with itself, so it should write only to its own rows of shared
+    arrays."""
     if count < 1:
         raise ValueError("count must be >= 1")
     blocks = _blocks(count, seed, _draw_id(body))
-    tile = BLOCK if body.kind == "euclidean_ball" else _tile_rows(body.dim)
+    tile = _tile_rows(body.dim)
     lock = threading.Lock()
 
     def work(buffer: np.ndarray, scratch: np.ndarray) -> None:
@@ -216,21 +209,19 @@ def for_each_block(body: BodySpec, count: int, seed: int,
             if item is None:
                 return
             start, m, rng = item
-            # the cube fills rows in order and the lp draw in whole _CHUNKs, so
-            # drawing a block tile by tile from its generator gives its rows
+            # the cube fills rows in order and every other body whole _CHUNKs,
+            # so drawing a block tile by tile from its generator gives its rows
             for t in range(start, start + m, tile):
                 k = min(tile, start + m - t)
                 visit(slice(t, t + k), _draw_exact_block(body, rng, buffer[:k], scratch))
 
-    # one thread per usable core, but the per-thread buffers never hold more than
-    # half the draw's rows, so on any host the draw stays well below the
-    # count-row matrix that block-wise reduction avoids (the ball's buffers are
-    # whole blocks); a draw of fewer than 4 * BLOCK rows starts no pool
+    # one thread per usable core and at most one per two blocks, so a draw of
+    # fewer than 4 * BLOCK rows starts no pool
     threads = min(_usable_cores(), max(1, count // (2 * BLOCK)))
     # allocated in the calling thread: buffers allocated in the drawing threads
     # come from per-thread malloc arenas, which kept more memory resident
     # (families peak RSS 138-157 MB against 119 MB)
-    buffers = [(np.empty((min(tile, count), body.dim)), _scratch(body.dim))
+    buffers = [(np.empty((min(tile, count), body.dim)), np.empty((_CHUNK, body.dim)))
                for _ in range(threads)]
     if threads == 1:
         work(*buffers[0])
@@ -297,11 +288,12 @@ def load_samples(path, body: BodySpec) -> SampleMatrix:
             raise ValueError(f"bad magic {magic!r}; not a THSL sample file")
         if version != HEADER_VERSION:
             raise ValueError(f"unsupported THSL version {version}")
+        # checked against the file's size before the payload is allocated
         expected = 8 * n * count
-        payload = fh.read(expected)
-        if len(payload) < expected:
+        have = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if have < expected:
             raise TruncatedSampleFileError(
                 f"THSL payload of {count} x {n} rows needs {expected} bytes, "
-                f"file has {len(payload)}")
-        data = np.frombuffer(payload, dtype="<f8").reshape(count, n).copy()
+                f"file has {have}")
+        data = np.frombuffer(fh.read(expected), dtype="<f8").reshape(count, n).copy()
     return SampleMatrix(data, body, seed)

@@ -224,7 +224,9 @@ def test_lemma1034_constants():
     assert rep.part_ii_min == pytest.approx(1.0 - float(normal_upper_tail(-2 * 0.5 ** 0.25)),
                                             abs=1e-12)
     assert 0.0 < rep.c2_max < 1.0
-    assert rep.implication_ok
+    # c2 is the minimum of delta^(3/4) / (2 phi) over the grid, so the
+    # implication holds with no room at that grid point
+    assert rep.implication_margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lemma1034_large_t0_ratio_stabilizes():

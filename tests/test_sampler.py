@@ -64,7 +64,7 @@ def test_block_partition_matches_single_stream():
 # must change these and RNG_ID together.
 GOLDEN_STREAMS = {
     ("cube", None): "07d4123fbb81d48b9a557f1d5c4cb261301bd74f0626133613d5b17318efeced",
-    ("euclidean_ball", None): "0649caf8bd871a40324cffadf9a7dd716334551faf60a25e4ee45be3423e21ce",
+    ("euclidean_ball", None): "aa4af055ecb2f0faae098060f06566dc9c21522496c100f26f2875b678e8b373",
     ("lp_ball", 1.0): "09cc32859dbd6bff4d96992783256cde59ae5baf02fb06da0f7300f02cf8bc43",
     ("lp_ball", 3.0): "7f974561dfc3e34cc3a0457216083cc95687d81a1c778bd1f9e88832e0157d52",
 }
@@ -111,7 +111,7 @@ def _row_prints(x):
 def test_tiles_visit_the_exact_rows_at_every_thread_count(monkeypatch, kind, p, n, block):
     monkeypatch.setattr(sampler, "BLOCK", block)
     body = isotropic_body(kind, n, p)
-    tile = block if kind == "euclidean_ball" else sampler._tile_rows(n)
+    tile = sampler._tile_rows(n)
     # seven blocks; the last spans a whole tile and one of 333 rows, where
     # tiles are shorter than blocks
     count = 6 * block + tile + 333
@@ -131,16 +131,13 @@ def test_tiles_visit_the_exact_rows_at_every_thread_count(monkeypatch, kind, p, 
         assert [v[0] for v in visits] == [0] + [v[1] for v in visits[:-1]]
         assert visits[-1][1] == count
         for start, stop in visits:
-            first = start % block
-            if kind == "euclidean_ball":
-                assert first == 0 and stop == min(start + block, count)
-            else:
-                assert stop - start <= max(256, 2 ** 18 // n) and first % 256 == 0
-                assert (stop - 1) // block == start // block
+            assert stop - start <= max(256, 2 ** 18 // n) and start % block % 256 == 0
+            assert (stop - 1) // block == start // block
 
 
-_WIDE_CUBE_DRAW = """
+_WIDE_DRAW = """
 import resource
+import sys
 import numpy as np
 from thinshell import sampler
 from thinshell.bodies import isotropic_body
@@ -152,16 +149,17 @@ def visit(rows, tile):
     sums[rows] = tile.sum(axis=1)
 
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-sampler.for_each_block(isotropic_body("cube", 2048), count, 0, visit)
+sampler.for_each_block(isotropic_body(sys.argv[1], 2048), count, 0, visit)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 """
 
 
-def test_a_wide_cube_draw_holds_tiles_not_blocks(tmp_path):
+@pytest.mark.parametrize("kind", ["cube", "euclidean_ball"])
+def test_a_wide_draw_holds_tiles_not_blocks(tmp_path, kind):
     # one block is 256 MiB at n = 2048; two threads of 256-row tiles hold 8 MiB
     src = str(Path(sampler.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _WIDE_CUBE_DRAW], env=env, cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", _WIDE_DRAW, kind], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 64.0  # MB of ru_maxrss the draw adds
@@ -265,9 +263,10 @@ def _lp_moment(p, n, qs):
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
-@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, None])
 def test_lp_draw_exact_moments(p, n):
-    body = BodySpec.lp_ball(n, p)
+    # p = None is the euclidean ball, the lp ball at p = 2
+    body = BodySpec.euclidean_ball(n) if p is None else BodySpec.lp_ball(n, p)
     count = 10 ** 6
     x2, x4, x2y2 = np.empty(count), np.empty(count), np.empty(count)
     inside = np.empty(count, dtype=bool)
@@ -282,7 +281,7 @@ def test_lp_draw_exact_moments(p, n):
     assert inside.all()
     cases = [(x2, (2,)), (x4, (4,))] + ([(x2y2, (2, 2))] if n > 1 else [])
     for values, qs in cases:
-        z = (values.mean() - _lp_moment(p, n, qs)) / mc_sigma(values)
+        z = (values.mean() - _lp_moment(body.exponent, n, qs)) / mc_sigma(values)
         assert abs(z) <= 5.0, (qs, z)
 
 
@@ -300,6 +299,26 @@ def test_ball_radial_moment():
     s = sample_exact(body, 10 ** 5, seed=SEED)
     y = np.einsum("ij,ij->i", s.data, s.data) / n
     assert abs(y.mean() - 1.0) <= 4 * mc_sigma(y)
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_ball_shell_laws(n):
+    # |X| = sqrt(n + 2) R for the isotropic ball, with R^n uniform on [0, 1], so
+    # E |X|^(2k) = (n + 2)^k n / (n + 2k) and E |X| = sqrt(n + 2) n / (n + 1)
+    count = 2 * 10 ** 5
+    norms = np.empty(count)
+
+    def visit(rows, block):
+        norms[rows] = np.sqrt(np.einsum("ij,ij->i", block, block))
+
+    for_each_block(isotropic_body("euclidean_ball", n), count, SEED, visit)
+    y = norms ** 2 / n
+    spread = (y - y.mean()) ** 2
+    shell = (norms - math.sqrt(n)) ** 2
+    for values, law in [(spread, 4.0 / (n * (n + 4.0))),
+                        (shell, 2 * n - 2 * math.sqrt(n) * math.sqrt(n + 2.0) * n / (n + 1.0))]:
+        z = (values.mean() - law) / mc_sigma(values)
+        assert abs(z) <= 5.0, (law, z)
 
 
 def test_l1_quadrant_probability():
@@ -396,6 +415,16 @@ def test_load_rejects_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(TruncatedSampleFileError, match="2400 bytes, file has 2395"):
         load_samples(path, body=isotropic_body("cube", 3))
+
+
+@pytest.mark.parametrize("n, count", [(1, 2 ** 40), (2 ** 31, 2 ** 33)])
+def test_load_rejects_a_header_larger_than_its_file(tmp_path, n, count):
+    # the declared payloads (8 TiB, and 2^67 bytes, past any size numpy takes)
+    # are compared with the file before anything is allocated
+    path = tmp_path / "rows.thsl"
+    path.write_bytes(sampler._HEADER.pack(b"THSL", 1, n, count, SEED) + bytes(64))
+    with pytest.raises(TruncatedSampleFileError, match=f"{8 * n * count} bytes, file has 64"):
+        load_samples(path, body=isotropic_body("cube", 1))
 
 
 def test_load_rejects_a_body_of_another_dimension(tmp_path):

@@ -114,8 +114,8 @@ def test_reports_do_not_depend_on_the_thread_count(monkeypatch):
 
 
 def _tiled_reports(count):
-    thin = thinshell_suite([CUBE, L1_BALL], [64, 300], count, SEED, shell_n=(300,),
-                           shell_templates=(CUBE, L1_BALL))
+    thin = thinshell_suite([CUBE, L1_BALL, BALL], [64, 300], count, SEED, shell_n=(300,),
+                           shell_templates=(CUBE, L1_BALL, BALL))
     be = berry_esseen_suite(SEED, cube_ns=(300,), counter_ns=(16,), samples=count)
     return render_csv(thin.rows), render_csv(be.rows)
 
