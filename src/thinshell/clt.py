@@ -27,7 +27,6 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc, sici
 
 __all__ = [
     "SmoothingKernel", "build_kernel", "TruncationError",
@@ -60,6 +59,8 @@ class TruncationError(ValueError):
 
 
 # -- Gaussian utilities -------------------------------------------------------
+# scipy.special is imported in the calls that use it (here, and sici in
+# _tail_cos_over_xk), so a run that evaluates none of them loads no scipy.
 
 def normal_density(t):
     t = np.asarray(t, dtype=float)
@@ -68,10 +69,14 @@ def normal_density(t):
 
 def normal_upper_tail(t):
     """Upper tail integral of the standard normal density, via erfc."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
 
 
 def normal_cdf(t):
+    from scipy.special import erfc
+
     return 0.5 * erfc(-np.asarray(t, dtype=float) / math.sqrt(2.0))
 
 
@@ -434,6 +439,8 @@ def _tail_cos_over_xk(a: float, k: int, big_t):
     """int_T^inf cos(a x)/x^k dx, elementwise over an array T: upward from the
     sine/cosine integrals at k = 1 by parts, C_j = (cos(aT) T^(1-j) -
     a S_(j-1))/(j-1) and S_j = (sin(aT) T^(1-j) + a C_(j-1))/(j-1)."""
+    from scipy.special import sici
+
     si, ci = sici(a * big_t)
     cos_tail, sin_tail = -ci, math.pi / 2.0 - si
     cos_at, sin_at = np.cos(a * big_t), np.sin(a * big_t)

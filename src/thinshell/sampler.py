@@ -233,7 +233,11 @@ def for_each_block(body: BodySpec, count: int, seed: int,
 
 def sample_exact(body: BodySpec, count: int, seed: int) -> SampleMatrix:
     """N independent uniform draws from a body."""
-    rows = np.concatenate(list(exact_blocks(body, count, seed)), axis=0)
+    rows = np.empty((max(count, 0), body.dim))  # exact_blocks rejects count < 1
+    start = 0
+    for block in exact_blocks(body, count, seed):  # copied in, so the rows are held once
+        rows[start:start + block.shape[0]] = block
+        start += block.shape[0]
     return SampleMatrix(rows, body, seed)
 
 
@@ -272,7 +276,7 @@ def dump_samples(samples: SampleMatrix, path) -> None:
     n, count = samples.dim, samples.count
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, HEADER_VERSION, n, count, samples.seed & _MASK64))
-        fh.write(np.ascontiguousarray(samples.data, dtype="<f8").tobytes())
+        np.ascontiguousarray(samples.data, dtype="<f8").tofile(fh)
 
 
 def load_samples(path, body: BodySpec) -> SampleMatrix:
@@ -295,5 +299,5 @@ def load_samples(path, body: BodySpec) -> SampleMatrix:
             raise TruncatedSampleFileError(
                 f"THSL payload of {count} x {n} rows needs {expected} bytes, "
                 f"file has {have}")
-        data = np.frombuffer(fh.read(expected), dtype="<f8").reshape(count, n).copy()
+        data = np.fromfile(fh, dtype="<f8", count=n * count).reshape(count, n)
     return SampleMatrix(data, body, seed)

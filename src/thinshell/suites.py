@@ -4,7 +4,8 @@ Each suite returns a SuiteResult of CSV rows plus pass/fail assertions, with
 every assertion carrying the anchor string of the inequality it instantiates.
 Every tolerance and every verdict lives here: the modules the suites call
 return what they measure, and the suites compare it with its target.  The same
-functions back the command-line runner and the acceptance tests.
+functions back the command-line runner and the acceptance tests.  Each suite
+imports its solvers on first call, so a run loads only the scipy its suites use.
 """
 
 from __future__ import annotations
@@ -13,17 +14,12 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import jnp_zeros
 
 from . import bodies as bd
 from . import clt
 from . import estimators as est
 from . import sampler as smp
-from . import spectral as spec
-from . import transport as tpt
 from .reporting import Assertion, CsvRow, SuiteResult
-
-DISC_LAMBDA1 = float(jnp_zeros(1, 1)[0]) ** 2  # (first positive root of J_1')^2
 
 
 class BodyTemplate(NamedTuple):
@@ -389,6 +385,8 @@ def _random_even_trig(rng: np.random.Generator):
 def transport_suite(seed: int, raster_h: float = 1 / 32) -> SuiteResult:
     """Transport duality on the linear 1D example, the fiberwise monotone map,
     and the variance-vs-dual-norm inequality on 2D rasters."""
+    from . import transport as tpt
+
     out = SuiteResult("transport")
     target = math.sqrt(16.0 / 15.0)
 
@@ -461,6 +459,10 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
     extrapolation, multiplicity, gradient bias, an odd flip class below the
     even one, the bounding-cube comparison and a domain-monotonicity witness;
     every value comes from one eigen solve per flip class of each (body, h)."""
+    from scipy.special import jnp_zeros
+
+    from . import spectral as spec
+
     out = SuiteResult("spectral")
     square = bd.BodySpec.cube(2)
     disc = bd.BodySpec.euclidean_ball(2)
@@ -496,9 +498,10 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
                                         dev <= 1e-10))
 
     target_sq = math.pi ** 2 / 4.0
+    target_disc = float(jnp_zeros(1, 1)[0]) ** 2  # (first positive root of J_1')^2
     for label, body, hs, target, anchor in [
             ("square", square, [1 / 16, 1 / 32, 1 / 64], target_sq, "interval oracle"),
-            ("disc", disc, [1 / 32, 1 / 64, 1 / 128], DISC_LAMBDA1, "Bessel-root oracle")]:
+            ("disc", disc, [1 / 32, 1 / 64, 1 / 128], target_disc, "Bessel-root oracle")]:
         rich = spec.richardson_lambda1(hs, [spectrum(body, h)[1].value for h in hs])
         out.rows.append(CsvRow("spectral.lambda1", label, 2, 0, seed, rich.extrapolated, 0.0,
                                target, {"h_values": list(rich.h_values),

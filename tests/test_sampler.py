@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -400,6 +401,42 @@ def test_dump_load_round_trip(tmp_path):
     loaded = load_samples(path, body=body)
     assert np.array_equal(loaded.data, s.data)
     assert loaded.seed == SEED
+
+
+# sha256 of the THSL file that dump_samples writes for sample_exact(
+# isotropic_body("cube", 5), 40000, SEED): the header and the rows of GOLDEN_STREAMS.
+GOLDEN_DUMP = "612de853045e4879133df1238d8fc9b830d084d01eb2aa97fc9a6ae68959d9f6"
+
+
+def test_dump_bytes_are_golden(tmp_path):
+    path = tmp_path / "rows.thsl"
+    dump_samples(sample_exact(isotropic_body("cube", 5), 40000, SEED), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DUMP
+
+
+def _traced_peak(func, *args):
+    """func(*args) and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return func(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_thsl_functions_hold_the_payload_once(tmp_path):
+    # a 48.8 MiB payload: a second copy of it, or of a list of its blocks,
+    # would double the peak; one or two 16384-row blocks add 0.16 of it
+    body = isotropic_body("cube", 32)
+    count = 2 * 10 ** 5
+    payload = 8 * count * body.dim
+    path = tmp_path / "rows.thsl"
+    samples, drawn = _traced_peak(sample_exact, body, count, SEED)
+    _, dumped = _traced_peak(dump_samples, samples, path)
+    loaded, read = _traced_peak(load_samples, path, body)
+    assert np.array_equal(loaded.data, samples.data)
+    assert drawn <= 1.25 * payload
+    assert dumped <= 1.25 * payload
+    assert read <= 1.25 * payload
 
 
 def test_load_rejects_truncated_header(tmp_path):

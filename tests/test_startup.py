@@ -1,6 +1,5 @@
-"""Start-up cost: importing thinshell loads numpy, scipy.special and
-scipy.sparse(.linalg) only; the solvers that a single check uses load on first
-use."""
+"""Start-up cost: importing thinshell loads numpy and no scipy; each suite loads
+the scipy subpackages of its own solvers when it runs."""
 
 import os
 import subprocess
@@ -12,7 +11,8 @@ import pytest
 import thinshell
 from thinshell import clt
 
-_DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.spatial")
+_DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.special",
+             "scipy.sparse", "scipy.sparse.linalg")
 
 _IMPORT_AND_RUN = """
 import sys
@@ -23,18 +23,57 @@ loaded = [m for m in {deferred!r} if m in sys.modules]
 for cfg in (ExperimentConfig("thinshell", [4, 8], 2000), default_config("identities")):
     cfg.output_dir = {out!r}
     assert run(cfg) == 0
-print("after import", loaded, "after runs", [m for m in {deferred!r} if m in sys.modules])
+print("after import", loaded, "after runs", [m for m in {deferred!r} if m in sys.modules],
+      "scipy", "scipy" in sys.modules)
 """
 
 
-def test_import_and_a_thinshell_run_leave_the_one_check_solvers_unloaded(tmp_path):
+def _python(code: str, cwd, *args: str) -> subprocess.CompletedProcess:
     src = str(Path(thinshell.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = _IMPORT_AND_RUN.format(deferred=_DEFERRED, out=str(tmp_path))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_import_and_a_thinshell_run_leave_the_one_check_solvers_unloaded(tmp_path):
+    proc = _python(_IMPORT_AND_RUN.format(deferred=_DEFERRED, out=str(tmp_path)), tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "after import [] after runs []"
+    assert proc.stdout.splitlines()[-1] == "after import [] after runs [] scipy False"
+
+
+_RUN_ONE = """
+import sys
+from thinshell.cli import ExperimentConfig, main, run
+suite, out = sys.argv[1:]
+if suite == "version":
+    assert main(["version"]) == 0
+elif suite == "config-error":
+    assert main(["thinshell", "--seed", "-1"]) == 2
+else:
+    assert run(ExperimentConfig(suite, [16], 10 ** 4, output_dir=out)) == 0
+print("loaded", [m for m in {deferred!r} if m in sys.modules])
+"""
+
+# the scipy subpackages that one cli.run of each suite loads; scipy.integrate
+# and scipy.optimize import scipy.sparse, scipy.spatial and scipy.special themselves
+_LOADED_BY = {
+    "thinshell": [],
+    "identities": [],
+    "berry_esseen": ["scipy.special"],  # erfc of the normal CDF
+    "spectral": ["scipy.special", "scipy.sparse", "scipy.sparse.linalg"],
+    "transport": ["scipy.optimize", "scipy.spatial", "scipy.special", "scipy.sparse",
+                  "scipy.sparse.linalg"],
+    "clt": list(_DEFERRED),
+    "version": [],
+    "config-error": [],
+}
+
+
+@pytest.mark.parametrize("suite", list(_LOADED_BY))
+def test_each_suite_loads_only_its_own_scipy(tmp_path, suite):
+    proc = _python(_RUN_ONE.format(deferred=_DEFERRED), tmp_path, suite, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"loaded {_LOADED_BY[suite]}"
 
 
 def test_the_kernel_moment_check_integrates_through_clt_quad(monkeypatch):
