@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from thinshell import clt
+from thinshell import clt, suites
 from thinshell.clt import (
     TruncationError,
     bernoulli_gamma_tail_bruteforce,
@@ -106,9 +106,9 @@ def test_cdf_density_consistency():
 
 
 def test_cdf_matches_density_quadrature():
-    # on both sides of the switch from Gauss-Legendre to the closed form at
-    # |x| = 4, and far into the tail; scalar and array calls agree exactly
-    xs = np.array([0.0, 1e-3, 0.5, 3.99, 4.0, 4.01, 40.0, 200.0])
+    # on both sides of the switch from the power series to the closed form at
+    # |x| = 12, and far into the tail; scalar and array calls agree exactly
+    xs = np.array([0.0, 1e-3, 0.5, 3.99, 4.0, 4.01, 11.99, 12.0, 12.01, 40.0, 200.0])
     xs = np.concatenate([xs, -xs[1:]])
     batch = KERNEL.cdf(xs)
     for x, b in zip(xs, batch):
@@ -121,7 +121,7 @@ def test_cdf_basic_properties():
     assert KERNEL.cdf(0.0) == 0.5
     xs = np.linspace(-160, 160, 2001)
     c = KERNEL.cdf(xs)
-    # monotone up to rounding: the Si/Ci recurrence beyond |x| = 4 cancels
+    # monotone up to rounding: the Si/Ci recurrence beyond |x| = 12 cancels
     # down to an absolute error of about 1e-15 (worst step here -1.3e-15)
     assert np.all(np.diff(c) >= -4e-15)
     assert 0.0 < c[0] < 1e-10 and 1.0 - 1e-10 < c[-1] <= 1.0
@@ -129,13 +129,48 @@ def test_cdf_basic_properties():
 
 
 def test_cdf_does_not_depend_on_the_batch():
-    # each row of the near rule is reduced on its own: a point's CDF has the
+    # the series and the closed form are elementwise: a point's CDF has the
     # same bits alone, in a short batch and in a long one
-    xs = np.random.default_rng(5).uniform(-4.5, 4.5, size=600)
+    xs = np.random.default_rng(5).uniform(-1.1 * clt._NEAR, 1.1 * clt._NEAR, size=600)
     batch = KERNEL.cdf(xs)
     assert np.array_equal(np.concatenate([KERNEL.cdf(xs[i:i + 7]) for i in range(0, 600, 7)]),
                           batch)
     assert all(KERNEL.cdf(float(x)) == b for x, b in zip(xs[::37], batch[::37]))
+
+
+def test_cdf_series_against_mpmath():
+    # the lower tail P(G <= -x) is the series' own value, 1/2 minus the
+    # integral; P(G <= x) adds the rounding of 1 - tail, half an ulp of 1
+    xs = np.linspace(0.0, clt._NEAR, 241)
+    k1 = mpmath.mpf(KERNEL.kappa1)
+    with mpmath.workdps(40):
+        def dens(u):
+            return (mpmath.sin(u / 8) / u) ** 8 if u else mpmath.mpf(8) ** -8
+        upper = [mpmath.mpf(0.5)]
+        for a, b in zip(xs[:-1], xs[1:]):
+            upper.append(upper[-1] - k1 * mpmath.quad(dens, [mpmath.mpf(a), mpmath.mpf(b)]))
+        upper = np.array([float(u) for u in upper])
+    assert np.max(np.abs(KERNEL.cdf(-xs) - upper)) <= 2e-16
+    assert np.max(np.abs(KERNEL.cdf(xs) - (1.0 - upper))) <= 2e-16 + 2.0 ** -53
+
+
+def test_cdf_series_meets_the_closed_form_at_the_switch():
+    series = KERNEL.cdf(-clt._NEAR)
+    closed = KERNEL.kappa1 * sinc8_tail_integral(8, clt._NEAR)
+    assert abs(series - closed) <= 1e-15
+    assert abs(KERNEL.cdf(-np.nextafter(clt._NEAR, np.inf)) - closed) <= 1e-15
+
+
+def test_sinc8_series_coefficients_are_exact():
+    # b_j of int_0^y sinc^8 = sum_j b_j y^(2j+1), against the Taylor series of
+    # sin^8 from mpmath: b_0 = 1, b_1 = -4/9 (sin^8 y = y^8 - (4/3) y^10 + ...)
+    coefs = clt._sinc8_series()
+    assert not coefs.flags.writeable and clt._sinc8_series() is coefs
+    assert coefs[0] == 1.0 and coefs[1] == -4 / 9
+    with mpmath.workdps(60):
+        taylor = mpmath.taylor(lambda y: mpmath.sin(y) ** 8, 0, 2 * coefs.size + 8)
+        ref = [float(taylor[2 * j + 8] / (2 * j + 1)) for j in range(coefs.size)]
+    assert np.array_equal(coefs, ref)
 
 
 def test_density_against_the_sinc_power():
@@ -361,6 +396,68 @@ def test_factored_inversion_matches_the_direct_sum(monkeypatch, n):
     assert abs(scalar - bernoulli_gamma_tail_fourier(theta, sigma, 0.3)) <= 1e-14
     if cube is not None:
         assert np.max(np.abs(cube - cube_marginal_tail(theta, ts[:50]))) <= 1e-14
+
+
+def test_folded_sine_transform_is_the_signed_transform():
+    # odd in t, numpy's sin odd and cos even: bit-identical on the mirrored tail
+    # grid and on unsorted signed t with repeats, at half the distinct |t|
+    panels = _gl_panels(0.0, 3.0, 37)
+    rng = np.random.default_rng(26)
+    shuffled = rng.permutation(np.concatenate([tail_grid(1.0)[::5], [0.0, -0.0, 2.5, -2.5]]))
+    for ts in (tail_grid(1.0), shuffled):
+        for integrand in (lambda xi: np.cos(xi) / xi, lambda xi: np.exp(-xi) * (1.0 + xi)):
+            assert np.array_equal(clt._folded_sine_transform(ts, panels, integrand),
+                                  clt._sine_transform(ts, panels, integrand))
+
+
+def _gauss_subtracted_tail(char_fn, cut, nrm2, spread, ts):
+    # the inversion with N(0, nrm2)'s characteristic function subtracted under
+    # the integral and its tail added back in closed form; the subtracted
+    # Gaussian's own transform runs on past the cut until it underflows
+    nrm = math.sqrt(nrm2)
+    omega = float(np.max(np.abs(ts))) + spread + 1.0
+
+    def gauss(xi):
+        return np.exp(-0.5 * xi * xi * nrm2)
+
+    main = clt._sine_transform(ts, _gl_panels(0.0, cut, max(16, math.ceil(cut * omega / 5.0))),
+                               lambda xi: (char_fn(xi) - gauss(xi)) / xi)
+    gauss_hi = math.sqrt(1420.0) / nrm
+    g_tail = 0.0
+    if gauss_hi > cut:
+        panels = _gl_panels(cut, gauss_hi, max(8, math.ceil((gauss_hi - cut) * omega / 5.0)))
+        g_tail = clt._sine_transform(ts, panels, lambda xi: gauss(xi) / xi)
+    return normal_upper_tail(ts / nrm) - main / math.pi + g_tail / math.pi
+
+
+def test_one_transform_tails_match_the_gauss_subtracted_form(monkeypatch):
+    # the subtraction and its closed-form add-back cancel exactly, so dropping
+    # them moves the tails by rounding only: on the clt suite's oracle
+    # instances and on the berry_esseen cube marginals
+    instances = []
+    monkeypatch.setattr(clt, "bernoulli_gamma_tail_bruteforce",
+                        lambda theta, sigma, t: instances.append((theta, sigma, t)) or 0.0)
+    suites.clt_suite(20250810, scaling_ns=(4, 8, 16))
+    assert len(instances) == suites._ORACLE_INSTANCES
+    for theta, sigma, t in instances:
+        ref = _gauss_subtracted_tail(
+            lambda xi: KERNEL.char_fn(sigma * xi) * _char_product(np.cos, theta, xi),
+            1.0 / sigma, float(theta @ theta), float(np.sum(np.abs(theta))), np.array([t]))
+        assert abs(bernoulli_gamma_tail_fourier(theta, sigma, t) - ref[0]) <= 2e-15
+    ts = tail_grid(1.0)
+    for n in (16, 64, 256):
+        theta = uniform_direction(n)
+        ref = _gauss_subtracted_tail(
+            lambda xi: _char_product(np.sinc, theta * (math.sqrt(3.0) / math.pi), xi),
+            clt.cube_marginal_cut(theta), 1.0, math.sqrt(3.0) * float(np.sum(np.abs(theta))), ts)
+        assert np.max(np.abs(cube_marginal_tail(theta, ts) - ref)) <= 2e-15
+
+
+def test_fixed_moment_rule_matches_the_exact_moments():
+    # 50 panels of 32 Gauss-Legendre nodes on [0, 400], plus the exact tail
+    for order, exact in zip((0, 2, 4, 6), (Fraction(1), *KERNEL.moments_exact)):
+        value = kernel_moment_by_quadrature(KERNEL, order)
+        assert abs(Fraction(value) - exact) <= 1e-15 * exact
 
 
 def test_grouped_char_product_with_repeated_theta():

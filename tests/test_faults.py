@@ -66,10 +66,12 @@ def test_a_sign_error_in_the_parity_extension_fails_both_lattice_suites(monkeypa
                       ("cube(n=2)", "euclidean_ball(n=2)", "lp_ball(p=1,n=2)")]
 
 
-def test_a_sign_error_in_the_sine_transform_fails_only_the_bruteforce_oracle(monkeypatch):
+def test_a_sign_error_in_the_sine_transform_fails_the_oracle_and_the_scaling_law(monkeypatch):
     # negated reference nodes, with the integrand still taken at the true
     # nodes: sin(t half x_g) changes sign and cos(t half x_g) does not, so only
-    # the cross term cos(t mid) sin(t half x_g) of the panel rule flips
+    # the cross term cos(t mid) sin(t half x_g) of the panel rule flips.  The
+    # transform carries the whole phi(xi)/xi, so the tails move by O(1): the
+    # oracle gap reads 1.47, the sup errors 1.0 to 1.5, their slope -0.19
     sine_transform = clt._sine_transform
 
     def flipped(ts, panels, integrand):
@@ -78,7 +80,7 @@ def test_a_sign_error_in_the_sine_transform_fails_only_the_bruteforce_oracle(mon
 
     monkeypatch.setattr(clt, "_sine_transform", flipped)
     failed = [a.name for a in suites.clt_suite(SEED).assertions if not a.passed]
-    assert failed == ["lemma700.oracle_equivalence"]
+    assert failed == ["lemma700.oracle_equivalence", "lemma700.scaling"]
 
 
 def test_a_cube_one_percent_too_large_fails_every_thinshell_variance_ratio(monkeypatch):
