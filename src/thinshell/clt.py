@@ -36,7 +36,7 @@ __all__ = [
     "bernoulli_gamma_tail_fourier", "bernoulli_gamma_tail_bruteforce",
     "cube_marginal_cut", "cube_marginal_tail", "tail_grid",
     "lemma700_report", "lemma1034_check",
-    "normal_density", "normal_upper_tail", "normal_cdf",
+    "normal_density", "normal_upper_tail",
 ]
 
 # Rows per block of the (t-points x nodes) and (nodes x n) tables below: memory
@@ -81,12 +81,6 @@ def normal_upper_tail(t):
     from scipy.special import erfc
 
     return 0.5 * erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
-
-
-def normal_cdf(t):
-    from scipy.special import erfc
-
-    return 0.5 * erfc(-np.asarray(t, dtype=float) / math.sqrt(2.0))
 
 
 # -- exact spline construction -------------------------------------------------
@@ -194,8 +188,8 @@ class SmoothingKernel:
             acc *= y2
             acc += c
         tail[near] = 0.5 - self.kappa1 * self.kappa2 ** 7 * (y * acc)
-        out = np.where(flat >= 0, 1.0 - tail, tail)
-        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+        np.subtract(1.0, tail, out=tail, where=flat >= 0)
+        return float(tail[0]) if x.ndim == 0 else tail.reshape(x.shape)
 
 
 @lru_cache(maxsize=1)

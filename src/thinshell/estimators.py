@@ -1,12 +1,12 @@
 """Monte Carlo estimators for variance, moment and distance quantities of
-isotropic unconditional laws, with 3-sigma confidence half-widths, and the
-closed-form segment identities behind the power-sum bound.
+isotropic unconditional laws, with 3-sigma confidence half-widths, and two
+closed-form segment identities.
 
-Every estimator takes plain float arrays: per-draw values (|X|^2,
-sum a_i X_i^2, sum a_i |X_i|^{p_i}), which the suites reduce from each sample
-block as it is drawn, so no N x n sample matrix is needed, and weight vectors
-as numpy arrays.  All reductions use numpy's fixed-order pairwise summation,
-so estimates from identical draws are bit-identical across reruns.
+Every estimator takes plain float arrays of per-draw values (|X|^2,
+sum a_i X_i^2), which the suites reduce from each sample block as it is
+drawn, so no N x n sample matrix is needed.  All reductions use numpy's
+fixed-order pairwise summation, so estimates from identical draws are
+bit-identical across reruns.
 """
 
 from __future__ import annotations
@@ -45,32 +45,23 @@ def uniform_direction(n: int) -> np.ndarray:
 # -- variance with CI ---------------------------------------------------------
 
 def _variance_estimate(y: np.ndarray, estimator_id: str) -> EstimateWithCI:
-    """Sample variance of y with a 3-sigma half-width.
-
-    Uses the asymptotic normal error sqrt((m4 - s^4)/N) from the sample fourth
-    moment for N >= 1e4 and a delete-1 jackknife for smaller N.
-    """
+    """Sample variance of y with a 3-sigma half-width from the asymptotic
+    normal error sqrt((m4 - s^4)/N) of the sample fourth moment m4."""
     n = y.size
     if n < 2:
         raise ValueError("variance needs at least 2 samples")
     mean = y.mean()
     d = y - mean
     d2 = d * d
-    sum_d2 = float(np.sum(d2))
-    s2 = sum_d2 / (n - 1)  # all-equal y gives s2 = 0 and half-width 0 below
-    if n >= 10 ** 4:
-        m4 = float(np.sum(d2 * d2)) / n
-        var_of_var = max(m4 - s2 * s2, 0.0) / n
-    else:
-        # closed-form delete-1 jackknife of the unbiased variance
-        s2_loo = (sum_d2 - d2 * n / (n - 1)) / (n - 2)
-        var_of_var = (n - 1) / n * float(np.sum((s2_loo - s2_loo.mean()) ** 2))
+    s2 = float(np.sum(d2)) / (n - 1)  # all-equal y gives s2 = 0 and half-width 0
+    m4 = float(np.sum(d2 * d2)) / n
+    var_of_var = max(m4 - s2 * s2, 0.0) / n
     return EstimateWithCI(s2, 3.0 * math.sqrt(var_of_var), n, estimator_id)
 
 
 def _mean_estimate(y: np.ndarray, estimator_id: str) -> EstimateWithCI:
     n = y.size
-    se = float(y.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    se = float(y.std(ddof=1)) / math.sqrt(n)
     return EstimateWithCI(float(y.mean()), 3.0 * se, n, estimator_id)
 
 
@@ -91,39 +82,9 @@ def thin_shell_stats(sq: np.ndarray, n: int) -> ThinShellStats:
     return ThinShellStats(var_ratio, shell_dev)
 
 
-class BoundedEstimate(NamedTuple):
-    estimate: EstimateWithCI
-    bound: float
-
-
-def _coefficients(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("coefficients must be nonnegative")
-    return a
-
-
-def weighted_square_variance(y: np.ndarray, a) -> BoundedEstimate:
-    """Var(sum a_i X_i^2) from its per-draw values y, together with the
-    comparison bound 16 sum a_i^2 for the coefficients a >= 0."""
-    a = _coefficients(a)
-    return BoundedEstimate(_variance_estimate(y, "weighted_square_variance"),
-                           16.0 * float(a @ a))
-
-
-def power_sum_variance(y: np.ndarray, moments, a, p) -> BoundedEstimate:
-    """Var(sum a_i |X_i|^{p_i}) from its per-draw values y, together with the
-    bound sum (2 p_i^2/(p_i+1)) a_i^2 E|X_i|^{2 p_i}, where ``moments`` holds
-    the per-axis E|X_i|^{2 p_i}, for coefficients a >= 0 and exponents
-    0 < p_i <= 32 (larger ones overflow |X_i|^{2 p_i})."""
-    a = _coefficients(a)
-    p, moments = np.asarray(p, dtype=float), np.asarray(moments, dtype=float)
-    if not a.shape == p.shape == moments.shape:
-        raise ValueError("a, p and moments must have one entry per axis")
-    if np.any(p <= 0) or np.any(p > 32):
-        raise ValueError("exponents must lie in (0, 32]")
-    bound = float(np.sum(2.0 * p ** 2 / (p + 1.0) * a ** 2 * moments))
-    return BoundedEstimate(_variance_estimate(y, "power_sum_variance"), bound)
+def weighted_square_variance(y: np.ndarray) -> EstimateWithCI:
+    """Var(sum a_i X_i^2) from its per-draw values y."""
+    return _variance_estimate(y, "weighted_square_variance")
 
 
 # -- Kolmogorov distance ------------------------------------------------------

@@ -69,6 +69,10 @@ _COUNTER_DIST = (0.5 * (1.0 + math.erf(_COUNTER_T / math.sqrt(2.0)))
 # phi(t*) t* (dt/2)^2 / 2 = 4.4e-7 with dt = 16/4095 (2.44e-7 at n = 16 and 256)
 _COUNTER_TOL = 1e-6
 _COMPARISON_TOL = 0.02         # relative slack of the bounding-cube comparison
+# relative tolerances of the extrapolated lambda_1: the square's (h = 1/16, 1/32,
+# 1/64, observed order 1.9996) lies 1.61e-8 from pi^2/4, so 1e-6 leaves a factor
+# of 60; the disc's staircase boundary leaves it 0.6% high
+_LAMBDA1_TOL = {"square": 1e-6, "disc": 0.01}
 
 
 def _within(value: float, target: float, half_width: float) -> bool:
@@ -93,7 +97,7 @@ def _thinshell_task(template: BodyTemplate, n: int, samples: int, seed: int,
                 yk[rows] = tile @ a
 
     smp.for_each_block(body, samples, seed, visit)
-    weighted = [est.weighted_square_variance(yk, a) for yk, a in zip(y, coeffs)]
+    weighted = [est.weighted_square_variance(yk) for yk in y]
     return body.label(), est.thin_shell_stats(sq, body.dim), weighted
 
 
@@ -125,7 +129,9 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
                for t, n in keys]
 
     by_family: dict[tuple[BodyTemplate, str], list[tuple[int, float]]] = {}
-    for key, (label, (vr, sd), weighted) in zip(keys, results):
+    for key, (label, (vr, sd), estimates) in zip(keys, results):
+        # Cor 204(i): Var(sum a_i X_i^2) <= 16 sum a_i^2 for each vector a >= 0
+        weighted = [(e, 16.0 * float(a @ a)) for e, a in zip(estimates, coeffs.get(key, ()))]
         template, n = key
         out.rows.append(CsvRow(sd.estimator_id, label, n, samples, seed, sd.value,
                                sd.half_width, 16.0))
@@ -331,7 +337,7 @@ def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
             f"berry_esseen.sampler.{law}.n{n}", "exact sampler", res.distance,
             f"<= 3 DKW = {3 * res.dkw_band:.3g} against the exact law",
             res.distance <= 3.0 * res.dkw_band))
-        errs = np.abs(grid_cdf - clt.normal_cdf(ts))
+        errs = np.abs(grid_cdf - clt.normal_upper_tail(-ts))
         k = int(np.argmax(errs))
         return float(errs[k]), abs(float(ts[k]))
 
@@ -507,9 +513,10 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
                                target, {"h_values": list(rich.h_values),
                                         "raw": list(rich.lambda1_values),
                                         "order": rich.observed_order}))
+        tol = _LAMBDA1_TOL[label]
         out.assertions.append(Assertion(f"spectral.{label}.lambda1", anchor, rich.extrapolated,
-                                        f"= {target:.4f} +- 1%",
-                                        abs(rich.extrapolated - target) <= 0.01 * target))
+                                        f"= {target:.4f} +- {100 * tol:g}%",
+                                        abs(rich.extrapolated - target) <= tol * target))
 
     for body, label, h in [(square, "square", 1 / 32), (disc, "disc", 1 / 64)]:
         grid, classes = eigen(body, h)

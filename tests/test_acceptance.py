@@ -118,6 +118,11 @@ def test_c05b_sup_error_scaling(clt_result):
     _check(clt_result, "lemma700.scaling", "05b sup-error scaling slope, sigma = 2/sqrt(n)")
 
 
+def test_c05c_default_scaling_range_needs_no_note(clt_result):
+    # from n = 256 on the smoothing variance 89/n is at most 1/2
+    assert clt_result.notes == []
+
+
 def test_c06_kernel_contract(clt_result):
     _check(clt_result, "kernel.", "06 kernel: support, bounds, density, sixth moment")
 

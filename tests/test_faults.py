@@ -52,6 +52,16 @@ def test_a_small_raster_operator_fails_the_closed_form(monkeypatch, scale):
     assert _failed_with(monkeypatch, spectral, scale) == X2_CLOSED_FORMS
 
 
+@pytest.mark.parametrize("scale", [1 + 1e-5, 1 - 1e-5, 0.995])
+def test_a_raster_operator_slightly_off_fails_the_square_lambda1(monkeypatch, scale):
+    # the square's extrapolated lambda_1 moves by the operator's scale, against
+    # its 1e-6 relative tolerance; the disc's 1% does not see 0.5%
+    build = spectral.graph_laplacian
+    monkeypatch.setattr(spectral, "graph_laplacian", lambda *args: scale * build(*args))
+    failed = [a.name for a in suites.spectral_suite(SEED).assertions if not a.passed]
+    assert failed == ["spectral.square.lambda1"]
+
+
 def test_a_sign_error_in_the_parity_extension_fails_both_lattice_suites(monkeypatch):
     # every reflection carries the wrong sign, so each class is its opposite:
     # each Lemma 2.1 gradient is solved in the wrong class, and the constants

@@ -37,7 +37,19 @@ def test_blockwise_reduction_matches_the_full_matrix(template):
     assert label == template.instantiate(n).label()
     assert stats == thin_shell_stats(np.einsum("ij,ij->i", full, full), n)
     for ak, got in zip(a, weighted):
-        assert got == weighted_square_variance((full ** 2) @ ak, ak)
+        assert got == weighted_square_variance((full ** 2) @ ak)
+
+
+def test_the_weighted_square_margin_is_taken_against_16_sum_a_squared():
+    # Cor 204(i): the suite's bound for each coefficient vector a is 16 sum a_i^2
+    n, count = 8, 500
+    result = thinshell_suite([], [], count, SEED, shell_n=(n,), shell_templates=(CUBE,))
+    coeffs = smp.substream(SEED, smp.NAMED_STREAM).uniform(0.0, 2.0, size=(20, n))
+    full = smp.sample_exact(CUBE.instantiate(n), count, SEED).data
+    worst = max(weighted_square_variance((full ** 2) @ a).value - 16.0 * float(a @ a)
+                for a in coeffs)
+    [row] = [r for r in result.rows if r.estimator_id == "cor204i.worst_margin"]
+    assert row.value == worst
 
 
 def test_each_body_and_dimension_is_drawn_once(monkeypatch):
