@@ -1,23 +1,17 @@
 #!/usr/bin/env python3
-"""Run every suite with the default (acceptance-scale) parameters.
+"""Run every suite with the default (acceptance-scale) parameters: the same as
+``thinshell all --plot``.
 
 Writes reports/<suite>/report.{csv,json} plus SVG plots; exits nonzero if any
 assertion fails."""
 
 import sys
 
-from thinshell.cli import default_config, run
+from thinshell import cli
 
 
 def main() -> int:
-    worst = 0
-    for name in ("identities", "thinshell", "clt", "berry_esseen", "transport", "spectral"):
-        cfg = default_config(name)
-        cfg.output_dir = f"reports/{name}"
-        cfg.plot = True
-        print(f"=== {name} ===")
-        worst = max(worst, run(cfg))
-    return worst
+    return cli.main(["all", "--plot"])
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Experiment orchestration: config parsing, suite dispatch, report artifacts.
 
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 config parse error,
-3 I/O error.
+3 I/O error. ``thinshell all`` runs every suite at its default config and exits
+with the largest code of its runs.
 """
 
 from __future__ import annotations
@@ -31,8 +32,20 @@ from .suites import (
     transport_suite,
 )
 
-EXPERIMENTS = ("thinshell", "clt", "berry_esseen", "transport", "spectral",
-               "identities", "all")
+# Each suite called with its config; the lambdas look the suite functions up in
+# this module when they run, so patching ``cli.<name>_suite`` reaches them.
+SUITES = {
+    "thinshell": lambda c: thinshell_suite(c.bodies, c.n_grid, c.samples, c.seed),
+    "clt": lambda c: clt_suite(c.seed),
+    "berry_esseen": lambda c: berry_esseen_suite(
+        c.seed, cube_ns=tuple(c.n_grid), counter_ns=(min(c.n_grid), max(c.n_grid)),
+        samples=c.samples),
+    "transport": lambda c: transport_suite(c.seed),
+    "spectral": lambda c: spectral_suite(c.seed,
+                                         plot_dir=Path(c.output_dir) if c.plot else None),
+    "identities": lambda c: identities_suite(),
+}
+EXPERIMENTS = tuple(SUITES)
 
 
 class ConfigError(ValueError):
@@ -60,7 +73,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed}")
         if self.samples < 100:
             raise ConfigError("samples must be >= 100")
-        if self.experiment in ("berry_esseen", "all"):
+        if self.experiment == "berry_esseen":
             if self.samples < 10 ** 4:
                 raise ConfigError("berry_esseen needs samples >= 10000")
             for n in self.n_grid:
@@ -122,10 +135,12 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     for key in sec:
         if key not in _EXPERIMENT_KEYS:
             raise ConfigError(f"unknown key {key!r} in [experiment]")
-    name = experiment or sec.get("name")
-    if name is None:
+    name = (experiment or sec.get("name") or "").replace("-", "_")
+    if not name:
         raise ConfigError("missing key 'name' in [experiment]")
-    name = name.replace("-", "_")
+    named = sec.get("name", name).replace("-", "_")
+    if named != name:
+        raise ConfigError(f"config file names suite {named!r}, not {name!r}")
     cfg = default_config(name)
     try:
         if "n_grid" in sec:
@@ -166,10 +181,10 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute the configured suite(s) and write report.csv / report.json / SVGs.
+    """Execute the configured suite and write report.csv / report.json / SVGs.
 
-    The wall time of each suite goes to report.json and stdout only, so
-    report.csv stays byte-stable.
+    The suite's wall time goes to report.json and stdout only, so report.csv
+    stays byte-stable.
     """
     config.validate()
     out_dir = Path(config.output_dir)
@@ -182,8 +197,7 @@ def run(config: ExperimentConfig) -> int:
         print(f"I/O error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 3
 
-    names = EXPERIMENTS[:-1] if config.experiment == "all" else (config.experiment,)
-    if config.dump_samples is not None and "thinshell" in names:
+    if config.dump_samples is not None and config.experiment == "thinshell":
         body = config.bodies[0].instantiate(min(config.n_grid))
         try:
             dump_samples(sample_exact(body, min(config.samples, 10 ** 4), config.seed),
@@ -192,18 +206,16 @@ def run(config: ExperimentConfig) -> int:
             print(f"I/O error: cannot write samples to {config.dump_samples}: {exc}",
                   file=sys.stderr)
             return 3
-    result = SuiteResult(config.experiment)
-    timings = {}
-    for name in names:
-        t0 = time.perf_counter()
-        result.merge(_dispatch(name, config, out_dir))
-        timings[f"{name}_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    result = SUITES[config.experiment](config)
+    seconds = time.perf_counter() - t0
 
     try:
         (out_dir / "report.csv").write_text(render_csv(result.rows))
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         (out_dir / "report.json").write_text(
-            render_json(result, config.echo(), timestamp, __version__, RNG_ID, timings))
+            render_json(result, config.echo(), timestamp, __version__, RNG_ID,
+                        {f"{config.experiment}_s": seconds}))
         if config.plot:
             _write_plots(result, out_dir)
     except OSError as exc:
@@ -215,28 +227,9 @@ def run(config: ExperimentConfig) -> int:
         print(f"[{status}] {a.name} ({a.anchor}): measured {a.measured:.6g}, {a.target}")
     for note in result.notes:
         print(f"[note] {note}")
-    for name in names:
-        print(f"[time] {name} {timings[f'{name}_s']:.2f} s")
+    print(f"[time] {config.experiment} {seconds:.2f} s")
     print(f"report.csv / report.json written to {out_dir}")
     return 0 if result.passed else 1
-
-
-def _dispatch(name: str, config: ExperimentConfig, out_dir: Path) -> SuiteResult:
-    if name == "thinshell":
-        return thinshell_suite(config.bodies, config.n_grid, config.samples, config.seed)
-    if name == "identities":
-        return identities_suite()
-    if name == "clt":
-        return clt_suite(config.seed)
-    if name == "berry_esseen":
-        return berry_esseen_suite(config.seed, cube_ns=tuple(config.n_grid),
-                                  counter_ns=(min(config.n_grid), max(config.n_grid)),
-                                  samples=config.samples)
-    if name == "transport":
-        return transport_suite(config.seed)
-    if name == "spectral":
-        return spectral_suite(config.seed, plot_dir=out_dir if config.plot else None)
-    raise ConfigError(f"unknown experiment {name!r}")
 
 
 def _write_plots(result: SuiteResult, out_dir: Path) -> None:
@@ -271,14 +264,17 @@ def main(argv=None) -> int:
         prog="thinshell",
         description="desk-scale verification suites for unconditional convex bodies")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None, help="master seed (u64)")
+    common.add_argument("--out", type=str, default=None, help="output directory")
+    common.add_argument("--plot", action="store_true", help="write SVG plots")
+    common.add_argument("--dump-samples", type=str, default=None,
+                        help="dump the first sample matrix to this path (THSL binary)")
     for name in (e.replace("_", "-") for e in EXPERIMENTS):
-        p = sub.add_parser(name, help=f"run the {name} suite")
+        p = sub.add_parser(name, parents=[common], help=f"run the {name} suite")
         p.add_argument("--config", type=str, default=None, help="config file path")
-        p.add_argument("--seed", type=int, default=None, help="master seed (u64)")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--plot", action="store_true", help="write SVG plots")
-        p.add_argument("--dump-samples", type=str, default=None,
-                       help="dump the first sample matrix to this path (THSL binary)")
+    sub.add_parser("all", parents=[common],
+                   help="run every suite at its defaults, each into OUT/<suite>")
     sub.add_parser("version", help="print version and RNG identifiers")
 
     args = parser.parse_args(argv)
@@ -286,31 +282,35 @@ def main(argv=None) -> int:
         print(version_info())
         return 0
 
-    experiment = args.command.replace("-", "_")
     try:
-        if args.config is not None:
+        if args.command == "all":
+            configs = [default_config(name) for name in EXPERIMENTS]
+        elif args.config is not None:
             try:
                 text = Path(args.config).read_text()
             except OSError as exc:
                 print(f"I/O error: cannot read config {args.config}: {exc}",
                       file=sys.stderr)
                 return 3
-            config = parse_config(text, experiment=experiment)
+            configs = [parse_config(text, experiment=args.command)]
         else:
-            config = default_config(experiment)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.out is not None:
-            config.output_dir = args.out
-        if args.plot:
-            config.plot = True
-        if args.dump_samples is not None:
-            config.dump_samples = args.dump_samples
-        config.validate()
+            configs = [default_config(args.command.replace("-", "_"))]
+        for config in configs:
+            if args.seed is not None:
+                config.seed = args.seed
+            if args.out is not None:
+                config.output_dir = args.out
+            if args.command == "all":
+                config.output_dir = str(Path(config.output_dir) / config.experiment)
+            if args.plot:
+                config.plot = True
+            if args.dump_samples is not None:
+                config.dump_samples = args.dump_samples
+            config.validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    return max(run(config) for config in configs)
 
 
 if __name__ == "__main__":

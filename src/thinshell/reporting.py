@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 
@@ -69,16 +70,12 @@ class SuiteResult:
     def passed(self) -> bool:
         return all(a.passed for a in self.assertions)
 
-    def merge(self, other: "SuiteResult") -> None:
-        self.rows.extend(other.rows)
-        self.assertions.extend(other.assertions)
-        self.notes.extend(other.notes)
-
 
 def render_json(result: SuiteResult, config_echo: dict, timestamp: str, version: str,
                 rng_id: str, timings: dict[str, float] | None = None) -> str:
     """JSON report: the CSV rows plus metadata that may vary between runs, such
-    as the timestamp and the per-suite wall times in ``timings``."""
+    as the timestamp and the suite's wall time in ``timings``. Strict JSON: a
+    non-finite float (the ``nan`` bound of a row without one) is written as null."""
     payload = {
         "experiment": result.name,
         "version": version,
@@ -89,9 +86,15 @@ def render_json(result: SuiteResult, config_echo: dict, timestamp: str, version:
         "passed": result.passed,
         "assertions": [asdict(a) for a in result.assertions],
         "notes": result.notes,
-        "rows": [
-            {**{k: v for k, v in asdict(r).items() if k != "extra"}, "extra": r.extra}
-            for r in _report_order(result.rows)
-        ],
+        "rows": [asdict(r) for r in _report_order(result.rows)],
     }
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    return json.dumps(_finite(payload), indent=2, allow_nan=False) + "\n"
+
+
+def _finite(value):
+    """``value`` with every non-finite float, however deeply nested, as None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value

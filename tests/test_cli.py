@@ -20,7 +20,14 @@ from thinshell.cli import (
     run,
     version_info,
 )
-from thinshell.reporting import CSV_HEADER, CsvRow, render_csv
+from thinshell.reporting import (
+    CSV_HEADER,
+    Assertion,
+    CsvRow,
+    SuiteResult,
+    render_csv,
+    render_json,
+)
 from thinshell.sampler import dump_samples, sample_exact
 
 SMALL_THINSHELL = """
@@ -138,7 +145,9 @@ def test_largest_u64_seed_validates():
 
 
 def test_subcommands_are_the_experiments(capsys):
-    for name in EXPERIMENTS:
+    assert EXPERIMENTS == ("thinshell", "clt", "berry_esseen", "transport", "spectral",
+                           "identities")
+    for name in (*EXPERIMENTS, "all", "version"):
         with pytest.raises(SystemExit) as exc:
             main([name.replace("_", "-"), "--help"])
         assert exc.value.code == 0
@@ -222,7 +231,7 @@ def test_blas_threads_do_not_change_reports(tmp_path):
         assert texts[0] == texts[1], name
 
 
-@pytest.mark.parametrize("experiment", ["berry_esseen", "all"])
+@pytest.mark.parametrize("experiment", ["berry_esseen"])
 def test_dimension_the_inversion_cannot_reach_is_a_config_error(tmp_path, capsys, experiment):
     # uniform theta at n = 4 needs a cut of 1452/|theta|, past the budget of 1000
     out = tmp_path / "out"
@@ -233,6 +242,82 @@ def test_dimension_the_inversion_cannot_reach_is_a_config_error(tmp_path, capsys
     assert "berry_esseen cannot reach n = 4" in capsys.readouterr().err
     assert not out.exists()
     parse_config(f"[experiment]\nname = {experiment}\nn_grid = 5 16\nsamples = 10000\n")
+
+
+def test_all_is_a_command_not_an_experiment():
+    with pytest.raises(ConfigError, match="unknown experiment 'all'"):
+        parse_config("[experiment]\nname = all\n")
+
+
+def test_all_runs_each_suite_once_at_its_defaults(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def stub(name):
+        def suite(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return SuiteResult(name, rows=[CsvRow(f"{name}.stub", "none", 0, 0, 7, 1.0)])
+        return suite
+
+    for name in EXPERIMENTS:
+        monkeypatch.setattr(f"thinshell.cli.{name}_suite", stub(name))
+    out = tmp_path / "o"
+    assert main(["all", "--out", str(out), "--seed", "7"]) == 0
+    thin = default_config("thinshell")
+    be = default_config("berry_esseen")
+    assert calls == [
+        ("thinshell", (thin.bodies, thin.n_grid, thin.samples, 7), {}),
+        ("clt", (7,), {}),
+        ("berry_esseen", (7,), {"cube_ns": tuple(be.n_grid),
+                                "counter_ns": (min(be.n_grid), max(be.n_grid)),
+                                "samples": be.samples}),
+        ("transport", (7,), {}),
+        ("spectral", (7,), {"plot_dir": None}),
+        ("identities", (), {}),
+    ]
+    for name in EXPERIMENTS:
+        assert f"\n{name}.stub,none,0,0,7," in (out / name / "report.csv").read_text()
+        echo = json.loads((out / name / "report.json").read_text())["config"]
+        assert echo == {**default_config(name).echo(), "seed": 7,
+                        "output_dir": str(out / name)}
+    capsys.readouterr()
+
+
+def test_all_exits_with_the_largest_code_of_its_runs(tmp_path, capsys, monkeypatch):
+    failed = Assertion("stub", "none", 1.0, "= 0", False)
+    monkeypatch.setattr("thinshell.cli.clt_suite",
+                        lambda seed: SuiteResult("clt", assertions=[failed]))
+    monkeypatch.setattr("thinshell.cli.identities_suite", lambda: SuiteResult("identities"))
+    for name in ("thinshell", "berry_esseen", "transport", "spectral"):
+        monkeypatch.setattr(f"thinshell.cli.{name}_suite",
+                            lambda *args, name=name, **kwargs: SuiteResult(name))
+    assert main(["all", "--out", str(tmp_path / "o")]) == 1
+    assert "[FAIL] stub" in capsys.readouterr().out
+    assert all((tmp_path / "o" / name / "report.csv").exists() for name in EXPERIMENTS)
+
+
+def test_all_takes_no_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SMALL_THINSHELL.format(out=tmp_path / "o"))
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+    capsys.readouterr()
+
+
+def test_config_naming_another_suite_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="'thinshell', not 'clt'"):
+        parse_config(SMALL_THINSHELL.format(out=tmp_path / "o"), experiment="clt")
+    assert parse_config("[experiment]\nname = berry-esseen\n",
+                        experiment="berry_esseen").experiment == "berry_esseen"
+    assert parse_config("[experiment]\nname = berry_esseen\n",
+                        experiment="berry-esseen").experiment == "berry_esseen"
+    cfg = tmp_path / "thinshell.ini"
+    cfg.write_text(SMALL_THINSHELL.format(out=tmp_path / "o"))
+    assert main(["clt", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "'thinshell'" in err and "'clt'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -303,6 +388,22 @@ def test_output_dir_io_error(tmp_path, capsys):
     cfg = default_config("identities")
     cfg.output_dir = str(blocker / "nested")
     assert run(cfg) == 3
+
+
+def test_report_json_is_strict_json():
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    result = SuiteResult("x", rows=[
+        CsvRow("no_bound", "cube(n=4)", 4, 100, 7, 0.5),
+        CsvRow("inf_extra", "cube(n=4)", 4, 100, 7, 0.5, 0.1, 1.0,
+               {"ratio": float("inf"), "pair": [1.0, float("-inf")]}),
+    ])
+    payload = json.loads(render_json(result, {}, "t", "v", "rng"), parse_constant=refuse)
+    rows = {r["estimator_id"]: r for r in payload["rows"]}
+    assert rows["no_bound"]["bound"] is None
+    assert rows["inf_extra"]["extra"] == {"ratio": None, "pair": [1.0, None]}
+    assert rows["inf_extra"]["bound"] == 1.0
 
 
 def test_csv_fields_with_commas_are_quoted():
