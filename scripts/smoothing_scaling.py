@@ -9,6 +9,7 @@ hypothesis fails)."""
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -30,9 +31,10 @@ def main() -> int:
         series[f"sigma = {c:g}/sqrt(n)"] = pts
         print(f"c = {c:>4}: slope {fit.slope:+.3f}   " +
               "  ".join(f"n={n}: {e:.4f}" for n, e in pts))
-    line_plot("reports/smoothing_sup_error.svg", series, "n", "sup error",
-              "smoothed Bernoulli tail: sup |P - Phi|")
-    print("wrote reports/smoothing_sup_error.svg")
+    out = Path("reports/smoothing_sup_error.svg")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(line_plot(series, "n", "sup error", "smoothed Bernoulli tail: sup |P - Phi|"))
+    print(f"wrote {out}")
     return 0
 
 

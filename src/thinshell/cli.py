@@ -1,5 +1,8 @@
 """Experiment orchestration: config parsing, suite dispatch, report artifacts.
 
+A config holds only the inputs its suite reads (``INPUTS``), the seed, output
+directory and plot switch; ``run`` writes the suite's figures when it plots.
+
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 config parse error,
 3 I/O error. ``thinshell all`` runs every suite at its default config and exits
 with the largest code of its runs.
@@ -9,17 +12,18 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import copy
 import datetime
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .bodies import KINDS, label_family
+from .bodies import KINDS
 from .clt import TruncationError, cube_marginal_cut
 from .estimators import uniform_direction
-from .reporting import SuiteResult, render_csv, render_json
+from .reporting import render_csv, render_json
 from .sampler import RNG_ID, dump_samples, sample_exact
 from .suites import (
     CUBE,
@@ -41,11 +45,19 @@ SUITES = {
         c.seed, cube_ns=tuple(c.n_grid), counter_ns=(min(c.n_grid), max(c.n_grid)),
         samples=c.samples),
     "transport": lambda c: transport_suite(c.seed),
-    "spectral": lambda c: spectral_suite(c.seed,
-                                         plot_dir=Path(c.output_dir) if c.plot else None),
+    "spectral": lambda c: spectral_suite(c.seed),
     "identities": lambda c: identities_suite(),
 }
 EXPERIMENTS = tuple(SUITES)
+
+# The inputs each suite reads, at their defaults (None: optional); the suites
+# not listed read none.  The seed, output_dir and plot go with every suite.
+INPUTS = {
+    "thinshell": {"bodies": [CUBE], "n_grid": [4, 8, 16, 32, 64, 128, 256],
+                  "samples": 10 ** 5, "dump_samples": None},
+    "berry_esseen": {"n_grid": [16, 64, 256], "samples": 10 ** 5},
+}
+_GIVEN_AS = {"bodies": "[body.*] sections", "dump_samples": "--dump-samples"}
 
 
 class ConfigError(ValueError):
@@ -55,9 +67,9 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     experiment: str
-    n_grid: list[int]
-    samples: int
-    bodies: list[BodyTemplate] = field(default_factory=lambda: [CUBE])
+    n_grid: list[int] | None
+    samples: int | None
+    bodies: list[BodyTemplate] | None = None
     seed: int = 20250810
     output_dir: str = "reports"
     plot: bool = False
@@ -66,12 +78,19 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
+        reads = INPUTS.get(self.experiment, {})
+        for key in ("bodies", "n_grid", "samples", "dump_samples"):
+            if getattr(self, key) is None and reads.get(key) is not None:
+                raise ConfigError(f"suite {self.experiment!r} needs {key!r}")
+            if getattr(self, key) is not None and key not in reads:
+                raise ConfigError(f"suite {self.experiment!r} does not read "
+                                  f"{_GIVEN_AS.get(key, repr(key))}")
+        if self.n_grid is not None and (not self.n_grid or any(n < 1 for n in self.n_grid)):
             raise ConfigError(f"n_grid must be a nonempty list of positive integers, "
                               f"got {self.n_grid}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed}")
-        if self.samples < 100:
+        if self.samples is not None and self.samples < 100:
             raise ConfigError("samples must be >= 100")
         if self.experiment == "berry_esseen":
             if self.samples < 10 ** 4:
@@ -81,26 +100,19 @@ class ExperimentConfig:
                     cube_marginal_cut(uniform_direction(n))
                 except TruncationError as exc:
                     raise ConfigError(f"berry_esseen cannot reach n = {n}: {exc}") from exc
-        for body in self.bodies:
+        for body in self.bodies or ():
             _check_body(body)
 
     def echo(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "bodies": [{"kind": b.kind, **({"p": b.p} if b.p is not None else {})}
-                       for b in self.bodies],
-            "n_grid": self.n_grid,
-            "samples": self.samples,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "plot": self.plot,
-        }
+        """The fields that are set, as report.json records them."""
+        bodies = self.bodies and [{"kind": b.kind, **({"p": b.p} if b.p is not None else {})}
+                                  for b in self.bodies]
+        return {k: v for k, v in {**vars(self), "bodies": bodies}.items() if v is not None}
 
 
-_DEFAULTS = {"thinshell": ([4, 8, 16, 32, 64, 128, 256], 10 ** 5),
-             "berry_esseen": ([16, 64, 256], 10 ** 5)}
-
-_EXPERIMENT_KEYS = {"name", "n_grid", "samples", "seed", "output_dir", "plot"}
+# [experiment] keys besides name, each with the getter of its section that reads it
+_EXPERIMENT_KEYS = {"n_grid": "getints", "samples": "getint", "seed": "getint",
+                    "output_dir": "get", "plot": "getboolean"}
 _BODY_KEYS = {"kind", "p"}
 
 
@@ -118,13 +130,13 @@ def _check_body(body: BodyTemplate) -> None:
 
 
 def default_config(experiment: str) -> ExperimentConfig:
-    n_grid, samples = _DEFAULTS.get(experiment, ([16, 64], 10 ** 5))
-    return ExperimentConfig(experiment, list(n_grid), samples)
+    inputs = copy.deepcopy(INPUTS.get(experiment, {}))
+    return ExperimentConfig(experiment, **{"n_grid": None, "samples": None, **inputs})
 
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     """Flat key = value blocks: one [experiment] section plus [body.*] sections."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(converters={"ints": lambda v: [int(t) for t in v.split()]})
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -133,7 +145,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         raise ConfigError("missing [experiment] section")
     sec = parser["experiment"]
     for key in sec:
-        if key not in _EXPERIMENT_KEYS:
+        if key not in _EXPERIMENT_KEYS and key != "name":
             raise ConfigError(f"unknown key {key!r} in [experiment]")
     name = (experiment or sec.get("name") or "").replace("-", "_")
     if not name:
@@ -143,16 +155,9 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"config file names suite {named!r}, not {name!r}")
     cfg = default_config(name)
     try:
-        if "n_grid" in sec:
-            cfg.n_grid = [int(t) for t in sec["n_grid"].split()]
-        if "samples" in sec:
-            cfg.samples = int(sec["samples"])
-        if "seed" in sec:
-            cfg.seed = int(sec["seed"])
-        if "output_dir" in sec:
-            cfg.output_dir = sec["output_dir"]
-        if "plot" in sec:
-            cfg.plot = sec.getboolean("plot")
+        for key in sec:
+            if key != "name":
+                setattr(cfg, key, getattr(sec, _EXPERIMENT_KEYS[key])(key))
     except ValueError as exc:
         raise ConfigError(f"bad value in [experiment]: {exc}") from exc
 
@@ -197,7 +202,7 @@ def run(config: ExperimentConfig) -> int:
         print(f"I/O error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 3
 
-    if config.dump_samples is not None and config.experiment == "thinshell":
+    if config.dump_samples is not None:
         body = config.bodies[0].instantiate(min(config.n_grid))
         try:
             dump_samples(sample_exact(body, min(config.samples, 10 ** 4), config.seed),
@@ -217,7 +222,8 @@ def run(config: ExperimentConfig) -> int:
             render_json(result, config.echo(), timestamp, __version__, RNG_ID,
                         {f"{config.experiment}_s": seconds}))
         if config.plot:
-            _write_plots(result, out_dir)
+            for name, render in result.figures.items():
+                (out_dir / name).write_text(render())
     except OSError as exc:
         print(f"I/O error while writing reports: {exc}", file=sys.stderr)
         return 3
@@ -230,24 +236,6 @@ def run(config: ExperimentConfig) -> int:
     print(f"[time] {config.experiment} {seconds:.2f} s")
     print(f"report.csv / report.json written to {out_dir}")
     return 0 if result.passed else 1
-
-
-def _write_plots(result: SuiteResult, out_dir: Path) -> None:
-    from .svgplot import line_plot
-
-    shell = {}
-    for row in result.rows:
-        if row.estimator_id == "thin_shell.var_ratio" and row.n > 0:
-            shell.setdefault(label_family(row.body), []).append((row.n, row.value))
-    if shell:
-        line_plot(out_dir / "thinshell_loglog.svg",
-                  {k: sorted(v) for k, v in shell.items()},
-                  "n", "Var(|X|^2/n)", "thin-shell variance vs dimension")
-    kol = [(row.n, row.value) for row in result.rows
-           if row.estimator_id == "berry_esseen.kolmogorov"]
-    if kol:
-        line_plot(out_dir / "kolmogorov_vs_n.svg", {"cube marginal": sorted(kol)},
-                  "n", "Kolmogorov distance", "marginal distance to normal")
 
 
 def version_info() -> str:
@@ -267,9 +255,9 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master seed (u64)")
     common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument("--plot", action="store_true", help="write SVG plots")
+    common.add_argument("--plot", action="store_true", help="write the suite's SVG figures")
     common.add_argument("--dump-samples", type=str, default=None,
-                        help="dump the first sample matrix to this path (THSL binary)")
+                        help="dump thinshell's first sample matrix to this path (THSL binary)")
     for name in (e.replace("_", "-") for e in EXPERIMENTS):
         p = sub.add_parser(name, parents=[common], help=f"run the {name} suite")
         p.add_argument("--config", type=str, default=None, help="config file path")
@@ -304,7 +292,8 @@ def main(argv=None) -> int:
                 config.output_dir = str(Path(config.output_dir) / config.experiment)
             if args.plot:
                 config.plot = True
-            if args.dump_samples is not None:
+            if args.dump_samples is not None and (
+                    args.command != "all" or "dump_samples" in INPUTS.get(config.experiment, {})):
                 config.dump_samples = args.dump_samples
             config.validate()
     except ConfigError as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,8 @@ class SuiteResult:
     rows: list[CsvRow] = field(default_factory=list)
     assertions: list[Assertion] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    # SVG file name -> zero-argument renderer, called only by runs that plot
+    figures: dict[str, Callable[[], str]] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:

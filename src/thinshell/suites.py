@@ -1,7 +1,8 @@
 """Named experiment suites.
 
 Each suite returns a SuiteResult of CSV rows plus pass/fail assertions, with
-every assertion carrying the anchor string of the inequality it instantiates.
+every assertion carrying the anchor string of the inequality it instantiates,
+and the SVG figures it draws from its own values, rendered only when asked for.
 Every tolerance and every verdict lives here: the modules the suites call
 return what they measure, and the suites compare it with its target.  The same
 functions back the command-line runner and the acceptance tests.  Each suite
@@ -11,6 +12,7 @@ imports its solvers on first call, so a run loads only the scipy its suites use.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +22,7 @@ from . import clt
 from . import estimators as est
 from . import sampler as smp
 from .reporting import Assertion, CsvRow, SuiteResult
+from .svgplot import heatmap, line_plot
 
 
 class BodyTemplate(NamedTuple):
@@ -175,6 +178,9 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
                     f"thinshell.slope.{template.kind}", "eq (3)", fit.slope,
                     f"slope in [{_SLOPE_WINDOW[0]}, {_SLOPE_WINDOW[1]}]",
                     _SLOPE_WINDOW[0] <= fit.slope <= _SLOPE_WINDOW[1]))
+    out.figures["thinshell_loglog.svg"] = partial(
+        line_plot, {family: points for (_, family), points in by_family.items()},
+        "n", "Var(|X|^2/n)", "thin-shell variance vs dimension")
     return out
 
 
@@ -368,6 +374,9 @@ def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
             f"berry_esseen.counterexample.n{n}", "no gaussian limit: axis-segment density",
             dist, f">= 0.045 and within {_COUNTER_DIST:.10f} +- {_COUNTER_TOL:g} (exact)",
             dist >= 0.045 and abs(dist - _COUNTER_DIST) <= _COUNTER_TOL))
+    out.figures["kolmogorov_vs_n.svg"] = partial(line_plot, {"cube marginal": [
+        (r.n, r.value) for r in out.rows if r.estimator_id == "berry_esseen.kolmogorov"]},
+        "n", "Kolmogorov distance", "marginal distance to normal")
     return out
 
 
@@ -460,11 +469,12 @@ def transport_suite(seed: int, raster_h: float = 1 / 32) -> SuiteResult:
 
 # -- spectral suite ----------------------------------------------------------------------------
 
-def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
+def spectral_suite(seed: int) -> SuiteResult:
     """Neumann spectra on the square and disc: eigenvalues with Richardson
     extrapolation, multiplicity, gradient bias, an odd flip class below the
     even one, the bounding-cube comparison and a domain-monotonicity witness;
-    every value comes from one eigen solve per flip class of each (body, h)."""
+    every value comes from one eigen solve per flip class of each (body, h).
+    Its figures are heatmaps of the first nontrivial eigenfunction of each."""
     from scipy.special import jnp_zeros
 
     from . import spectral as spec
@@ -548,11 +558,9 @@ def spectral_suite(seed: int, plot_dir=None) -> SuiteResult:
         out.assertions.append(Assertion(f"spectral.antisymmetric_member.{label}", "Cor 4.2(i)",
                                         margin, "lowest odd-class < first nonzero even-class",
                                         margin > 0.0))
-        if plot_dir is not None:
-            from .svgplot import heatmap
-            heatmap(f"{plot_dir}/eigenfunction_{label}.svg", grid.mask,
-                    grid.image(pairs[1].vector),
-                    f"first nontrivial Neumann eigenfunction, {label}")
+        out.figures[f"eigenfunction_{label}.svg"] = partial(
+            heatmap, grid.mask, grid.image(pairs[1].vector),
+            f"first nontrivial Neumann eigenfunction, {label}")
 
     # Cor 4.3 for bodies in the cube [-1, 1]^2, which the disc and the l1 ball are
     lam_cube = spectrum(square, comparison_h)[1].value

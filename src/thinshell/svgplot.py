@@ -1,5 +1,5 @@
-"""Minimal self-contained SVG writers (polyline charts and raster heatmaps),
-so reports carry plots without a plotting dependency."""
+"""Minimal self-contained SVG renderers (polyline charts and raster heatmaps)
+that return the SVG text, so reports carry plots without a plotting dependency."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ def _axis_ticks(lo, hi):
     return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
-def line_plot(path, series: dict, xlabel: str, ylabel: str, title: str) -> None:
+def line_plot(series: dict, xlabel: str, ylabel: str, title: str) -> str:
     """Log-log polyline chart with a dashed slope -1 guide; series maps
     label -> list of (x, y)."""
     xs = [math.log10(x) for pts in series.values() for x, _ in pts]
@@ -68,11 +68,10 @@ def line_plot(path, series: dict, xlabel: str, ylabel: str, title: str) -> None:
         parts.append(f'<text x="{_W-_PAD}" y="{_PAD + 16*ci}" text-anchor="end" '
                      f'fill="{col}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def heatmap(path, mask: np.ndarray, values: np.ndarray, title: str) -> None:
+def heatmap(mask: np.ndarray, values: np.ndarray, title: str) -> str:
     """Cellwise diverging heatmap of the image ``values`` on the cells of ``mask``
     (indexed (y, x), as ``spectral.GridDomain.image`` lays it out)."""
     ny, nx = mask.shape
@@ -96,5 +95,4 @@ def heatmap(path, mask: np.ndarray, values: np.ndarray, title: str) -> None:
             parts.append(f'<rect x="{ix*cell}" y="{y}" width="{cell}" height="{cell}" '
                          f'fill="rgb({r},{g},{b})"/>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

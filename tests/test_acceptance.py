@@ -211,3 +211,22 @@ def test_c12_lattice_suites_rerun_byte_identical(spectral_result, transport_resu
         _report(f"12 byte-identical {first.name} report.csv on rerun", identical,
                 f"{len(blobs[0])} bytes")
         assert identical
+
+
+@pytest.mark.parametrize("fixture, names", [
+    ("berry_esseen_result", {"kolmogorov_vs_n.svg"}),
+    ("spectral_result", {"eigenfunction_square.svg", "eigenfunction_disc.svg"}),
+])
+def test_suites_return_their_figures_and_run_writes_them_only_to_plot(
+        request, tmp_path, monkeypatch, capsys, fixture, names):
+    result = request.getfixturevalue(fixture)
+    assert set(result.figures) == names
+    assert all(render().startswith("<svg") for render in result.figures.values())
+    monkeypatch.setattr(f"thinshell.cli.{result.name}_suite", lambda *a, **kw: result)
+    for plot in (False, True):
+        cfg = default_config(result.name)
+        cfg.output_dir, cfg.plot = str(tmp_path / str(plot)), plot
+        run(cfg)
+        written = {p.name for p in (tmp_path / str(plot)).glob("*.svg")}
+        assert written == (names if plot else set())
+    capsys.readouterr()

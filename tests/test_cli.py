@@ -58,6 +58,8 @@ def test_experiment_config_has_no_defaults_of_its_own():
         ExperimentConfig(experiment="berry_esseen")
     cfg = default_config("berry_esseen")
     assert (cfg.n_grid, cfg.samples) == ([16, 64, 256], 10 ** 5)
+    with pytest.raises(ConfigError, match="suite 'thinshell' needs 'bodies'"):
+        ExperimentConfig("thinshell", [4], 100).validate()
 
 
 def test_parse_config_bodies():
@@ -271,7 +273,7 @@ def test_all_runs_each_suite_once_at_its_defaults(tmp_path, capsys, monkeypatch)
                                 "counter_ns": (min(be.n_grid), max(be.n_grid)),
                                 "samples": be.samples}),
         ("transport", (7,), {}),
-        ("spectral", (7,), {"plot_dir": None}),
+        ("spectral", (7,), {}),
         ("identities", (), {}),
     ]
     for name in EXPERIMENTS:
@@ -358,10 +360,57 @@ def test_unwritable_dump_path_exits_before_any_suite(tmp_path, capsys, monkeypat
     assert str(bad) in capsys.readouterr().err
 
 
-def test_dump_samples_only_with_the_thinshell_suite(tmp_path, capsys):
+def test_dump_samples_only_with_the_thinshell_suite(tmp_path, capsys, monkeypatch):
     dump = tmp_path / "rows.thsl"
-    assert main(["identities", "--out", str(tmp_path / "o"), "--dump-samples", str(dump)]) == 0
-    assert not dump.exists()
+    assert main(["identities", "--out", str(tmp_path / "o"), "--dump-samples", str(dump)]) == 2
+    assert "--dump-samples" in capsys.readouterr().err
+    assert not dump.exists() and not (tmp_path / "o").exists()
+    # all passes the dump to thinshell alone: its first body at its smallest n
+    for name in EXPERIMENTS:
+        monkeypatch.setattr(f"thinshell.cli.{name}_suite",
+                            lambda *args, name=name, **kwargs: SuiteResult(name))
+    assert main(["all", "--out", str(tmp_path / "a"), "--seed", "7",
+                 "--dump-samples", str(dump)]) == 0
+    expected = tmp_path / "expected.thsl"
+    dump_samples(sample_exact(isotropic_body("cube", 4), 10 ** 4, seed=7), expected)
+    assert dump.read_bytes() == expected.read_bytes()
+    capsys.readouterr()
+
+
+_OTHER_SUITES = [e for e in EXPERIMENTS if e != "thinshell"]
+_UNREAD_INPUTS = (
+    [(e, "n_grid = 16 64", "'n_grid'") for e in _OTHER_SUITES if e != "berry_esseen"]
+    + [(e, "samples = 100000", "'samples'") for e in _OTHER_SUITES if e != "berry_esseen"]
+    + [(e, "\n[body.l1]\nkind = lp_ball\np = 1", "[body.*]") for e in _OTHER_SUITES]
+    + [(e, None, "--dump-samples") for e in _OTHER_SUITES])
+
+
+@pytest.mark.parametrize("experiment, line, named", _UNREAD_INPUTS)
+def test_an_input_the_suite_does_not_read_is_a_config_error(tmp_path, capsys, experiment,
+                                                            line, named):
+    out, dump = tmp_path / "o", tmp_path / "rows.thsl"
+    if line is None:
+        argv = [experiment.replace("_", "-"), "--out", str(out), "--dump-samples", str(dump)]
+    else:
+        text = f"[experiment]\nname = {experiment}\noutput_dir = {out}\n{line}\n"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            parse_config(text)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        argv = [experiment.replace("_", "-"), "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and f"suite {experiment!r}" in err and named in err
+    assert not out.exists() and not dump.exists()
+
+
+def test_the_echo_lists_only_the_inputs_the_suite_reads():
+    assert set(default_config("thinshell").echo()) == {
+        "experiment", "bodies", "n_grid", "samples", "seed", "output_dir", "plot"}
+    assert set(default_config("berry_esseen").echo()) == {
+        "experiment", "n_grid", "samples", "seed", "output_dir", "plot"}
+    for name in ("clt", "transport", "spectral", "identities"):
+        assert set(default_config(name).echo()) == {"experiment", "seed", "output_dir", "plot"}
 
 
 def test_plot_outputs(tmp_path, capsys):

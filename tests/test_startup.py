@@ -18,9 +18,10 @@ _IMPORT_AND_RUN = """
 import sys
 import thinshell, thinshell.cli, thinshell.clt
 from thinshell.cli import ExperimentConfig, default_config, run
+from thinshell.suites import CUBE
 thinshell.clt.build_kernel()
 loaded = [m for m in {deferred!r} if m in sys.modules]
-for cfg in (ExperimentConfig("thinshell", [4, 8], 2000), default_config("identities")):
+for cfg in (ExperimentConfig("thinshell", [4, 8], 2000, [CUBE]), default_config("identities")):
     cfg.output_dir = {out!r}
     assert run(cfg) == 0
 print("after import", loaded, "after runs", [m for m in {deferred!r} if m in sys.modules],
@@ -43,14 +44,18 @@ def test_import_and_a_thinshell_run_leave_the_one_check_solvers_unloaded(tmp_pat
 
 _RUN_ONE = """
 import sys
-from thinshell.cli import ExperimentConfig, main, run
+from thinshell.cli import default_config, main, run
 suite, out = sys.argv[1:]
 if suite == "version":
     assert main(["version"]) == 0
 elif suite == "config-error":
     assert main(["thinshell", "--seed", "-1"]) == 2
 else:
-    assert run(ExperimentConfig(suite, [16], 10 ** 4, output_dir=out)) == 0
+    cfg = default_config(suite)  # given only the inputs the suite reads
+    if cfg.n_grid is not None:
+        cfg.n_grid, cfg.samples = [16], 10 ** 4
+    cfg.output_dir = out
+    assert run(cfg) == 0
 print("loaded", [m for m in {deferred!r} if m in sys.modules])
 """
 
