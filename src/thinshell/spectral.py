@@ -1,17 +1,25 @@
-"""Neumann Laplacian on rasterized 2D convex bodies: its flip classes, lowest
-eigenpairs and the gradient bias of the first nontrivial eigenspace.
+"""Neumann Laplacian on cut-cell rasters of 2D convex bodies: its flip classes,
+lowest eigenpairs and the gradient bias of the first nontrivial eigenspace.
 
-Discretization: cell-centered raster, cell included iff its center lies in the
-body; the operator is the 5-point graph Laplacian over included cells divided
-by h^2 (ghost-cell reflection makes missing neighbors drop out), which is
-symmetric with the constants in its kernel by construction.
+Discretization: a cell-centered raster whose nodes are the cells the body
+meets.  Each node carries its volume fraction alpha (the share of the cell
+inside the body) and each face between two nodes its aperture (the share of
+the face inside the body), both in closed form (``_orthant_cut_cells``).  The
+operator K is the graph Laplacian with edge weights aperture / h^2, symmetric
+with the constants in its kernel by construction; the cells carry the measure
+alpha h^2, so the eigenproblem is K phi = lambda diag(alpha) phi (a finite-volume
+cut-cell scheme after Johansen and Colella, J. Comput. Phys. 147, 1998).  With
+every fraction 1, as on a cube whose half-widths are multiples of h, this is
+the 5-point Neumann Laplacian.
 
-The bodies are unconditional, so the operator commutes with the d coordinate
-flips and splits exactly into 2^d flip classes (``GridDomain.flip_class``).
+The bodies are unconditional, so the weights are computed on one orthant and
+mirrored: the operator commutes exactly with the d coordinate flips and splits
+into 2^d flip classes (``GridDomain.flip_class``).
 
 Every lattice solve goes through one sparse factorization, ``factorize``: the
-eigen solves here factor a class operator minus a shift with it, the Lemma 2.1
-solves in ``transport`` an odd class operator, the 1D H^-1 solves a grounded one.
+eigen solves here factor a class operator minus a shift times its mass with it,
+the Lemma 2.1 solves in ``transport`` an odd class operator, the 1D H^-1 solves
+a grounded one.
 """
 
 from __future__ import annotations
@@ -24,13 +32,21 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
-from .bodies import BodySpec, contains_rows
+from .bodies import BodySpec
 
 _REL_TOL = 1e-6  # relative width of an eigenvalue cluster and cut of the bias rank
+# a volume fraction below this is the rounding of a cell that the boundary only
+# touches: at h = 1/48 the l1 ball's diagonal passes a corner 5e-30 off
+_SLIVER = 1e-12
 
 
 class TooCoarseGridError(ValueError):
     pass
+
+
+class NoClosedFormError(ValueError):
+    """The body's cut cells have no closed form: only the cube, the disc and
+    the l1 ball (lp exponents None, 2 and 1) are rasterized."""
 
 
 def _neighbors(k: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
@@ -43,12 +59,13 @@ def _neighbors(k: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
 class GridDomain:
     """The raster of a body.  Array axis ``ndim - 1 - i`` of ``mask`` runs
     along coordinate i, so a 2D mask is indexed (y, x), and the nodes are its
-    True cells in row-major order."""
+    True cells, the cells that the body meets, in row-major order."""
 
     body: BodySpec
     h: float
     mask: np.ndarray   # over a box centered on the origin, 2 m_k cells along array axis k
     operator: sp.csr_matrix = field(repr=False)
+    alpha: np.ndarray = field(repr=False)  # volume fraction of each node, in (0, 1]
 
     @property
     def n_nodes(self) -> int:
@@ -79,7 +96,8 @@ class GridDomain:
         """The positive-orthant nodes and the parity extension E from them to
         the whole raster, odd across the plane x_i = 0 where odd[i], else even.
         The class operator (operator @ E)[nodes] is the orthant Laplacian plus
-        2/h^2 on the cells next to the plane of each odd axis."""
+        twice the edge weight across the plane of each odd axis, aperture / h^2,
+        on the cells next to it."""
         nodes = np.flatnonzero(np.all([c > 0 for c in self.centers()], axis=0))
         rows, signs = [nodes], [np.ones(nodes.size)]
         for axis, odd_axis in zip(range(self.mask.ndim), odd, strict=True):
@@ -95,7 +113,7 @@ class GridDomain:
         """Node values of (d/dx, d/dy, ...) of the node function ``values``.
 
         Central differences where both neighbors are nodes, one-sided next to
-        the staircase boundary, 0 along an axis where the cell has neither.
+        the edge of the raster, 0 along an axis where the cell has neither.
         """
         full = self.image(values)
         grads = []
@@ -150,63 +168,125 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass(frozen=True)
 class EigenPair:
     value: float
-    vector: np.ndarray   # on nodes, L2(grid)-normalized
+    vector: np.ndarray   # on nodes, normalized in L2(alpha h^2)
     residual: float
 
 
-def rasterize(body2d: BodySpec, h: float) -> GridDomain:
-    """Raster of a 2D body on a symmetric cell-centered grid.
+# The canonical body's boundary over the positive orthant in 2D, v = H(u) for
+# u >= 0, by lp exponent (None: the cube).  Each body is symmetric under u <-> v,
+# so H is also its own inverse: u <= H(v) iff v <= H(u).
+_HEIGHTS = {
+    None: lambda u: np.where(u <= 1.0, 1.0, 0.0),
+    2.0: lambda u: np.sqrt(np.maximum(1.0 - u * u, 0.0)),
+    1.0: lambda u: np.maximum(1.0 - u, 0.0),
+}
 
-    The grid is symmetric about the origin (centers at +-(k+1/2)h), so masks of
-    unconditional bodies are exactly flip-symmetric.
+
+def _orthant_cut_cells(body2d: BodySpec, h: float, m: list[int]):
+    """Volume fractions of the m_y x m_x positive-orthant cells, and the
+    apertures of the faces normal to x at x = 0, h, ..., (m_x - 1) h (over each
+    row of cells) and normal to y at y = 0, h, ..., (m_y - 1) h (over each
+    column), all indexed (y, x).
+
+    In the canonical coordinates u = x / scale_x, v = y / scale_y, a cell
+    [u0, u1] x [v0, v1] meets the body in {v <= H(u)}.  Its columns are full for
+    u <= H(v1) and empty for u >= H(v0); between them the area under H is the
+    trapezoid of its chord, plus, on the disc, the circular segment between the
+    chord and the arc.  A cell inside the body gets exactly 1, one outside
+    exactly 0, and so does a sliver below ``_SLIVER``; rounding above 1 is cut.
+    """
+    if body2d.exponent not in _HEIGHTS:
+        raise NoClosedFormError(f"no closed-form cut cells for {body2d.label()}")
+    H = _HEIGHTS[body2d.exponent]
+    U, V = (np.arange(k + 1) * h / s for k, s in zip(m, body2d.scale_array))
+    u0, u1, du = U[:-1], U[1:], np.diff(U)
+    v0, v1, dv = V[:-1, None], V[1:, None], np.diff(V)[:, None]
+    a, b = np.clip(H(v1), u0, u1), np.clip(H(v0), u0, u1)
+    area = (a - u0) * dv + (b - a) * (0.5 * (H(a) + H(b)) - v0)
+    if body2d.exponent == 2.0:
+        theta = 2.0 * np.arcsin(np.minimum(0.5 * np.hypot(b - a, H(a) - H(b)), 1.0))
+        area += 0.5 * (theta - np.sin(theta))
+    alpha = np.minimum(area / (du * dv), 1.0)
+    alpha[alpha < _SLIVER] = 0.0
+    across_x = np.clip(H(u0) - v0, 0.0, dv) / dv
+    across_y = np.clip(H(v0) - u0, 0.0, du) / du
+    return alpha, across_x, across_y
+
+
+def _mirror(orthant: np.ndarray, shared: int | None = None) -> np.ndarray:
+    """The positive-orthant array reflected across every array axis.  Along
+    array axis ``shared`` it holds faces, whose first one lies on the plane
+    through the origin and is not repeated."""
+    for k in range(orthant.ndim):
+        head = orthant[(slice(None),) * k + (slice(1, None),)] if k == shared else orthant
+        orthant = np.concatenate([np.flip(head, k), orthant], axis=k)
+    return orthant
+
+
+def rasterize(body2d: BodySpec, h: float) -> GridDomain:
+    """Cut-cell raster of a 2D body on a symmetric cell-centered grid.
+
+    The grid is symmetric about the origin (centers at +-(k+1/2)h), and the
+    fractions and apertures of one orthant are mirrored to the others, so the
+    raster of an unconditional body is exactly flip-symmetric.  Cube (any
+    half-widths), disc and l1 ball only; other bodies raise NoClosedFormError.
     """
     if body2d.dim != 2:
         raise ValueError("rasterize expects a 2D body")
     m = [int(math.ceil(b / h)) for b in body2d.scale_array]
     if min(m) * 2 < 32:
         raise TooCoarseGridError(f"grid too coarse: {2 * min(m)} cells per axis, need >= 32")
-    box = GridDomain(body2d, h, np.ones([2 * k for k in m[::-1]], dtype=bool), None)
-    mask = contains_rows(body2d, np.column_stack(box.centers())).reshape(box.mask.shape)
+    alpha, across_x, across_y = _orthant_cut_cells(body2d, h, m)
+    alpha = _mirror(alpha)
+    apertures = {1: _mirror(across_x, shared=1), 0: _mirror(across_y, shared=0)}  # by array axis
+    mask = alpha > 0.0
     node = np.cumsum(mask).reshape(mask.shape) - 1  # the node number on True cells
-    src, dst = [], []
+    src, dst, faces = [], [], []
     for k in reversed(range(mask.ndim)):  # the edges along x, then along y
         lo, hi = _neighbors(k)
-        both = mask[lo] & mask[hi]
+        both = mask[lo] & mask[hi] & (apertures[k] > 0.0)
         src.append(node[lo][both])
         dst.append(node[hi][both])
+        faces.append(apertures[k][both])
     src, dst = np.concatenate(src), np.concatenate(dst)
-    L = graph_laplacian(int(mask.sum()), src, dst, np.full(src.size, 1.0 / (h * h)))
+    L = graph_laplacian(int(mask.sum()), src, dst, np.concatenate(faces) / (h * h))
     if sp.csgraph.connected_components(L, directed=False, return_labels=False) != 1:
         raise ValueError("rasterized body is not connected at this h")
-    return GridDomain(body2d, h, mask, L)
+    return GridDomain(body2d, h, mask, L, alpha[mask])
 
 
 def lowest_eigenpairs(grid: GridDomain, k: int,
                       odd: tuple[bool, ...] | None = None) -> list[EigenPair]:
-    """The k + 1 lowest eigenpairs of the flip class ``odd``, or of the whole
-    raster when odd is None, by shift-invert Lanczos with A - shift I factored
-    once by ``factorize``.  The eigenvectors are extended to the whole raster,
-    and their residuals are taken against the whole operator."""
+    """The k + 1 lowest eigenpairs of K phi = lambda M phi, M = diag(alpha), in
+    the flip class ``odd``, or on the whole raster when odd is None, by
+    shift-invert Lanczos with A - shift M factored once by ``factorize``.  The
+    eigenvectors are extended to the whole raster and normalized in
+    L2(alpha h^2); each residual is the L2(alpha h^2) norm of
+    M^-1 K phi - lambda phi, taken against the whole operator."""
     if not 1 <= k <= 10:
         raise ValueError("k must be between 1 and 10")
     L = grid.operator
     nodes, E = (grid.flip_class(odd) if odd is not None
                 else (slice(None), sp.identity(grid.n_nodes, format="csr")))
     A = (L @ E)[nodes]
+    mass = grid.alpha[nodes]
     n = A.shape[0]
     bhw = float(np.max(grid.body.scale_array))
     shift = 0.5 * math.pi ** 2 / (4.0 * bhw ** 2)  # strictly between 0 and lambda_1
     v0 = np.ones(n) + 1e-3 * np.cos(np.arange(n))
-    lu = factorize(A - shift * sp.identity(n, format="csr"))
-    vals, vecs = spl.eigsh(A, k=k + 1, sigma=shift, which="LM", v0=v0,
+    lu = factorize(A - shift * sp.diags(mass))
+    # M as the product with alpha: ARPACK asks for M x about three times per
+    # operator solve, and a sparse product would cost a scipy dispatch each time
+    M = spl.LinearOperator(A.shape, matvec=lambda x: mass * x, dtype=A.dtype)
+    vals, vecs = spl.eigsh(A, k=k + 1, M=M, sigma=shift, which="LM", v0=v0,
                            OPinv=spl.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype))
     pairs = []
     for idx in np.argsort(vals):
         lam = float(vals[idx])
         vec = E @ vecs[:, idx]
-        vec = vec / (math.sqrt(_dot(vec, vec)) * grid.h)  # L2(grid) normalization
-        r = L @ vec - lam * vec
-        res = math.sqrt(_dot(r, r)) * grid.h
+        vec = vec / (math.sqrt(_dot(vec, grid.alpha * vec)) * grid.h)
+        r = L @ vec - lam * (grid.alpha * vec)
+        res = math.sqrt(_dot(r, r / grid.alpha)) * grid.h
         pairs.append(EigenPair(lam, vec, res))
     return pairs
 
@@ -241,9 +321,10 @@ def richardson_lambda1(h_values, lambda1_values) -> RichardsonResult:
 # -- gradient bias -----------------------------------------------------------------
 
 def gradient_bias(grid: GridDomain, pair: EigenPair) -> np.ndarray:
-    """Cell-summed discrete gradient integral (int dphi/dx, int dphi/dy, ...)."""
+    """Cell-summed discrete gradient integral (int dphi/dx, int dphi/dy, ...),
+    each cell weighted by its measure alpha h^d."""
     cell = grid.h ** grid.mask.ndim
-    return np.array([float(g.sum() * cell) for g in grid.gradient(pair.vector)])
+    return np.array([float(np.sum(g * grid.alpha) * cell) for g in grid.gradient(pair.vector)])
 
 
 class BiasRankReport(NamedTuple):

@@ -54,13 +54,12 @@ _IMPLICATION_SLACK = 1e-12     # rounding slack of the Lemma 1034 implication ma
 # Lemma 2.1's x^2 row in closed form (Lebesgue measure), per body kind:
 # (Var, its name, relative tolerance), (bound, its name, relative tolerance).
 # Square: 16/45 and 32/15 with relative errors -1.22e-3 and -2.44e-3 at
-# h = 1/32, falling 4x per halving; about 4x of that.  Disc: pi/16 and 7 pi/24
-# with errors 1.20e-2 and 1.48e-2 at h = 1/32 (5.58e-3 and 8.47e-3 at 1/64,
-# 4.06e-4 and 1.42e-3 at 1/128; the staircase boundary converges unevenly);
-# 2x of the h = 1/32 error
+# h = 1/32, falling 4x per halving; about 4x of that.  Disc, on the cut-cell
+# raster: pi/16 and 7 pi/24 with errors +1.04e-3 and -7.85e-4 at h = 1/32,
+# falling 3.5-3.9x and 4.0-4.8x per halving from 1/16 to 1/256; about 5x of that
 _X2_CLOSED_FORMS = {
     "cube": ((16.0 / 45.0, "16/45", 0.005), (32.0 / 15.0, "32/15", 0.01)),
-    "euclidean_ball": ((math.pi / 16.0, "pi/16", 0.025), (7.0 * math.pi / 24.0, "7pi/24", 0.03)),
+    "euclidean_ball": ((math.pi / 16.0, "pi/16", 0.005), (7.0 * math.pi / 24.0, "7pi/24", 0.004)),
 }
 _NORM_TOL = 1e-10              # Thm 258 norm: the CG stops at a 1e-12 relative residual
 # the counterexample marginal at uniform theta is uniform on [-sqrt 3, sqrt 3] at
@@ -72,10 +71,12 @@ _COUNTER_DIST = (0.5 * (1.0 + math.erf(_COUNTER_T / math.sqrt(2.0)))
 # phi(t*) t* (dt/2)^2 / 2 = 4.4e-7 with dt = 16/4095 (2.44e-7 at n = 16 and 256)
 _COUNTER_TOL = 1e-6
 _COMPARISON_TOL = 0.02         # relative slack of the bounding-cube comparison
-# relative tolerances of the extrapolated lambda_1: the square's (h = 1/16, 1/32,
-# 1/64, observed order 1.9996) lies 1.61e-8 from pi^2/4, so 1e-6 leaves a factor
-# of 60; the disc's staircase boundary leaves it 0.6% high
-_LAMBDA1_TOL = {"square": 1e-6, "disc": 0.01}
+# relative tolerances of lambda_1.  Extrapolated from h = 1/16, 1/32, 1/64: the
+# square's (observed order 1.9996) lies 1.61e-8 from pi^2/4, a factor of 60 inside
+# 1e-6; the cut-cell disc's (order 1.9956) 5.1e-8 below the Bessel root, a factor
+# of 20.  The l1 ball's raw value at h = 1/32 lies 2.01e-4 below pi^2/2 (4.0x less
+# at 1/64), a factor of 5 inside 1e-3
+_LAMBDA1_TOL = {"square": 1e-6, "disc": 1e-6, "l1": 1e-3}
 
 
 def _within(value: float, target: float, half_width: float) -> bool:
@@ -517,7 +518,7 @@ def spectral_suite(seed: int) -> SuiteResult:
     target_disc = float(jnp_zeros(1, 1)[0]) ** 2  # (first positive root of J_1')^2
     for label, body, hs, target, anchor in [
             ("square", square, [1 / 16, 1 / 32, 1 / 64], target_sq, "interval oracle"),
-            ("disc", disc, [1 / 32, 1 / 64, 1 / 128], target_disc, "Bessel-root oracle")]:
+            ("disc", disc, [1 / 16, 1 / 32, 1 / 64], target_disc, "Bessel-root oracle")]:
         rich = spec.richardson_lambda1(hs, [spectrum(body, h)[1].value for h in hs])
         out.rows.append(CsvRow("spectral.lambda1", label, 2, 0, seed, rich.extrapolated, 0.0,
                                target, {"h_values": list(rich.h_values),
@@ -527,6 +528,14 @@ def spectral_suite(seed: int) -> SuiteResult:
         out.assertions.append(Assertion(f"spectral.{label}.lambda1", anchor, rich.extrapolated,
                                         f"= {target:.4f} +- {100 * tol:g}%",
                                         abs(rich.extrapolated - target) <= tol * target))
+    # the l1 ball is a square of side sqrt 2 turned by 45 degrees: lambda_1 = pi^2/2, double
+    target_l1, tol = math.pi ** 2 / 2.0, _LAMBDA1_TOL["l1"]
+    pairs = spectrum(l1_ball, comparison_h)
+    out.rows.append(CsvRow("spectral.lambda1", "l1", 2, 0, seed, pairs[1].value, 0.0, target_l1,
+                           {"h": comparison_h, "multiplicity": len(spec.lambda1_cluster(pairs))}))
+    out.assertions.append(Assertion("spectral.l1.lambda1", "rotated-square oracle",
+                                    pairs[1].value, f"= {target_l1:.4f} +- {100 * tol:g}%",
+                                    abs(pairs[1].value - target_l1) <= tol * target_l1))
 
     for body, label, h in [(square, "square", 1 / 32), (disc, "disc", 1 / 64)]:
         grid, classes = eigen(body, h)

@@ -339,15 +339,16 @@ def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[Variance
 
     Each f is a vectorized callable f(x, y) evaluated at the cell centers,
     even in every coordinate to 1e-12 of max |f| (else NotEvenError).
-    Gradients are central differences, one-sided at the staircase boundary,
+    Gradients are central differences, one-sided at the edge of the raster,
     so d_i f lies in the flip class odd in x_i alone, whose operator is
-    nonsingular: one LU and a direct solve per f.  The measure is uniform
-    (h^2 per cell), so its Laplacian is h^2 times the Neumann operator.
+    nonsingular: one LU and a direct solve per f.  The measure gives each cell
+    alpha h^2, the part of it inside the body, and the Dirichlet form is the
+    spectral operator's, so ||u||^2 = h^2 (alpha u)^T K^-1 (alpha u).
     """
     grid = spectral.rasterize(body2d, h)
     centers, d = grid.centers(), grid.mask.ndim
     cell = h ** d
-    w = np.full(grid.n_nodes, cell)
+    w = grid.alpha * cell
     vals = [np.broadcast_to(np.asarray(f(*centers), dtype=float), w.shape) for f in fs]
     grads = [grid.gradient(v) for v in vals]
     bounds = np.zeros(len(fs))
@@ -358,7 +359,7 @@ def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[Variance
         nodes, E = grid.flip_class(tuple(a == axis for a in range(d)))
         lu = spectral.factorize((grid.operator @ E)[nodes])
         for j, g in enumerate(grads):  # one at a time: a block solve rounds otherwise
-            u = g[axis][nodes]  # sum u phi over the raster: 2^d mirror images per node
+            u = grid.alpha[nodes] * g[axis][nodes]  # 2^d mirror images per node
             bounds[j] += 2 ** d * cell * _dot(u, lu.solve(u))
     mass = float(w.sum())
     reports = []

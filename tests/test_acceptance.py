@@ -150,7 +150,8 @@ def test_c10_variance_bound(transport_result):
 
 def test_c11_spectral(spectral_result):
     _check(spectral_result, "spectral.square.lambda1", "11a square lambda1 2.4674 +- 1e-6 relative")
-    _check(spectral_result, "spectral.disc.lambda1", "11b disc lambda1 3.390 +- 1%")
+    _check(spectral_result, "spectral.disc.lambda1", "11b disc lambda1 3.390 +- 1e-6 relative")
+    _check(spectral_result, "spectral.l1.lambda1", "11h l1 ball lambda1 pi^2/2 +- 1e-3 relative")
     _check(spectral_result, "spectral.multiplicity", "11c multiplicity 2 on both")
     _check(spectral_result, "spectral.bias_rank", "11d gradient-bias rank 2 on both")
     _check(spectral_result, "spectral.antisymmetric_member",

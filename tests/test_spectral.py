@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import jnp_zeros
+import scipy.linalg
+import scipy.sparse as sp
+from scipy.special import j1, jnp_zeros
 
-from thinshell import spectral, suites
+from thinshell import bodies, spectral, suites
 from thinshell.bodies import BodySpec
 from thinshell.spectral import (
     EigenPair,
+    NoClosedFormError,
     TooCoarseGridError,
+    factorize,
     gradient_bias,
     gradient_bias_rank,
     lambda1_cluster,
@@ -19,7 +23,9 @@ from thinshell.spectral import (
 )
 
 SQUARE_LAMBDA1 = math.pi ** 2 / 4.0                 # interval oracle, [-1,1]
-DISC_LAMBDA1 = float(jnp_zeros(1, 1)[0]) ** 2       # Bessel-derivative root oracle
+DISC_ROOT = float(jnp_zeros(1, 1)[0])               # first positive root of J_1'
+DISC_LAMBDA1 = DISC_ROOT ** 2                       # Bessel-derivative root oracle
+L1_LAMBDA1 = math.pi ** 2 / 2.0                     # a square of side sqrt 2
 
 
 @pytest.fixture(scope="module")
@@ -48,14 +54,53 @@ def test_rasterize_square_full_mask(square_grid):
 
 
 def test_rasterize_disc_area(disc_grid):
-    assert disc_grid.n_nodes * disc_grid.h ** 2 == pytest.approx(math.pi, rel=0.02)
+    assert np.sum(disc_grid.alpha) * disc_grid.h ** 2 == pytest.approx(math.pi, rel=1e-14)
+
+
+@pytest.mark.parametrize("body, area", [
+    (BodySpec.cube(2), 4.0), (BodySpec.euclidean_ball(2), math.pi),
+    (BodySpec.lp_ball(2, p=1.0), 2.0), (BodySpec("cube", 2, (0.9, 0.2)), 0.72)])
+@pytest.mark.parametrize("h", [1 / 80, 1 / 96, 1 / 128])
+def test_cut_cells_hold_the_area_and_no_empty_cell(body, area, h):
+    grid = rasterize(body, h)
+    assert np.sum(grid.alpha) * h * h == pytest.approx(area, rel=1e-14)
+    assert np.all((grid.alpha > 0) & (grid.alpha <= 1))
+    inside = bodies.contains_rows(body, np.column_stack(grid.centers()), atol=0.0)
+    assert np.all(grid.alpha[inside & (grid.alpha < 1)] > 0.25)  # a center inside: over a quarter
+
+
+def test_cut_cell_fractions_of_the_disc_against_a_fine_subsample():
+    # an independent oracle: 64 x 64 midpoints per cell of the orthant's
+    # boundary cells at h = 1/16, with membership from bodies.contains_rows
+    grid = rasterize(BodySpec.euclidean_ball(2), 1 / 16)
+    x, y = grid.centers()
+    cut = np.flatnonzero((grid.alpha < 1) & (x > 0) & (y > 0))
+    offsets = (np.arange(64) + 0.5) / 64 - 0.5
+    dx, dy = (a.ravel() / 16 for a in np.meshgrid(offsets, offsets))
+    for i in cut:
+        pts = np.column_stack([x[i] + dx, y[i] + dy])
+        share = np.mean(bodies.contains_rows(grid.body, pts, atol=0.0))
+        assert abs(share - grid.alpha[i]) <= 2e-3, (x[i], y[i], share, grid.alpha[i])
+
+
+def test_cut_cells_have_closed_forms_only_for_the_cube_disc_and_l1_ball():
+    with pytest.raises(NoClosedFormError, match="p=3"):
+        rasterize(BodySpec.lp_ball(2, p=3.0), 1 / 32)
+    assert issubclass(NoClosedFormError, ValueError)
+    # the rounding of a corner the l1 diagonal only touches is not a node
+    assert rasterize(BodySpec.lp_ball(2, p=1.0), 1 / 48).alpha.min() == pytest.approx(0.5)
 
 
 def test_rasterize_flip_symmetry():
     for body in [BodySpec.cube(2), BodySpec.euclidean_ball(2), BodySpec.lp_ball(2, p=1.0)]:
-        mask = rasterize(body, 1 / 32).mask
+        grid = rasterize(body, 1 / 32)
+        mask = grid.mask
         assert np.array_equal(mask, mask[:, ::-1])
         assert np.array_equal(mask, mask[::-1, :])
+        for axis in (0, 1):  # exact, weights and all
+            perm = grid.flip(axis)
+            assert np.array_equal(grid.alpha[perm], grid.alpha)
+            assert (grid.operator[perm][:, perm] != grid.operator).nnz == 0
 
 
 PARITIES = list(itertools.product((False, True), repeat=2))  # (x odd, y odd)
@@ -91,6 +136,12 @@ def test_operator_kernel_and_symmetry(square_grid, disc_grid):
         assert (L - L.T).count_nonzero() == 0
 
 
+def _dense_spectrum(grid):
+    """The five lowest eigenvalues of K phi = lambda diag(alpha) phi, dense."""
+    return scipy.linalg.eigh(grid.operator.toarray(), np.diag(grid.alpha),
+                             eigvals_only=True)[:5]
+
+
 def test_square_eigenvalues(square_pairs):
     assert square_pairs[0].value == pytest.approx(0.0, abs=1e-9)
     assert np.ptp(square_pairs[0].vector) < 1e-6 * np.max(np.abs(square_pairs[0].vector))
@@ -100,7 +151,8 @@ def test_square_eigenvalues(square_pairs):
 
 
 def test_disc_eigenvalues(disc_pairs):
-    assert disc_pairs[1].value == pytest.approx(DISC_LAMBDA1, rel=0.01)
+    # the cut-cell disc at h = 1/64 lies 5.95e-5 below the Bessel root
+    assert disc_pairs[1].value == pytest.approx(DISC_LAMBDA1, rel=1e-4)
     assert len(lambda1_cluster(disc_pairs)) == 2
 
 
@@ -125,9 +177,9 @@ def test_box_eigenvalues_match_the_exact_raster_spectrum(half_widths, h):
 
 
 @pytest.mark.parametrize("body", [BodySpec.euclidean_ball(2), BodySpec.lp_ball(2, p=1.0)])
-def test_staircase_eigenvalues_match_a_dense_solve(body):
-    grid = rasterize(body, 1 / 16)  # 812 and 544 nodes
-    exact = np.linalg.eigvalsh(grid.operator.toarray())[:5]
+def test_cut_cell_eigenvalues_match_a_dense_solve(body):
+    grid = rasterize(body, 1 / 16)  # 856 and 544 nodes
+    exact = _dense_spectrum(grid)
     got = np.array([p.value for p in lowest_eigenpairs(grid, k=4)])
     np.testing.assert_allclose(got, exact, rtol=1e-10, atol=1e-10 * exact[1])
 
@@ -138,7 +190,7 @@ def test_flip_class_spectra_together_match_a_dense_solve(body):
     # the five lowest eigenvalues of each class contain the five lowest of the
     # whole raster, whichever classes they fall in
     grid = rasterize(body, 1 / 16)
-    exact = np.linalg.eigvalsh(grid.operator.toarray())[:5]
+    exact = _dense_spectrum(grid)
     pairs = [p for odd in PARITIES for p in lowest_eigenpairs(grid, 4, odd)]
     got = np.sort([p.value for p in pairs])[:5]
     np.testing.assert_allclose(got, exact, rtol=1e-10, atol=1e-10 * exact[1])
@@ -162,11 +214,16 @@ def test_flip_class_extension_and_operator():
         assert np.array_equal(v[nodes], psi)
         for axis, odd_axis in enumerate(odd):
             assert np.array_equal(v[grid.flip(axis)], -v if odd_axis else v)
-        # a ghost cell holding -psi across the plane of each odd axis adds 2/h^2
-        ghost = sum((np.abs(c[nodes]) < grid.h for c, o in zip((x, y), odd) if o),
-                    np.zeros(nodes.size))
+        # a ghost cell holding -psi across the plane of each odd axis adds twice
+        # the weight of the edge to the mirror cell, aperture / h^2
+        ghost = np.zeros(nodes.size)
+        for axis, (c, o) in enumerate(zip((x, y), odd)):
+            across = grid.operator[nodes, grid.flip(axis)[nodes]].A1
+            if o:
+                ghost -= 2.0 * across
+            assert np.array_equal(across != 0, np.abs(c[nodes]) < grid.h)
         diff = ((grid.operator @ E)[nodes] - A_even[nodes]).toarray()
-        np.testing.assert_array_equal(diff, np.diag(2.0 / grid.h ** 2 * ghost))
+        np.testing.assert_array_equal(diff, np.diag(ghost))
     with pytest.raises(ValueError):  # one parity per coordinate
         grid.flip_class((True,))
 
@@ -203,13 +260,65 @@ def test_each_lattice_solve_factors_once_through_the_helper(monkeypatch):
 
 def test_residuals_and_orthogonality(disc_grid, disc_pairs):
     lam1 = disc_pairs[1].value
-    h2 = disc_grid.h ** 2
+    w = disc_grid.alpha * disc_grid.h ** 2  # the cells' measure
     for p in disc_pairs:
         assert p.residual <= 1e-8 * max(lam1, 1.0)
+        assert p.vector @ (w * p.vector) == pytest.approx(1.0, rel=1e-12)
     for i, p in enumerate(disc_pairs):
         for q in disc_pairs[i + 1:]:
             if abs(p.value - q.value) > 1e-6:
-                assert abs(p.vector @ q.vector) * h2 < 1e-10
+                assert abs(p.vector @ (w * q.vector)) < 1e-10
+
+
+# every raster of the lattice suites that is not a full box, with its smallest
+# volume fraction: the spectral suite's, and the transport suite's disc at its
+# default h = 1/32 and at the benchmark's 1/128
+SUITE_CUT_RASTERS = [
+    (BodySpec.euclidean_ball(2), 1 / 16, 3.78e-2), (BodySpec.euclidean_ball(2), 1 / 32, 3.39e-3),
+    (BodySpec.euclidean_ball(2), 1 / 48, 7.30e-3), (BodySpec.euclidean_ball(2), 1 / 64, 7.18e-4),
+    (BodySpec.euclidean_ball(2), 1 / 128, 1.37e-4),
+    (BodySpec.lp_ball(2, p=1.0), 1 / 32, 0.5), (BodySpec("cube", 2, (0.9, 0.2)), 1 / 96, 0.08)]
+
+
+@pytest.mark.parametrize("body, h, smallest", SUITE_CUT_RASTERS)
+def test_the_smallest_cut_cell_still_factors(body, h, smallest):
+    # M = diag(alpha) is near singular where alpha is small; A - shift M must
+    # still factor and solve, and the eigen residuals stay at rounding level
+    grid = rasterize(body, h)
+    assert grid.alpha.min() == pytest.approx(smallest, rel=0.01)
+    shift = 0.5 * math.pi ** 2 / (4.0 * float(np.max(body.scale_array)) ** 2)
+    for odd in PARITIES:
+        nodes, E = grid.flip_class(odd)
+        A, M = (grid.operator @ E)[nodes], sp.diags(grid.alpha[nodes])
+        b = np.zeros(nodes.size)
+        b[np.argmin(grid.alpha[nodes])] = 1.0
+        b += M @ np.cos(np.arange(nodes.size))
+        x = factorize(A - shift * M).solve(b)
+        assert np.linalg.norm((A - shift * M) @ x - b) <= 1e-10 * np.linalg.norm(b)
+        for p in lowest_eigenpairs(grid, 4, odd):
+            assert p.residual <= 1e-10 * max(p.value, 1.0)
+
+
+def _rayleigh_errors(body, phi, lam):
+    errs = []
+    for m in (16, 32, 64):
+        grid = rasterize(body, 1 / m)
+        v = phi(*grid.centers())
+        errs.append(abs((v @ (grid.operator @ v)) / (v @ (grid.alpha * v)) / lam - 1.0))
+    return errs
+
+
+@pytest.mark.parametrize("body, phi, lam", [
+    (BodySpec.euclidean_ball(2),  # J_1(j'_11 r) cos(theta)
+     lambda x, y: j1(DISC_ROOT * np.hypot(x, y)) * x / np.hypot(x, y), DISC_LAMBDA1),
+    (BodySpec.lp_ball(2, p=1.0), lambda x, y: np.sin(math.pi * (x + y) / 2.0), L1_LAMBDA1)])
+def test_rayleigh_quotients_of_exact_eigenfunctions_converge_at_second_order(body, phi, lam):
+    # measured: disc 9.43e-4, 2.37e-4, 5.95e-5 (order 1.99); l1 ball 8.03e-4,
+    # 2.01e-4, 5.02e-5 (order 2.000) at h = 1/16, 1/32, 1/64
+    errs = _rayleigh_errors(body, phi, lam)
+    assert errs[0] <= 1.2e-3
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 1.9 <= math.log2(coarse / fine) <= 2.1, errs
 
 
 def test_multiplicity_at_most_two():

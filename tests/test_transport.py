@@ -283,7 +283,7 @@ def test_flip_class_norms_match_the_whole_raster_solve_on_the_disc():
     fs = [lambda x, y: x ** 2, lambda x, y: np.cos(math.pi * x) * y ** 2]
     grid = spectral.rasterize(BodySpec.euclidean_ball(2), h)
     rows = np.stack([g for f in fs for g in grid.gradient(f(*grid.centers()))])
-    norms = transport._dual_norms(h * h * grid.operator, np.full(grid.n_nodes, h * h), rows)
+    norms = transport._dual_norms(h * h * grid.operator, grid.alpha * h * h, rows)
     whole = (norms ** 2).reshape(len(fs), -1).sum(axis=1)
     for rep, bound in zip(verify_variance_bound(BodySpec.euclidean_ball(2), fs, h), whole):
         assert rep.bound == pytest.approx(bound, rel=1e-12)
@@ -377,13 +377,17 @@ def test_variance_bound_x_squared_square_refines_to_the_closed_forms():
 
 
 def test_variance_bound_x_squared_disc_bound_error_falls_at_each_halving():
-    # Var = pi/16 and bound = 7 pi/24 on the unit disc; the staircase boundary
-    # makes the bound's error fall unevenly: 1.48e-2, 8.47e-3, 1.42e-3
+    # Var = pi/16 and bound = 7 pi/24 on the unit disc.  On the cut-cell raster
+    # both relative errors fall at second order: Var +1.04e-3, +2.80e-4, +7.34e-5
+    # (orders 1.89, 1.93), the bound -7.85e-4, -1.72e-4, -4.30e-5 (orders 2.19,
+    # 2.00) at h = 1/32, 1/64, 1/128
     reps = [verify_variance_bound(BodySpec.euclidean_ball(2), [lambda x, y: x ** 2], h=1 / m)[0]
             for m in (32, 64, 128)]
-    errs = [abs(rep.bound - 7.0 * np.pi / 24.0) for rep in reps]
-    assert errs[0] > errs[1] > errs[2], errs
-    assert abs(reps[-1].var - np.pi / 16.0) <= 1e-3 * np.pi / 16.0
+    for field, exact, first in (("var", np.pi / 16.0, 1.1e-3), ("bound", 7.0 * np.pi / 24.0, 8e-4)):
+        errs = [abs(getattr(rep, field) / exact - 1.0) for rep in reps]
+        assert errs[0] <= first, (field, errs)
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.8 <= math.log2(coarse / fine) <= 2.3, (field, errs)
     assert all(rep.var <= rep.bound for rep in reps)
 
 
