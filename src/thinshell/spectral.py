@@ -14,16 +14,25 @@ the 5-point Neumann Laplacian.
 
 The bodies are unconditional, so the weights are computed on one orthant and
 mirrored: the operator commutes exactly with the d coordinate flips and splits
-into 2^d flip classes (``GridDomain.flip_class``).
+into 2^d flip classes (``GridDomain.flip_class``).  A body with equal
+half-widths is also symmetric under the swap x <-> y: its fractions are
+computed on one triangle of the orthant and mirrored across the diagonal, and
+each node's degree adds its two upper and its two lower edge weights before the
+two sums (``graph_laplacian``), so its raster commutes exactly with the swap
+(``GridDomain.swap``).  The swap maps the class
+odd in x alone onto the class odd in y alone, so ``class_eigenpairs`` solves 3
+of the 4 classes of such a raster and takes the 4th from its twin.
 
 Every lattice solve goes through one sparse factorization, ``factorize``: the
 eigen solves here factor a class operator minus a shift times its mass with it,
-the Lemma 2.1 solves in ``transport`` an odd class operator, the 1D H^-1 solves
-a grounded one.
+and run ARPACK's standard shift-invert mode on M^-1/2 K M^-1/2 through that LU;
+the Lemma 2.1 solves in ``transport`` factor an odd class operator, the 1D H^-1
+solves a grounded one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -47,6 +56,15 @@ class TooCoarseGridError(ValueError):
 class NoClosedFormError(ValueError):
     """The body's cut cells have no closed form: only the cube, the disc and
     the l1 ball (lp exponents None, 2 and 1) are rasterized."""
+
+
+class InvalidSpacingError(ValueError):
+    """A raster spacing h that is not a finite positive number."""
+
+
+class NotConvergingError(ValueError):
+    """Three lambda_1 values whose differences do not shrink with one sign,
+    where Richardson extrapolation has no order to estimate."""
 
 
 def _neighbors(k: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
@@ -92,6 +110,20 @@ class GridDomain:
             raise ValueError("mask is not symmetric under this flip")
         return np.flip(self.image(np.arange(self.n_nodes)), k)[self.mask]
 
+    def swap(self) -> np.ndarray:
+        """Node permutation of the swap x <-> y of a 2D raster; the mask must
+        be symmetric under it."""
+        if not np.array_equal(self.mask, self.mask.T):
+            raise ValueError("mask is not symmetric under the swap x <-> y")
+        return self.image(np.arange(self.n_nodes)).T[self.mask]
+
+    @property
+    def swap_symmetric(self) -> bool:
+        """Whether alpha and the operator commute exactly with ``swap``, as
+        ``rasterize`` builds them for a body with equal half-widths."""
+        scale = self.body.scale_array
+        return bool(scale[0] == scale[1])
+
     def flip_class(self, odd: tuple[bool, ...]) -> tuple[np.ndarray, sp.csr_matrix]:
         """The positive-orthant nodes and the parity extension E from them to
         the whole raster, odd across the plane x_i = 0 where odd[i], else even.
@@ -133,10 +165,15 @@ class GridDomain:
 
 def graph_laplacian(n_nodes: int, src: np.ndarray, dst: np.ndarray,
                     edge_weights: np.ndarray) -> sp.csr_matrix:
-    """Weighted graph Laplacian: quadratic form sum_e w_e (phi_src - phi_dst)^2."""
-    deg = np.zeros(n_nodes)
-    np.add.at(deg, src, edge_weights)
-    np.add.at(deg, dst, edge_weights)
+    """Weighted graph Laplacian: quadratic form sum_e w_e (phi_src - phi_dst)^2.
+
+    A node's degree is the sum of its edges as src plus the sum of its edges
+    as dst.  On a raster each node is the src of at most one edge per axis
+    (to its upper neighbor) and the dst of at most one (from its lower one),
+    so each partial sum adds at most two weights, one per axis: the swap
+    x <-> y exchanges them, and the degree keeps its bits."""
+    deg = (np.bincount(src, weights=edge_weights, minlength=n_nodes)
+           + np.bincount(dst, weights=edge_weights, minlength=n_nodes))
     rows = np.concatenate([src, dst, np.arange(n_nodes)])
     cols = np.concatenate([dst, src, np.arange(n_nodes)])
     vals = np.concatenate([-edge_weights, -edge_weights, deg])
@@ -208,6 +245,10 @@ def _orthant_cut_cells(body2d: BodySpec, h: float, m: list[int]):
         area += 0.5 * (theta - np.sin(theta))
     alpha = np.minimum(area / (du * dv), 1.0)
     alpha[alpha < _SLIVER] = 0.0
+    if body2d.scale_array[0] == body2d.scale_array[1]:
+        # the body is symmetric under u <-> v: keep the cells with y >= x, where
+        # the boundary is no steeper than the diagonal, and mirror them
+        alpha = np.where(np.tri(*alpha.shape, dtype=bool), alpha, alpha.T)
     across_x = np.clip(H(u0) - v0, 0.0, dv) / dv
     across_y = np.clip(H(v0) - u0, 0.0, du) / du
     return alpha, across_x, across_y
@@ -228,11 +269,15 @@ def rasterize(body2d: BodySpec, h: float) -> GridDomain:
 
     The grid is symmetric about the origin (centers at +-(k+1/2)h), and the
     fractions and apertures of one orthant are mirrored to the others, so the
-    raster of an unconditional body is exactly flip-symmetric.  Cube (any
-    half-widths), disc and l1 ball only; other bodies raise NoClosedFormError.
+    raster of an unconditional body is exactly flip-symmetric, and with equal
+    half-widths exactly swap-symmetric.  Cube (any half-widths), disc and l1
+    ball only; other bodies raise NoClosedFormError, an h that is not finite
+    and positive InvalidSpacingError.
     """
     if body2d.dim != 2:
         raise ValueError("rasterize expects a 2D body")
+    if not (math.isfinite(h) and h > 0.0):
+        raise InvalidSpacingError(f"raster spacing must be finite and positive, got {h!r}")
     m = [int(math.ceil(b / h)) for b in body2d.scale_array]
     if min(m) * 2 < 32:
         raise TooCoarseGridError(f"grid too coarse: {2 * min(m)} cells per axis, need >= 32")
@@ -258,37 +303,69 @@ def rasterize(body2d: BodySpec, h: float) -> GridDomain:
 def lowest_eigenpairs(grid: GridDomain, k: int,
                       odd: tuple[bool, ...] | None = None) -> list[EigenPair]:
     """The k + 1 lowest eigenpairs of K phi = lambda M phi, M = diag(alpha), in
-    the flip class ``odd``, or on the whole raster when odd is None, by
-    shift-invert Lanczos with A - shift M factored once by ``factorize``.  The
-    eigenvectors are extended to the whole raster and normalized in
-    L2(alpha h^2); each residual is the L2(alpha h^2) norm of
-    M^-1 K phi - lambda phi, taken against the whole operator."""
+    the flip class ``odd``, or on the whole raster when odd is None.
+
+    Shift-invert Lanczos on the standard symmetric problem for
+    M^-1/2 K M^-1/2, whose operator x -> M^1/2 (A - shift M)^-1 M^1/2 x is one
+    solve with the LU of A - shift M from ``factorize``: ARPACK's standard mode
+    needs no product with M.  Each vector is mapped back by M^-1/2, extended to
+    the whole raster and normalized in L2(alpha h^2); each residual is the
+    L2(alpha h^2) norm of M^-1 K phi - lambda phi, taken against the whole
+    operator."""
     if not 1 <= k <= 10:
         raise ValueError("k must be between 1 and 10")
-    L = grid.operator
     nodes, E = (grid.flip_class(odd) if odd is not None
                 else (slice(None), sp.identity(grid.n_nodes, format="csr")))
-    A = (L @ E)[nodes]
+    A = (grid.operator @ E)[nodes]
     mass = grid.alpha[nodes]
     n = A.shape[0]
     bhw = float(np.max(grid.body.scale_array))
     shift = 0.5 * math.pi ** 2 / (4.0 * bhw ** 2)  # strictly between 0 and lambda_1
     v0 = np.ones(n) + 1e-3 * np.cos(np.arange(n))
     lu = factorize(A - shift * sp.diags(mass))
-    # M as the product with alpha: ARPACK asks for M x about three times per
-    # operator solve, and a sparse product would cost a scipy dispatch each time
-    M = spl.LinearOperator(A.shape, matvec=lambda x: mass * x, dtype=A.dtype)
-    vals, vecs = spl.eigsh(A, k=k + 1, M=M, sigma=shift, which="LM", v0=v0,
-                           OPinv=spl.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype))
-    pairs = []
-    for idx in np.argsort(vals):
-        lam = float(vals[idx])
-        vec = E @ vecs[:, idx]
-        vec = vec / (math.sqrt(_dot(vec, grid.alpha * vec)) * grid.h)
-        r = L @ vec - lam * (grid.alpha * vec)
-        res = math.sqrt(_dot(r, r / grid.alpha)) * grid.h
-        pairs.append(EigenPair(lam, vec, res))
-    return pairs
+    root = np.sqrt(mass)
+    # in shift-invert mode eigsh applies only OPinv; the standard operator is
+    # passed for its shape and what it stands for
+    standard = spl.LinearOperator(A.shape, matvec=lambda y: (A @ (y / root)) / root,
+                                  dtype=A.dtype)
+    vals, vecs = spl.eigsh(standard, k=k + 1, sigma=shift, which="LM", v0=v0,
+                           OPinv=spl.LinearOperator(A.shape, dtype=A.dtype,
+                                                    matvec=lambda y: root * lu.solve(root * y)))
+    return [_extended_pair(grid, E, float(vals[idx]), vecs[:, idx] / root)
+            for idx in np.argsort(vals)]
+
+
+def _extended_pair(grid: GridDomain, E: sp.csr_matrix, lam: float,
+                   phi: np.ndarray) -> EigenPair:
+    """(lam, E phi), normalized in L2(alpha h^2), with its residual against the
+    whole operator."""
+    vec = E @ phi
+    vec = vec / (math.sqrt(_dot(vec, grid.alpha * vec)) * grid.h)
+    r = grid.operator @ vec - lam * (grid.alpha * vec)
+    res = math.sqrt(_dot(r, r / grid.alpha)) * grid.h
+    return EigenPair(lam, vec, res)
+
+
+def class_eigenpairs(grid: GridDomain, k: int) -> dict[tuple[bool, ...], list[EigenPair]]:
+    """The k + 1 lowest eigenpairs of each flip class of a 2D raster, by parity
+    (odd in x, odd in y) in the order (even, even), (even, odd), (odd, even),
+    (odd, odd).
+
+    On a swap-symmetric raster the swap x <-> y carries the class (even, odd)
+    onto (odd, even), so that class is not solved: each twin vector, swapped,
+    is restricted to the orthant and extended with the class's own parity, and
+    its residual is taken anew against the whole operator."""
+    classes = {}
+    for odd in itertools.product((False, True), repeat=2):
+        twin = classes.get(odd[::-1]) if grid.swap_symmetric else None
+        if twin is None:
+            classes[odd] = lowest_eigenpairs(grid, k, odd)
+        else:
+            nodes, E = grid.flip_class(odd)
+            swap = grid.swap()
+            classes[odd] = [_extended_pair(grid, E, p.value, p.vector[swap][nodes])
+                            for p in twin]
+    return classes
 
 
 def lambda1_cluster(pairs: list[EigenPair]) -> list[EigenPair]:
@@ -306,16 +383,20 @@ class RichardsonResult(NamedTuple):
 
 def richardson_lambda1(h_values, lambda1_values) -> RichardsonResult:
     """The order of lambda_1 estimated from its values on three grids, and
-    the extrapolation to h = 0."""
+    the extrapolation to h = 0.  The differences d1 (coarse pair) and d2 (fine
+    pair) must have one sign with |d1| > |d2|, else NotConvergingError: at
+    d1/d2 <= 0 there is no order, and at 0 < d1/d2 <= 1 the order is not
+    positive and the extrapolation divides by 2^order - 1 <= 0."""
     pairs = sorted(((float(h), float(lam)) for h, lam in
                     zip(h_values, lambda1_values, strict=True)), reverse=True)
     hs, lams = tuple(h for h, _ in pairs), tuple(lam for _, lam in pairs)
     if len(hs) != 3 or not math.isclose(hs[0], 2 * hs[1]) or not math.isclose(hs[1], 2 * hs[2]):
         raise ValueError("need three h values in ratio 4:2:1")
     d1, d2 = lams[0] - lams[1], lams[1] - lams[2]
-    order = math.log2(abs(d1 / d2)) if d2 != 0 else float("inf")
-    extrap = lams[2] + (lams[2] - lams[1]) / (2.0 ** order - 1.0) if math.isfinite(order) else lams[2]
-    return RichardsonResult(hs, lams, order, extrap)
+    if d2 == 0 or d1 / d2 <= 1.0:
+        raise NotConvergingError(f"differences {d1!r}, {d2!r} do not shrink with one sign")
+    order = math.log2(d1 / d2)
+    return RichardsonResult(hs, lams, order, lams[2] + (lams[2] - lams[1]) / (2.0 ** order - 1.0))
 
 
 # -- gradient bias -----------------------------------------------------------------

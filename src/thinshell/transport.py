@@ -7,7 +7,8 @@ The dual norm ||u||_{H^-1(mu)} is sqrt of the inner product that a weighted
 Neumann-graph Poisson solve induces.  On 1D grid measures (path-graph
 Laplacian, ``spectral.graph_laplacian``) CG preconditioned by the grounded LU
 solves it; for the Lemma 2.1 check on a raster from ``spectral.rasterize``,
-one direct solve in the odd flip class of each gradient.  Each LU is
+one direct solve in the odd flip class of each gradient, with one LU for both
+axes where the raster is symmetric under x <-> y.  Each LU is
 ``spectral.factorize``, the one factorization that the eigen solves use too.
 """
 
@@ -341,7 +342,10 @@ def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[Variance
     even in every coordinate to 1e-12 of max |f| (else NotEvenError).
     Gradients are central differences, one-sided at the edge of the raster,
     so d_i f lies in the flip class odd in x_i alone, whose operator is
-    nonsingular: one LU and a direct solve per f.  The measure gives each cell
+    nonsingular: one LU and a direct solve per f.  On a raster symmetric under
+    x <-> y (equal half-widths) the class odd in y alone is the swap of the
+    class odd in x alone, so its one LU serves d_y f too, swapped: one
+    factorization in all.  The measure gives each cell
     alpha h^2, the part of it inside the body, and the Dirichlet form is the
     spectral operator's, so ||u||^2 = h^2 (alpha u)^T K^-1 (alpha u).
     """
@@ -351,16 +355,21 @@ def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[Variance
     w = grid.alpha * cell
     vals = [np.broadcast_to(np.asarray(f(*centers), dtype=float), w.shape) for f in fs]
     grads = [grid.gradient(v) for v in vals]
+    swap = grid.swap() if grid.swap_symmetric else None
     bounds = np.zeros(len(fs))
     for axis in range(d):
         mirror = grid.flip(axis)
         if any(np.max(np.abs(v - v[mirror])) > 1e-12 * np.max(np.abs(v)) for v in vals):
             raise NotEvenError(f"a function is not even in coordinate {axis}")
-        nodes, E = grid.flip_class(tuple(a == axis for a in range(d)))
-        lu = spectral.factorize((grid.operator @ E)[nodes])
+        # on a swap-symmetric raster d_y f, swapped, lies in the class odd in x
+        # alone, whose LU then serves both axes
+        swapped = swap is not None and axis > 0
+        if not swapped:
+            nodes, E = grid.flip_class(tuple(a == axis for a in range(d)))
+            lu = spectral.factorize((grid.operator @ E)[nodes])
         for j, g in enumerate(grads):  # one at a time: a block solve rounds otherwise
-            u = grid.alpha[nodes] * g[axis][nodes]  # 2^d mirror images per node
-            bounds[j] += 2 ** d * cell * _dot(u, lu.solve(u))
+            u = grid.alpha[nodes] * (g[axis][swap] if swapped else g[axis])[nodes]
+            bounds[j] += 2 ** d * cell * _dot(u, lu.solve(u))  # 2^d mirror images per node
     mass = float(w.sum())
     reports = []
     for vals_f, bound in zip(vals, bounds):

@@ -135,7 +135,8 @@ def test_c07_counterexample_non_gaussianity(berry_esseen_result):
 
 def test_c08_berry_esseen_trend(berry_esseen_result):
     _check(berry_esseen_result, "berry_esseen.cube",
-           "08 cube marginal exact distance <= 10/n, n in {16,64,256}")
+           "08 cube marginal exact distance <= 10/n and n dist within 0.012/n of "
+           "its Edgeworth limit 0.0275294, n in {16,64,256}")
     _check(berry_esseen_result, "berry_esseen.sampler",
            "08b cube and counterexample samplers within 3 DKW of their exact laws")
 

@@ -608,6 +608,30 @@ def test_cube_marginal_sup_error_edgeworth_limit():
     assert n * np.max(gap) == pytest.approx(limit, rel=5e-3)
 
 
+def test_cube_marginal_distance_at_n16_against_irwin_hall_in_50_digits():
+    # the berry_esseen suite's exact n = 16 distance, max |F - Phi| over
+    # clt.tail_grid, against F from the Irwin-Hall sum and Phi from mpmath; the
+    # error is even in t, and past t = 4 |F - Phi| is at most the larger tail
+    n, cut = 16, 4.0
+    ts = tail_grid(1.0)
+    with mpmath.workdps(50):
+        coef = [(-1) ** k * mpmath.binomial(n, k) / mpmath.factorial(n) for k in range(n + 1)]
+
+        def cdf(t):  # theta . X = sqrt(3/n)(2 S - n) for the Irwin-Hall sum S
+            x = n / mpmath.mpf(2) + mpmath.mpf(t) * mpmath.sqrt(n) / (2 * mpmath.sqrt(3))
+            return sum(coef[k] * (x - k) ** n for k in range(int(mpmath.floor(x)) + 1))
+
+        gaps = [abs(cdf(t) - mpmath.ncdf(t)) for t in ts[(ts >= 0) & (ts <= cut)]]
+        tails = max(1 - cdf(cut), 1 - mpmath.ncdf(cut))
+        exact = float(max(gaps))
+    assert float(tails) < 0.02 * exact
+    got = np.max(np.abs(1.0 - cube_marginal_tail(uniform_direction(n), ts)
+                        - normal_upper_tail(-ts)))
+    assert abs(got - exact) <= 1e-15
+    assert n * exact == pytest.approx(0.0279051, abs=1e-7)
+    assert abs(n * exact - suites._EDGEWORTH_LIMIT) <= suites._EDGEWORTH_C / n
+
+
 @pytest.mark.parametrize("n", [1, 3, 4])
 def test_cube_marginal_out_of_reach_raises(n):
     # theta = e_1 (any n) leaves one sinc factor, whose tail |phi|/xi ~ 1/xi^2

@@ -1,12 +1,15 @@
-"""Fault injection: a wrong lattice operator, flip-class extension, Fourier
-inversion, isotropic scale or exact law must fail at least one suite assertion.
+"""Fault injection: a wrong lattice operator, flip-class extension, raster swap,
+Fourier inversion, isotropic scale or exact law must fail at least one suite
+assertion.
 
 Each fault monkeypatches the function that builds the operator, the extension,
-the inversion's sine transform, the isotropic body or the counterexample's
-CDF, then runs the suites that use it: transport at raster spacing 1/32,
-spectral, clt, berry_esseen, and thinshell on its default cube grid.
+the swap x <-> y, the inversion's sine transform, the isotropic body or the
+counterexample's CDF, then runs the suites that use it: transport at raster
+spacing 1/32, spectral, clt, berry_esseen, and thinshell on its default cube
+grid.
 """
 
+import numpy as np
 import pytest
 
 from thinshell import bodies, clt, spectral, suites, transport
@@ -73,6 +76,17 @@ def test_a_sign_error_in_the_parity_extension_fails_both_lattice_suites(monkeypa
                         lambda grid, odd: flip_class(grid, tuple(not o for o in odd)))
     result = suites.transport_suite(SEED, raster_h=1 / 32)
     assert [a.name for a in result.assertions if not a.passed] == X2_CLOSED_FORMS
+    failed = [a.name for a in suites.spectral_suite(SEED).assertions if not a.passed]
+    assert failed == [f"spectral.flip_classes.{body}" for body in
+                      ("cube(n=2)", "euclidean_ball(n=2)", "lp_ball(p=1,n=2)")]
+
+
+def test_a_wrong_swap_fails_only_the_flip_class_oracle(monkeypatch):
+    # the identity for the swap x <-> y: the class odd in x alone is taken from
+    # its twin unswapped, so its vectors, extended with that class's parity, are
+    # no eigenvectors; their eigenvalues are the twin's, which are right, so only
+    # the class residuals that the whole-raster check reads see the fault
+    monkeypatch.setattr(spectral.GridDomain, "swap", lambda grid: np.arange(grid.n_nodes))
     failed = [a.name for a in suites.spectral_suite(SEED).assertions if not a.passed]
     assert failed == [f"spectral.flip_classes.{body}" for body in
                       ("cube(n=2)", "euclidean_ball(n=2)", "lp_ball(p=1,n=2)")]

@@ -11,8 +11,11 @@ from thinshell import bodies, spectral, suites
 from thinshell.bodies import BodySpec
 from thinshell.spectral import (
     EigenPair,
+    InvalidSpacingError,
     NoClosedFormError,
+    NotConvergingError,
     TooCoarseGridError,
+    class_eigenpairs,
     factorize,
     gradient_bias,
     gradient_bias_rank,
@@ -104,6 +107,48 @@ def test_rasterize_flip_symmetry():
 
 
 PARITIES = list(itertools.product((False, True), repeat=2))  # (x odd, y odd)
+SWAP_SYMMETRIC = [BodySpec.cube(2), BodySpec.euclidean_ball(2), BodySpec.lp_ball(2, p=1.0)]
+
+
+@pytest.mark.parametrize("body", SWAP_SYMMETRIC)
+@pytest.mark.parametrize("m", [16, 32, 48, 64, 128])
+def test_equal_half_widths_give_an_exactly_swap_symmetric_raster(body, m):
+    grid = rasterize(body, 1 / m)
+    assert grid.swap_symmetric
+    perm = grid.swap()
+    x, y = grid.centers()
+    assert np.array_equal(x[perm], y) and np.array_equal(y[perm], x)
+    assert np.array_equal(grid.alpha[perm], grid.alpha)
+    assert (grid.operator[perm][:, perm] != grid.operator).nnz == 0
+
+
+def test_swap_needs_a_symmetric_mask():
+    grid = rasterize(BodySpec("cube", 2, (0.9, 0.2)), 1 / 96)
+    assert not grid.swap_symmetric
+    with pytest.raises(ValueError, match="swap"):
+        grid.swap()
+
+
+# the spectral suite's swap-symmetric rasters
+SUITE_SWAP_RASTERS = ([(BodySpec.cube(2), h) for h in (1 / 16, 1 / 32, 1 / 64)]
+                      + [(BodySpec.euclidean_ball(2), h) for h in (1 / 16, 1 / 32, 1 / 48, 1 / 64)]
+                      + [(BodySpec.lp_ball(2, p=1.0), 1 / 32)])
+
+
+@pytest.mark.parametrize("body, h", SUITE_SWAP_RASTERS)
+def test_the_swapped_class_matches_its_direct_solve(body, h):
+    grid = rasterize(body, h)
+    classes = class_eigenpairs(grid, 4)
+    assert list(classes) == PARITIES
+    swapped, direct = classes[(True, False)], lowest_eigenpairs(grid, 4, (True, False))
+    for p, q in zip(swapped, direct, strict=True):
+        assert p.value == pytest.approx(q.value, rel=1e-12)
+        assert p.residual <= 1e-10 and q.residual <= 1e-10
+        assert np.array_equal(p.vector[grid.flip(0)], -p.vector)  # the class's parity
+        assert np.array_equal(p.vector[grid.flip(1)], p.vector)
+    # the first in the class is simple: the two vectors agree up to sign
+    w = grid.alpha * h * h
+    assert abs(swapped[0].vector @ (w * direct[0].vector)) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_raster_layout_on_a_rectangle():
@@ -126,6 +171,13 @@ def test_raster_layout_on_a_rectangle():
 def test_rasterize_too_coarse():
     with pytest.raises(TooCoarseGridError):
         rasterize(BodySpec.cube(2), h=0.25)
+
+
+@pytest.mark.parametrize("h", [float("nan"), 0.0, -1 / 32, float("inf"), -float("inf")])
+def test_rasterize_rejects_a_spacing_that_is_not_finite_and_positive(h):
+    with pytest.raises(InvalidSpacingError, match="finite and positive"):
+        rasterize(BodySpec.cube(2), h)
+    assert issubclass(InvalidSpacingError, ValueError)
 
 
 def test_operator_kernel_and_symmetry(square_grid, disc_grid):
@@ -229,7 +281,7 @@ def test_flip_class_extension_and_operator():
 
 
 def test_each_lattice_solve_factors_once_through_the_helper(monkeypatch):
-    factored, opinv, rastered = [], [], []
+    factored, opinv, generalized, rastered = [], [], [], []
 
     def counted_factorize(A):
         factored.append(A.shape[0])
@@ -237,6 +289,7 @@ def test_each_lattice_solve_factors_once_through_the_helper(monkeypatch):
 
     def recorded_eigsh(*args, **kwargs):
         opinv.append(kwargs.get("OPinv") is not None)
+        generalized.append(kwargs.get("M") is not None)
         return eigsh(*args, **kwargs)
 
     def recorded_rasterize(body, h):
@@ -248,14 +301,17 @@ def test_each_lattice_solve_factors_once_through_the_helper(monkeypatch):
     monkeypatch.setattr(spectral.spl, "eigsh", recorded_eigsh)
     monkeypatch.setattr(spectral, "rasterize", recorded_rasterize)
     suites.spectral_suite(20250810)
-    # one per eigen solve: 4 flip classes of 9 rasters, and 3 whole rasters
-    assert len(factored) == len(opinv) == 4 * 9 + 3
+    # one per eigen solve: 3 flip classes of the 8 swap-symmetric rasters (the
+    # 4th is swapped from its twin), 4 of the rectangle, and 3 whole rasters
+    assert len(factored) == len(opinv) == 3 * 8 + 4 + 3
     assert all(opinv)  # so eigsh factors nothing of its own
+    assert not any(generalized)  # standard mode: no products with M
     assert len(rastered) == len(set(rastered)) == 9  # each (body, h) once
     factored.clear()
     suites.transport_suite(20250810)
-    # the segment's Laplacian, and the two odd classes of the square and the disc
-    assert len(factored) == 1 + 2 * 2
+    # the segment's Laplacian, and the odd-x class of the square and of the disc,
+    # which serves the odd-y class too
+    assert len(factored) == 1 + 2
 
 
 def test_residuals_and_orthogonality(disc_grid, disc_pairs):
@@ -350,6 +406,16 @@ def test_richardson_arithmetic_on_a_quadratic_law(order):
     assert res.extrapolated == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError, match="4:2:1"):
         richardson_lambda1([0.1, 0.05, 0.02], [2.0, 2.0, 2.0])
+
+
+@pytest.mark.parametrize("lams", [(1.0, 2.0, 1.5), (2.0, 2.0, 2.0), (1.0, 1.5, 1.5),
+                                  (3.0, 2.0, 2.0), (1.0, 1.0, 2.0), (3.0, 2.0, 1.0),
+                                  (3.0, 2.5, 1.5)])
+def test_richardson_rejects_values_that_do_not_converge(lams):
+    # differences of two signs, a zero one, or no shrinking (order <= 0)
+    with pytest.raises(NotConvergingError):
+        richardson_lambda1([0.1, 0.05, 0.025], lams)
+    assert issubclass(NotConvergingError, ValueError)
 
 
 def test_gradient_bias_constant_mode(square_grid, square_pairs):

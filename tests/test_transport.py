@@ -289,6 +289,24 @@ def test_flip_class_norms_match_the_whole_raster_solve_on_the_disc():
         assert rep.bound == pytest.approx(bound, rel=1e-12)
 
 
+@pytest.mark.parametrize("body, factorizations", [
+    (BodySpec.cube(2), 1), (BodySpec.euclidean_ball(2), 1), (BodySpec("cube", 2, (1.5, 1.0)), 2)])
+def test_the_odd_y_class_reuses_the_odd_x_lu_on_a_swap_symmetric_raster(
+        monkeypatch, body, factorizations):
+    # the swapped right-hand sides against the odd-x LU give the bound of the
+    # direct solve in the odd-y class, which an asymmetric raster still makes
+    fs = [lambda x, y: x ** 2 + y ** 2, lambda x, y: np.cos(math.pi * x) * y ** 2]
+    factorize, factored = spectral.factorize, []
+    monkeypatch.setattr(spectral, "factorize", lambda A: factored.append(A) or factorize(A))
+    swapped = verify_variance_bound(body, fs, 1 / 32)
+    assert len(factored) == factorizations
+    monkeypatch.setattr(spectral.GridDomain, "swap_symmetric", False)
+    direct = verify_variance_bound(body, fs, 1 / 32)
+    assert len(factored) == factorizations + 2
+    for s, d in zip(swapped, direct, strict=True):
+        assert s.var == d.var and s.bound == pytest.approx(d.bound, rel=1e-13)
+
+
 def test_variance_bound_solves_without_cg(monkeypatch):
     def no_cg(*args, **kwargs):
         raise AssertionError("a raster solve went through CG")
