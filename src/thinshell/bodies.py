@@ -43,8 +43,8 @@ class BodySpec:
             raise ValueError("dim must be a positive integer")
         if len(self.scale) != self.dim:
             raise DimensionMismatchError("scale length must equal dim")
-        if any(s <= 0 for s in self.scale):
-            raise ValueError("scale entries must be strictly positive")
+        if not all(0 < s < math.inf for s in self.scale):  # NaN fails both
+            raise ValueError("scale entries must be finite and strictly positive")
         if self.kind == "lp_ball" and not (self.p is not None and 1 <= self.p < math.inf):
             raise ValueError(f"lp_ball requires a finite p >= 1, got {self.p!r} "
                              f"(p = inf is the cube)")

@@ -12,7 +12,17 @@ and any order in which the blocks are drawn or consumed, and two draws of
 different bodies or dimensions share no stream.  SeedSequence hashes each key
 to a 128-bit state, so distinct keys give independent streams with
 overwhelming probability (a collision of two keys has probability about
-2^-128), not by construction as distinct Philox keys do.
+2^-128), not by construction as distinct Philox keys do.  Seeds outside
+[0, 2^64) raise ``InvalidSeedError`` instead of aliasing a seed modulo 2^64.
+
+Within a block the cube fills its rows in order.  Every other body is drawn
+in chunks of ``_chunk_rows(n)`` rows, the most of 256 * 2^k rows that fit in
+2^15 floats and divide ``BLOCK`` (256 rows at n > 64): each chunk draws its
+coordinates g, then one standard exponential per row.  The ball's g are
+standard normals; the l1 ball's are Laplace, standard exponentials with a sign
+from a uniform drawn after them; at any other p, g = V Y^(1/p) with
+Y ~ Gamma(1 + 1/p) and V ~ U(-1, 1) drawn after Y.  Tiles are whole chunks,
+so a block drawn tile by tile gives the rows of a block drawn whole.
 
 Named streams, ``substream(seed, stream)``, stay on Philox keyed by
 (seed, stream): the suites' non-block draws (the clt oracle's instances at
@@ -36,11 +46,11 @@ import numpy as np
 
 from .bodies import BodySpec
 
-RNG_ID = ("sfc64(SeedSequence(seed,spawn_key=(kind,p,n,block))), ball as lp p=2; "
-          "named: philox4x64-128(key=(seed,stream))")
+RNG_ID = ("sfc64(SeedSequence(seed,spawn_key=(kind,p,n,block))), ball as lp p=2, "
+          "chunks of 2^15 floats, l1 as laplace; named: philox4x64-128(key=(seed,stream))")
 BLOCK = 1 << 14  # rows per block stream; part of the determinism contract
 NAMED_STREAM = 1 << 32  # the thinshell coefficient vectors' named stream
-_MASK64 = (1 << 64) - 1
+_SEEDS = 1 << 64  # master seeds are 0 .. 2^64 - 1
 
 MAGIC = b"THSL"
 HEADER_VERSION = 1
@@ -53,9 +63,20 @@ class TruncatedSampleFileError(ValueError):
     its header declares."""
 
 
+class InvalidSeedError(ValueError):
+    """A master seed outside [0, 2^64), which would alias another seed's
+    streams modulo 2^64."""
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < _SEEDS:
+        raise InvalidSeedError(f"seed must be an integer in [0, 2^64), got {seed}")
+
+
 def substream(seed: int, stream: int) -> np.random.Generator:
     """Named Philox stream (seed, stream); distinct keys never overlap."""
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    _check_seed(seed)
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -72,6 +93,7 @@ class SampleMatrix:
             raise ValueError("data must be an N x n array with N >= 1")
         if self.data.shape[1] != self.body.dim:
             raise ValueError("column count must equal body dim")
+        _check_seed(self.seed)
         self.data.setflags(write=False)
 
     @property
@@ -95,33 +117,55 @@ def _draw_id(body: BodySpec) -> tuple[int, int, int]:
     return _KIND_IDS[body.kind], p_bits, body.dim
 
 
-# rows per chunk of every draw but the cube's: the chunk and its scratch stay in
-# cache while the draw makes its passes over them
-_CHUNK = 256
+# every draw but the cube's runs in chunks of _chunk_rows(n) rows: 256 * 2^k
+# rows, with k the largest value that keeps the chunk within _CHUNK_FLOATS
+# floats (256 KiB) and a divisor of BLOCK, and never fewer than 256 rows.  The
+# chunk and its scratch stay in cache while the draw makes its passes over
+# them, and each numpy call gets at least 2^14 floats at any n: with chunks of
+# 256 rows, numpy's per-call cost made a coordinate 2 to 4 times dearer at
+# n = 4 than at n = 128.
+_CHUNK_FLOATS = 1 << 15
+
+
+def _chunk_rows(dim: int) -> int:
+    """Rows per chunk of a draw in ``dim`` dimensions."""
+    rows = 256
+    while 2 * rows * dim <= _CHUNK_FLOATS and BLOCK % (2 * rows) == 0:
+        rows *= 2
+    return rows
 
 
 # a block is drawn and visited in tiles of _tile_rows(n) rows, the largest
-# multiple of _CHUNK with at most _TILE_FLOATS floats (2 MiB), so a drawing
-# thread holds a cache-sized tile instead of a BLOCK x n block.  The tiles
-# start at multiples of 256 rows because OpenBLAS gemv can round a row
-# differently with the call's row count and the row's offset: B[s:s+k] @ a
-# differed from (B @ a)[s:s+k] only at k in {1, 3, 255, 4095} in a scan of
-# 192 (n, k, s) cases, never at k in {1000, 1024, 1696}; tiles on 256-row
-# boundaries keep the whole block's row groups and alignment, so the visits'
-# reductions give the same bits.  The chunked draws consume their stream in
-# _CHUNK rows, so their chunks also stay where they were.
+# multiple of the chunk with at most _TILE_FLOATS floats (2 MiB), at least one
+# chunk and at most BLOCK, so a drawing thread holds a cache-sized tile
+# instead of a BLOCK x n block.  The tiles start at multiples of 256 rows
+# because OpenBLAS gemv can round a row differently with the call's row count
+# and the row's offset: B[s:s+k] @ a differed from (B @ a)[s:s+k] only at k in
+# {1, 3, 255, 4095} in a scan of 192 (n, k, s) cases, never at k in {1000,
+# 1024, 1696}; tiles on 256-row boundaries keep the whole block's row groups
+# and alignment, so the visits' reductions give the same bits.  The chunked
+# draws consume their stream chunk by chunk, and a tile is whole chunks, so
+# the chunks of a tiled draw are those of a whole-block draw.
 _TILE_FLOATS = 1 << 18
 
 
 def _tile_rows(dim: int) -> int:
     """Rows per tile of a draw in ``dim`` dimensions."""
-    return min(BLOCK, max(_CHUNK, _TILE_FLOATS // dim // _CHUNK * _CHUNK))
+    chunk = _chunk_rows(dim)
+    return min(BLOCK, max(chunk, _TILE_FLOATS // dim // chunk * chunk))
+
+
+def _scratch(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chunked draws' scratch: a chunk x n array and a 2 x chunk array of
+    per-row values."""
+    chunk = _chunk_rows(dim)
+    return np.empty((chunk, dim)), np.empty((2, chunk))
 
 
 def _draw_exact_block(body: BodySpec, rng: np.random.Generator, x: np.ndarray,
-                      scratch: np.ndarray) -> np.ndarray:
+                      scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Fill the m x n array ``x`` with m draws from ``body`` and return it;
-    the draws at p != 2 overwrite ``scratch``, a _CHUNK x n array."""
+    every body but the cube overwrites ``scratch``, from ``_scratch(n)``."""
     m = x.shape[0]
     scale = body.scale_array
     p = body.exponent
@@ -133,42 +177,56 @@ def _draw_exact_block(body: BodySpec, rng: np.random.Generator, x: np.ndarray,
     # the unit lp ball (Schechtman and Zinn 1990; Barthe, Guedon, Mendelson and
     # Naor 2005): if the g_i have density prop. to exp(-|g|^p) and E is standard
     # exponential, x = g / (sum |g_j|^p + E)^(1/p) is uniform on the ball
-    for c in range(0, m, _CHUNK):
-        g = x[c:c + _CHUNK]
-        v = scratch[:g.shape[0]]
-        if p == 2.0:  # N(0, 1/2) has density prop. to exp(-g^2)
+    v, per_row = scratch
+    chunk = v.shape[0]
+    for c in range(0, m, chunk):
+        g = x[c:c + chunk]
+        k = g.shape[0]
+        w, power_sum, e = v[:k], per_row[0, :k], per_row[1, :k]
+        if p == 2.0:
+            # g = z / sqrt 2 with z standard normal, so x = z / (sum z_j^2 + 2 E)^(1/2)
             rng.standard_normal(out=g)
-            g *= math.sqrt(0.5)
-            power_sum = np.einsum("ij,ij->i", g, g)
+            np.einsum("ij,ij->i", g, g, out=power_sum)
+        elif p == 1.0:
+            # Laplace coordinates: |g_i| standard exponential, then a fair sign
+            # from U - 1/2, whose 2^53 values are half negative
+            rng.standard_exponential(out=g)
+            np.einsum("ij->i", g, out=power_sum)
+            rng.random(out=w)
+            w -= 0.5
+            np.copysign(g, w, out=g)
         else:
-            # g_i = V_i Y_i^(1/p), Y_i ~ Gamma(1 + 1/p), V_i ~ U(-1, 1); at p = 1
-            # Gamma(2) is two standard exponentials, 0.6 of standard_gamma's cost
-            if p == 1.0:
-                rng.standard_exponential(out=g)
-                g += rng.standard_exponential(out=v)
-            else:
-                rng.standard_gamma(1.0 + 1.0 / p, out=g)
-            rng.random(out=v)
-            v *= 2.0
-            v -= 1.0
+            # g_i = V_i Y_i^(1/p), Y_i ~ Gamma(1 + 1/p), V_i ~ U(-1, 1)
+            rng.standard_gamma(1.0 + 1.0 / p, out=g)
+            rng.random(out=w)
+            w *= 2.0
+            w -= 1.0
             np.power(g, 1.0 / p, out=g)
-            g *= v
-            np.abs(g, out=v)
-            np.power(v, p, out=v)
-            power_sum = v.sum(axis=1)
-        norm = (power_sum + rng.standard_exponential(g.shape[0])) ** (-1.0 / p)
-        g *= norm[:, None]
+            g *= w
+            np.abs(g, out=w)
+            np.power(w, p, out=w)
+            np.einsum("ij->i", w, out=power_sum)
+        rng.standard_exponential(out=e)
+        if p == 2.0:
+            e *= 2.0
+        power_sum += e
+        np.power(power_sum, -1.0 / p, out=power_sum)
+        g *= power_sum[:, None]
         g *= scale
     return x
 
 
 def _blocks(count: int, seed: int, draw_id: tuple[int, ...]
             ) -> Iterator[tuple[int, int, np.random.Generator]]:
-    """(first row, rows, generator) of each BLOCK-sized chunk of a count-row draw;
-    chunk b draws from SFC64 seeded by SeedSequence(seed, spawn_key=(*draw_id, b))."""
-    for b, start in enumerate(range(0, count, BLOCK)):
-        key = np.random.SeedSequence(seed & _MASK64, spawn_key=(*draw_id, b))
-        yield start, min(BLOCK, count - start), np.random.Generator(np.random.SFC64(key))
+    """(first row, rows, generator) of each block of a count-row draw; block b
+    draws from SFC64 seeded by SeedSequence(seed, spawn_key=(*draw_id, b)).
+    A seed outside [0, 2^64) raises InvalidSeedError here, not at the first
+    block."""
+    _check_seed(seed)
+    return ((start, min(BLOCK, count - start),
+             np.random.Generator(np.random.SFC64(
+                 np.random.SeedSequence(seed, spawn_key=(*draw_id, b)))))
+            for b, start in enumerate(range(0, count, BLOCK)))
 
 
 def _usable_cores() -> int:
@@ -181,7 +239,7 @@ def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
     """Yield the exact-sampler rows in their canonical BLOCK-sized chunks."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    scratch = np.empty((_CHUNK, body.dim))
+    scratch = _scratch(body.dim)
     for _, m, rng in _blocks(count, seed, _draw_id(body)):
         yield _draw_exact_block(body, rng, np.empty((m, body.dim)), scratch)
 
@@ -202,15 +260,16 @@ def for_each_block(body: BodySpec, count: int, seed: int,
     tile = _tile_rows(body.dim)
     lock = threading.Lock()
 
-    def work(buffer: np.ndarray, scratch: np.ndarray) -> None:
+    def work(buffer: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> None:
         while True:
             with lock:
                 item = next(blocks, None)
             if item is None:
                 return
             start, m, rng = item
-            # the cube fills rows in order and every other body whole _CHUNKs,
-            # so drawing a block tile by tile from its generator gives its rows
+            # the cube fills rows in order and every other body whole chunks,
+            # which tiles hold whole, so drawing a block tile by tile from its
+            # generator gives its rows
             for t in range(start, start + m, tile):
                 k = min(tile, start + m - t)
                 visit(slice(t, t + k), _draw_exact_block(body, rng, buffer[:k], scratch))
@@ -218,10 +277,10 @@ def for_each_block(body: BodySpec, count: int, seed: int,
     # one thread per usable core and at most one per two blocks, so a draw of
     # fewer than 4 * BLOCK rows starts no pool
     threads = min(_usable_cores(), max(1, count // (2 * BLOCK)))
-    # allocated in the calling thread: buffers allocated in the drawing threads
-    # come from per-thread malloc arenas, which kept more memory resident
-    # (families peak RSS 138-157 MB against 119 MB)
-    buffers = [(np.empty((min(tile, count), body.dim)), np.empty((_CHUNK, body.dim)))
+    # allocated in the calling thread, scratch and per-row values too: buffers
+    # allocated in the drawing threads come from per-thread malloc arenas,
+    # which kept more memory resident (families peak RSS 138-157 MB against 119 MB)
+    buffers = [(np.empty((min(tile, count), body.dim)), _scratch(body.dim))
                for _ in range(threads)]
     if threads == 1:
         work(*buffers[0])
@@ -275,7 +334,7 @@ def dump_samples(samples: SampleMatrix, path) -> None:
     """Write little-endian float64 rows behind a 32-byte THSL header."""
     n, count = samples.dim, samples.count
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, HEADER_VERSION, n, count, samples.seed & _MASK64))
+        fh.write(_HEADER.pack(MAGIC, HEADER_VERSION, n, count, samples.seed))
         np.ascontiguousarray(samples.data, dtype="<f8").tofile(fh)
 
 

@@ -51,15 +51,24 @@ _COEFF_STREAM = smp.NAMED_STREAM  # the coefficient vectors' named Philox stream
 _SANDWICH = (0.99, 1.35)       # bounds of Phi(t)(t+1)/phi(t) on [0, 10]
 _DUALITY_TOL = 0.02            # relative slack of the Thm 258 comparison
 _IMPLICATION_SLACK = 1e-12     # rounding slack of the Lemma 1034 implication margin
-# Lemma 2.1's x^2 row in closed form (Lebesgue measure), per body kind:
-# (Var, its name, relative tolerance), (bound, its name, relative tolerance).
-# Square: 16/45 and 32/15 with relative errors -1.22e-3 and -2.44e-3 at
-# h = 1/32, falling 4x per halving; about 4x of that.  Disc, on the cut-cell
-# raster: pi/16 and 7 pi/24 with errors +1.04e-3 and -7.85e-4 at h = 1/32,
-# falling 3.5-3.9x and 4.0-4.8x per halving from 1/16 to 1/256; about 5x of that
-_X2_CLOSED_FORMS = {
-    "cube": ((16.0 / 45.0, "16/45", 0.005), (32.0 / 15.0, "32/15", 0.01)),
-    "euclidean_ball": ((math.pi / 16.0, "pi/16", 0.005), (7.0 * math.pi / 24.0, "7pi/24", 0.004)),
+# Lemma 2.1's x^2 and x^2+y^2 rows in closed form (Lebesgue measure), per body
+# kind and function: (Var, its name, relative tolerance), (bound, its name,
+# relative tolerance).  Square: 16/45 and 32/15 for x^2, twice that for
+# x^2+y^2, with relative errors -1.22e-3 and -2.44e-3 at h = 1/32 for both,
+# falling 4x per halving; about 4x of that.  Disc, on the cut-cell raster:
+# pi/16 and 7 pi/24 for x^2, with errors +1.04e-3 and -7.85e-4 at h = 1/32,
+# falling 3.5-3.9x and 4.0-4.8x per halving from 1/16 to 1/256; pi/12 and
+# 7 pi/12 for x^2+y^2, with errors +1.69e-3 and -7.85e-4 at h = 1/32, falling
+# 3.7-3.8x and 4.6-4.8x per halving from 1/16 to 1/64; about 5x of that.
+# Of these only x^2+y^2 has a d_y part, which the class odd in y alone
+# carries, so its closed forms also see a wrong swap x <-> y
+_CLOSED_FORMS = {
+    ("cube", "x^2"): ((16.0 / 45.0, "16/45", 0.005), (32.0 / 15.0, "32/15", 0.01)),
+    ("cube", "x^2+y^2"): ((32.0 / 45.0, "32/45", 0.005), (64.0 / 15.0, "64/15", 0.01)),
+    ("euclidean_ball", "x^2"): ((math.pi / 16.0, "pi/16", 0.005),
+                                (7.0 * math.pi / 24.0, "7pi/24", 0.004)),
+    ("euclidean_ball", "x^2+y^2"): ((math.pi / 12.0, "pi/12", 0.008),
+                                    (7.0 * math.pi / 12.0, "7pi/12", 0.004)),
 }
 _NORM_TOL = 1e-10              # Thm 258 norm: the CG stops at a 1e-12 relative residual
 # the counterexample marginal at uniform theta is uniform on [-sqrt 3, sqrt 3] at
@@ -467,11 +476,11 @@ def transport_suite(seed: int, raster_h: float = 1 / 32) -> SuiteResult:
             out.assertions.append(Assertion(
                 f"lemma21.{body_label}.{fname}", "Lemma 2.1", vrep.var,
                 f"Var <= dual-norm bound {vrep.bound:.4g} + O(h)", vrep.var <= vrep.bound + tol))
-            if fname == "x^2":
+            if (body.kind, fname) in _CLOSED_FORMS:
                 # the bound above is one-sided: an operator too small only
                 # inflates it, so the closed forms pin both sides
                 (var, var_name, var_tol), (bound, bound_name, bound_tol) = (
-                    _X2_CLOSED_FORMS[body.kind])
+                    _CLOSED_FORMS[body.kind, fname])
                 out.assertions.append(Assertion(
                     f"lemma21.{body_label}.{fname}.closed_form", "Lemma 2.1, closed-form oracle",
                     vrep.bound, f"Var = {var_name} +- {100 * var_tol:g}% and "

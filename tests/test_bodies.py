@@ -107,6 +107,14 @@ def test_lp_ball_rejects_p_outside_one_to_infinity(p):
         BodySpec.lp_ball(4, p)
 
 
+@pytest.mark.parametrize("half_width", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_scale_must_be_finite_and_positive(half_width):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        BodySpec.cube(2, half_width)
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        BodySpec("lp_ball", 2, (1.0, half_width), p=3.0)
+
+
 def test_p_applies_only_to_lp_ball():
     with pytest.raises(ValueError, match="p does not apply"):
         BodySpec("cube", 2, (1.0, 1.0), p=3.0)

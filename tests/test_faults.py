@@ -43,16 +43,17 @@ def test_a_large_raster_operator_fails_every_lemma21_bound(monkeypatch):
     assert len(bounds) == 14
 
 
-X2_CLOSED_FORMS = [f"lemma21.{body}.x^2.closed_form"
-                   for body in ("cube(n=2)", "euclidean_ball(n=2)")]
+CLOSED_FORMS = [f"lemma21.{body}.{fname}.closed_form"
+                for body in ("cube(n=2)", "euclidean_ball(n=2)") for fname in ("x^2", "x^2+y^2")]
 
 
 @pytest.mark.parametrize("scale", [1e-3, 0.98])
 def test_a_small_raster_operator_fails_the_closed_form(monkeypatch, scale):
     # a smaller operator only inflates the dual-norm bound, so the one-sided
-    # Lemma 2.1 checks pass; the closed-form targets of x^2 do not (at 0.98 the
-    # disc's bound reads +1.96% against its 0.4%, the square's +1.79% against 1%)
-    assert _failed_with(monkeypatch, spectral, scale) == X2_CLOSED_FORMS
+    # Lemma 2.1 checks pass; the closed-form targets of x^2 and x^2+y^2 do not
+    # (at 0.98 the disc's x^2 bound reads +1.96% against its 0.4%, the square's
+    # +1.79% against 1%)
+    assert _failed_with(monkeypatch, spectral, scale) == CLOSED_FORMS
 
 
 @pytest.mark.parametrize("scale", [1 + 1e-5, 1 - 1e-5, 0.995])
@@ -75,7 +76,7 @@ def test_a_sign_error_in_the_parity_extension_fails_both_lattice_suites(monkeypa
     monkeypatch.setattr(spectral.GridDomain, "flip_class",
                         lambda grid, odd: flip_class(grid, tuple(not o for o in odd)))
     result = suites.transport_suite(SEED, raster_h=1 / 32)
-    assert [a.name for a in result.assertions if not a.passed] == X2_CLOSED_FORMS
+    assert [a.name for a in result.assertions if not a.passed] == CLOSED_FORMS
     failed = [a.name for a in suites.spectral_suite(SEED).assertions if not a.passed]
     assert failed == [f"spectral.flip_classes.{body}" for body in
                       ("cube(n=2)", "euclidean_ball(n=2)", "lp_ball(p=1,n=2)")]
@@ -90,6 +91,17 @@ def test_a_wrong_swap_fails_only_the_flip_class_oracle(monkeypatch):
     failed = [a.name for a in suites.spectral_suite(SEED).assertions if not a.passed]
     assert failed == [f"spectral.flip_classes.{body}" for body in
                       ("cube(n=2)", "euclidean_ball(n=2)", "lp_ball(p=1,n=2)")]
+
+
+def test_a_wrong_swap_fails_the_x2_plus_y2_closed_forms(monkeypatch):
+    # the class odd in y alone is the swapped class odd in x; unswapped, it
+    # solves for d_y on the wrong nodes.  x^2 has d_y = 0, and the one-sided
+    # bounds stay above Var, so only the x^2+y^2 closed forms see it (the
+    # square's bound falls from 4.2563 to 3.5502, -17%)
+    monkeypatch.setattr(spectral.GridDomain, "swap", lambda grid: np.arange(grid.n_nodes))
+    result = suites.transport_suite(SEED, raster_h=1 / 32)
+    assert [a.name for a in result.assertions if not a.passed] == [
+        f"lemma21.{body}.x^2+y^2.closed_form" for body in ("cube(n=2)", "euclidean_ball(n=2)")]
 
 
 def test_a_sign_error_in_the_sine_transform_fails_the_oracle_and_the_scaling_law(monkeypatch):

@@ -18,6 +18,7 @@ from thinshell.bodies import BodySpec, analytic_second_moments, contains_rows, i
 from thinshell.sampler import (
     BLOCK,
     NAMED_STREAM,
+    InvalidSeedError,
     SampleMatrix,
     TruncatedSampleFileError,
     counterexample_marginal,
@@ -65,9 +66,9 @@ def test_block_partition_matches_single_stream():
 # must change these and RNG_ID together.
 GOLDEN_STREAMS = {
     ("cube", None): "07d4123fbb81d48b9a557f1d5c4cb261301bd74f0626133613d5b17318efeced",
-    ("euclidean_ball", None): "aa4af055ecb2f0faae098060f06566dc9c21522496c100f26f2875b678e8b373",
-    ("lp_ball", 1.0): "09cc32859dbd6bff4d96992783256cde59ae5baf02fb06da0f7300f02cf8bc43",
-    ("lp_ball", 3.0): "7f974561dfc3e34cc3a0457216083cc95687d81a1c778bd1f9e88832e0157d52",
+    ("euclidean_ball", None): "b0a8458cc4fdb77937def3bd6099465ddbb51f4b925dc0cddfe86e8e7198f4a8",
+    ("lp_ball", 1.0): "1d531fcb69fd73b041a0dc3d2d66cca8bc62d7d7057b3357c6c82bde6797f55c",
+    ("lp_ball", 3.0): "2de6be0d3733aa108925c1348c398b036b53af42a7074285465e9ae915ab0ffe",
 }
 
 
@@ -134,6 +135,22 @@ def test_tiles_visit_the_exact_rows_at_every_thread_count(monkeypatch, kind, p, 
         for start, stop in visits:
             assert stop - start <= max(256, 2 ** 18 // n) and start % block % 256 == 0
             assert (stop - 1) // block == start // block
+
+
+@pytest.mark.parametrize("block", [BLOCK, 2048, 768])
+def test_chunks_split_tiles_and_blocks(monkeypatch, block):
+    # whole-block and tiled draws consume a block's stream chunk by chunk, so
+    # both give the same rows only if every tile is whole chunks
+    monkeypatch.setattr(sampler, "BLOCK", block)
+    for n in [*range(1, 301), 2048]:
+        chunk, tile = sampler._chunk_rows(n), sampler._tile_rows(n)
+        assert chunk % 256 == 0 and block % chunk == 0 and tile % chunk == 0, n
+        assert chunk * n <= 2 ** 15 or chunk == 256, n
+        assert tile <= block and (tile * n <= 2 ** 18 or tile == chunk), n
+        assert chunk == block or 2 * chunk * n > 2 ** 15 or block % (2 * chunk), n
+    if block == BLOCK:  # the most rows of 256 * 2^k within 2^15 floats, up to BLOCK
+        assert [sampler._chunk_rows(n) for n in (1, 2, 4, 5, 64, 128)] == [
+            16384, 16384, 8192, 4096, 512, 256]
 
 
 _WIDE_DRAW = """
@@ -223,6 +240,26 @@ def test_for_each_block_rejects_an_empty_draw():
         for_each_block(isotropic_body("cube", 3), 0, SEED, lambda rows, block: None)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    # masked to 64 bits, 2^64 drew seed 0's rows and -1 those of 2^64 - 1
+    body = isotropic_body("euclidean_ball", 3)
+    for draw in (lambda: sample_exact(body, 10, seed),
+                 lambda: for_each_block(body, 10, seed, lambda rows, tile: None),
+                 lambda: counterexample_marginal(3, 10, np.ones(3), seed),
+                 lambda: substream(seed, 1),
+                 lambda: SampleMatrix(np.zeros((1, 3)), body, seed)):
+        with pytest.raises(InvalidSeedError, match=r"\[0, 2\^64\)"):
+            draw()
+
+
+def test_the_extreme_seeds_draw():
+    body = isotropic_body("euclidean_ball", 3)
+    first, last = sample_exact(body, 10, 0).data, sample_exact(body, 10, 2 ** 64 - 1).data
+    assert not np.array_equal(first, last)
+    assert substream(2 ** 64 - 1, 1).random() != substream(0, 1).random()
+
+
 def test_substreams_do_not_collide():
     a = substream(SEED, 0).uniform(size=8)
     b = substream(SEED, 1).uniform(size=8)
@@ -284,6 +321,27 @@ def test_lp_draw_exact_moments(p, n):
     for values, qs in cases:
         z = (values.mean() - _lp_moment(body.exponent, n, qs)) / mc_sigma(values)
         assert abs(z) <= 5.0, (qs, z)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, None])
+def test_lp_draws_are_reflection_invariant(p, n):
+    # the even moments above cannot see a biased sign: E X_1, E X_1 |X_2| and
+    # P(X_1 > 0) - 1/2 vanish for a law invariant under coordinate reflections
+    body = BodySpec.euclidean_ball(n) if p is None else BodySpec.lp_ball(n, p)
+    count = 4 * 10 ** 5
+    x1, x1y, positive = np.empty(count), np.empty(count), np.empty(count)
+
+    def visit(rows, block):
+        x1[rows] = block[:, 0]
+        x1y[rows] = block[:, 0] * np.abs(block[:, -1])
+        positive[rows] = block[:, 0] > 0
+
+    for_each_block(body, count, SEED, visit)
+    positive -= 0.5
+    for values in [x1, positive] + ([x1y] if n > 1 else []):
+        z = values.mean() / mc_sigma(values)
+        assert abs(z) <= 5.0, z
 
 
 def test_cube_isotropic_by_construction():
