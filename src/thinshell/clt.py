@@ -319,6 +319,16 @@ def _inversion_tail(char_fn, cut: float, spread: float, t):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
+def _checked(theta, sigma: float | None = None) -> np.ndarray:
+    """theta as a float array: finite with a nonzero entry, sigma finite and > 0."""
+    theta = np.asarray(theta, dtype=float)
+    if not (np.all(np.isfinite(theta)) and np.any(theta)):
+        raise ValueError("theta must be finite with a nonzero entry")
+    if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be finite and positive")
+    return theta
+
+
 def bernoulli_gamma_tail_fourier(theta, sigma: float, t):
     """P(sigma G + sum_i theta_i D_i >= t) for symmetric Bernoulli D_i, at a
     scalar t (a float) or an array of t.
@@ -326,11 +336,7 @@ def bernoulli_gamma_tail_fourier(theta, sigma: float, t):
     The characteristic function gamma(sigma xi) prod cos(theta_i xi) vanishes
     for |xi| >= 1/sigma, so the inversion is cut there with no truncation error.
     """
-    theta = np.asarray(theta, dtype=float)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if not np.any(theta):
-        raise ValueError("theta must be nonzero")
+    theta = _checked(theta, sigma)
     kernel = build_kernel()
     return _inversion_tail(lambda xi: kernel.char_fn(sigma * xi) * _char_product(np.cos, theta, xi),
                            1.0 / sigma, float(np.sum(np.abs(theta))), t)
@@ -342,10 +348,8 @@ def cube_marginal_cut(theta) -> float:
     int_cut^inf |phi|/xi is at most prod_{i <= k} 1/(a_(i) cut) / k for every k;
     the cut is the least one that holds that to _TRUNCATION_TOL.  Raises
     TruncationError past _CUT_BUDGET / |theta|."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _checked(theta)
     a = np.sort(math.sqrt(3.0) * np.abs(theta[theta != 0]))[::-1]
-    if a.size == 0:
-        raise ValueError("theta must be nonzero")
     k = np.arange(1, a.size + 1)
     cut = float(np.min(np.exp(-(np.log(k * _TRUNCATION_TOL) + np.cumsum(np.log(a))) / k)))
     reach = cut * math.sqrt(float(theta @ theta))
@@ -375,11 +379,9 @@ def _all_sign_sums(theta: np.ndarray) -> np.ndarray:
 def bernoulli_gamma_tail_bruteforce(theta, sigma: float, t: float) -> float:
     """Oracle by full enumeration: 2^-n sum over sign patterns s of
     P(G >= (t - s)/sigma) = P(G <= (s - t)/sigma), from G's real-space CDF."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _checked(theta, sigma)
     if theta.size > 24:
         raise ValueError("brute force limited to n <= 24")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     sums = _all_sign_sums(theta)
     return float(np.mean(build_kernel().cdf((sums - t) / sigma)))
 

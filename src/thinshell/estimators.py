@@ -37,6 +37,8 @@ class EstimateWithCI:
 def uniform_direction(n: int) -> np.ndarray:
     """The unit vector with equal entries 1/sqrt(n), its first entry adjusted
     so that the norm is 1 to rounding."""
+    if n < 1:
+        raise ValueError(f"a direction needs n >= 1 coordinates, got {n}")
     e = np.full(n, 1.0 / math.sqrt(n))
     e[0] = math.sqrt(1.0 - float(e[1:] @ e[1:]))
     return e

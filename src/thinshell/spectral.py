@@ -4,7 +4,8 @@ lowest eigenpairs and the gradient bias of the first nontrivial eigenspace.
 Discretization: a cell-centered raster whose nodes are the cells the body
 meets.  Each node carries its volume fraction alpha (the share of the cell
 inside the body) and each face between two nodes its aperture (the share of
-the face inside the body), both in closed form (``_orthant_cut_cells``).  The
+the face inside the body), both in closed form from one incomplete-beta
+primitive for the cube and every lp ball (``_orthant_cut_cells``).  The
 operator K is the graph Laplacian with edge weights aperture / h^2, symmetric
 with the constants in its kernel by construction; the cells carry the measure
 alpha h^2, so the eigenproblem is K phi = lambda diag(alpha) phi (a finite-volume
@@ -51,11 +52,6 @@ _SLIVER = 1e-12
 
 class TooCoarseGridError(ValueError):
     pass
-
-
-class NoClosedFormError(ValueError):
-    """The body's cut cells have no closed form: only the cube, the disc and
-    the l1 ball (lp exponents None, 2 and 1) are rasterized."""
 
 
 class InvalidSpacingError(ValueError):
@@ -209,14 +205,19 @@ class EigenPair:
     residual: float
 
 
-# The canonical body's boundary over the positive orthant in 2D, v = H(u) for
-# u >= 0, by lp exponent (None: the cube).  Each body is symmetric under u <-> v,
-# so H is also its own inverse: u <= H(v) iff v <= H(u).
-_HEIGHTS = {
-    None: lambda u: np.where(u <= 1.0, 1.0, 0.0),
-    2.0: lambda u: np.sqrt(np.maximum(1.0 - u * u, 0.0)),
-    1.0: lambda u: np.maximum(1.0 - u, 0.0),
-}
+def _boundary(p: float | None):
+    """The canonical 2D body's boundary v = H(u) over u >= 0 and the primitive
+    F(x) = int_0^x H on [0, 1], by lp exponent p (None: the cube, H a step).  For
+    H = (1 - u^p)^(1/p), t = u^p gives F(x) = (1/p) B(1/p, 1 + 1/p) I_{x^p}(1/p, 1 + 1/p).
+    Each body is symmetric under u <-> v, so H is its own inverse: u <= H(v) iff v <= H(u)."""
+    if p is None:
+        return (lambda u: np.where(u <= 1.0, 1.0, 0.0)), (lambda x: np.minimum(x, 1.0))
+    from scipy.special import beta, betainc
+
+    s = 1.0 / p
+    quarter = s * beta(s, 1.0 + s)  # F(1), a quarter of the body's area
+    return (lambda u: np.maximum(1.0 - u ** p, 0.0) ** s,
+            lambda x: quarter * betainc(s, 1.0 + s, x ** p))
 
 
 def _orthant_cut_cells(body2d: BodySpec, h: float, m: list[int]):
@@ -227,22 +228,21 @@ def _orthant_cut_cells(body2d: BodySpec, h: float, m: list[int]):
 
     In the canonical coordinates u = x / scale_x, v = y / scale_y, a cell
     [u0, u1] x [v0, v1] meets the body in {v <= H(u)}.  Its columns are full for
-    u <= H(v1) and empty for u >= H(v0); between them the area under H is the
-    trapezoid of its chord, plus, on the disc, the circular segment between the
-    chord and the arc.  A cell inside the body gets exactly 1, one outside
-    exactly 0, and so does a sliver below ``_SLIVER``; rounding above 1 is cut.
+    u <= a = H(v1) and empty for u >= b = H(v0), each clipped to [u0, u1], so its
+    area is (a - u0) dv + F(b) - F(a) - (b - a) v0 (``_boundary``), with F taken
+    on the cut cells (a < b) only.  A cell inside the body gets exactly 1, one
+    outside exactly 0, and so does a sliver below ``_SLIVER``; rounding above 1
+    is cut.
     """
-    if body2d.exponent not in _HEIGHTS:
-        raise NoClosedFormError(f"no closed-form cut cells for {body2d.label()}")
-    H = _HEIGHTS[body2d.exponent]
+    H, F = _boundary(body2d.exponent)
     U, V = (np.arange(k + 1) * h / s for k, s in zip(m, body2d.scale_array))
     u0, u1, du = U[:-1], U[1:], np.diff(U)
     v0, v1, dv = V[:-1, None], V[1:, None], np.diff(V)[:, None]
     a, b = np.clip(H(v1), u0, u1), np.clip(H(v0), u0, u1)
-    area = (a - u0) * dv + (b - a) * (0.5 * (H(a) + H(b)) - v0)
-    if body2d.exponent == 2.0:
-        theta = 2.0 * np.arcsin(np.minimum(0.5 * np.hypot(b - a, H(a) - H(b)), 1.0))
-        area += 0.5 * (theta - np.sin(theta))
+    area = (a - u0) * dv
+    cut = a < b
+    a, b, v = a[cut], b[cut], np.broadcast_to(v0, cut.shape)[cut]
+    area[cut] += F(b) - F(a) - (b - a) * v
     alpha = np.minimum(area / (du * dv), 1.0)
     alpha[alpha < _SLIVER] = 0.0
     if body2d.scale_array[0] == body2d.scale_array[1]:
@@ -270,9 +270,9 @@ def rasterize(body2d: BodySpec, h: float) -> GridDomain:
     The grid is symmetric about the origin (centers at +-(k+1/2)h), and the
     fractions and apertures of one orthant are mirrored to the others, so the
     raster of an unconditional body is exactly flip-symmetric, and with equal
-    half-widths exactly swap-symmetric.  Cube (any half-widths), disc and l1
-    ball only; other bodies raise NoClosedFormError, an h that is not finite
-    and positive InvalidSpacingError.
+    half-widths exactly swap-symmetric.  Any 2D body: the cube at any
+    half-widths, every lp ball (p >= 1) at any scale.  An h that is not finite
+    and positive raises InvalidSpacingError.
     """
     if body2d.dim != 2:
         raise ValueError("rasterize expects a 2D body")

@@ -316,8 +316,8 @@ def verify_thm258(mu: DiscreteMeasure, h_values: np.ndarray, epsilons) -> Dualit
     """
     h_values = np.asarray(h_values, dtype=float)
     eps_list = [float(e) for e in np.atleast_1d(epsilons)]
-    if not eps_list:
-        raise ValueError("need at least one epsilon")
+    if not eps_list or not all(e > 0.0 for e in eps_list):  # NaN fails too
+        raise ValueError(f"need one or more positive epsilons, got {eps_list}")
     hmax = float(np.max(np.abs(h_values)))
     if any(e * hmax >= 1.0 for e in eps_list):
         raise ValueError("epsilon too large: density 1 + eps h changes sign")

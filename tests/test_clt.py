@@ -494,6 +494,33 @@ def test_bruteforce_size_guard():
         bernoulli_gamma_tail_bruteforce(np.ones(25), 1.0, 0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("theta, sigma, message", [
+    ([], 0.5, "theta must be finite with a nonzero entry"),
+    ([0.0, 0.0], 0.5, "theta must be finite with a nonzero entry"),
+    ([0.5, NAN], 0.5, "theta must be finite with a nonzero entry"),
+    ([0.5, math.inf], 0.5, "theta must be finite with a nonzero entry"),
+    ([0.5, 0.5], NAN, "sigma must be finite and positive"),
+    ([0.5, 0.5], math.inf, "sigma must be finite and positive"),
+    ([0.5, 0.5], 0.0, "sigma must be finite and positive")])
+def test_the_smoothed_tail_and_its_oracle_share_one_domain(theta, sigma, message):
+    # an empty theta gave the oracle 1/2 and a NaN sigma gave it NaN; a NaN
+    # sigma gave the Fourier route numpy's "cannot convert float NaN to integer"
+    for tail in (bernoulli_gamma_tail_fourier, bernoulli_gamma_tail_bruteforce):
+        with pytest.raises(ValueError, match=message):
+            tail(theta, sigma, 0.0)
+
+
+@pytest.mark.parametrize("theta", [[NAN, 0.5, 0.5, 0.5, 0.5], [0.5] * 4 + [-math.inf], []])
+def test_the_cube_marginal_rejects_theta_outside_its_domain(theta):
+    # a NaN in theta gave numpy's "cannot convert float NaN to integer"
+    for call in (lambda: cube_marginal_tail(theta, 0.5), lambda: clt.cube_marginal_cut(theta)):
+        with pytest.raises(ValueError, match="theta must be finite with a nonzero entry"):
+            call()
+
+
 # -- lemma 700 report ---------------------------------------------------------------
 
 def test_lemma700_hypothesis_violation():

@@ -216,6 +216,9 @@ def test_weight_vector_validation():
         e = np.full(n, 1.0 / math.sqrt(n))
         e[0] = math.sqrt(1.0 - float(e[1:] @ e[1:]))
         assert theta.tobytes() == np.asarray(tuple(e)).tobytes()
+    for n in (0, -1):  # n = 0 divided by zero
+        with pytest.raises(ValueError, match="n >= 1"):
+            uniform_direction(n)
 
 
 def test_estimate_with_ci_validation():

@@ -357,6 +357,10 @@ def test_thm258_epsilon_guard():
     mu = DiscreteMeasure.grid_1d(-1.0, 1.0, 128)
     with pytest.raises(ValueError):
         verify_thm258(mu, 2.0 * mu.support[:, 0], [0.9])
+    # eps = 0 divided W2 by zero, and a negative eps gave a negative W2/eps
+    for eps in ([], [0.0], [-0.01], [0.01, -0.01], [float("nan")]):
+        with pytest.raises(ValueError, match="positive epsilons"):
+            verify_thm258(mu, 2.0 * mu.support[:, 0], eps)
 
 
 # -- variance bound ------------------------------------------------------------------------
