@@ -11,8 +11,10 @@ independent real-space evaluation and checks the 1/n limit.
 """
 
 import csv
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from thinshell.suites import (
 )
 
 SEED = 20250810
+GOLDEN = Path(__file__).resolve().parent / "golden"  # written by scripts/write_golden.py
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -215,6 +218,53 @@ def test_c12_lattice_suites_rerun_byte_identical(spectral_result, transport_resu
         _report(f"12 byte-identical {first.name} report.csv on rerun", identical,
                 f"{len(blobs[0])} bytes")
         assert identical
+
+
+def _golden_tolerance(key: str, row_value: float) -> dict:
+    """math.isclose tolerances of a float field of a golden row, by its extra key.
+
+    Two fields are rounding noise.  A change of the disc's cut-cell fractions
+    below 2.9e-12 moved the eigen residuals, 8e-13 to 4.7e-12, by up to 5.8%
+    while no eigenvalue moved by more than 1.7e-15 relative; and it moved the
+    Richardson order, log2 of a ratio of differences some 6,000x smaller than
+    lambda_1, by 2.0e-11 relative.  The lowest value of each eigen report is
+    the constants' 0 up to rounding (-1.3e-12 and -3.3e-13), so the reported
+    eigenvalues are compared relative to lambda_1, the row's value."""
+    if key == "residuals":
+        return {"rel_tol": 0.0, "abs_tol": 1e-11}
+    if key == "order":
+        return {"rel_tol": 1e-9}
+    if key == "lambda":
+        return {"rel_tol": 1e-12, "abs_tol": 1e-12 * abs(row_value)}
+    return {"rel_tol": 1e-12}
+
+
+def _golden_match(want, got, tol: dict) -> bool:
+    if isinstance(want, float) and isinstance(got, float):
+        return (math.isnan(want) and math.isnan(got)) or math.isclose(want, got, **tol)
+    if isinstance(want, list) and isinstance(got, list):
+        return len(want) == len(got) and all(_golden_match(w, g, tol) for w, g in zip(want, got))
+    return type(want) is type(got) and want == got
+
+
+def test_c12_spectral_report_matches_its_golden_file(spectral_result):
+    # integer and text fields exactly, floats to 1e-12 relative but for the noise above
+    want = list(csv.reader((GOLDEN / "spectral.csv").read_text().splitlines()))
+    got = list(csv.reader(render_csv(spectral_result.rows).splitlines()))
+    assert got[0] == want[0] and len(got) == len(want)
+    moved = []
+    for w, g in zip(want[1:], got[1:]):
+        value = float(w[5])
+        w_extra, g_extra = (json.loads(e) if e else {} for e in (w[8], g[8]))
+        if not (w[:5] == g[:5] and w_extra.keys() == g_extra.keys()
+                and all(_golden_match(float(a), float(b), _golden_tolerance("", value))
+                        for a, b in zip(w[5:8], g[5:8]))
+                and all(_golden_match(w_extra[k], g_extra[k], _golden_tolerance(k, value))
+                        for k in w_extra)):
+            moved.append((w, g))
+    _report("12 spectral report.csv matches tests/golden/spectral.csv", not moved,
+            f"{len(want) - 1} rows, {len(moved)} moved")
+    assert not moved
 
 
 @pytest.mark.parametrize("fixture, names", [

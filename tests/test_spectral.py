@@ -277,6 +277,24 @@ def test_flip_class_spectra_together_match_a_dense_solve(body):
         assert p.residual <= 1e-10 * max(p.value, 1.0)  # against the whole operator
 
 
+# the spectral suite's rasters that it reads for lambda_1 alone
+SUITE_LAMBDA1_RASTERS = [(BodySpec.cube(2), 1 / 64), (BodySpec.euclidean_ball(2), 1 / 16),
+                         (BodySpec.euclidean_ball(2), 1 / 48), (BodySpec.lp_ball(2, p=1.0), 1 / 16),
+                         (BodySpec.lp_ball(2, p=1.0), 1 / 64), (BodySpec("cube", 2, (0.9, 0.2)), 1 / 96)]
+
+
+@pytest.mark.parametrize("body, h", SUITE_LAMBDA1_RASTERS)
+def test_lambda1_lies_in_a_singly_odd_class(body, h):
+    # Cor 4.2(i) and Courant's nodal domain theorem: the suite's lambda_1 rule,
+    # the lowest value of the singly-odd classes that it solves, is the second
+    # value of the whole class spectrum, to the bit
+    grid = rasterize(body, h)
+    classes = class_eigenpairs(grid, 4)
+    solved = [(False, True)] + ([] if grid.swap_symmetric else [(True, False)])
+    rule = min(classes[odd][0].value for odd in solved)
+    assert rule == sorted(p.value for pairs in classes.values() for p in pairs)[1]
+
+
 def test_flip_class_extension_and_operator():
     grid = rasterize(BodySpec.euclidean_ball(2), 1 / 32)
     x, y = grid.centers()
@@ -327,9 +345,11 @@ def test_each_lattice_solve_factors_once_through_the_helper(monkeypatch):
     monkeypatch.setattr(spectral.spl, "eigsh", recorded_eigsh)
     monkeypatch.setattr(spectral, "rasterize", recorded_rasterize)
     suites.spectral_suite(20250810)
-    # one per eigen solve: 3 flip classes of the 10 swap-symmetric rasters (the
-    # 4th is swapped from its twin), 4 of the rectangle, and 3 whole rasters
-    assert len(factored) == len(opinv) == 3 * 10 + 4 + 3
+    # one per eigen solve: 3 flip classes of the 5 rasters whose full spectrum is
+    # read (the 4th is swapped from its twin), the class odd in y alone of the 5
+    # swap-symmetric rasters read for lambda_1 alone, both singly-odd classes of
+    # the rectangle, and 3 whole rasters
+    assert len(factored) == len(opinv) == 3 * 5 + 5 + 2 + 3
     assert all(opinv)  # so eigsh factors nothing of its own
     assert not any(generalized)  # standard mode: no products with M
     assert len(rastered) == len(set(rastered)) == 11  # each (body, h) once
