@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Regenerate tests/golden/spectral.csv: the spectral suite's report.csv at
-seed 20250810, which test_acceptance.py compares against the current code.
+"""Regenerate the golden reports in tests/golden: the report.csv of each suite
+in GOLDEN at its CLI defaults (seed 20250810), which test_acceptance.py
+compares against the current code.
 
 Run it when a change moves report rows by design, and list the moved rows with
 their old and new values in CHANGES.md."""
@@ -8,16 +9,20 @@ their old and new values in CHANGES.md."""
 import sys
 from pathlib import Path
 
+from thinshell.cli import SUITES, default_config
 from thinshell.reporting import render_csv
-from thinshell.suites import spectral_suite
 
-GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden" / "spectral.csv"
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "golden"
+# each suite here is written to tests/golden/<suite>.csv
+GOLDEN = ("thinshell", "berry_esseen", "spectral")
 
 
 def main() -> int:
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(render_csv(spectral_suite(20250810).rows))
-    print(f"wrote {GOLDEN}")
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for suite in GOLDEN:
+        path = GOLDEN_DIR / f"{suite}.csv"
+        path.write_text(render_csv(SUITES[suite](default_config(suite)).rows))
+        print(f"wrote {path}")
     return 0
 
 

@@ -15,14 +15,13 @@ overwhelming probability (a collision of two keys has probability about
 2^-128), not by construction as distinct Philox keys do.  Seeds outside
 [0, 2^64) raise ``InvalidSeedError`` instead of aliasing a seed modulo 2^64.
 
-Within a block the cube fills its rows in order.  Every other body is drawn
-in chunks of ``_chunk_rows(n)`` rows, the most of 256 * 2^k rows that fit in
-2^15 floats and divide ``BLOCK`` (256 rows at n > 64): each chunk draws its
+A block is drawn in chunks of ``_chunk_rows(n)`` rows, the most of 256 * 2^k
+rows that fit in 2^15 floats and divide ``BLOCK`` (256 rows at n > 64).  The
+cube fills each chunk's rows in order.  Every other body draws each chunk's
 coordinates g, then one standard exponential per row.  The ball's g are
 standard normals; the l1 ball's are Laplace, standard exponentials with a sign
 from a uniform drawn after them; at any other p, g = V Y^(1/p) with
-Y ~ Gamma(1 + 1/p) and V ~ U(-1, 1) drawn after Y.  Tiles are whole chunks,
-so a block drawn tile by tile gives the rows of a block drawn whole.
+Y ~ Gamma(1 + 1/p) and V ~ U(-1, 1) drawn after Y.
 
 Named streams, ``substream(seed, stream)``, stay on Philox keyed by
 (seed, stream): the suites' non-block draws (the clt oracle's instances at
@@ -117,13 +116,18 @@ def _draw_id(body: BodySpec) -> tuple[int, int, int]:
     return _KIND_IDS[body.kind], p_bits, body.dim
 
 
-# every draw but the cube's runs in chunks of _chunk_rows(n) rows: 256 * 2^k
-# rows, with k the largest value that keeps the chunk within _CHUNK_FLOATS
-# floats (256 KiB) and a divisor of BLOCK, and never fewer than 256 rows.  The
-# chunk and its scratch stay in cache while the draw makes its passes over
-# them, and each numpy call gets at least 2^14 floats at any n: with chunks of
-# 256 rows, numpy's per-call cost made a coordinate 2 to 4 times dearer at
-# n = 4 than at n = 128.
+# every draw runs in chunks of _chunk_rows(n) rows: 256 * 2^k rows, with k the
+# largest value that keeps the chunk within _CHUNK_FLOATS floats (256 KiB) and a
+# divisor of BLOCK, and never fewer than 256 rows.  The chunk and its scratch
+# stay in cache while the draw makes its passes over them, and each numpy call
+# gets at least 2^14 floats at any n: with chunks of 256 rows, numpy's per-call
+# cost made a coordinate 2 to 4 times dearer at n = 4 than at n = 128.  Chunks,
+# and so the visits of ``for_each_block``, start at multiples of 256 rows
+# because OpenBLAS gemv can round a row differently with the call's row count
+# and the row's offset: B[s:s+k] @ a differed from (B @ a)[s:s+k] only at k in
+# {1, 3, 255, 4095} in a scan of 192 (n, k, s) cases, never at k in {1000,
+# 1024, 1696}; visits on 256-row boundaries keep the whole block's row groups
+# and alignment, so their reductions give the same bits.
 _CHUNK_FLOATS = 1 << 15
 
 
@@ -135,37 +139,18 @@ def _chunk_rows(dim: int) -> int:
     return rows
 
 
-# a block is drawn and visited in tiles of _tile_rows(n) rows, the largest
-# multiple of the chunk with at most _TILE_FLOATS floats (2 MiB), at least one
-# chunk and at most BLOCK, so a drawing thread holds a cache-sized tile
-# instead of a BLOCK x n block.  The tiles start at multiples of 256 rows
-# because OpenBLAS gemv can round a row differently with the call's row count
-# and the row's offset: B[s:s+k] @ a differed from (B @ a)[s:s+k] only at k in
-# {1, 3, 255, 4095} in a scan of 192 (n, k, s) cases, never at k in {1000,
-# 1024, 1696}; tiles on 256-row boundaries keep the whole block's row groups
-# and alignment, so the visits' reductions give the same bits.  The chunked
-# draws consume their stream chunk by chunk, and a tile is whole chunks, so
-# the chunks of a tiled draw are those of a whole-block draw.
-_TILE_FLOATS = 1 << 18
-
-
-def _tile_rows(dim: int) -> int:
-    """Rows per tile of a draw in ``dim`` dimensions."""
-    chunk = _chunk_rows(dim)
-    return min(BLOCK, max(chunk, _TILE_FLOATS // dim // chunk * chunk))
-
-
 def _scratch(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The chunked draws' scratch: a chunk x n array and a 2 x chunk array of
-    per-row values."""
+    """The scratch of every draw but the cube's: a chunk x n array and a
+    2 x chunk array of per-row values."""
     chunk = _chunk_rows(dim)
     return np.empty((chunk, dim)), np.empty((2, chunk))
 
 
-def _draw_exact_block(body: BodySpec, rng: np.random.Generator, x: np.ndarray,
-                      scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Fill the m x n array ``x`` with m draws from ``body`` and return it;
-    every body but the cube overwrites ``scratch``, from ``_scratch(n)``."""
+def _draw_chunk(body: BodySpec, rng: np.random.Generator, x: np.ndarray,
+                scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Fill the m x n array ``x``, m at most ``_chunk_rows(n)``, with m draws
+    from ``body`` and return it; every body but the cube overwrites
+    ``scratch``, from ``_scratch(n)``."""
     m = x.shape[0]
     scale = body.scale_array
     p = body.exponent
@@ -178,41 +163,37 @@ def _draw_exact_block(body: BodySpec, rng: np.random.Generator, x: np.ndarray,
     # Naor 2005): if the g_i have density prop. to exp(-|g|^p) and E is standard
     # exponential, x = g / (sum |g_j|^p + E)^(1/p) is uniform on the ball
     v, per_row = scratch
-    chunk = v.shape[0]
-    for c in range(0, m, chunk):
-        g = x[c:c + chunk]
-        k = g.shape[0]
-        w, power_sum, e = v[:k], per_row[0, :k], per_row[1, :k]
-        if p == 2.0:
-            # g = z / sqrt 2 with z standard normal, so x = z / (sum z_j^2 + 2 E)^(1/2)
-            rng.standard_normal(out=g)
-            np.einsum("ij,ij->i", g, g, out=power_sum)
-        elif p == 1.0:
-            # Laplace coordinates: |g_i| standard exponential, then a fair sign
-            # from U - 1/2, whose 2^53 values are half negative
-            rng.standard_exponential(out=g)
-            np.einsum("ij->i", g, out=power_sum)
-            rng.random(out=w)
-            w -= 0.5
-            np.copysign(g, w, out=g)
-        else:
-            # g_i = V_i Y_i^(1/p), Y_i ~ Gamma(1 + 1/p), V_i ~ U(-1, 1)
-            rng.standard_gamma(1.0 + 1.0 / p, out=g)
-            rng.random(out=w)
-            w *= 2.0
-            w -= 1.0
-            np.power(g, 1.0 / p, out=g)
-            g *= w
-            np.abs(g, out=w)
-            np.power(w, p, out=w)
-            np.einsum("ij->i", w, out=power_sum)
-        rng.standard_exponential(out=e)
-        if p == 2.0:
-            e *= 2.0
-        power_sum += e
-        np.power(power_sum, -1.0 / p, out=power_sum)
-        g *= power_sum[:, None]
-        g *= scale
+    g, w, power_sum, e = x, v[:m], per_row[0, :m], per_row[1, :m]
+    if p == 2.0:
+        # g = z / sqrt 2 with z standard normal, so x = z / (sum z_j^2 + 2 E)^(1/2)
+        rng.standard_normal(out=g)
+        np.einsum("ij,ij->i", g, g, out=power_sum)
+    elif p == 1.0:
+        # Laplace coordinates: |g_i| standard exponential, then a fair sign
+        # from U - 1/2, whose 2^53 values are half negative
+        rng.standard_exponential(out=g)
+        np.einsum("ij->i", g, out=power_sum)
+        rng.random(out=w)
+        w -= 0.5
+        np.copysign(g, w, out=g)
+    else:
+        # g_i = V_i Y_i^(1/p), Y_i ~ Gamma(1 + 1/p), V_i ~ U(-1, 1)
+        rng.standard_gamma(1.0 + 1.0 / p, out=g)
+        rng.random(out=w)
+        w *= 2.0
+        w -= 1.0
+        np.power(g, 1.0 / p, out=g)
+        g *= w
+        np.abs(g, out=w)
+        np.power(w, p, out=w)
+        np.einsum("ij->i", w, out=power_sum)
+    rng.standard_exponential(out=e)
+    if p == 2.0:
+        e *= 2.0
+    power_sum += e
+    np.power(power_sum, -1.0 / p, out=power_sum)
+    g *= power_sum[:, None]
+    g *= scale
     return x
 
 
@@ -236,28 +217,32 @@ def _usable_cores() -> int:
 
 
 def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
-    """Yield the exact-sampler rows in their canonical BLOCK-sized chunks."""
+    """Yield the exact-sampler rows in their canonical blocks of BLOCK rows."""
     if count < 1:
         raise ValueError("count must be >= 1")
     scratch = _scratch(body.dim)
+    chunk = _chunk_rows(body.dim)
     for _, m, rng in _blocks(count, seed, _draw_id(body)):
-        yield _draw_exact_block(body, rng, np.empty((m, body.dim)), scratch)
+        block = np.empty((m, body.dim))
+        for c in range(0, m, chunk):
+            _draw_chunk(body, rng, block[c:c + chunk], scratch)
+        yield block
 
 
 def for_each_block(body: BodySpec, count: int, seed: int,
                    visit: Callable[[slice, np.ndarray], None]) -> None:
     """Draw the rows of ``exact_blocks`` on up to one thread per usable core and
-    call ``visit(rows, tile)`` in the thread that drew each tile, in no fixed
-    order.  ``rows`` is the tile's slice of the count-row draw: it lies within
-    one block and holds ``_tile_rows(n)`` rows, fewer at the block's end.
-    ``tile`` is a per-thread buffer that the next draw overwrites, so it is
+    call ``visit(rows, chunk)`` in the thread that drew each chunk, in no fixed
+    order.  ``rows`` is the chunk's slice of the count-row draw: it lies within
+    one block and holds ``_chunk_rows(n)`` rows, fewer at the block's end.
+    ``chunk`` is a per-thread buffer that the next draw overwrites, so it is
     valid only during the call, and ``visit`` may change it.  ``visit`` runs
     concurrently with itself, so it should write only to its own rows of shared
     arrays."""
     if count < 1:
         raise ValueError("count must be >= 1")
     blocks = _blocks(count, seed, _draw_id(body))
-    tile = _tile_rows(body.dim)
+    chunk = _chunk_rows(body.dim)
     lock = threading.Lock()
 
     def work(buffer: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> None:
@@ -267,12 +252,9 @@ def for_each_block(body: BodySpec, count: int, seed: int,
             if item is None:
                 return
             start, m, rng = item
-            # the cube fills rows in order and every other body whole chunks,
-            # which tiles hold whole, so drawing a block tile by tile from its
-            # generator gives its rows
-            for t in range(start, start + m, tile):
-                k = min(tile, start + m - t)
-                visit(slice(t, t + k), _draw_exact_block(body, rng, buffer[:k], scratch))
+            for c in range(start, start + m, chunk):
+                k = min(chunk, start + m - c)
+                visit(slice(c, c + k), _draw_chunk(body, rng, buffer[:k], scratch))
 
     # one thread per usable core and at most one per two blocks, so a draw of
     # fewer than 4 * BLOCK rows starts no pool
@@ -280,7 +262,7 @@ def for_each_block(body: BodySpec, count: int, seed: int,
     # allocated in the calling thread, scratch and per-row values too: buffers
     # allocated in the drawing threads come from per-thread malloc arenas,
     # which kept more memory resident (families peak RSS 138-157 MB against 119 MB)
-    buffers = [(np.empty((min(tile, count), body.dim)), _scratch(body.dim))
+    buffers = [(np.empty((min(chunk, count), body.dim)), _scratch(body.dim))
                for _ in range(threads)]
     if threads == 1:
         work(*buffers[0])
@@ -305,6 +287,9 @@ def counterexample_marginal(n: int, count: int, theta: np.ndarray, seed: int) ->
     uniform on 0..n-1 and U is uniform on [-sqrt(3n), sqrt(3n)], so E X_i^2 = 1
     and at most one coordinate of X is nonzero.  Sampled without the n columns."""
     theta = np.asarray(theta, dtype=float)
+    if n < 1 or count < 1 or theta.shape != (n,):
+        raise ValueError(f"need n >= 1, count >= 1 and theta of shape ({n},), got "
+                         f"n = {n}, count = {count} and shape {theta.shape}")
     half = math.sqrt(3.0 * n)
     out = np.empty(count)
     for start, m, rng in _blocks(count, seed, (_COUNTEREXAMPLE_ID, 0, n)):

@@ -59,7 +59,7 @@ class DiscreteMeasure:
     """
 
     support: np.ndarray          # (N, d); a 1D array is read as (N, 1)
-    weights: np.ndarray          # (N,), nonnegative
+    weights: np.ndarray          # (N,), finite and nonnegative
     spacing: float | None = None
 
     def __post_init__(self):
@@ -72,8 +72,10 @@ class DiscreteMeasure:
             raise ValueError("support must be an (N, d) array with d in {1, 2}")
         if self.weights.shape != (s.shape[0],):
             raise ValueError("one weight per support point required")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("support points must be finite")
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
+            raise ValueError("weights must be finite and nonnegative")
 
     @property
     def dim(self) -> int:

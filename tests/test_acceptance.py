@@ -223,7 +223,7 @@ def test_c12_lattice_suites_rerun_byte_identical(spectral_result, transport_resu
 def _golden_tolerance(key: str, row_value: float) -> dict:
     """math.isclose tolerances of a float field of a golden row, by its extra key.
 
-    Two fields are rounding noise.  A change of the disc's cut-cell fractions
+    Two spectral fields are rounding noise.  A change of the disc's cut-cell fractions
     below 2.9e-12 moved the eigen residuals, 8e-13 to 4.7e-12, by up to 5.8%
     while no eigenvalue moved by more than 1.7e-15 relative; and it moved the
     Richardson order, log2 of a ratio of differences some 6,000x smaller than
@@ -247,10 +247,13 @@ def _golden_match(want, got, tol: dict) -> bool:
     return type(want) is type(got) and want == got
 
 
-def test_c12_spectral_report_matches_its_golden_file(spectral_result):
-    # integer and text fields exactly, floats to 1e-12 relative but for the noise above
-    want = list(csv.reader((GOLDEN / "spectral.csv").read_text().splitlines()))
-    got = list(csv.reader(render_csv(spectral_result.rows).splitlines()))
+@pytest.mark.parametrize("suite", ["thinshell", "berry_esseen", "spectral"])
+def test_c12_report_matches_its_golden_file(request, suite):
+    # integer and text fields exactly, floats to 1e-12 relative but for the noise
+    # above; the suite fixtures' configs are the CLI defaults the files are written at
+    want = list(csv.reader((GOLDEN / f"{suite}.csv").read_text().splitlines()))
+    result = request.getfixturevalue(f"{suite}_result")
+    got = list(csv.reader(render_csv(result.rows).splitlines()))
     assert got[0] == want[0] and len(got) == len(want)
     moved = []
     for w, g in zip(want[1:], got[1:]):
@@ -262,7 +265,7 @@ def test_c12_spectral_report_matches_its_golden_file(spectral_result):
                 and all(_golden_match(w_extra[k], g_extra[k], _golden_tolerance(k, value))
                         for k in w_extra)):
             moved.append((w, g))
-    _report("12 spectral report.csv matches tests/golden/spectral.csv", not moved,
+    _report(f"12 {suite} report.csv matches tests/golden/{suite}.csv", not moved,
             f"{len(want) - 1} rows, {len(moved)} moved")
     assert not moved
 

@@ -104,27 +104,28 @@ def _row_prints(x):
     return (x.view(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
 
 
-# blocks of 2048 rows (8 tiles of 256) keep the seven-block draws small at
-# n = 1100; the row identity of a tile does not depend on the block size, and
-# the cube at n = 300 checks the real BLOCK
+# blocks of 2048 rows (8 chunks of 256 at n = 300 and 1100, one chunk at n = 1
+# and 7) keep the seven-block draws small at n = 1100; the row identity of a
+# chunk does not depend on the block size, and the cube at n = 300 checks the
+# real BLOCK
 @pytest.mark.parametrize("kind, p, n, block", [
     (kind, p, n, 2048) for kind, p in GOLDEN_STREAMS for n in (1, 7, 300, 1100)]
     + [("cube", None, 300, BLOCK)])
 def test_tiles_visit_the_exact_rows_at_every_thread_count(monkeypatch, kind, p, n, block):
     monkeypatch.setattr(sampler, "BLOCK", block)
     body = isotropic_body(kind, n, p)
-    tile = sampler._tile_rows(n)
-    # seven blocks; the last spans a whole tile and one of 333 rows, where
-    # tiles are shorter than blocks
-    count = 6 * block + tile + 333
-    want = np.concatenate([_row_prints(block) for block in exact_blocks(body, count, SEED)])
+    chunk = sampler._chunk_rows(n)
+    # six whole blocks, then a whole chunk and 333 rows: where chunks are
+    # shorter than blocks, the last block ends in a short chunk
+    count = 6 * block + chunk + 333
+    want = np.concatenate([_row_prints(x) for x in exact_blocks(body, count, SEED)])
     for threads in (1, 3):
         monkeypatch.setattr(sampler, "_usable_cores", lambda: threads)
         got = np.zeros_like(want)
         visits = []
 
-        def visit(rows, block):
-            got[rows] = _row_prints(block)
+        def visit(rows, x):
+            got[rows] = _row_prints(x)
             visits.append((rows.start, rows.stop))
 
         for_each_block(body, count, SEED, visit)
@@ -133,20 +134,20 @@ def test_tiles_visit_the_exact_rows_at_every_thread_count(monkeypatch, kind, p, 
         assert [v[0] for v in visits] == [0] + [v[1] for v in visits[:-1]]
         assert visits[-1][1] == count
         for start, stop in visits:
-            assert stop - start <= max(256, 2 ** 18 // n) and start % block % 256 == 0
-            assert (stop - 1) // block == start // block
+            # a whole chunk, or the rest of the visit's block
+            block_end = min(count, (start // block + 1) * block)
+            assert start % block % chunk == 0 and stop == min(start + chunk, block_end)
 
 
 @pytest.mark.parametrize("block", [BLOCK, 2048, 768])
 def test_chunks_split_tiles_and_blocks(monkeypatch, block):
-    # whole-block and tiled draws consume a block's stream chunk by chunk, so
-    # both give the same rows only if every tile is whole chunks
+    # every draw consumes a block's stream chunk by chunk, and its visits start
+    # on 256-row boundaries, so chunks are 256 * 2^k rows that split each block
     monkeypatch.setattr(sampler, "BLOCK", block)
     for n in [*range(1, 301), 2048]:
-        chunk, tile = sampler._chunk_rows(n), sampler._tile_rows(n)
-        assert chunk % 256 == 0 and block % chunk == 0 and tile % chunk == 0, n
+        chunk = sampler._chunk_rows(n)
+        assert chunk % 256 == 0 and block % chunk == 0, n
         assert chunk * n <= 2 ** 15 or chunk == 256, n
-        assert tile <= block and (tile * n <= 2 ** 18 or tile == chunk), n
         assert chunk == block or 2 * chunk * n > 2 ** 15 or block % (2 * chunk), n
     if block == BLOCK:  # the most rows of 256 * 2^k within 2^15 floats, up to BLOCK
         assert [sampler._chunk_rows(n) for n in (1, 2, 4, 5, 64, 128)] == [
@@ -163,8 +164,8 @@ sampler._usable_cores = lambda: 2
 count = 4 * sampler.BLOCK
 sums = np.empty(count)
 
-def visit(rows, tile):
-    sums[rows] = tile.sum(axis=1)
+def visit(rows, chunk):
+    sums[rows] = chunk.sum(axis=1)
 
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 sampler.for_each_block(isotropic_body(sys.argv[1], 2048), count, 0, visit)
@@ -174,7 +175,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 
 @pytest.mark.parametrize("kind", ["cube", "euclidean_ball"])
 def test_a_wide_draw_holds_tiles_not_blocks(tmp_path, kind):
-    # one block is 256 MiB at n = 2048; two threads of 256-row tiles hold 8 MiB
+    # one block is 256 MiB at n = 2048; two threads, each with a 256-row chunk
+    # and its scratch, hold 16 MiB
     src = str(Path(sampler.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", _WIDE_DRAW, kind], env=env, cwd=tmp_path,
@@ -245,7 +247,7 @@ def test_seeds_outside_64_bits_are_rejected(seed):
     # masked to 64 bits, 2^64 drew seed 0's rows and -1 those of 2^64 - 1
     body = isotropic_body("euclidean_ball", 3)
     for draw in (lambda: sample_exact(body, 10, seed),
-                 lambda: for_each_block(body, 10, seed, lambda rows, tile: None),
+                 lambda: for_each_block(body, 10, seed, lambda rows, chunk: None),
                  lambda: counterexample_marginal(3, 10, np.ones(3), seed),
                  lambda: substream(seed, 1),
                  lambda: SampleMatrix(np.zeros((1, 3)), body, seed)):
@@ -435,6 +437,16 @@ def test_counterexample_marginal_stream_matches_rows():
     theta = np.full(8, 1 / math.sqrt(8))
     rows = counterexample_rows(8, 4000, seed=SEED)
     assert np.allclose(counterexample_marginal(8, 4000, theta, seed=SEED), rows @ theta)
+
+
+@pytest.mark.parametrize("n, count, theta", [
+    (8, 10, np.ones(7)), (8, 10, np.ones(9)), (8, 10, np.ones((8, 1))),
+    (0, 10, np.ones(0)), (8, 0, np.ones(8)), (8, -1, np.ones(8))])
+def test_counterexample_marginal_rejects_bad_inputs(n, count, theta):
+    # a short theta raised IndexError, a long one drew from another law, and
+    # n = 0 and count < 0 reached numpy's own messages
+    with pytest.raises(ValueError, match="need n >= 1, count >= 1 and theta of shape"):
+        counterexample_marginal(n, count, theta, SEED)
 
 
 def test_estimate_second_moments_matches_analytic():

@@ -75,7 +75,7 @@ def test_each_body_and_dimension_is_drawn_once(monkeypatch):
 
 def _reports_at(monkeypatch, threads):
     """thinshell and berry_esseen report.csv text with the drawing pool at
-    ``threads`` threads, and the block of each visited tile in visit order.
+    ``threads`` threads, and the block of each visited chunk in visit order.
     With more than one thread, each draw's first block is reduced last."""
     monkeypatch.setattr(smp, "_usable_cores", lambda: threads)
     orders = []
@@ -87,11 +87,11 @@ def _reports_at(monkeypatch, threads):
         lock = threading.Lock()
         others_done = threading.Event()
 
-        def late_first(rows, tile):
+        def late_first(rows, chunk):
             block = rows.start // smp.BLOCK
             if block == 0 and threads > 1:
                 assert others_done.wait(timeout=30)
-            visit(rows, tile)
+            visit(rows, chunk)
             order.append(block)
             if block > 0:
                 with lock:
@@ -104,7 +104,7 @@ def _reports_at(monkeypatch, threads):
 
     monkeypatch.setattr(smp, "for_each_block", first_block_last)
     # seven blocks, the last one short: the fewest rows that three threads draw;
-    # at n = 32 each block is two tiles
+    # at n = 32 each block is 16 chunks
     count = 6 * smp.BLOCK + 500
     thin = thinshell_suite([CUBE, BALL, L1_BALL, BodyTemplate("lp_ball", 3.0)], [4, 16],
                            count, SEED, shell_n=(16, 32))
@@ -118,14 +118,14 @@ def test_reports_do_not_depend_on_the_thread_count(monkeypatch):
     assert thin1 == thin3
     assert be1 == be3
     assert len(orders1) == len(orders3) == 12  # 11 thinshell draws, 1 cube marginal
-    assert any(len(order) > 7 for order in orders1)  # some blocks span several tiles
+    assert any(len(order) > 7 for order in orders1)  # some blocks span several chunks
     assert all(order == sorted(order) and set(order) == set(range(7)) for order in orders1)
     for order in orders3:
         first = order.index(0)
         assert set(order) == set(range(7)) and set(order[first:]) == {0}
 
 
-def _tiled_reports(count):
+def _visited_reports(count):
     thin = thinshell_suite([CUBE, L1_BALL, BALL], [64, 300], count, SEED, shell_n=(300,),
                            shell_templates=(CUBE, L1_BALL, BALL))
     be = berry_esseen_suite(SEED, cube_ns=(300,), counter_ns=(16,), samples=count)
@@ -133,12 +133,20 @@ def _tiled_reports(count):
 
 
 def test_reports_do_not_depend_on_the_tile_rows(monkeypatch):
-    # at n = 300 a block is drawn in tiles of 768 rows; the second block is a
-    # whole tile and one of 333 rows, which whole-block draws visit at once
-    count = smp.BLOCK + smp._tile_rows(300) + 333
-    tiled = _tiled_reports(count)
-    monkeypatch.setattr(smp, "_tile_rows", lambda dim: smp.BLOCK)
-    assert _tiled_reports(count) == tiled
+    # for_each_block visits chunks, of 512 rows at n = 64 and 256 at n = 300,
+    # and the second block ends in a short one; the gemv reductions of these
+    # visits must give the bits of whole-block visits
+    count = smp.BLOCK + smp._chunk_rows(300) + 333
+    chunked = _visited_reports(count)
+
+    def whole_blocks(body, count, seed, visit):
+        start = 0
+        for block in smp.exact_blocks(body, count, seed):
+            visit(slice(start, start + block.shape[0]), block)
+            start += block.shape[0]
+
+    monkeypatch.setattr(smp, "for_each_block", whole_blocks)
+    assert _visited_reports(count) == chunked
 
 
 def _thinshell_peak_mb():

@@ -134,6 +134,17 @@ def test_w2_assignment_rejects_bad_inputs():
         w2_assignment(mu, nu2)
 
 
+@pytest.mark.parametrize("support, weights", [
+    ([0.0, 1.0], [math.nan, 1.0]), ([0.0, 1.0], [math.inf, 1.0]),
+    ([0.0, math.nan], [0.5, 0.5]), ([0.0, -math.inf], [0.5, 0.5])])
+def test_measures_reject_non_finite_values(support, weights):
+    # np.any(w < 0) is False for a NaN weight, and w2_1d passed such a measure's
+    # NaN mass and dropped its atom: weights [nan, 1] on {0, 1} read 0.707 from the
+    # uniform measure there
+    with pytest.raises(ValueError, match="must be finite"):
+        DiscreteMeasure(np.array(support), np.array(weights))
+
+
 def test_w2_assignment_never_below_quantile_coupling():
     rng = np.random.default_rng(17)
     for _ in range(5):
