@@ -139,18 +139,20 @@ def _chunk_rows(dim: int) -> int:
     return rows
 
 
-def _scratch(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The scratch of every draw but the cube's: a chunk x n array and a
-    2 x chunk array of per-row values."""
-    chunk = _chunk_rows(dim)
-    return np.empty((chunk, dim)), np.empty((2, chunk))
+def _scratch(body: BodySpec) -> tuple[np.ndarray, np.ndarray] | None:
+    """The scratch of a draw from ``body``: a chunk x n array and a 2 x chunk
+    array of per-row values, or None for the cube, whose draw needs none."""
+    if body.exponent is None:
+        return None
+    chunk = _chunk_rows(body.dim)
+    return np.empty((chunk, body.dim)), np.empty((2, chunk))
 
 
 def _draw_chunk(body: BodySpec, rng: np.random.Generator, x: np.ndarray,
-                scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                scratch: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """Fill the m x n array ``x``, m at most ``_chunk_rows(n)``, with m draws
     from ``body`` and return it; every body but the cube overwrites
-    ``scratch``, from ``_scratch(n)``."""
+    ``scratch``, from ``_scratch(body)``."""
     m = x.shape[0]
     scale = body.scale_array
     p = body.exponent
@@ -220,7 +222,7 @@ def exact_blocks(body: BodySpec, count: int, seed: int) -> Iterator[np.ndarray]:
     """Yield the exact-sampler rows in their canonical blocks of BLOCK rows."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    scratch = _scratch(body.dim)
+    scratch = _scratch(body)
     chunk = _chunk_rows(body.dim)
     for _, m, rng in _blocks(count, seed, _draw_id(body)):
         block = np.empty((m, body.dim))
@@ -245,7 +247,7 @@ def for_each_block(body: BodySpec, count: int, seed: int,
     chunk = _chunk_rows(body.dim)
     lock = threading.Lock()
 
-    def work(buffer: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    def work(buffer: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None) -> None:
         while True:
             with lock:
                 item = next(blocks, None)
@@ -262,7 +264,7 @@ def for_each_block(body: BodySpec, count: int, seed: int,
     # allocated in the calling thread, scratch and per-row values too: buffers
     # allocated in the drawing threads come from per-thread malloc arenas,
     # which kept more memory resident (families peak RSS 138-157 MB against 119 MB)
-    buffers = [(np.empty((min(chunk, count), body.dim)), _scratch(body.dim))
+    buffers = [(np.empty((min(chunk, count), body.dim)), _scratch(body))
                for _ in range(threads)]
     if threads == 1:
         work(*buffers[0])

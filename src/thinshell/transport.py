@@ -2,7 +2,8 @@
 and the fiberwise monotone perturbation map.
 
 W2 between 1D discrete measures is evaluated exactly through merged quantile
-functions; small equal-weight clouds go through an exact assignment solve.
+functions; small equal-weight clouds go through an exact assignment solve, a
+shortest-augmenting-path method in numpy.
 The dual norm ||u||_{H^-1(mu)} is sqrt of the inner product that a weighted
 Neumann-graph Poisson solve induces.  On 1D grid measures (path-graph
 Laplacian, ``spectral.graph_laplacian``) CG preconditioned by the grounded LU
@@ -125,8 +126,65 @@ def w2_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return math.sqrt(float(np.sum(seg * (x1[i] - x2[j]) ** 2)))
 
 
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """The column of each row in a least-cost assignment of the square matrix
+    ``cost``, by shortest augmenting paths (Kuhn 1955; Jonker and Volgenant
+    1987).
+
+    Column minima give the first duals v and a partial assignment.  Each free
+    row then runs Dijkstra over the columns on the reduced costs
+    c_ij - u_i - v_j, which the duals keep nonnegative and zero on assigned
+    pairs, until it reaches a free column; the duals move by each scanned
+    column's slack and the path is flipped.  Each scan stores its row of path
+    lengths, so the predecessor of a column is the first scan that reached
+    its shortest length.
+    """
+    n = cost.shape[0]
+    v = cost.min(axis=0)
+    u = np.zeros(n)
+    row4col, col4row = np.full(n, -1), np.full(n, -1)
+    for j, i in enumerate(cost.argmin(axis=0)):
+        if col4row[i] < 0:
+            col4row[i], row4col[j] = j, i
+    reach = np.empty((n, n))
+    for start in np.flatnonzero(col4row < 0):
+        shortest = np.full(n, math.inf)
+        open_v = v.copy()  # -inf on scanned columns, so no later scan reaches them
+        rows, cols, dist = [], [], []
+        low, i = 0.0, start
+        while True:
+            r = reach[len(rows)]
+            np.subtract(cost[i], open_v, out=r)
+            r += low - u[i]
+            rows.append(i)
+            np.minimum(shortest, r, out=shortest)
+            j = int(shortest.argmin())
+            low = float(shortest[j])
+            cols.append(j)
+            dist.append(low)
+            shortest[j], open_v[j] = math.inf, -math.inf
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[start] += low
+        scanned = np.array(cols[:-1], dtype=np.intp)
+        slack = low - np.array(dist[:-1])
+        v[scanned] -= slack
+        u[row4col[scanned]] += slack
+        while True:  # flip the path back from the free column j
+            i = rows[int(reach[:len(rows), j].argmin())]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
+
+
 def w2_assignment(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact optimal assignment W2 for equal-size, equal-weight atom clouds."""
+    """Exact optimal assignment W2 for equal-size, equal-weight atom clouds.
+
+    The squared-distance cost matrix goes through ``_assignment``, an exact
+    solver in numpy, so the check loads no ``scipy.optimize``."""
     if mu.support.shape[0] != nu.support.shape[0]:
         raise ValueError("w2_assignment requires equally many atoms")
     if abs(mu.mass - nu.mass) > _MASS_TOL * max(1.0, mu.mass):
@@ -134,11 +192,9 @@ def w2_assignment(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     for m in (mu, nu):
         if np.max(np.abs(m.weights - m.mass / m.weights.size)) > 1e-9 * m.mass:
             raise ValueError("w2_assignment requires equal-weight atoms")
-    from scipy.optimize import linear_sum_assignment  # loaded by this check alone
-
     cost = ((mu.support[:, None] - nu.support[None]) ** 2).sum(-1)
-    rows, cols = linear_sum_assignment(cost)
-    return math.sqrt(float(mu.mass / cost.shape[0] * cost[rows, cols].sum()))
+    n = cost.shape[0]
+    return math.sqrt(float(mu.mass / n * cost[np.arange(n), _assignment(cost)].sum()))
 
 
 # -- monotone fiber transport ----------------------------------------------------
@@ -183,10 +239,12 @@ def monotone_transport_1d(psi: Callable, p: float, q: float, epsilon: float) -> 
     """Monotone map pushing the density 1 + eps Psi' on [p, q] to Lebesgue.
 
     Requires Psi(p) = Psi(q) (so the perturbation preserves mass on the fiber)
-    and eps small enough that the perturbed density stays positive.
+    and a finite eps small enough that the perturbed density stays positive.
     """
     if q <= p:
         raise ValueError("need p < q")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     psi_v = lambda x: np.asarray(psi(np.asarray(x, dtype=float)), dtype=float)
     scale = 1.0 + float(np.max(np.abs(psi_v(np.linspace(p, q, 64)))))
     if abs(float(psi_v(p)) - float(psi_v(q))) > _ENDPOINT_TOL * scale:
@@ -341,36 +399,42 @@ def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[Variance
     one raster of a 2D convex body.
 
     Each f is a vectorized callable f(x, y) evaluated at the cell centers,
-    even in every coordinate to 1e-12 of max |f| (else NotEvenError).
-    Gradients are central differences, one-sided at the edge of the raster,
-    so d_i f lies in the flip class odd in x_i alone, whose operator is
-    nonsingular: one LU and a direct solve per f.  On a raster symmetric under
-    x <-> y (equal half-widths) the class odd in y alone is the swap of the
-    class odd in x alone, so its one LU serves d_y f too, swapped: one
-    factorization in all.  The measure gives each cell
-    alpha h^2, the part of it inside the body, and the Dirichlet form is the
-    spectral operator's, so ||u||^2 = h^2 (alpha u)^T K^-1 (alpha u).
+    even in every coordinate to 1e-12 of max |f| (else NotEvenError, raised
+    before any factorization).  Gradients are central differences, one-sided
+    at the edge of the raster, so d_i f lies in the flip class odd in x_i
+    alone, whose operator is nonsingular: one LU per class and a direct solve
+    per f and axis.  On a raster symmetric under x <-> y (equal half-widths)
+    the class odd in y alone is the swap of the class odd in x alone, so its
+    one LU serves d_y f too, swapped: one factorization in all.  Every LU is
+    made before the first gradient, and each f's gradient is dropped once its
+    solves are done, so the factorization runs next to no gradient and the
+    solves next to one.  The measure gives each cell alpha h^2, the part of it
+    inside the body, and the Dirichlet form is the spectral operator's, so
+    ||u||^2 = h^2 (alpha u)^T K^-1 (alpha u).
     """
     grid = spectral.rasterize(body2d, h)
     centers, d = grid.centers(), grid.mask.ndim
     cell = h ** d
     w = grid.alpha * cell
     vals = [np.broadcast_to(np.asarray(f(*centers), dtype=float), w.shape) for f in fs]
-    grads = [grid.gradient(v) for v in vals]
-    swap = grid.swap() if grid.swap_symmetric else None
-    bounds = np.zeros(len(fs))
     for axis in range(d):
         mirror = grid.flip(axis)
         if any(np.max(np.abs(v - v[mirror])) > 1e-12 * np.max(np.abs(v)) for v in vals):
             raise NotEvenError(f"a function is not even in coordinate {axis}")
-        # on a swap-symmetric raster d_y f, swapped, lies in the class odd in x
-        # alone, whose LU then serves both axes
-        swapped = swap is not None and axis > 0
-        if not swapped:
+    # on a swap-symmetric raster d_y f, swapped, lies in the class odd in x
+    # alone, whose LU then serves both axes
+    swap = grid.swap() if grid.swap_symmetric else None
+    solvers = []
+    for axis in range(d):
+        if swap is None or axis == 0:
             nodes, E = grid.flip_class(tuple(a == axis for a in range(d)))
             lu = spectral.factorize((grid.operator @ E)[nodes])
-        for j, g in enumerate(grads):  # one at a time: a block solve rounds otherwise
-            u = grid.alpha[nodes] * (g[axis][swap] if swapped else g[axis])[nodes]
+        solvers.append((nodes, lu))
+    bounds = np.zeros(len(fs))
+    for j, v in enumerate(vals):
+        for axis, (g, (nodes, lu)) in enumerate(zip(grid.gradient(v), solvers)):
+            # one f at a time: a block solve rounds otherwise
+            u = grid.alpha[nodes] * (g[swap] if swap is not None and axis > 0 else g)[nodes]
             bounds[j] += 2 ** d * cell * _dot(u, lu.solve(u))  # 2^d mirror images per node
     mass = float(w.sum())
     reports = []

@@ -111,7 +111,7 @@ def _row_prints(x):
 @pytest.mark.parametrize("kind, p, n, block", [
     (kind, p, n, 2048) for kind, p in GOLDEN_STREAMS for n in (1, 7, 300, 1100)]
     + [("cube", None, 300, BLOCK)])
-def test_tiles_visit_the_exact_rows_at_every_thread_count(monkeypatch, kind, p, n, block):
+def test_chunks_visit_the_exact_rows_at_every_thread_count(monkeypatch, kind, p, n, block):
     monkeypatch.setattr(sampler, "BLOCK", block)
     body = isotropic_body(kind, n, p)
     chunk = sampler._chunk_rows(n)
@@ -140,7 +140,7 @@ def test_tiles_visit_the_exact_rows_at_every_thread_count(monkeypatch, kind, p, 
 
 
 @pytest.mark.parametrize("block", [BLOCK, 2048, 768])
-def test_chunks_split_tiles_and_blocks(monkeypatch, block):
+def test_chunks_split_blocks(monkeypatch, block):
     # every draw consumes a block's stream chunk by chunk, and its visits start
     # on 256-row boundaries, so chunks are 256 * 2^k rows that split each block
     monkeypatch.setattr(sampler, "BLOCK", block)
@@ -174,7 +174,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 
 
 @pytest.mark.parametrize("kind", ["cube", "euclidean_ball"])
-def test_a_wide_draw_holds_tiles_not_blocks(tmp_path, kind):
+def test_a_wide_draw_holds_chunks_not_blocks(tmp_path, kind):
     # one block is 256 MiB at n = 2048; two threads, each with a 256-row chunk
     # and its scratch, hold 16 MiB
     src = str(Path(sampler.__file__).resolve().parents[1])
@@ -183,6 +183,21 @@ def test_a_wide_draw_holds_tiles_not_blocks(tmp_path, kind):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 64.0  # MB of ru_maxrss the draw adds
+
+
+def test_a_cube_draw_builds_no_scratch(monkeypatch):
+    # two drawing threads at n = 2048 each hold a 4 MiB chunk buffer; the
+    # scratch of the round bodies, 4 MiB more per thread, is not built for the
+    # cube, whose draw never touches it
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
+    n = 2048
+    chunk = sampler._chunk_rows(n)
+    buffer, scratch = 8 * chunk * n, 8 * (chunk * n + 2 * chunk)
+    threads = []
+    _, peak = _traced_peak(for_each_block, isotropic_body("cube", n), 4 * BLOCK, SEED,
+                           lambda rows, c: threads.append(threading.get_ident()))
+    assert len(set(threads)) == 2
+    assert peak < 2 * buffer + scratch
 
 
 @pytest.mark.parametrize("cores, count, threads", [

@@ -132,7 +132,7 @@ def _visited_reports(count):
     return render_csv(thin.rows), render_csv(be.rows)
 
 
-def test_reports_do_not_depend_on_the_tile_rows(monkeypatch):
+def test_reports_do_not_depend_on_the_chunk_rows(monkeypatch):
     # for_each_block visits chunks, of 512 rows at n = 64 and 256 at n = 300,
     # and the second block ends in a short one; the gemv reductions of these
     # visits must give the bits of whole-block visits

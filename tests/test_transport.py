@@ -100,10 +100,9 @@ def test_w2_assignment_vertical_shift():
 def test_w2_assignment_cost_matches_scipy_cdist(monkeypatch, dim):
     # the cost matrix is caught on its way into the assignment solver; a
     # DiscreteMeasure has d in {1, 2}, so no other dimension reaches it
-    solve = scipy.optimize.linear_sum_assignment
+    solve = transport._assignment
     costs = []
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
-                        lambda cost: costs.append(cost) or solve(cost))
+    monkeypatch.setattr(transport, "_assignment", lambda cost: costs.append(cost) or solve(cost))
     rng = np.random.default_rng(dim)
     a, b = rng.normal(size=(40, dim)), rng.uniform(-3, 3, size=(40, dim))
     w2_assignment(DiscreteMeasure(a, np.full(40, 1 / 40)), DiscreteMeasure(b, np.full(40, 1 / 40)))
@@ -112,6 +111,39 @@ def test_w2_assignment_cost_matches_scipy_cdist(monkeypatch, dim):
         assert np.array_equal(costs[0], expected)
     else:
         np.testing.assert_allclose(costs[0], expected, rtol=1e-15, atol=0)
+
+
+def _lsap_cases():
+    rng = np.random.default_rng(29)
+    cases = [("1x1", np.array([[2.5]])), ("2x2", np.array([[4.0, 1.0], [2.0, 3.0]])),
+             ("2x2-tied", np.ones((2, 2))), ("zeros", np.zeros((5, 5)))]
+    for n in (3, 8, 17, 64):
+        cases.append((f"ties-{n}", rng.integers(0, 4, size=(n, n)).astype(float)))
+        cases.append((f"normal-{n}", rng.normal(size=(n, n))))
+        a, b = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+        cases.append((f"squared-distance-{n}", ((a[:, None] - b[None]) ** 2).sum(-1)))
+    return [pytest.param(cost, id=name) for name, cost in cases]
+
+
+@pytest.mark.parametrize("cost", _lsap_cases())
+def test_assignment_cost_matches_scipy(cost):
+    cols = transport._assignment(cost)
+    assert np.array_equal(np.sort(cols), np.arange(cost.shape[0]))  # a permutation
+    rows, best = scipy.optimize.linear_sum_assignment(cost)
+    got, expected = cost[rows, cols].sum(), cost[rows, best].sum()
+    if np.array_equal(cost, np.round(cost)):
+        assert got == expected  # integer sums are exact, so ties give the same cost
+    else:
+        assert got == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+
+def test_assignment_is_the_best_of_all_permutations_of_small_integer_costs():
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        for _ in range(20):
+            cost = rng.integers(0, 6, size=(n, n)).astype(float)
+            best = min(cost[range(n), perm].sum() for perm in itertools.permutations(range(n)))
+            assert cost[range(n), transport._assignment(cost)].sum() == best
 
 
 def test_w2_assignment_is_the_best_of_all_permutations():
@@ -178,6 +210,14 @@ def test_monotone_transport_pushforward_oracle():
 def test_monotone_transport_endpoint_condition():
     with pytest.raises(EndpointConditionError):
         monotone_transport_1d(lambda x: x, 0.0, 1.0, 0.05)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_monotone_transport_rejects_a_non_finite_epsilon(epsilon):
+    # a NaN epsilon passed the density check, where every comparison with NaN is
+    # False, and came back as a map of NaN
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        monotone_transport_1d(lambda x: x ** 2, -1.0, 1.0, epsilon)
 
 
 def test_monotone_transport_rejects_large_epsilon():
@@ -316,6 +356,23 @@ def test_the_odd_y_class_reuses_the_odd_x_lu_on_a_swap_symmetric_raster(
     assert len(factored) == factorizations + 2
     for s, d in zip(swapped, direct, strict=True):
         assert s.var == d.var and s.bound == pytest.approx(d.bound, rel=1e-13)
+
+
+def test_variance_bound_factors_before_it_differentiates(monkeypatch):
+    # every LU is made before the first gradient, and each function's gradient
+    # once, so no list of gradients is held while SuperLU factors
+    events = []
+    factorize, gradient = spectral.factorize, spectral.GridDomain.gradient
+    monkeypatch.setattr(spectral, "factorize",
+                        lambda A: events.append("factorize") or factorize(A))
+    monkeypatch.setattr(spectral.GridDomain, "gradient",
+                        lambda grid, v: events.append("gradient") or gradient(grid, v))
+    fs = [lambda x, y: x ** 2 + y ** 2, lambda x, y: np.cos(math.pi * x) * y ** 2,
+          lambda x, y: x ** 2]
+    for body, factorizations in ((BodySpec.cube(2), 1), (BodySpec("cube", 2, (1.5, 1.0)), 2)):
+        events.clear()
+        verify_variance_bound(body, fs, 1 / 16)
+        assert events == ["factorize"] * factorizations + ["gradient"] * len(fs)
 
 
 def test_variance_bound_solves_without_cg(monkeypatch):
