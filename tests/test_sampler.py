@@ -111,7 +111,7 @@ def _row_prints(x):
 @pytest.mark.parametrize("kind, p, n, block", [
     (kind, p, n, 2048) for kind, p in GOLDEN_STREAMS for n in (1, 7, 300, 1100)]
     + [("cube", None, 300, BLOCK)])
-def test_chunks_visit_the_exact_rows_at_every_thread_count(monkeypatch, kind, p, n, block):
+def test_tiles_visit_the_exact_rows_at_every_thread_count(monkeypatch, kind, p, n, block):
     monkeypatch.setattr(sampler, "BLOCK", block)
     body = isotropic_body(kind, n, p)
     chunk = sampler._chunk_rows(n)
