@@ -14,7 +14,7 @@ from thinshell.reporting import render_csv
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "golden"
 # each suite here is written to tests/golden/<suite>.csv
-GOLDEN = ("thinshell", "berry_esseen", "spectral")
+GOLDEN = ("identities", "thinshell", "clt", "berry_esseen", "transport", "spectral")
 
 
 def main() -> int:
