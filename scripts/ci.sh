@@ -4,7 +4,7 @@
 #     scripts/ci.sh
 #
 # Runs the tests, every suite with its figures, a rerun and a one-core run
-# that must write the same reports, and each benchmark workload, all into a
+# that must write the same reports and verdicts, and each benchmark workload, all into a
 # temporary directory that is removed at exit.  Fails if a step changed a
 # tracked file.  Expects the package's dependencies (pip install -e ".[test]").
 set -euo pipefail
@@ -28,16 +28,27 @@ done
 
 suites="identities thinshell clt berry_esseen transport spectral"
 
+# the same report.csv, and the same assertion records in report.json (which
+# also holds the timestamp and timings, so only its assertions are compared)
+same_reports() {
+  cmp "$1/report.csv" "$2/report.csv"
+  python - "$1/report.json" "$2/report.json" <<'PY' || { echo "$1 and $2 differ in their assertions"; exit 1; }
+import json, sys
+first, second = (json.load(open(path))["assertions"] for path in sys.argv[1:])
+sys.exit(first != second)
+PY
+}
+
 echo "== a rerun writes the same reports"
 python -m thinshell.cli all --out "$out/rerun"
 for suite in $suites; do
-  cmp "$out/reports/$suite/report.csv" "$out/rerun/$suite/report.csv"
+  same_reports "$out/reports/$suite" "$out/rerun/$suite"
 done
 
 echo "== one drawing thread writes the same reports"
 taskset -c 0 python -m thinshell.cli all --out "$out/one_core"
 for suite in $suites; do
-  cmp "$out/reports/$suite/report.csv" "$out/one_core/$suite/report.csv"
+  same_reports "$out/reports/$suite" "$out/one_core/$suite"
 done
 
 echo "== each benchmark workload runs with every operation correct"

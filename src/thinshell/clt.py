@@ -312,11 +312,18 @@ def _inversion_tail(char_fn, cut: float, spread: float, t):
     symmetric S with |S| <= spread (Gil-Pelaez), char_fn taken as 0 past the cut,
     on Gauss-Legendre panels sized to the oscillation frequency max|t| + spread.
     A scalar t gives a float."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = _finite_t(np.atleast_1d(np.asarray(t, dtype=float)))
     omega = float(np.max(np.abs(ts))) + spread + 1.0
     panels = _gl_panels(0.0, cut, max(16, math.ceil(cut * omega / 5.0)))
     out = 0.5 - _folded_sine_transform(ts, panels, lambda xi: char_fn(xi) / xi) / math.pi
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _finite_t(t):
+    """t, a scalar or an array, once every entry is checked finite."""
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t must be finite")
+    return t
 
 
 def _checked(theta, sigma: float | None = None) -> np.ndarray:
@@ -383,12 +390,14 @@ def bernoulli_gamma_tail_bruteforce(theta, sigma: float, t: float) -> float:
     if theta.size > 24:
         raise ValueError("brute force limited to n <= 24")
     sums = _all_sign_sums(theta)
-    return float(np.mean(build_kernel().cdf((sums - t) / sigma)))
+    return float(np.mean(build_kernel().cdf((sums - _finite_t(t)) / sigma)))
 
 
 def tail_grid(nrm: float) -> np.ndarray:
     """The t-grid of the sup errors: _TAIL_POINTS even steps over [-8 nrm, 8 nrm],
     its negative half the exact mirror of its nonnegative one."""
+    if not (math.isfinite(nrm) and nrm > 0):
+        raise ValueError("nrm must be finite and positive")
     upper = np.linspace(-8.0 * nrm, 8.0 * nrm, _TAIL_POINTS)[_TAIL_POINTS // 2:]
     return np.concatenate([-upper[::-1], upper])
 

@@ -12,6 +12,7 @@ bit-identical across reruns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -37,8 +38,8 @@ class EstimateWithCI:
 def uniform_direction(n: int) -> np.ndarray:
     """The unit vector with equal entries 1/sqrt(n), its first entry adjusted
     so that the norm is 1 to rounding."""
-    if n < 1:
-        raise ValueError(f"a direction needs n >= 1 coordinates, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"a direction needs an integer count n >= 1 of coordinates, got {n!r}")
     e = np.full(n, 1.0 / math.sqrt(n))
     e[0] = math.sqrt(1.0 - float(e[1:] @ e[1:]))
     return e
@@ -128,8 +129,8 @@ def scaling_fit(points) -> ScalingFit:
     pts = [(float(n), float(v)) for n, v in points]
     if len({n for n, _ in pts}) < 3:
         raise ValueError("scaling_fit needs at least 3 distinct n values")
-    if any(v <= 0 for _, v in pts):
-        raise ValueError("scaling_fit needs positive values")
+    if not all(0 < n < math.inf and 0 < v < math.inf for n, v in pts):
+        raise ValueError("scaling_fit needs finite positive n and values")
     x = np.log([n for n, _ in pts])
     y = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(x, y, 1)

@@ -1,4 +1,8 @@
-"""Report artifacts: deterministic CSV rows, assertion records, JSON metadata."""
+"""Report artifacts: deterministic CSV rows, assertion records, JSON metadata.
+
+An assertion is its measured value and the interval [lo, hi] it must lie in;
+its verdict and target text are derived here, so the rule that decides a
+verdict lives in this module alone."""
 
 from __future__ import annotations
 
@@ -50,14 +54,31 @@ def render_csv(rows: list[CsvRow]) -> str:
 
 @dataclass(frozen=True)
 class Assertion:
-    """One verified claim: measured value against its target, with the anchor
-    string naming the inequality it instantiates."""
+    """One verified claim: ``measured`` must lie in [lo, hi], an edge at infinity
+    for a one-sided bound; ``anchor`` names the inequality it instantiates.  The
+    verdict and its target text are derived from the interval, and nowhere else:
+    a NaN fails, and a strict bound takes ``math.nextafter`` of its edge."""
 
     name: str
     anchor: str
     measured: float
-    target: str
-    passed: bool
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.lo <= self.measured <= self.hi)
+
+    @property
+    def target(self) -> str:
+        lo, hi = float(self.lo), float(self.hi)
+        if lo == hi:
+            return f"= {lo!r}"
+        if lo == -math.inf:
+            return f"<= {hi!r}"
+        if hi == math.inf:
+            return f">= {lo!r}"
+        return f"in [{lo!r}, {hi!r}]"
 
 
 @dataclass
@@ -77,8 +98,10 @@ class SuiteResult:
 def render_json(result: SuiteResult, config_echo: dict, timestamp: str, version: str,
                 rng_id: str, timings: dict[str, float] | None = None) -> str:
     """JSON report: the CSV rows plus metadata that may vary between runs, such
-    as the timestamp and the suite's wall time in ``timings``. Strict JSON: a
-    non-finite float (the ``nan`` bound of a row without one) is written as null."""
+    as the timestamp and the suite's wall time in ``timings``. Each assertion
+    record carries its interval with the target and verdict derived from it.
+    Strict JSON: a non-finite float (the ``nan`` bound of a row without one, the
+    infinite edge of a one-sided interval) is written as null."""
     payload = {
         "experiment": result.name,
         "version": version,
@@ -87,7 +110,8 @@ def render_json(result: SuiteResult, config_echo: dict, timestamp: str, version:
         "config": config_echo,
         "timings": timings or {},
         "passed": result.passed,
-        "assertions": [asdict(a) for a in result.assertions],
+        "assertions": [{**asdict(a), "target": a.target, "passed": a.passed}
+                       for a in result.assertions],
         "notes": result.notes,
         "rows": [asdict(r) for r in _report_order(result.rows)],
     }

@@ -1,10 +1,12 @@
 """Named experiment suites.
 
-Each suite returns a SuiteResult of CSV rows plus pass/fail assertions, with
-every assertion carrying the anchor string of the inequality it instantiates,
-and the SVG figures it draws from its own values, rendered only when asked for.
-Every tolerance and every verdict lives here: the modules the suites call
-return what they measure, and the suites compare it with its target.  The same
+Each suite returns a SuiteResult of CSV rows plus assertions, with every
+assertion carrying the anchor string of the inequality it instantiates, and
+the SVG figures it draws from its own values, rendered only when asked for.
+Every tolerance lives here: the modules the suites call return what they
+measure, and the suites give each measured value the interval it must lie in.
+``reporting.Assertion`` derives the verdict and its target text from that
+interval, so a check that reads two values is two assertions.  The same
 functions back the command-line runner and the acceptance tests.  Each suite
 imports its solvers on first call, so a run loads only the scipy its suites use.
 """
@@ -52,10 +54,10 @@ _SANDWICH = (0.99, 1.35)       # bounds of Phi(t)(t+1)/phi(t) on [0, 10]
 _DUALITY_TOL = 0.02            # relative slack of the Thm 258 comparison
 _IMPLICATION_SLACK = 1e-12     # rounding slack of the Lemma 1034 implication margin
 # Lemma 2.1's x^2 and x^2+y^2 rows in closed form (Lebesgue measure), per body
-# kind and function: (Var, its name, relative tolerance), (bound, its name,
-# relative tolerance).  Square: 16/45 and 32/15 for x^2, twice that for
-# x^2+y^2, with relative errors -1.22e-3 and -2.44e-3 at h = 1/32 for both,
-# falling 4x per halving; about 4x of that.  Disc, on the cut-cell raster:
+# kind and function: (Var, relative tolerance), (bound, relative tolerance).
+# Square: 16/45 and 32/15 for x^2, twice that for x^2+y^2, with relative
+# errors -1.22e-3 and -2.44e-3 at h = 1/32 for both, falling 4x per halving;
+# about 4x of that.  Disc, on the cut-cell raster:
 # pi/16 and 7 pi/24 for x^2, with errors +1.04e-3 and -7.85e-4 at h = 1/32,
 # falling 3.5-3.9x and 4.0-4.8x per halving from 1/16 to 1/256; pi/12 and
 # 7 pi/12 for x^2+y^2, with errors +1.69e-3 and -7.85e-4 at h = 1/32, falling
@@ -63,12 +65,10 @@ _IMPLICATION_SLACK = 1e-12     # rounding slack of the Lemma 1034 implication ma
 # Of these only x^2+y^2 has a d_y part, which the class odd in y alone
 # carries, so its closed forms also see a wrong swap x <-> y
 _CLOSED_FORMS = {
-    ("cube", "x^2"): ((16.0 / 45.0, "16/45", 0.005), (32.0 / 15.0, "32/15", 0.01)),
-    ("cube", "x^2+y^2"): ((32.0 / 45.0, "32/45", 0.005), (64.0 / 15.0, "64/15", 0.01)),
-    ("euclidean_ball", "x^2"): ((math.pi / 16.0, "pi/16", 0.005),
-                                (7.0 * math.pi / 24.0, "7pi/24", 0.004)),
-    ("euclidean_ball", "x^2+y^2"): ((math.pi / 12.0, "pi/12", 0.008),
-                                    (7.0 * math.pi / 12.0, "7pi/12", 0.004)),
+    ("cube", "x^2"): ((16.0 / 45.0, 0.005), (32.0 / 15.0, 0.01)),
+    ("cube", "x^2+y^2"): ((32.0 / 45.0, 0.005), (64.0 / 15.0, 0.01)),
+    ("euclidean_ball", "x^2"): ((math.pi / 16.0, 0.005), (7.0 * math.pi / 24.0, 0.004)),
+    ("euclidean_ball", "x^2+y^2"): ((math.pi / 12.0, 0.008), (7.0 * math.pi / 12.0, 0.004)),
 }
 _NORM_TOL = 1e-10              # Thm 258 norm: the CG stops at a 1e-12 relative residual
 # the counterexample marginal at uniform theta is uniform on [-sqrt 3, sqrt 3] at
@@ -97,8 +97,9 @@ _COMPARISON_TOL = 1e-3
 _LAMBDA1_TOL = 1e-6
 
 
-def _within(value: float, target: float, half_width: float) -> bool:
-    return abs(value - target) <= half_width
+def _around(target: float, half_width: float) -> tuple[float, float]:
+    """The interval ``target`` +- ``half_width``, as an Assertion's (lo, hi)."""
+    return target - half_width, target + half_width
 
 
 # -- thin-shell suite -----------------------------------------------------------
@@ -165,26 +166,23 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
             by_family.setdefault((template, bd.label_family(label)), []).append(
                 (n, vr.value))
             if template.kind == "cube":
-                out.assertions.append(Assertion(
-                    f"thinshell.var_ratio.{label}", "eq (3)", vr.value,
-                    f"0.8/n +- {vr.half_width:.3g} (3 MC sigma)",
-                    _within(vr.value, 0.8 / n, vr.half_width)))
+                out.assertions.append(Assertion(f"thinshell.var_ratio.{label}", "eq (3)",
+                                                vr.value, *_around(0.8 / n, vr.half_width)))
             else:
-                out.assertions.append(Assertion(
-                    f"thinshell.var_bound.{label}", "Cor 204(i), a = 1", vr.value,
-                    f"<= 16/n + {vr.half_width:.3g}", vr.value <= 16.0 / n + vr.half_width))
+                out.assertions.append(Assertion(f"thinshell.var_bound.{label}",
+                                                "Cor 204(i), a = 1", vr.value,
+                                                hi=16.0 / n + vr.half_width))
         if key in shell:
-            out.assertions.append(Assertion(
-                f"shell_dev.{label}", "abstract, C <= 4", sd.value,
-                f"<= 16 + {sd.half_width:.3g}", sd.value <= 16.0 + sd.half_width))
+            out.assertions.append(Assertion(f"shell_dev.{label}", "abstract, C <= 4",
+                                            sd.value, hi=16.0 + sd.half_width))
         if weighted:
             worst = max(e.value - bound for e, bound in weighted)
             out.rows.append(CsvRow("cor204i.worst_margin", label, n, samples, seed,
                                    worst, 0.0, 0.0))
+            # the largest excess over 16 sum a^2 + 3 MC sigma of the 20 random a
             out.assertions.append(Assertion(
-                f"weighted_square.{label}", "Cor 204(i)", worst,
-                "Var(sum a X^2) <= 16 sum a^2 + 3 MC sigma, 20 random a",
-                all(e.value <= bound + e.half_width for e, bound in weighted)))
+                f"weighted_square.{label}", "Cor 204(i)",
+                max(e.value - (bound + e.half_width) for e, bound in weighted), hi=0.0))
 
     # the [-1.15, -0.85] slope window is the cube's law; other bodies are
     # checked against the bound above
@@ -195,10 +193,8 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
                                    samples, seed, fit.slope, 0.0, -1.0,
                                    {"intercept": fit.intercept, "r2": fit.r2}))
             if template.kind == "cube":
-                out.assertions.append(Assertion(
-                    f"thinshell.slope.{template.kind}", "eq (3)", fit.slope,
-                    f"slope in [{_SLOPE_WINDOW[0]}, {_SLOPE_WINDOW[1]}]",
-                    _SLOPE_WINDOW[0] <= fit.slope <= _SLOPE_WINDOW[1]))
+                out.assertions.append(Assertion(f"thinshell.slope.{template.kind}", "eq (3)",
+                                                fit.slope, *_SLOPE_WINDOW))
     out.figures["thinshell_loglog.svg"] = partial(
         line_plot, {family: points for (_, family), points in by_family.items()},
         "n", "Var(|X|^2/n)", "thin-shell variance vs dimension")
@@ -219,11 +215,10 @@ def identities_suite() -> SuiteResult:
                                max(err217, err333), 0.0, 1e-10,
                                {"lhs217": vals.lhs217, "rhs217": vals.rhs217,
                                 "lhs333": vals.lhs333, "rhs333": vals.rhs333}))
+        # the larger error of the two, each relative to 1 + |rhs|
         out.assertions.append(Assertion(
-            f"identity.{label}", "eq (217)/(333)", max(err217, err333),
-            "|lhs - rhs| <= 1e-10 (1 + |rhs|)",
-            err217 <= 1e-10 * (1 + abs(vals.rhs217))
-            and err333 <= 1e-10 * (1 + abs(vals.rhs333))))
+            f"identity.{label}", "eq (217)/(333)",
+            max(err217 / (1 + abs(vals.rhs217)), err333 / (1 + abs(vals.rhs333))), hi=1e-10))
     return out
 
 
@@ -244,25 +239,23 @@ def clt_suite(seed: int, scaling_ns: tuple[int, ...] = (256, 512, 1024, 2048)) -
     # band-limit and bounds contract
     xi_out = np.linspace(1.0, 2.0, 10 ** 4)
     beyond = float(np.max(np.abs(kernel.char_fn(xi_out))))
-    out.assertions.append(Assertion("kernel.support", "eq_1032", beyond,
-                                    "gamma(xi) = 0 for |xi| >= 1 (exact)", beyond == 0.0))
+    out.assertions.append(Assertion("kernel.support", "eq_1032", beyond, 0.0, 0.0))
+    # 1 - 1000 xi^2 <= gamma(xi) <= 1 and gamma >= 0 on a 1e5 grid
     xi = np.linspace(-1.0, 1.0, 10 ** 5)
     g = kernel.char_fn(xi)
-    margin = float(np.min(g - (1.0 - 1000.0 * xi ** 2)))
-    out.assertions.append(Assertion("kernel.quadratic_bound", "eq_313", margin,
-                                    "1 - 1000 xi^2 <= gamma <= 1 on a 1e5 grid",
-                                    margin >= 0.0 and float(np.max(g)) <= 1.0
-                                    and float(np.min(g)) >= 0.0))
-    dens_min = float(np.min(kernel.density(np.linspace(-400, 400, 10 ** 5))))
-    mass = clt.kernel_moment_by_quadrature(kernel, 0)
-    out.assertions.append(Assertion("kernel.density", "sin^8 kernel", mass,
-                                    "density >= 0 and integrates to 1 +- 1e-10",
-                                    dens_min >= 0.0 and abs(mass - 1.0) <= 1e-10))
-    m6 = clt.kernel_moment_by_quadrature(kernel, 6)
-    m6_rel = abs(m6 - kernel.moments[2]) / kernel.moments[2]
-    out.assertions.append(Assertion("kernel.sixth_moment", "E Gamma^6 < inf", m6,
-                                    "quadrature converges to the spline value",
-                                    m6_rel <= 1e-8))
+    out.assertions += [
+        Assertion("kernel.quadratic_bound.margin", "eq_313",
+                  float(np.min(g - (1.0 - 1000.0 * xi ** 2))), lo=0.0),
+        Assertion("kernel.quadratic_bound.max", "eq_313", float(np.max(g)), hi=1.0),
+        Assertion("kernel.quadratic_bound.min", "eq_313", float(np.min(g)), lo=0.0),
+        Assertion("kernel.density.min", "sin^8 kernel",
+                  float(np.min(kernel.density(np.linspace(-400, 400, 10 ** 5)))), lo=0.0),
+        Assertion("kernel.density.mass", "sin^8 kernel",
+                  clt.kernel_moment_by_quadrature(kernel, 0), *_around(1.0, 1e-10)),
+        # the quadrature converges to the spline value
+        Assertion("kernel.sixth_moment", "E Gamma^6 < inf",
+                  clt.kernel_moment_by_quadrature(kernel, 6),
+                  *_around(kernel.moments[2], 1e-8 * kernel.moments[2]))]
     out.rows.append(CsvRow("kernel.moments", "kernel", 0, 0, 0, kernel.moments[0],
                            0.0, 24.0, {"m4": kernel.moments[1], "m6": kernel.moments[2]}))
 
@@ -281,9 +274,7 @@ def clt_suite(seed: int, scaling_ns: tuple[int, ...] = (256, 512, 1024, 2048)) -
         worst = max(worst, diff)
     out.rows.append(CsvRow("lemma700.oracle_gap", "bernoulli", 0, _ORACLE_INSTANCES,
                            seed, worst, 0.0, 1e-6))
-    out.assertions.append(Assertion("lemma700.oracle_equivalence", "Lemma 700", worst,
-                                    f"max |fourier - brute| <= 1e-6 over "
-                                    f"{_ORACLE_INSTANCES} instances", worst <= 1e-6))
+    out.assertions.append(Assertion("lemma700.oracle_equivalence", "Lemma 700", worst, hi=1e-6))
 
     # sup-error scaling in n
     errs = []
@@ -298,16 +289,14 @@ def clt_suite(seed: int, scaling_ns: tuple[int, ...] = (256, 512, 1024, 2048)) -
                                 "sup_error": rep.sup_error, "bound_rhs": rep.bound_rhs,
                                 "argmax_t": rep.argmax_t}))
     fit = est.scaling_fit(errs)
-    in_window = _SLOPE_WINDOW[0] <= fit.slope <= _SLOPE_WINDOW[1]
     out.rows.append(CsvRow("lemma700.scaling_slope", "uniform_theta", 0, 0, seed,
                            fit.slope, 0.0, -1.0, {"r2": fit.r2}))
-    out.assertions.append(Assertion(
-        "lemma700.scaling", "Lemma 700 (O(sigma^2 + sum theta^4))", fit.slope,
-        f"slope in [{_SLOPE_WINDOW[0]}, {_SLOPE_WINDOW[1]}] at sigma = "
-        f"{_SIGMA_FACTOR:g}/sqrt(n)", in_window))
+    scaling = Assertion("lemma700.scaling", "Lemma 700 (O(sigma^2 + sum theta^4))",
+                        fit.slope, *_SLOPE_WINDOW)
+    out.assertions.append(scaling)
     n0 = min(scaling_ns)
     smoothing_var = kernel.moments[0] * _SIGMA_FACTOR ** 2 / n0
-    if not in_window and smoothing_var > 0.5:
+    if not scaling.passed and smoothing_var > 0.5:
         out.notes.append(
             f"lemma700.scaling measured slope {fit.slope:.3f}: with sigma = "
             f"{_SIGMA_FACTOR:g}/sqrt(n) the smoothing variance E(sigma Gamma)^2 = "
@@ -318,19 +307,19 @@ def clt_suite(seed: int, scaling_ns: tuple[int, ...] = (256, 512, 1024, 2048)) -
     # Gaussian tail sandwich and the shifted-tail constants
     t = np.linspace(0.0, 10.0, 201)
     ratios = clt.normal_upper_tail(t) * (t + 1.0) / clt.normal_density(t)
-    lo, hi = float(ratios.min()), float(ratios.max())
-    out.rows.append(CsvRow("gauss_tail.ratio_range", "normal", 0, 0, 0, lo, 0.0, hi))
-    out.assertions.append(Assertion("gauss_tail.sandwich", "eq_640", hi,
-                                    "Phi(t)(t+1)/phi(t) in [0.99, 1.35] on [0, 10]",
-                                    _SANDWICH[0] <= lo and hi <= _SANDWICH[1]))
+    low, high = float(ratios.min()), float(ratios.max())
+    out.rows.append(CsvRow("gauss_tail.ratio_range", "normal", 0, 0, 0, low, 0.0, high))
+    out.assertions += [Assertion("gauss_tail.sandwich.min", "eq_640", low, lo=_SANDWICH[0]),
+                       Assertion("gauss_tail.sandwich.max", "eq_640", high, hi=_SANDWICH[1])]
     rep = clt.lemma1034_check(np.linspace(0.0, 6.0, 121))
     out.rows.append(CsvRow("lemma1034.constants", "normal", 0, 0, 0, rep.c1_part_i,
                            0.0, rep.c1_part_iii,
                            {"c2_max": rep.c2_max, "part_ii_min": rep.part_ii_min}))
-    out.assertions.append(Assertion("lemma1034.implications", "Lemma 1034",
-                                    rep.c1_part_i, "measured C1 finite, implication holds",
-                                    rep.implication_margin >= -_IMPLICATION_SLACK
-                                    and math.isfinite(rep.c1_part_i)))
+    # the implication holds, and the measured C1 (a ratio of tails, so >= 0) is finite
+    out.assertions += [Assertion("lemma1034.implications.margin", "Lemma 1034",
+                                 rep.implication_margin, lo=-_IMPLICATION_SLACK),
+                       Assertion("lemma1034.implications.c1", "Lemma 1034", rep.c1_part_i,
+                                 hi=np.finfo(float).max)]
     return out
 
 
@@ -360,10 +349,8 @@ def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
         res = est.kolmogorov_distance(vals, cdf)
         out.rows.append(CsvRow("berry_esseen.sampler", f"{law}(n={n})", n, samples, seed,
                                res.distance, res.dkw_band, 3.0 * res.dkw_band))
-        out.assertions.append(Assertion(
-            f"berry_esseen.sampler.{law}.n{n}", "exact sampler", res.distance,
-            f"<= 3 DKW = {3 * res.dkw_band:.3g} against the exact law",
-            res.distance <= 3.0 * res.dkw_band))
+        out.assertions.append(Assertion(f"berry_esseen.sampler.{law}.n{n}", "exact sampler",
+                                        res.distance, hi=3.0 * res.dkw_band))
         errs = np.abs(grid_cdf - clt.normal_upper_tail(-ts))
         k = int(np.argmax(errs))
         return float(errs[k]), abs(float(ts[k]))
@@ -381,13 +368,10 @@ def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
                                      lambda v: np.interp(v, ts, grid_cdf))
         out.rows.append(CsvRow("berry_esseen.kolmogorov", f"cube(n={n})", n, 0, seed,
                                dist, 0.0, 10.0 / n, {"argmax_t": at}))
-        out.assertions.append(Assertion(
-            f"berry_esseen.cube.n{n}", "Thm 1.1 eq (2)", dist,
-            f"<= 10/n = {10 / n:.2e} (exact)", dist <= 10.0 / n))
-        out.assertions.append(Assertion(
-            f"berry_esseen.cube.edgeworth.n{n}", "Edgeworth limit", n * dist,
-            f"n dist = {_EDGEWORTH_LIMIT:.7f} +- {_EDGEWORTH_C:g}/n (exact)",
-            abs(n * dist - _EDGEWORTH_LIMIT) <= _EDGEWORTH_C / n))
+        out.assertions += [
+            Assertion(f"berry_esseen.cube.n{n}", "Thm 1.1 eq (2)", dist, hi=10.0 / n),
+            Assertion(f"berry_esseen.cube.edgeworth.n{n}", "Edgeworth limit", n * dist,
+                      *_around(_EDGEWORTH_LIMIT, _EDGEWORTH_C / n))]
     for n in sorted(set(counter_ns)):
         theta = est.uniform_direction(n)
         cdf = _counterexample_cdf(theta, n)
@@ -395,10 +379,10 @@ def berry_esseen_suite(seed: int, cube_ns: tuple[int, ...] = (16, 64, 256),
         dist, at = exact_and_sampled("counterexample", n, cdf(ts), vals, cdf)
         out.rows.append(CsvRow("berry_esseen.counterexample", f"counterexample(n={n})",
                                n, 0, seed, dist, 0.0, 0.045, {"argmax_t": at}))
+        # >= 0.045, and within _COUNTER_TOL of its closed form
         out.assertions.append(Assertion(
             f"berry_esseen.counterexample.n{n}", "no gaussian limit: axis-segment density",
-            dist, f">= 0.045 and within {_COUNTER_DIST:.10f} +- {_COUNTER_TOL:g} (exact)",
-            dist >= 0.045 and abs(dist - _COUNTER_DIST) <= _COUNTER_TOL))
+            dist, max(0.045, _COUNTER_DIST - _COUNTER_TOL), _COUNTER_DIST + _COUNTER_TOL))
     out.figures["kolmogorov_vs_n.svg"] = partial(line_plot, {"cube marginal": [
         (r.n, r.value) for r in out.rows if r.estimator_id == "berry_esseen.kolmogorov"]},
         "n", "Kolmogorov distance", "marginal distance to normal")
@@ -438,33 +422,27 @@ def transport_suite(seed: int, raster_h: float = 1 / 32) -> SuiteResult:
                                ratio, 0.0, rep.norm, {"epsilon": eps}))
     out.rows.append(CsvRow("thm258.norm", "segment[-1,1]", _GRID_NODES, 0, seed,
                            rep.norm, 0.0, target))
-    out.assertions.append(Assertion("thm258.norm_value", "Thm 258 example", rep.norm,
-                                    f"= {target:.4f} +- {_NORM_TOL:g}",
-                                    abs(rep.norm - target) <= _NORM_TOL))
-    ratio_001 = dict((e, r) for e, r in rep.ratios)[0.01]
-    out.assertions.append(Assertion("thm258.ratio_at_0.01", "Thm 258", ratio_001,
-                                    "W2(mu, mu_eps)/eps within 2% of the dual norm",
-                                    abs(ratio_001 - rep.norm) <= 0.02 * rep.norm))
-    out.assertions.append(Assertion(
-        "thm258.duality", "Thm 258", rep.min_ratio,
-        f"norm <= min ratio + {_DUALITY_TOL:.0%} of the larger",
-        rep.norm <= rep.min_ratio + _DUALITY_TOL * max(rep.norm, rep.min_ratio)))
+    out.assertions += [
+        Assertion("thm258.norm_value", "Thm 258 example", rep.norm, *_around(target, _NORM_TOL)),
+        # W2(mu, mu_eps)/eps within 2% of the dual norm
+        Assertion("thm258.ratio_at_0.01", "Thm 258", dict(rep.ratios)[0.01],
+                  *_around(rep.norm, 0.02 * rep.norm)),
+        Assertion("thm258.duality", "Thm 258", rep.norm,
+                  hi=rep.min_ratio + _DUALITY_TOL * max(rep.norm, rep.min_ratio))]
 
     tmap = tpt.monotone_transport_1d(lambda x: x ** 2, -1.0, 1.0, 0.1)
     defect = tmap.pushforward_defect()
     out.rows.append(CsvRow("monotone_transport.defect", "segment[-1,1]", tpt.PUSHFORWARD_POINTS,
                            0, seed, defect, 0.0, 1e-10, {"epsilon": 0.1}))
     out.assertions.append(Assertion("monotone_transport.pushforward", "Lemma 3.2", defect,
-                                    f"<= 1e-10 at {tpt.PUSHFORWARD_POINTS} points",
-                                    defect <= 1e-10))
+                                    hi=1e-10))
 
     rng = smp.substream(seed, 7)
     a, b = rng.normal(size=64), rng.normal(size=64)
     mu64 = tpt.DiscreteMeasure(a[:, None], np.full(64, 1 / 64))
     nu64 = tpt.DiscreteMeasure(b[:, None], np.full(64, 1 / 64))
     gap = abs(tpt.w2_assignment(mu64, nu64) - tpt.w2_1d(mu64, nu64))
-    out.assertions.append(Assertion("w2.assignment_vs_quantile", "W2 definition", gap,
-                                    "agree to 1e-10 in 1D", gap <= 1e-10))
+    out.assertions.append(Assertion("w2.assignment_vs_quantile", "W2 definition", gap, hi=1e-10))
 
     fns = [("x^2", lambda x, y: x ** 2), ("x^2+y^2", lambda x, y: x ** 2 + y ** 2)]
     fns += [(f"trig{i}", _random_even_trig(rng)) for i in range(_N_TRIG)]
@@ -475,20 +453,17 @@ def transport_suite(seed: int, raster_h: float = 1 / 32) -> SuiteResult:
             tol = raster_h * (1.0 + vrep.bound)
             out.rows.append(CsvRow("lemma21.variance_bound", f"{body_label}:{fname}",
                                    2, 0, seed, vrep.var, 0.0, vrep.bound, {"tolerance": tol}))
-            out.assertions.append(Assertion(
-                f"lemma21.{body_label}.{fname}", "Lemma 2.1", vrep.var,
-                f"Var <= dual-norm bound {vrep.bound:.4g} + O(h)", vrep.var <= vrep.bound + tol))
+            name = f"lemma21.{body_label}.{fname}"
+            out.assertions.append(Assertion(name, "Lemma 2.1", vrep.var, hi=vrep.bound + tol))
             if (body.kind, fname) in _CLOSED_FORMS:
                 # the bound above is one-sided: an operator too small only
                 # inflates it, so the closed forms pin both sides
-                (var, var_name, var_tol), (bound, bound_name, bound_tol) = (
-                    _CLOSED_FORMS[body.kind, fname])
-                out.assertions.append(Assertion(
-                    f"lemma21.{body_label}.{fname}.closed_form", "Lemma 2.1, closed-form oracle",
-                    vrep.bound, f"Var = {var_name} +- {100 * var_tol:g}% and "
-                    f"bound = {bound_name} +- {100 * bound_tol:g}%",
-                    abs(vrep.var - var) <= var_tol * var
-                    and abs(vrep.bound - bound) <= bound_tol * bound))
+                (var, var_tol), (bound, bound_tol) = _CLOSED_FORMS[body.kind, fname]
+                out.assertions += [
+                    Assertion(f"{name}.closed_form.var", "Lemma 2.1, closed-form oracle",
+                              vrep.var, *_around(var, var_tol * var)),
+                    Assertion(f"{name}.closed_form.bound", "Lemma 2.1, closed-form oracle",
+                              vrep.bound, *_around(bound, bound_tol * bound))]
     return out
 
 
@@ -567,9 +542,9 @@ def spectral_suite(seed: int) -> SuiteResult:
                         # each class pair, solved or swapped from its twin, against K
                         max(p.residual / max(p.value, whole[1])
                             for pairs in classes.values() for p in pairs)))
+        # = whole spectrum, constants even, class residuals; 1e-10 relative
         out.assertions.append(Assertion(f"spectral.flip_classes.{body.label()}", "flip classes",
-                                        dev, "= whole spectrum, constants even, class "
-                                        "residuals; 1e-10 relative", dev <= 1e-10))
+                                        dev, hi=1e-10))
 
     target_sq = math.pi ** 2 / 4.0
     target_disc = float(jnp_zeros(1, 1)[0]) ** 2  # (first positive root of J_1')^2
@@ -585,39 +560,36 @@ def spectral_suite(seed: int) -> SuiteResult:
                                         "raw": list(rich.lambda1_values),
                                         "order": rich.observed_order}))
         out.assertions.append(Assertion(f"spectral.{label}.lambda1", anchor, rich.extrapolated,
-                                        f"= {target:.4f} +- {100 * _LAMBDA1_TOL:g}%",
-                                        abs(rich.extrapolated - target) <= _LAMBDA1_TOL * target))
+                                        *_around(target, _LAMBDA1_TOL * target)))
 
     for body, label, h in report_rasters:
         grid, classes = eigen(body, h)
         pairs = spectrum(body, h)
         cluster = spec.lambda1_cluster(pairs)
+        size = float(len(cluster))
         out.rows.append(CsvRow("spectral.eigen_report", label, 2, 0, seed,
                                pairs[1].value, 0.0, float("nan"), {
                                    "body": body.label(), "h": h,
                                    "lambda": [p.value for p in pairs],
                                    "residuals": [p.residual for p in pairs]}))
-        out.rows.append(CsvRow("spectral.multiplicity", label, 2, 0, seed,
-                               float(len(cluster)), 0.0, 2.0))
-        out.assertions.append(Assertion(f"spectral.multiplicity.{label}", "Cor 4.1",
-                                        float(len(cluster)), "= 2 (and never > 2)",
-                                        len(cluster) == 2))
+        out.rows.append(CsvRow("spectral.multiplicity", label, 2, 0, seed, size, 0.0, 2.0))
+        out.assertions.append(Assertion(f"spectral.multiplicity.{label}", "Cor 4.1", size,
+                                        2.0, 2.0))
         rank = spec.gradient_bias_rank(grid, cluster)
         out.rows.append(CsvRow("spectral.bias_rank", label, 2, 0, seed,
                                float(rank.rank), 0.0, 2.0,
                                {"singular_values": list(rank.singular_values)}))
+        # the gradient-bias map is injective on the eigenspace
         out.assertions.append(Assertion(f"spectral.bias_rank.{label}", "Cor 4.1",
-                                        float(rank.rank),
-                                        "gradient-bias map injective on the eigenspace",
-                                        rank.rank == len(cluster)))
+                                        float(rank.rank), size, size))
         # Cor 4.2(i): lambda_1 has an eigenfunction odd under some flip
         lam_odd = min(classes[odd][0].value for odd in odd_classes)
         margin = classes[even][1].value - lam_odd
         out.rows.append(CsvRow("spectral.antisymmetric_margin", label, 2, 0, seed,
                                margin, 0.0, 0.0, {"lowest_odd": lam_odd}))
+        # the lowest odd-class eigenvalue < the first nonzero even-class one
         out.assertions.append(Assertion(f"spectral.antisymmetric_member.{label}", "Cor 4.2(i)",
-                                        margin, "lowest odd-class < first nonzero even-class",
-                                        margin > 0.0))
+                                        margin, lo=math.nextafter(0.0, 1.0)))
         out.figures[f"eigenfunction_{label}.svg"] = partial(
             heatmap, grid.mask, grid.image(pairs[1].vector),
             f"first nontrivial Neumann eigenfunction, {label}")
@@ -628,10 +600,8 @@ def spectral_suite(seed: int) -> SuiteResult:
         lam = lambda1(body, comparison_h)
         out.rows.append(CsvRow("spectral.cube_comparison", body.label(), 2, 0, seed,
                                lam, 0.0, lam_cube))
-        out.assertions.append(Assertion(f"spectral.cube_comparison.{body.label()}",
-                                        "Cor 4.3", lam, f">= (1 - {_COMPARISON_TOL:.1%}) "
-                                        f"lambda1(cube) = {(1 - _COMPARISON_TOL) * lam_cube:.4f}",
-                                        lam >= (1.0 - _COMPARISON_TOL) * lam_cube))
+        out.assertions.append(Assertion(f"spectral.cube_comparison.{body.label()}", "Cor 4.3",
+                                        lam, lo=(1.0 - _COMPARISON_TOL) * lam_cube))
     # published statements of the comparison sometimes carry pi^2/R^2
     out.notes.append(f"observed cube lambda1 {lam_cube:.6f} matches pi^2/(4R^2) = "
                      f"{target_sq:.6f}; the constant pi^2/R^2 = {4 * target_sq:.6f} "

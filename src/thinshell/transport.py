@@ -241,8 +241,8 @@ def monotone_transport_1d(psi: Callable, p: float, q: float, epsilon: float) -> 
     Requires Psi(p) = Psi(q) (so the perturbation preserves mass on the fiber)
     and a finite eps small enough that the perturbed density stays positive.
     """
-    if q <= p:
-        raise ValueError("need p < q")
+    if not (math.isfinite(p) and math.isfinite(q) and p < q):
+        raise ValueError(f"need finite p < q, got p = {p}, q = {q}")
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     psi_v = lambda x: np.asarray(psi(np.asarray(x, dtype=float)), dtype=float)

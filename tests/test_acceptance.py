@@ -11,6 +11,7 @@ independent real-space evaluation and checks the 1/n limit.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import time
@@ -36,6 +37,9 @@ from thinshell.suites import (
 
 SEED = 20250810
 GOLDEN = Path(__file__).resolve().parent / "golden"  # written by scripts/write_golden.py
+# the assertions each suite makes at its CLI defaults
+ASSERTION_COUNTS = {"identities": 12, "thinshell": 17, "clt": 13, "berry_esseen": 13,
+                    "transport": 27, "spectral": 14}
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -256,8 +260,7 @@ def _golden_match(want, got, tol: dict) -> bool:
     return type(want) is type(got) and want == got
 
 
-@pytest.mark.parametrize("suite", ["identities", "thinshell", "clt", "berry_esseen",
-                                   "transport", "spectral"])
+@pytest.mark.parametrize("suite", ASSERTION_COUNTS)
 def test_c12_report_matches_its_golden_file(request, suite):
     # integer and text fields exactly, floats to 1e-12 relative but for the noise
     # above; the suite fixtures' configs are the CLI defaults the files are written at
@@ -278,6 +281,31 @@ def test_c12_report_matches_its_golden_file(request, suite):
     _report(f"12 {suite} report.csv matches tests/golden/{suite}.csv", not moved,
             f"{len(want) - 1} rows, {len(moved)} moved")
     assert not moved
+
+
+def _stated_interval(target: str) -> list[float]:
+    """The [lo, hi] that an assertion's target text states."""
+    op, _, rest = target.partition(" ")
+    if op == "in":
+        return [float(edge) for edge in rest.strip("[]").split(", ")]
+    value = float(rest)
+    return {"=": [value, value], "<=": [-math.inf, value], ">=": [value, math.inf]}[op]
+
+
+@pytest.mark.parametrize("suite", ASSERTION_COUNTS)
+def test_each_verdict_is_its_interval(request, suite):
+    # the target text states [lo, hi] exactly; measured at either edge passes,
+    # one float past it or NaN fails
+    result = request.getfixturevalue(f"{suite}_result")
+    assert len(result.assertions) == ASSERTION_COUNTS[suite]
+    for a in result.assertions:
+        assert _stated_interval(a.target) == [a.lo, a.hi], a
+        assert not dataclasses.replace(a, measured=math.nan).passed, a.name
+        for edge, outward in [(a.lo, -math.inf), (a.hi, math.inf)]:
+            if math.isfinite(edge):
+                at, past = (dataclasses.replace(a, measured=v)
+                            for v in (edge, math.nextafter(edge, outward)))
+                assert at.passed and not past.passed, a.name
 
 
 @pytest.mark.parametrize("fixture, names", [

@@ -285,7 +285,7 @@ def test_all_runs_each_suite_once_at_its_defaults(tmp_path, capsys, monkeypatch)
 
 
 def test_all_exits_with_the_largest_code_of_its_runs(tmp_path, capsys, monkeypatch):
-    failed = Assertion("stub", "none", 1.0, "= 0", False)
+    failed = Assertion("stub", "none", 1.0, 0.0, 0.0)
     monkeypatch.setattr("thinshell.cli.clt_suite",
                         lambda seed: SuiteResult("clt", assertions=[failed]))
     monkeypatch.setattr("thinshell.cli.identities_suite", lambda: SuiteResult("identities"))

@@ -513,6 +513,26 @@ def test_the_smoothed_tail_and_its_oracle_share_one_domain(theta, sigma, message
             tail(theta, sigma, 0.0)
 
 
+@pytest.mark.parametrize("t", [NAN, math.inf, -math.inf, np.array([0.5, NAN])])
+@pytest.mark.parametrize("tail", [
+    lambda t: bernoulli_gamma_tail_fourier([0.5, 0.5], 0.5, t),
+    lambda t: bernoulli_gamma_tail_bruteforce([0.5, 0.5], 0.5, t),
+    lambda t: cube_marginal_tail(uniform_direction(5), t)],
+    ids=["fourier", "bruteforce", "cube_marginal"])
+def test_every_tail_rejects_a_non_finite_t(tail, t):
+    # a NaN t gave the inversions "cannot convert float NaN to integer", an
+    # infinite one an OverflowError; either gave the oracle NaN
+    with pytest.raises(ValueError, match="t must be finite"):
+        tail(t)
+
+
+@pytest.mark.parametrize("nrm", [0.0, -1.0, NAN, math.inf])
+def test_the_tail_grid_needs_a_finite_positive_norm(nrm):
+    # 0 gave a grid of zeros and NaN a grid of NaN
+    with pytest.raises(ValueError, match="nrm must be finite and positive"):
+        tail_grid(nrm)
+
+
 @pytest.mark.parametrize("theta", [[NAN, 0.5, 0.5, 0.5, 0.5], [0.5] * 4 + [-math.inf], []])
 def test_the_cube_marginal_rejects_theta_outside_its_domain(theta):
     # a NaN in theta gave numpy's "cannot convert float NaN to integer"

@@ -170,6 +170,16 @@ def test_scaling_fit_exact_law():
         scaling_fit([(4, 1.0), (4, 2.0)])
 
 
+@pytest.mark.parametrize("points", [
+    [(4, 1.0), (8, math.inf), (16, 1.0)], [(4, 1.0), (8, math.nan), (16, 1.0)],
+    [(0, 1.0), (8, 2.0), (16, 1.0)], [(math.inf, 1.0), (8, 2.0), (16, 1.0)]])
+def test_scaling_fit_rejects_a_point_off_its_log_domain(points):
+    # an infinite value, n = 0 or n = inf raised a RuntimeWarning from the logs
+    # or the fit, and a NaN value returned a NaN slope
+    with pytest.raises(ValueError, match="finite positive n and values"):
+        scaling_fit(points)
+
+
 def test_verify_identities_hand_values():
     vals = verify_identities(1.0, 1.0, 1.0)
     assert vals.lhs217 == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -216,9 +226,10 @@ def test_weight_vector_validation():
         e = np.full(n, 1.0 / math.sqrt(n))
         e[0] = math.sqrt(1.0 - float(e[1:] @ e[1:]))
         assert theta.tobytes() == np.asarray(tuple(e)).tobytes()
-    for n in (0, -1):  # n = 0 divided by zero
-        with pytest.raises(ValueError, match="n >= 1"):
+    for n in (0, -1, 2.5, math.nan, np.float64(3.0)):  # n = 0 divided by zero
+        with pytest.raises(ValueError, match="n >= 1"):  # 2.5 raised numpy's TypeError
             uniform_direction(n)
+    assert np.array_equal(uniform_direction(np.int64(5)), uniform_direction(5))
 
 
 def test_estimate_with_ci_validation():

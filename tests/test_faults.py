@@ -39,18 +39,20 @@ def test_a_1d_operator_one_percent_off_fails_the_thm258_norm(monkeypatch, scale)
 def test_a_large_raster_operator_fails_every_lemma21_bound(monkeypatch):
     failed = _failed_with(monkeypatch, spectral, 1e3)
     bounds = [name for name in failed if name.startswith("lemma21.")
-              and not name.endswith(".closed_form")]
+              and ".closed_form." not in name]
     assert len(bounds) == 14
 
 
-CLOSED_FORMS = [f"lemma21.{body}.{fname}.closed_form"
+# the closed-form bounds of x^2 and x^2+y^2; their closed-form Var does not read
+# the operator
+CLOSED_FORMS = [f"lemma21.{body}.{fname}.closed_form.bound"
                 for body in ("cube(n=2)", "euclidean_ball(n=2)") for fname in ("x^2", "x^2+y^2")]
 
 
 @pytest.mark.parametrize("scale", [1e-3, 0.98])
 def test_a_small_raster_operator_fails_the_closed_form(monkeypatch, scale):
     # a smaller operator only inflates the dual-norm bound, so the one-sided
-    # Lemma 2.1 checks pass; the closed-form targets of x^2 and x^2+y^2 do not
+    # Lemma 2.1 checks pass; the closed-form bounds of x^2 and x^2+y^2 do not
     # (at 0.98 the disc's x^2 bound reads +1.96% against its 0.4%, the square's
     # +1.79% against 1%)
     assert _failed_with(monkeypatch, spectral, scale) == CLOSED_FORMS
@@ -95,12 +97,13 @@ def test_a_wrong_swap_fails_only_the_flip_class_oracle(monkeypatch):
 def test_a_wrong_swap_fails_the_x2_plus_y2_closed_forms(monkeypatch):
     # the class odd in y alone is the swapped class odd in x; unswapped, it
     # solves for d_y on the wrong nodes.  x^2 has d_y = 0, and the one-sided
-    # bounds stay above Var, so only the x^2+y^2 closed forms see it (the
+    # bounds stay above Var, so only the x^2+y^2 closed-form bounds see it (the
     # square's bound falls from 4.2563 to 3.5502, -17%)
     monkeypatch.setattr(spectral.GridDomain, "swap", lambda grid: np.arange(grid.n_nodes))
     result = suites.transport_suite(SEED, raster_h=1 / 32)
     assert [a.name for a in result.assertions if not a.passed] == [
-        f"lemma21.{body}.x^2+y^2.closed_form" for body in ("cube(n=2)", "euclidean_ball(n=2)")]
+        f"lemma21.{body}.x^2+y^2.closed_form.bound"
+        for body in ("cube(n=2)", "euclidean_ball(n=2)")]
 
 
 def test_a_sign_error_in_the_sine_transform_fails_the_oracle_and_the_scaling_law(monkeypatch):

@@ -212,6 +212,14 @@ def test_monotone_transport_endpoint_condition():
         monotone_transport_1d(lambda x: x, 0.0, 1.0, 0.05)
 
 
+@pytest.mark.parametrize("p, q", [(math.nan, 1.0), (-1.0, math.nan), (-math.inf, 1.0),
+                                  (-1.0, math.inf), (1.0, 1.0), (1.0, -1.0)])
+def test_monotone_transport_needs_finite_p_below_q(p, q):
+    # q <= p is False when p or q is NaN: that returned a map of NaN endpoints
+    with pytest.raises(ValueError, match="need finite p < q"):
+        monotone_transport_1d(lambda x: x ** 2, p, q, 0.1)
+
+
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
 def test_monotone_transport_rejects_a_non_finite_epsilon(epsilon):
     # a NaN epsilon passed the density check, where every comparison with NaN is
