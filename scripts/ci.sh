@@ -5,7 +5,9 @@
 #
 # Runs the tests, every suite with its figures, a rerun and a one-core run
 # that must write the same reports and verdicts, and each benchmark workload, all into a
-# temporary directory that is removed at exit.  Fails if a step changed a
+# temporary directory that is removed at exit.  The suite runs turn a numpy
+# RuntimeWarning into an error, as the tests' filterwarnings does, so a suite
+# that makes a NaN through one fails.  Fails if a step changed a
 # tracked file.  Expects the package's dependencies (pip install -e ".[test]").
 set -euo pipefail
 
@@ -20,7 +22,7 @@ echo "== tier-1 tests"
 python -m pytest -q --continue-on-collection-errors --durations=15
 
 echo "== every suite with its figures"
-python -m thinshell.cli all --plot --out "$out/reports"
+PYTHONWARNINGS=error::RuntimeWarning python -m thinshell.cli all --plot --out "$out/reports"
 for svg in thinshell/thinshell_loglog.svg berry_esseen/kolmogorov_vs_n.svg \
            spectral/eigenfunction_square.svg spectral/eigenfunction_disc.svg; do
   test -s "$out/reports/$svg" || { echo "missing $svg"; exit 1; }
@@ -40,13 +42,13 @@ PY
 }
 
 echo "== a rerun writes the same reports"
-python -m thinshell.cli all --out "$out/rerun"
+PYTHONWARNINGS=error::RuntimeWarning python -m thinshell.cli all --out "$out/rerun"
 for suite in $suites; do
   same_reports "$out/reports/$suite" "$out/rerun/$suite"
 done
 
 echo "== one drawing thread writes the same reports"
-taskset -c 0 python -m thinshell.cli all --out "$out/one_core"
+PYTHONWARNINGS=error::RuntimeWarning taskset -c 0 python -m thinshell.cli all --out "$out/one_core"
 for suite in $suites; do
   same_reports "$out/reports/$suite" "$out/one_core/$suite"
 done

@@ -31,14 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "SmoothingKernel", "build_kernel", "TruncationError",
-    "bernoulli_gamma_tail_fourier", "bernoulli_gamma_tail_bruteforce",
-    "cube_marginal_cut", "cube_marginal_tail", "tail_grid",
-    "lemma700_report", "lemma1034_check",
-    "normal_density", "normal_upper_tail",
-]
-
 # Rows per block of the (t-points x nodes) and (nodes x n) tables below: memory
 # stays O(_ROWS x columns) however many points or nodes there are.  Each row is
 # reduced on its own, so the block size does not change any value.
@@ -57,8 +49,7 @@ _SIN8 = (35, -56, 28, -8, 1)
 _PANEL_NODES = 16        # Gauss-Legendre nodes per panel of the inversion integrals
 _TAIL_POINTS = 4096      # evenly spaced t-points of the sup errors (tail_grid)
 _MOMENT_CUT = 400.0      # quadrature of kernel moments on [0, T]; exact tail beyond
-_MOMENT_PANELS = 50      # equal panels of _MOMENT_NODES Gauss-Legendre nodes on [0, T]
-_MOMENT_NODES = 32
+_MOMENT_PANELS = 50      # equal panels of _PANEL_NODES Gauss-Legendre nodes on [0, T]
 _TRUNCATION_TOL = 1e-13  # bound on the dropped tail int_cut^inf |phi|/xi of the cube inversion
 _CUT_BUDGET = 1000.0     # largest cube cut times |theta|: uniform n = 5 needs 372, n = 4 1452
 
@@ -492,8 +483,8 @@ def sinc8_tail_integral(k: int, big_t):
     Elementwise over an array T; a scalar T gives a float.
     """
     t = np.asarray(big_t, dtype=float)
-    if np.any(t <= 0) or k < 2:
-        raise ValueError("need T > 0 and k >= 2")
+    if not np.all((0 < t) & (t < math.inf)) or k < 2:  # a NaN T fails too
+        raise ValueError("need finite T > 0 and k >= 2")
     total = _SIN8[0] / 128.0 * t ** (1 - k) / (k - 1)
     for j in range(1, len(_SIN8)):
         total += _SIN8[j] / 128.0 * _tail_cos_over_xk(0.25 * j, k, t)
@@ -501,17 +492,16 @@ def sinc8_tail_integral(k: int, big_t):
 
 
 def quad(func, a: float, b: float) -> float:
-    """int_a^b func by a fixed rule: _MOMENT_PANELS equal panels of _MOMENT_NODES
-    Gauss-Legendre nodes, func called once on the whole (panels x nodes) table.
+    """int_a^b func on the inversions' panel rule (_gl_panels): _MOMENT_PANELS
+    equal panels of _PANEL_NODES Gauss-Legendre nodes, func called once on the
+    whole (nodes x panels) table.
 
-    On [0, _MOMENT_CUT] it gives the kernel moments 0 to 6 within 7e-16
+    On [0, _MOMENT_CUT] it gives the kernel moments 0 to 6 within 9e-16
     relative.  It stays a module-level name so that a tracer or a test can wrap
     ``clt.quad`` and count its calls.
     """
-    nodes, weights = _leggauss(_MOMENT_NODES)
-    half = 0.5 * (b - a) / _MOMENT_PANELS
-    mid = a + half * np.arange(1, 2 * _MOMENT_PANELS, 2)
-    return half * float(np.sum(func(np.add.outer(mid, half * nodes)) @ weights))
+    panels = _gl_panels(a, b, _MOMENT_PANELS)
+    return panels.half * float(np.sum(panels.weights @ func(panels.points)))
 
 
 def kernel_moment_by_quadrature(kernel: SmoothingKernel, order: int) -> float:

@@ -27,12 +27,11 @@ class EstimateWithCI:
 
     value: float
     half_width: float
-    count: int
     estimator_id: str
 
     def __post_init__(self):
-        if self.half_width < 0:
-            raise ValueError("half_width must be nonnegative")
+        if not self.half_width >= 0:  # a NaN fails too
+            raise ValueError(f"half_width must be nonnegative, got {self.half_width!r}")
 
 
 def uniform_direction(n: int) -> np.ndarray:
@@ -59,13 +58,13 @@ def _variance_estimate(y: np.ndarray, estimator_id: str) -> EstimateWithCI:
     s2 = float(np.sum(d2)) / (n - 1)  # all-equal y gives s2 = 0 and half-width 0
     m4 = float(np.sum(d2 * d2)) / n
     var_of_var = max(m4 - s2 * s2, 0.0) / n
-    return EstimateWithCI(s2, 3.0 * math.sqrt(var_of_var), n, estimator_id)
+    return EstimateWithCI(s2, 3.0 * math.sqrt(var_of_var), estimator_id)
 
 
 def _mean_estimate(y: np.ndarray, estimator_id: str) -> EstimateWithCI:
     n = y.size
     se = float(y.std(ddof=1)) / math.sqrt(n)
-    return EstimateWithCI(float(y.mean()), 3.0 * se, n, estimator_id)
+    return EstimateWithCI(float(y.mean()), 3.0 * se, estimator_id)
 
 
 # -- shell statistics ---------------------------------------------------------
@@ -79,6 +78,10 @@ def thin_shell_stats(sq: np.ndarray, n: int) -> ThinShellStats:
     """Shell statistics from the squared norms |X|^2 of N draws in R^n."""
     if sq.size < 100:
         raise ValueError("thin_shell_stats needs N >= 100")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"thin_shell_stats needs an integer dimension n >= 1, got {n!r}")
+    if not (0.0 <= sq.min() and sq.max() < math.inf):  # a NaN fails the first
+        raise ValueError("thin_shell_stats needs finite nonnegative squared norms sq")
     var_ratio = _variance_estimate(sq / n, "thin_shell.var_ratio")
     dev = (np.sqrt(sq) - math.sqrt(n)) ** 2
     shell_dev = _mean_estimate(dev, "thin_shell.shell_dev")
@@ -87,6 +90,8 @@ def thin_shell_stats(sq: np.ndarray, n: int) -> ThinShellStats:
 
 def weighted_square_variance(y: np.ndarray) -> EstimateWithCI:
     """Var(sum a_i X_i^2) from its per-draw values y."""
+    if not np.all(np.isfinite(y)):
+        raise ValueError("weighted_square_variance needs finite values y")
     return _variance_estimate(y, "weighted_square_variance")
 
 

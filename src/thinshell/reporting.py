@@ -1,11 +1,16 @@
 """Report artifacts: deterministic CSV rows, assertion records, JSON metadata.
 
+The CSV is written by the stdlib ``csv`` writer with newline line ends, which
+quotes a field that holds a comma, a quote or a line break (RFC 4180).
+
 An assertion is its measured value and the interval [lo, hi] it must lie in;
 its verdict and target text are derived here, so the rule that decides a
 verdict lives in this module alone."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -24,20 +29,11 @@ class CsvRow:
     bound: float = float("nan")
     extra: dict = field(default_factory=dict)
 
-    def render(self) -> str:
+    def _cells(self) -> list[str]:
         extra_json = json.dumps(self.extra, sort_keys=True, separators=(",", ":")) if self.extra else ""
-        return ",".join(_quote(f) for f in [
-            self.estimator_id, self.body, str(self.n), str(self.N), str(self.seed),
-            repr(float(self.value)), repr(float(self.half_width)), repr(float(self.bound)),
-            extra_json,
-        ])
-
-
-def _quote(field: str) -> str:
-    """A CSV field, quoted when it holds a comma or a quote (RFC 4180)."""
-    if "," in field or '"' in field:
-        return '"' + field.replace('"', '""') + '"'
-    return field
+        return [self.estimator_id, self.body, str(self.n), str(self.N), str(self.seed),
+                repr(float(self.value)), repr(float(self.half_width)), repr(float(self.bound)),
+                extra_json]
 
 
 CSV_HEADER = "estimator_id,body,n,N,seed,value,half_width,bound,extra_json"
@@ -49,7 +45,10 @@ def _report_order(rows: list[CsvRow]) -> list[CsvRow]:
 
 
 def render_csv(rows: list[CsvRow]) -> str:
-    return "\n".join([CSV_HEADER] + [r.render() for r in _report_order(rows)]) + "\n"
+    out = io.StringIO()
+    out.write(CSV_HEADER + "\n")
+    csv.writer(out, lineterminator="\n").writerows(r._cells() for r in _report_order(rows))
+    return out.getvalue()
 
 
 @dataclass(frozen=True)

@@ -481,8 +481,9 @@ def spectral_suite(seed: int) -> SuiteResult:
     on a swap-symmetric raster, whose 4th class is swapped from its twin
     (``spectral.class_eigenpairs``).  The other 6 read only lambda_1 and solve
     only the singly-odd classes: 1 on a swap-symmetric raster, 2 on the
-    rectangle.  Its figures are heatmaps of the first nontrivial eigenfunction
-    of the square and the disc."""
+    rectangle.  lambda_1 of every raster, full or not, is the least of the
+    lowest values of the singly-odd classes that it solved.  Its figures are
+    heatmaps of the first nontrivial eigenfunction of the square and the disc."""
     from scipy.special import jnp_zeros
 
     from . import spectral as spec
@@ -498,6 +499,10 @@ def spectral_suite(seed: int) -> SuiteResult:
     comparison_h = 1 / 32
     witness_h = 1 / 48  # of the disc; the rectangle's raster is twice as fine
     even, *odd_classes = [(x, y) for x in (False, True) for y in (False, True)]  # odd in x, y
+    # lambda_1 has an eigenfunction odd under some flip (Cor 4.2(i)), and at most
+    # 2 nodal domains (Courant), while one odd in both x and y has at least 4: so
+    # lambda_1 of every raster lies in a singly-odd class, odd in y or in x alone
+    singly_odd = odd_classes[:2]
     oracle_rasters = [(square, 1 / 16), (disc, 1 / 32), (l1_ball, comparison_h)]
     report_rasters = [(square, "square", 1 / 32), (disc, "disc", 1 / 64)]
     # the rasters whose full spectrum a check reads; every other one reads lambda_1 alone
@@ -512,11 +517,8 @@ def spectral_suite(seed: int) -> SuiteResult:
                 solved[body, h] = grid, spec.class_eigenpairs(grid, 4)
                 solves["full classes"] += 3 if grid.swap_symmetric else 4
             else:
-                # lambda_1 has an eigenfunction odd under some flip (Cor 4.2(i)), and
-                # at most 2 nodal domains (Courant), while one odd in both x and y has
-                # at least 4: so lambda_1 lies in a singly-odd class.  On a
-                # swap-symmetric raster the class odd in y has its twin's values.
-                parities = [(False, True)] + ([] if grid.swap_symmetric else [(True, False)])
+                # on a swap-symmetric raster the class odd in x has its twin's values
+                parities = singly_odd[:1 if grid.swap_symmetric else 2]
                 solved[body, h] = grid, {odd: spec.lowest_eigenpairs(grid, 4, odd)
                                          for odd in parities}
                 solves["singly-odd"] += len(parities)
@@ -526,10 +528,9 @@ def spectral_suite(seed: int) -> SuiteResult:
         return sorted((p for pairs in eigen(body, h)[1].values() for p in pairs),
                       key=lambda p: p.value)[:5]
 
-    def lambda1(body, h):
-        if (body, h) in full_rasters:
-            return spectrum(body, h)[1].value
-        return min(pairs[0].value for pairs in eigen(body, h)[1].values())
+    def lambda1(body, h):  # the lowest value of the singly-odd classes it solved
+        classes = eigen(body, h)[1]
+        return min(classes[odd][0].value for odd in singly_odd if odd in classes)
 
     for body, h in oracle_rasters:
         # oracle of the split: the whole raster, solved without its symmetry

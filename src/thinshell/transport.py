@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import spectral
+from .clt import _gl_panels
 from .spectral import _dot, graph_laplacian
 
 _MASS_TOL = 1e-12
@@ -220,18 +221,18 @@ class TransportMap1D:
         return 1.0 + self.epsilon * d
 
     def pushforward_defect(self) -> float:
-        """max_x |int_p^x (1 + eps Psi') dt - (T(x) - p)|, quadrature oracle.
+        """max_x |int_p^x (1 + eps Psi') dt - (T(x) - p)| over the panel edges,
+        quadrature oracle.
 
         The pushforward of the perturbed density under T is Lebesgue on [p, q]
-        exactly; this measures the defect with an independent quadrature.
+        exactly; this measures the defect with an independent quadrature, the
+        inversions' Gauss-Legendre panels (``clt._gl_panels``) on
+        PUSHFORWARD_POINTS equal panels.
         """
-        xg, wg = np.polynomial.legendre.leggauss(24)
+        panels = _gl_panels(self.p, self.q, PUSHFORWARD_POINTS)
+        mass = panels.half * (panels.weights @ self.density(panels.points))
+        cdf = np.concatenate([[0.0], np.cumsum(mass)])
         edges = np.linspace(self.p, self.q, PUSHFORWARD_POINTS + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        nodes = mid + half * xg[None, :]
-        panel = np.sum(self.density(nodes) * (half * wg[None, :]), axis=1)
-        cdf = np.concatenate([[0.0], np.cumsum(panel)])
         return float(np.max(np.abs(cdf - (self(edges) - self.p))))
 
 

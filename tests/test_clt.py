@@ -218,6 +218,13 @@ def test_sinc8_tail_integral_is_elementwise():
         sinc8_tail_integral(8, np.array([-3.0]))
 
 
+@pytest.mark.parametrize("big_t", [math.inf, math.nan, np.array([1.0, math.nan])])
+def test_sinc8_tail_integral_needs_a_finite_t(big_t):
+    # T = inf warned in cos(inf) and gave NaN; a NaN T passed the check T <= 0
+    with pytest.raises(ValueError, match="finite T > 0"):
+        sinc8_tail_integral(2, big_t)
+
+
 # -- Gaussian utilities ---------------------------------------------------------
 
 def test_normal_tail_against_mpmath():

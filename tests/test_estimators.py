@@ -80,7 +80,6 @@ def test_weighted_square_variance_cases(cube16):
     zero = np.zeros(n)
     est0 = weighted_square_variance(weighted_squares(cube16, zero))
     assert est0.value == 0.0 and est0.half_width == 0.0 and cor204_bound(zero) == 0.0
-    assert est0.count == 10 ** 5
 
 
 def test_weighted_square_variance_of_two_draws_has_a_finite_half_width():
@@ -93,6 +92,31 @@ def test_weighted_square_variance_of_two_draws_has_a_finite_half_width():
 def test_thin_shell_stats_needs_100_draws(cube16):
     with pytest.raises(ValueError, match="N >= 100"):
         thin_shell_stats(squared_norms(cube16)[:99], 16)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_thin_shell_stats_needs_an_integer_dimension(n):
+    # n = 0 divided by zero
+    with pytest.raises(ValueError, match="dimension n >= 1"):
+        thin_shell_stats(np.ones(100), n)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_thin_shell_stats_needs_finite_nonnegative_squared_norms(bad):
+    # a NaN gave NaN estimates silently, a negative value warned in sqrt
+    sq = np.ones(100)
+    sq[37] = bad
+    with pytest.raises(ValueError, match="squared norms sq"):
+        thin_shell_stats(sq, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weighted_square_variance_needs_finite_values(bad):
+    # a NaN gave a NaN estimate silently, an infinite value warned
+    y = np.ones(100)
+    y[37] = bad
+    with pytest.raises(ValueError, match="finite values y"):
+        weighted_square_variance(y)
 
 
 def test_weighted_square_variance_bound_random_directions(cube16):
@@ -233,5 +257,6 @@ def test_weight_vector_validation():
 
 
 def test_estimate_with_ci_validation():
-    with pytest.raises(ValueError):
-        EstimateWithCI(1.0, -0.1, 10, "x")
+    for half_width in (-0.1, math.nan):  # NaN passed the former check half_width < 0
+        with pytest.raises(ValueError, match="half_width must be nonnegative"):
+            EstimateWithCI(1.0, half_width, "x")

@@ -1,13 +1,15 @@
 """Fault injection: a wrong lattice operator, flip-class extension, raster swap,
-Fourier inversion, isotropic scale or exact law must fail at least one suite
-assertion.
+raster volume fraction, Fourier inversion, isotropic scale or exact law must
+fail at least one suite assertion.
 
 Each fault monkeypatches the function that builds the operator, the extension,
-the swap x <-> y, the inversion's sine transform, the isotropic body or the
-counterexample's CDF, then runs the suites that use it: transport at raster
-spacing 1/32, spectral, clt, berry_esseen, and thinshell on its default cube
-grid.
+the swap x <-> y, the raster, the inversion's sine transform, the isotropic body
+or the counterexample's CDF, then runs the suites that use it: transport at
+raster spacing 1/32, spectral, clt, berry_esseen, and thinshell on its default
+cube grid.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -56,6 +58,23 @@ def test_a_small_raster_operator_fails_the_closed_form(monkeypatch, scale):
     # (at 0.98 the disc's x^2 bound reads +1.96% against its 0.4%, the square's
     # +1.79% against 1%)
     assert _failed_with(monkeypatch, spectral, scale) == CLOSED_FORMS
+
+
+@pytest.mark.parametrize("scale", [1.01, 0.99])
+def test_raster_volume_fractions_one_percent_off_fail_the_closed_forms(monkeypatch, scale):
+    # the cell weights alpha h^2 of the raster measure carry the fault into the
+    # Var that each closed form reads, and into its dual-norm bound; the one-sided
+    # Lemma 2.1 checks still hold
+    rasterize = spectral.rasterize
+
+    def scaled(*args):
+        grid = rasterize(*args)
+        return dataclasses.replace(grid, alpha=scale * grid.alpha)
+
+    monkeypatch.setattr(spectral, "rasterize", scaled)
+    result = suites.transport_suite(SEED, raster_h=1 / 32)
+    assert [a.name for a in result.assertions if not a.passed] == [
+        name.replace(".bound", part) for name in CLOSED_FORMS for part in (".var", ".bound")]
 
 
 @pytest.mark.parametrize("scale", [1 + 1e-5, 1 - 1e-5, 0.995])

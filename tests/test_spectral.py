@@ -281,13 +281,17 @@ def test_flip_class_spectra_together_match_a_dense_solve(body):
 SUITE_LAMBDA1_RASTERS = [(BodySpec.cube(2), 1 / 64), (BodySpec.euclidean_ball(2), 1 / 16),
                          (BodySpec.euclidean_ball(2), 1 / 48), (BodySpec.lp_ball(2, p=1.0), 1 / 16),
                          (BodySpec.lp_ball(2, p=1.0), 1 / 64), (BodySpec("cube", 2, (0.9, 0.2)), 1 / 96)]
+# the rasters whose full class spectrum it reads, and their lambda_1 by the same rule
+SUITE_FULL_RASTERS = [(BodySpec.cube(2), 1 / 16), (BodySpec.cube(2), 1 / 32),
+                      (BodySpec.euclidean_ball(2), 1 / 32), (BodySpec.euclidean_ball(2), 1 / 64),
+                      (BodySpec.lp_ball(2, p=1.0), 1 / 32)]
 
 
-@pytest.mark.parametrize("body, h", SUITE_LAMBDA1_RASTERS)
+@pytest.mark.parametrize("body, h", SUITE_LAMBDA1_RASTERS + SUITE_FULL_RASTERS)
 def test_lambda1_lies_in_a_singly_odd_class(body, h):
-    # Cor 4.2(i) and Courant's nodal domain theorem: the suite's lambda_1 rule,
-    # the lowest value of the singly-odd classes that it solves, is the second
-    # value of the whole class spectrum, to the bit
+    # Cor 4.2(i) and Courant's nodal domain theorem: the suite's lambda_1 rule on
+    # every raster, the lowest value of the singly-odd classes that it solves, is
+    # the second value of the whole class spectrum, to the bit
     grid = rasterize(body, h)
     classes = class_eigenpairs(grid, 4)
     solved = [(False, True)] + ([] if grid.swap_symmetric else [(True, False)])
