@@ -188,8 +188,8 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
 def run(config: ExperimentConfig) -> int:
     """Execute the configured suite and write report.csv / report.json / SVGs.
 
-    The suite's wall time goes to report.json and stdout only, so report.csv
-    stays byte-stable.
+    The suite's wall time and the process's peak RSS after it go to
+    report.json and stdout only, so report.csv stays byte-stable.
     """
     config.validate()
     out_dir = Path(config.output_dir)
@@ -214,13 +214,14 @@ def run(config: ExperimentConfig) -> int:
     t0 = time.perf_counter()
     result = SUITES[config.experiment](config)
     seconds = time.perf_counter() - t0
+    peak_mb = _peak_rss_mb()
 
     try:
         (out_dir / "report.csv").write_text(render_csv(result.rows))
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         (out_dir / "report.json").write_text(
             render_json(result, config.echo(), timestamp, __version__, RNG_ID,
-                        {f"{config.experiment}_s": seconds}))
+                        {f"{config.experiment}_s": seconds}, peak_mb))
         if config.plot:
             for name, render in result.figures.items():
                 (out_dir / name).write_text(render())
@@ -234,8 +235,21 @@ def run(config: ExperimentConfig) -> int:
     for note in result.notes:
         print(f"[note] {note}")
     print(f"[time] {config.experiment} {seconds:.2f} s")
+    if peak_mb is not None:
+        print(f"[time] {config.experiment} peak RSS {peak_mb:.1f} MB")
     print(f"report.csv / report.json written to {out_dir}")
     return 0 if result.passed else 1
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far in MB of 2^20 bytes, or None
+    where the ``resource`` module is missing (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)  # bytes on macOS, else KiB
 
 
 def version_info() -> str:

@@ -137,9 +137,12 @@ class SmoothingKernel:
     moments_exact: tuple[Fraction, Fraction, Fraction]
 
     def density(self, x):
-        """kappa1 sin^8(kappa2 x)/x^8; a scalar x gives a scalar."""
+        """kappa1 sin^8(kappa2 x)/x^8, 0 at x = +-inf; a scalar x gives a scalar."""
         x = np.asarray(x, dtype=float)
         y = np.atleast_1d(x * self.kappa2)
+        infinite = _infinities(y, "SmoothingKernel.density")
+        if infinite is not None:
+            y[infinite] = 0.0  # sin(inf) is NaN; the density is set to 0 there below
         small = np.abs(y) < 1e-4
         s = np.sin(y)
         np.divide(s, y, out=s, where=~small)
@@ -149,6 +152,8 @@ class SmoothingKernel:
         s *= s
         s *= s
         s *= self.kappa1 * self.kappa2 ** 8
+        if infinite is not None:
+            s[infinite] = 0.0
         return s[0] if x.ndim == 0 else s.reshape(x.shape)
 
     def cdf(self, x):
@@ -161,16 +166,20 @@ class SmoothingKernel:
         symmetry.  Against 40-digit mpmath on a 0.01 grid the tail's absolute
         error is at most 5.6e-17 on |x| <= 4 and 2.0e-16 on |x| <= 12 for the
         series, and 1.8e-15 on (4, 16] for the closed form, whose recurrence
-        cancels: far tails below that carry no relative accuracy.  A scalar x
-        gives a float.
+        cancels: far tails below that carry no relative accuracy.  cdf(-inf)
+        is 0 and cdf(inf) 1; a scalar x gives a float.
         """
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
         ax = np.abs(flat)
         tail = np.empty_like(ax)
         far = ax > _NEAR
-        tail[far] = self.kappa1 * sinc8_tail_integral(8, ax[far])
         near = ~far
+        infinite = _infinities(ax, "SmoothingKernel.cdf")
+        if infinite is not None:
+            tail[infinite] = 0.0
+            far &= ~infinite
+        tail[far] = self.kappa1 * sinc8_tail_integral(8, ax[far])
         y = self.kappa2 * ax[near]
         y2 = y * y
         coefs = _sinc8_series()
@@ -181,6 +190,16 @@ class SmoothingKernel:
         tail[near] = 0.5 - self.kappa1 * self.kappa2 ** 7 * (y * acc)
         np.subtract(1.0, tail, out=tail, where=flat >= 0)
         return float(tail[0]) if x.ndim == 0 else tail.reshape(x.shape)
+
+
+def _infinities(x: np.ndarray, caller: str) -> np.ndarray | None:
+    """The mask of the infinite entries of ``x``, or None if all are finite;
+    a NaN entry raises ValueError."""
+    if np.isfinite(x).all():
+        return None
+    if np.isnan(x).any():
+        raise ValueError(f"{caller} needs x that is not NaN")
+    return np.isinf(x)
 
 
 @lru_cache(maxsize=1)
@@ -442,8 +461,8 @@ def lemma1034_check(t0_grid) -> Lemma1034Report:
     c2 delta^(-3/4) then x^2 <= C1 delta, certified through x <= 2 phi(t0).
     """
     t0 = np.asarray(t0_grid, dtype=float)
-    if np.any(t0 < 0):
-        raise ValueError("t0 >= 0 required")
+    if not np.all((0 <= t0) & (t0 < math.inf)):  # a NaN t0 fails too
+        raise ValueError("lemma1034_check needs finite t0 >= 0")
     delta = normal_upper_tail(t0)
     shift = 2.0 * delta ** 0.25
     c1_i = float(np.max(delta / normal_upper_tail(t0 + shift)))

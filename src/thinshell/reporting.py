@@ -95,9 +95,11 @@ class SuiteResult:
 
 
 def render_json(result: SuiteResult, config_echo: dict, timestamp: str, version: str,
-                rng_id: str, timings: dict[str, float] | None = None) -> str:
+                rng_id: str, timings: dict[str, float] | None = None,
+                peak_rss_mb: float | None = None) -> str:
     """JSON report: the CSV rows plus metadata that may vary between runs, such
-    as the timestamp and the suite's wall time in ``timings``. Each assertion
+    as the timestamp, the suite's wall time in ``timings`` and the process's
+    peak RSS after the suite (null where it is not known). Each assertion
     record carries its interval with the target and verdict derived from it.
     Strict JSON: a non-finite float (the ``nan`` bound of a row without one, the
     infinite edge of a one-sided interval) is written as null."""
@@ -108,6 +110,7 @@ def render_json(result: SuiteResult, config_echo: dict, timestamp: str, version:
         "timestamp": timestamp,  # confined to the JSON report; CSV stays byte-stable
         "config": config_echo,
         "timings": timings or {},
+        "peak_rss_mb": peak_rss_mb,
         "passed": result.passed,
         "assertions": [{**asdict(a), "target": a.target, "passed": a.passed}
                        for a in result.assertions],

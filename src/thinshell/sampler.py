@@ -116,7 +116,7 @@ def _draw_id(body: BodySpec) -> tuple[int, int, int]:
     return _KIND_IDS[body.kind], p_bits, body.dim
 
 
-# every draw runs in chunks of _chunk_rows(n) rows: 256 * 2^k rows, with k the
+# every draw runs in chunks of _chunk_rows(n) rows: GROUP_ROWS * 2^k rows, with k the
 # largest value that keeps the chunk within _CHUNK_FLOATS floats (256 KiB) and a
 # divisor of BLOCK, and never fewer than 256 rows.  The chunk and its scratch
 # stay in cache while the draw makes its passes over them, and each numpy call
@@ -128,12 +128,15 @@ def _draw_id(body: BodySpec) -> tuple[int, int, int]:
 # {1, 3, 255, 4095} in a scan of 192 (n, k, s) cases, never at k in {1000,
 # 1024, 1696}; visits on 256-row boundaries keep the whole block's row groups
 # and alignment, so their reductions give the same bits.
+# The estimators reduce per-draw values in groups of GROUP_ROWS rows, which
+# every visit's slice starts on, so their sums are those of whole blocks too.
 _CHUNK_FLOATS = 1 << 15
+GROUP_ROWS = 256
 
 
 def _chunk_rows(dim: int) -> int:
     """Rows per chunk of a draw in ``dim`` dimensions."""
-    rows = 256
+    rows = GROUP_ROWS
     while 2 * rows * dim <= _CHUNK_FLOATS and BLOCK % (2 * rows) == 0:
         rows *= 2
     return rows

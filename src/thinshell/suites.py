@@ -107,10 +107,12 @@ def _around(target: float, half_width: float) -> tuple[float, float]:
 def _thinshell_task(template: BodyTemplate, n: int, samples: int, seed: int,
                     coeffs: np.ndarray):
     """Draw one (body, n) once and reduce each chunk in the thread that drew it:
-    |X|^2 per draw and, for each coefficient vector a, sum a_i X_i^2 per draw."""
+    |X|^2 per draw, and for each coefficient vector a the group moments of
+    sum a_i X_i^2 (``estimators._GroupMoments``), so no per-draw values of
+    those are kept."""
     body = template.instantiate(n)
     sq = np.empty(samples)
-    y = np.empty((len(coeffs), samples))
+    weighted = est._GroupMoments(len(coeffs), samples)
 
     def visit(rows: slice, chunk: np.ndarray) -> None:
         sq[rows] = np.einsum("ij,ij->i", chunk, chunk)
@@ -118,12 +120,15 @@ def _thinshell_task(template: BodyTemplate, n: int, samples: int, seed: int,
             chunk *= chunk
             # one stacked matmul runs chunk @ a, the same gemv with the same bits,
             # for every vector a: with 20 calls a chunk, the cube's n = 64 draw
-            # took 70-95 ms on two drawing threads, against 48-56 ms with one
-            y[:, rows] = np.matmul(chunk, coeffs[:, :, None])[..., 0]
+            # took 70-95 ms on two drawing threads, against 48-56 ms with one;
+            # its 20 x chunk values go to the chunk's groups' moments
+            weighted.add(rows, np.matmul(chunk, coeffs[:, :, None])[..., 0])
 
     smp.for_each_block(body, samples, seed, visit)
-    weighted = [est.weighted_square_variance(yk) for yk in y]
-    return body.label(), est.thin_shell_stats(sq, body.dim), weighted
+    moments = weighted.merged()
+    estimates = [est._variance_estimate(moments, k, "weighted_square_variance")
+                 for k in range(len(coeffs))]
+    return body.label(), est.thin_shell_stats(sq, body.dim), estimates
 
 
 def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: int,

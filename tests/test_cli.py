@@ -189,6 +189,22 @@ def test_run_identities_and_artifacts(tmp_path, capsys):
     assert re.search(r"^\[time\] identities \d+\.\d\d s$", capsys.readouterr().out, re.M)
 
 
+def test_run_reports_the_peak_rss(tmp_path, capsys, monkeypatch):
+    cfg = default_config("identities")
+    cfg.output_dir = str(tmp_path / "out")
+    assert run(cfg) == 0
+    peak = json.loads((tmp_path / "out" / "report.json").read_text())["peak_rss_mb"]
+    assert isinstance(peak, float) and 1.0 < peak < 1e5
+    line = re.search(r"^\[time\] identities peak RSS (\d+\.\d) MB$", capsys.readouterr().out,
+                     re.M)
+    assert line and float(line[1]) == round(peak, 1)
+    # where the resource module is missing the field is null and no line is printed
+    monkeypatch.setitem(sys.modules, "resource", None)
+    assert run(cfg) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["peak_rss_mb"] is None
+    assert "peak RSS" not in capsys.readouterr().out
+
+
 def test_run_byte_identical_reports(tmp_path, capsys):
     texts = []
     for name in ("a", "b"):

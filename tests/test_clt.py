@@ -197,6 +197,29 @@ def test_density_return_shapes():
     assert KERNEL.density([0.0, 8.0]).shape == (2,)
 
 
+def test_cdf_is_exactly_0_and_1_at_the_infinities():
+    # sinc8_tail_integral raised for T = inf, naming a T the caller never passed
+    assert KERNEL.cdf(math.inf) == 1.0 and KERNEL.cdf(-math.inf) == 0.0
+    got = KERNEL.cdf(np.array([-math.inf, -20.0, 0.0, 20.0, math.inf]))
+    assert got[0] == 0.0 and got[-1] == 1.0
+    assert np.array_equal(got[1:-1], KERNEL.cdf(np.array([-20.0, 0.0, 20.0])))
+
+
+def test_density_is_0_at_the_infinities_without_a_warning():
+    # sin(inf) warned and gave NaN; the tier-1 filter turns a warning into an error
+    assert KERNEL.density(math.inf) == 0.0 and KERNEL.density(-math.inf) == 0.0
+    got = KERNEL.density(np.array([-math.inf, 3.0, math.inf]))
+    assert got[0] == got[2] == 0.0 and got[1] == KERNEL.density(3.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])])
+@pytest.mark.parametrize("method", ["cdf", "density"])
+def test_kernel_rejects_a_nan_x(method, x):
+    # cdf(nan) returned NaN silently
+    with pytest.raises(ValueError, match=f"SmoothingKernel.{method} needs x that is not NaN"):
+        getattr(KERNEL, method)(x)
+
+
 def test_gauss_legendre_tables_are_shared_and_read_only():
     nodes, weights = _leggauss(16)
     assert _leggauss(16)[0] is nodes
@@ -276,6 +299,13 @@ def test_lemma1034_large_t0_ratio_stabilizes():
     ratio = normal_upper_tail(t0 + 2 * delta ** 0.25) / delta
     assert np.all(ratio > 0.05)
     assert np.all(np.diff(ratio) > -1e-3)  # flattens out for large t0
+
+
+@pytest.mark.parametrize("t0", [[math.nan], [0.0, math.inf], [-1.0]])
+def test_lemma1034_needs_finite_nonnegative_t0(t0):
+    # a NaN passed the check t0 < 0 and gave an all-NaN report
+    with pytest.raises(ValueError, match="finite t0 >= 0"):
+        lemma1034_check(t0)
 
 
 # -- smoothed Bernoulli tails -----------------------------------------------------

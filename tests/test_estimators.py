@@ -10,6 +10,7 @@ from thinshell.bodies import BodySpec, isotropic_body
 from thinshell.estimators import (
     IDENTITY_GRID,
     EstimateWithCI,
+    dkw_band,
     kolmogorov_distance,
     scaling_fit,
     thin_shell_stats,
@@ -119,6 +120,36 @@ def test_weighted_square_variance_needs_finite_values(bad):
         weighted_square_variance(y)
 
 
+def test_thin_shell_stats_needs_one_squared_norm_per_draw():
+    # a matrix gave estimates over its flattened entries
+    with pytest.raises(ValueError, match=r"1-D array of per-draw values, got shape \(100, 2\)"):
+        thin_shell_stats(np.ones((100, 2)), 2)
+
+
+def test_weighted_square_variance_needs_one_value_per_draw():
+    with pytest.raises(ValueError, match=r"1-D array of per-draw values, got shape \(3, 3\)"):
+        weighted_square_variance(np.ones((3, 3)))
+
+
+def _two_pass(y):
+    """Variance and its half-width by numpy two-pass sums over the whole array."""
+    d = y - y.mean()
+    s2 = float(np.sum(d * d)) / (y.size - 1)
+    m4 = float(np.sum(d ** 4)) / y.size
+    return s2, 3.0 * math.sqrt(max(m4 - s2 * s2, 0.0) / y.size)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_group_moments_keep_the_two_pass_variance_far_from_zero(offset):
+    # groups of 256 values, the last one short; values of mean 1e6 and variance 1
+    # lost 1.8e-12 of their variance when each group's sum of deviations was dropped
+    y = offset + np.random.default_rng(11).standard_normal(40013)
+    got = weighted_square_variance(y)
+    s2, half_width = _two_pass(y)
+    assert got.value == pytest.approx(s2, rel=1e-13)
+    assert got.half_width == pytest.approx(half_width, rel=1e-13)
+
+
 def test_weighted_square_variance_bound_random_directions(cube16):
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -148,6 +179,13 @@ def test_kolmogorov_distance_self_consistency():
     res = kolmogorov_distance(rng.standard_normal(10 ** 5), normal_cdf)
     assert res.dkw_band == pytest.approx(math.sqrt(math.log(2 / 0.01) / (2 * 10 ** 5)))
     assert res.distance <= res.dkw_band
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_dkw_band_needs_a_positive_count(count):
+    # 0 divided by zero and -1 raised a bare math domain error
+    with pytest.raises(ValueError, match="count >= 1"):
+        dkw_band(count)
 
 
 def test_kolmogorov_distance_constant_values():

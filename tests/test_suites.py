@@ -40,6 +40,32 @@ def test_blockwise_reduction_matches_the_full_matrix(template):
         assert got == weighted_square_variance((full ** 2) @ ak)
 
 
+def _two_pass(y):
+    """Variance and its half-width by numpy two-pass sums over the whole array."""
+    d = y - y.mean()
+    s2 = float(np.sum(d * d)) / (y.size - 1)
+    m4 = float(np.sum(d ** 4)) / y.size
+    return s2, 3.0 * np.sqrt(max(m4 - s2 * s2, 0.0) / y.size)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_streamed_group_moments_match_two_pass_sums(monkeypatch, threads):
+    # six blocks and 300 rows: three drawing threads, and a last group of 44 rows
+    monkeypatch.setattr(smp, "_usable_cores", lambda: threads)
+    n, count = 16, 6 * smp.BLOCK + 300
+    assert count % smp.GROUP_ROWS == 44
+    a = np.random.default_rng(5).uniform(0.0, 2.0, size=(3, n))
+    _, (var_ratio, shell_dev), weighted = _thinshell_task(CUBE, n, count, SEED, a)
+    full = smp.sample_exact(CUBE.instantiate(n), count, SEED).data
+    sq = np.einsum("ij,ij->i", full, full)
+    dev = (np.sqrt(sq) - np.sqrt(n)) ** 2
+    expected = [_two_pass(y) for y in [sq / n, *((full ** 2) @ a.T).T]]
+    expected.insert(1, (float(dev.mean()), 3.0 * float(dev.std(ddof=1)) / np.sqrt(count)))
+    for got, (value, half_width) in zip([var_ratio, shell_dev, *weighted], expected):
+        assert got.value == pytest.approx(value, rel=1e-13)
+        assert got.half_width == pytest.approx(half_width, rel=1e-13)
+
+
 def test_the_weighted_square_margin_is_taken_against_16_sum_a_squared():
     # Cor 204(i): the suite's bound for each coefficient vector a is 16 sum a_i^2
     n, count = 8, 500
@@ -149,10 +175,10 @@ def test_reports_do_not_depend_on_the_chunk_rows(monkeypatch):
     assert _visited_reports(count) == chunked
 
 
-def _thinshell_peak_mb():
+def _thinshell_peak_mb(n_grid=(64, 128, 256), samples=10 ** 5, **shell):
     tracemalloc.start()
     try:
-        thinshell_suite([CUBE], [64, 128, 256], 10 ** 5, SEED)
+        thinshell_suite([CUBE], list(n_grid), samples, SEED, **shell)
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
@@ -166,6 +192,14 @@ def test_peak_memory_stays_below_one_sample_matrix_on_a_many_core_host(monkeypat
     # one drawing buffer per core would hold 7 blocks, 234.9 MB at n = 256
     monkeypatch.setattr(smp, "_usable_cores", lambda: 64)
     assert _thinshell_peak_mb() < 10 ** 5 * 256 * 8 / 1e6
+
+
+def test_the_weighted_square_check_keeps_no_per_draw_values():
+    # the 20 x N per-draw values of sum a_i X_i^2 alone would add 24 MB over
+    # these 1.5e5 more draws; |X|^2 and the group moments add about 1.2 MB
+    peaks = [_thinshell_peak_mb((4, 8, 16), samples, shell_n=(64,), shell_templates=(CUBE,))
+             for samples in (5 * 10 ** 4, 2 * 10 ** 5)]
+    assert peaks[1] - peaks[0] < 4.0
 
 
 def test_non_cube_bodies_are_checked_against_the_bound():
