@@ -3,17 +3,19 @@
 #
 #     scripts/ci.sh
 #
-# Runs the tests, every suite with its figures, a rerun and a one-core run
-# that must write the same reports and verdicts, and each benchmark workload, all into a
-# temporary directory that is removed at exit.  The suite runs turn a numpy
-# RuntimeWarning into an error, as the tests' filterwarnings does, so a suite
-# that makes a NaN through one fails.  Fails if a step changed a
-# tracked file.  Expects the package's dependencies (pip install -e ".[test]").
+# Runs the tests, every suite with its figures, the two scaling scripts, a rerun
+# and a one-core run that must write the same reports and verdicts, and each
+# benchmark workload, all into a temporary directory that is removed at exit.
+# The suite runs turn a numpy RuntimeWarning into an error, as the tests'
+# filterwarnings does, so a suite that makes a NaN through one fails.  Fails if
+# a step changed a tracked file.  Expects the package's dependencies
+# (pip install -e ".[test]").
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS:-1}"
-export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+repo="$PWD"
+export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 tracked_before="$(git diff --binary | sha256sum)"
@@ -40,6 +42,11 @@ first, second = (json.load(open(path))["assertions"] for path in sys.argv[1:])
 sys.exit(first != second)
 PY
 }
+
+echo "== the scaling scripts run, writing their relative reports/ paths under the temporary directory"
+for script in thinshell_scaling smoothing_scaling; do
+  (cd "$out" && PYTHONWARNINGS=error::RuntimeWarning python "$repo/scripts/$script.py")
+done
 
 echo "== a rerun writes the same reports"
 PYTHONWARNINGS=error::RuntimeWarning python -m thinshell.cli all --out "$out/rerun"

@@ -90,13 +90,18 @@ def _bspline8_pieces():
 
 
 class _CharFnSpline:
-    """gamma(xi) = B8(4 xi)/B8(0): even, supported on [-1, 1], knots at k/4."""
+    """gamma(xi) = B8(4 xi)/B8(0): even, supported on [-1, 1], knots at k/4.
+
+    With x = 4|xi|, one ``np.piecewise`` picks the piece j <= x < j + 1 of each
+    point: the inner three are their degree-7 polynomials in u = x - j, the
+    outermost is (4 - x)^7/7!, which does not cancel at the edge, and x >= 4
+    takes piecewise's default 0.
+    """
 
     def __init__(self):
         # pieces on [0, 4] in local coordinates u = x - left
         self.pos_pieces = _bspline8_pieces()
         self.center_value = self.pos_pieces[0][2][0]  # B8(0), exact
-        self.knots = np.array([float(l) for l, _, _ in self.pos_pieces] + [4.0])
         self.coeffs = [np.array([float(x) for x in c]) for _, _, c in self.pos_pieces]
         # derivatives of gamma at 0 (exact): gamma^{(k)}(0) = 4^k B8^{(k)}(0)/B8(0)
         c0 = self.pos_pieces[0][2]
@@ -104,27 +109,11 @@ class _CharFnSpline:
                         for k in range(8)]
 
     def __call__(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        x = 4.0 * np.abs(xi)
-        out = np.zeros_like(x)
-        inside = x < 4.0
-        # outermost piece evaluated as (4-x)^7/7! to avoid cancellation at the edge
-        edge = inside & (x >= 3.0)
-        out[edge] = (4.0 - x[edge]) ** 7 / 5040.0
-        body = inside & ~edge
-        if np.any(body):
-            idx = np.clip(np.searchsorted(self.knots, x[body], side="right") - 1, 0, 2)
-            val = np.zeros(int(body.sum()))
-            for j in range(3):
-                m = idx == j
-                if not m.any():
-                    continue
-                u = x[body][m] - self.knots[j]
-                acc = np.zeros_like(u)
-                for ck in self.coeffs[j][::-1]:
-                    acc = acc * u + ck
-                val[m] = acc
-            out[body] = val
+        x = 4.0 * np.abs(np.asarray(xi, dtype=float))
+        polyval = np.polynomial.polynomial.polyval  # loaded on first use, not at import
+        pieces = [lambda x, j=j: polyval(x - j, self.coeffs[j]) for j in range(3)]
+        pieces.append(lambda x: (4.0 - x) ** 7 / 5040.0)
+        out = np.piecewise(x, [(j <= x) & (x < j + 1) for j in range(4)], pieces)
         return out / float(self.center_value)
 
 
@@ -406,8 +395,8 @@ def bernoulli_gamma_tail_bruteforce(theta, sigma: float, t: float) -> float:
 def tail_grid(nrm: float) -> np.ndarray:
     """The t-grid of the sup errors: _TAIL_POINTS even steps over [-8 nrm, 8 nrm],
     its negative half the exact mirror of its nonnegative one."""
-    if not (math.isfinite(nrm) and nrm > 0):
-        raise ValueError("nrm must be finite and positive")
+    if not (nrm > 0 and math.isfinite(8.0 * nrm)):
+        raise ValueError(f"nrm must be finite and positive, and 8 nrm finite, got {nrm!r}")
     upper = np.linspace(-8.0 * nrm, 8.0 * nrm, _TAIL_POINTS)[_TAIL_POINTS // 2:]
     return np.concatenate([-upper[::-1], upper])
 
@@ -461,8 +450,8 @@ def lemma1034_check(t0_grid) -> Lemma1034Report:
     c2 delta^(-3/4) then x^2 <= C1 delta, certified through x <= 2 phi(t0).
     """
     t0 = np.asarray(t0_grid, dtype=float)
-    if not np.all((0 <= t0) & (t0 < math.inf)):  # a NaN t0 fails too
-        raise ValueError("lemma1034_check needs finite t0 >= 0")
+    if t0.size == 0 or not np.all((0 <= t0) & (t0 < math.inf)):  # a NaN t0 fails too
+        raise ValueError("lemma1034_check needs one or more finite t0 >= 0")
     delta = normal_upper_tail(t0)
     shift = 2.0 * delta ** 0.25
     c1_i = float(np.max(delta / normal_upper_tail(t0 + shift)))

@@ -9,9 +9,9 @@ central sums, then merged by exact shift formulas in group order.  The
 public ``thin_shell_stats`` and ``weighted_square_variance`` take a whole
 array of per-draw values and run it through that reduction; the thinshell
 suite reduces each chunk of sum a_i X_i^2 as it is drawn instead, and gets
-the same bits without keeping those values.  Every sum has a fixed order, so
-estimates from identical draws are bit-identical across reruns, thread
-counts and chunk sizes.
+the same bits without keeping those values.  The groups alone fix the order
+of every sum, so estimates from identical draws are bit-identical across
+reruns, thread counts and chunk sizes.
 """
 
 from __future__ import annotations
@@ -63,26 +63,19 @@ class _Moments(NamedTuple):
     m4: np.ndarray
 
 
-# values per group reduction, which bounds its scratch, the squared deviations,
-# at 512 KiB for a long array of values: 1, 2 and 20 series of 512 to 10^5
-# values reduced no faster per value in runs of 2^12 to 2^15 floats, and up to
-# 2.5x slower in runs of 2^20
-_RUN_FLOATS = 1 << 16
-
-
 class _GroupMoments:
     """Moments of k series of ``count`` per-draw values, reduced group by group.
 
     Group g holds draws g * GROUP_ROWS onward, the sampler's chunk alignment,
-    and only the last group may be short.  ``add`` reduces runs of whole
-    groups in any order and from any thread, so a visit of
-    ``sampler.for_each_block`` can reduce its chunk as it is drawn.  Two passes
-    over each group give its mean m_g and the sums S_p of (y - m_g)^p, p = 1
-    to 4, in ``table`` (5 x k x groups).  ``merged`` shifts every group's sums
-    to the merged mean by the exact formulas of Chan, Golub and LeVeque (1979)
-    and Pebay (2008), summed over the groups in group order.  A group's sums
-    depend only on its values, so the result depends neither on how the draws
-    were cut into runs nor on which thread reduced them.
+    and only the last group may be short.  ``add`` reduces whole groups in any
+    order and from any thread, so a visit of ``sampler.for_each_block`` can
+    reduce its chunk as it is drawn.  Two passes over each group give its mean
+    m_g and the sums S_p of (y - m_g)^p, p = 1 to 4, in ``table`` (5 x k x
+    groups).  ``merged`` shifts every group's sums to the merged mean by the
+    exact formulas of Chan, Golub and LeVeque (1979) and Pebay (2008), summed
+    over the groups in group order.  A group's sums depend only on its values,
+    so the result depends neither on which ``add`` call brought a group nor on
+    which thread reduced it.
     """
 
     def __init__(self, series: int, count: int):
@@ -91,19 +84,17 @@ class _GroupMoments:
 
     def add(self, rows: slice, values: np.ndarray) -> None:
         """Reduce ``values`` (k x m), the values of the draws in ``rows``, whose
-        start is a multiple of GROUP_ROWS, as is m unless ``rows`` ends the draw.
-        ``values`` is overwritten."""
-        k = len(values)
-        run = max(1, _RUN_FLOATS // (k * GROUP_ROWS)) * GROUP_ROWS
-        for start in range(0, values.shape[1], run):
-            part = values[:, start:start + run]
-            g = (rows.start + start) // GROUP_ROWS
-            whole = part.shape[1] // GROUP_ROWS * GROUP_ROWS
-            if whole:
-                _reduce_groups(part[:, :whole].reshape(k, -1, GROUP_ROWS),
-                               self.table[:, :, g:g + whole // GROUP_ROWS])
-            if whole < part.shape[1]:  # the draw's last group, short
-                _reduce_groups(part[:, None, whole:], self.table[:, :, -1:])
+        start is a multiple of GROUP_ROWS, as is m unless ``rows`` ends the draw:
+        its whole groups, then the draw's short last group.  ``values`` is
+        overwritten."""
+        k, m = values.shape
+        g = rows.start // GROUP_ROWS
+        whole = m // GROUP_ROWS * GROUP_ROWS
+        if whole:
+            _reduce_groups(values[:, :whole].reshape(k, -1, GROUP_ROWS),
+                           self.table[:, :, g:g + whole // GROUP_ROWS])
+        if whole < m:
+            _reduce_groups(values[:, None, whole:], self.table[:, :, -1:])
 
     def merged(self) -> _Moments:
         """The moments of all draws about their mean m: the sum over the groups
@@ -278,8 +269,8 @@ def verify_identities(a: float, p: float, r: float) -> IdentityValues:
     The integrands are even, so each is twice its integral over [0, r],
     expanded into powers of t and integrated by int_0^r t^q dt = r^{q+1}/(q+1).
     """
-    if a < 0 or p < 0 or r < 0:
-        raise ValueError("a, p, r must be nonnegative")
+    if not all(0 <= v < math.inf for v in (a, p, r)):  # a NaN fails too
+        raise ValueError(f"a, p, r must be finite and nonnegative, got {a!r}, {p!r}, {r!r}")
 
     def power_integral(q: float) -> float:
         return r ** (q + 1.0) / (q + 1.0)

@@ -292,8 +292,8 @@ def counterexample_marginal(n: int, count: int, theta: np.ndarray, seed: int) ->
     uniform on 0..n-1 and U is uniform on [-sqrt(3n), sqrt(3n)], so E X_i^2 = 1
     and at most one coordinate of X is nonzero.  Sampled without the n columns."""
     theta = np.asarray(theta, dtype=float)
-    if n < 1 or count < 1 or theta.shape != (n,):
-        raise ValueError(f"need n >= 1, count >= 1 and theta of shape ({n},), got "
+    if n < 1 or count < 1 or theta.shape != (n,) or not np.all(np.isfinite(theta)):
+        raise ValueError(f"need n >= 1, count >= 1 and theta of shape ({n},), all finite, got "
                          f"n = {n}, count = {count} and shape {theta.shape}")
     half = math.sqrt(3.0 * n)
     out = np.empty(count)

@@ -370,6 +370,8 @@ def class_eigenpairs(grid: GridDomain, k: int) -> dict[tuple[bool, ...], list[Ei
 
 def lambda1_cluster(pairs: list[EigenPair]) -> list[EigenPair]:
     """The eigenpairs sharing the first nonzero eigenvalue."""
+    if len(pairs) < 2:
+        raise ValueError(f"lambda1_cluster needs two or more eigenpairs, got {len(pairs)}")
     lam1 = pairs[1].value
     return [p for p in pairs[1:] if abs(p.value - lam1) <= _REL_TOL * max(lam1, 1.0)]
 
@@ -392,6 +394,8 @@ def richardson_lambda1(h_values, lambda1_values) -> RichardsonResult:
     hs, lams = tuple(h for h, _ in pairs), tuple(lam for _, lam in pairs)
     if len(hs) != 3 or not math.isclose(hs[0], 2 * hs[1]) or not math.isclose(hs[1], 2 * hs[2]):
         raise ValueError("need three h values in ratio 4:2:1")
+    if not all(map(math.isfinite, lams)):
+        raise NotConvergingError(f"lambda_1 values {lams!r} are not all finite")
     d1, d2 = lams[0] - lams[1], lams[1] - lams[2]
     if d2 == 0 or d1 / d2 <= 1.0:
         raise NotConvergingError(f"differences {d1!r}, {d2!r} do not shrink with one sign")
@@ -416,6 +420,8 @@ class BiasRankReport(NamedTuple):
 def gradient_bias_rank(grid: GridDomain, eigenspace: list[EigenPair]) -> BiasRankReport:
     """Rank of phi -> int grad phi on the eigenspace (full rank = every nonzero
     member of some basis has a preferred direction)."""
+    if not eigenspace:
+        raise ValueError("gradient_bias_rank needs one or more eigenpairs")
     M = np.column_stack([gradient_bias(grid, p) for p in eigenspace])
     sv = np.linalg.svd(M, compute_uv=False)
     rank = int(np.sum(sv > _REL_TOL * sv[0])) if sv.size and sv[0] > 0 else 0

@@ -16,6 +16,7 @@ axes where the raster is symmetric under x <-> y.  Each LU is
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -90,7 +91,12 @@ class DiscreteMeasure:
     @staticmethod
     def grid_1d(lo: float, hi: float, n_nodes: int,
                 density: Callable | None = None) -> "DiscreteMeasure":
-        """Cell-centered discretization of density(x) dx on [lo, hi]."""
+        """Cell-centered discretization of density(x) dx on [lo, hi], finite
+        lo < hi, with an integer count n_nodes >= 1 of cells."""
+        if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 1):
+            raise ValueError(f"grid_1d needs an integer n_nodes >= 1, got {n_nodes!r}")
+        if not (-math.inf < lo < hi < math.inf):  # a NaN end fails too
+            raise ValueError(f"grid_1d needs finite lo < hi, got lo = {lo}, hi = {hi}")
         h = (hi - lo) / n_nodes
         x = lo + (np.arange(n_nodes) + 0.5) * h
         w = np.full(n_nodes, h)
@@ -112,6 +118,8 @@ def w2_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact quantile-coupling W2 between equal-mass 1D discrete measures."""
     if mu.dim != 1 or nu.dim != 1:
         raise ValueError("w2_1d requires 1D measures")
+    if not (mu.mass > 0 and nu.mass > 0):
+        raise ValueError("w2_1d requires measures of positive mass")
     if abs(mu.mass - nu.mass) > _MASS_TOL * max(1.0, mu.mass):
         raise MassMismatchError(f"total masses differ: {mu.mass} vs {nu.mass}")
     x1, w1 = _sorted_1d(mu)
@@ -188,6 +196,8 @@ def w2_assignment(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     solver in numpy, so the check loads no ``scipy.optimize``."""
     if mu.support.shape[0] != nu.support.shape[0]:
         raise ValueError("w2_assignment requires equally many atoms")
+    if mu.support.shape[0] == 0 or not (mu.mass > 0 and nu.mass > 0):
+        raise ValueError("w2_assignment requires at least one atom and positive mass")
     if abs(mu.mass - nu.mass) > _MASS_TOL * max(1.0, mu.mass):
         raise MassMismatchError("total masses differ")
     for m in (mu, nu):
@@ -330,24 +340,26 @@ def _dual_norms(L, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def hminus1_norm(mu: DiscreteMeasure, u: np.ndarray) -> float | np.ndarray:
-    """Discrete dual norm sup { sum u phi w : sum |grad phi|^2 w <= 1 } on an
-    evenly spaced 1D grid measure.
+def hminus1_norm(mu: DiscreteMeasure, u: np.ndarray) -> float:
+    """Discrete dual norm sup { sum u phi w : sum |grad phi|^2 w <= 1 } of one
+    finite function u of shape (N,) on an evenly spaced 1D grid measure.
 
     Assembles the weighted path-graph Laplacian (edge weight = mean of the
     endpoint measure weights over h^2), solves L phi = u*w on the mean-zero
     subspace by CG preconditioned by the grounded sparse LU, and returns
     sqrt(sum u w phi).  Inputs whose mu-mean is not zero on each connected
     piece of the graph have infinite norm and return +inf; where the density
-    vanishes on a stretch, the segment falls apart into such pieces.  One
-    function u of shape (N,) gives a float; a stack of k functions of shape
-    (k, N) gives k norms, all solved against the one Laplacian of mu.
+    vanishes on a stretch, the segment falls apart into such pieces.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[-1:] != mu.weights.shape:
-        raise ValueError("u must be given on the support of mu")
+    if u.shape != mu.weights.shape:
+        raise ValueError("u must be one function on the support of mu")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u must be finite")
     if mu.spacing is None or mu.dim != 1:
         raise ValueError("dual norm needs a 1D grid measure")
+    if not 0 < mu.spacing < math.inf:  # a NaN spacing fails too
+        raise ValueError(f"dual norm needs a finite positive spacing, got {mu.spacing}")
     x = mu.support[:, 0]
     order = np.argsort(x, kind="stable")
     if np.max(np.abs(np.diff(x[order]) - mu.spacing), initial=0.0) > 1e-9 * mu.spacing:
@@ -356,8 +368,7 @@ def hminus1_norm(mu: DiscreteMeasure, u: np.ndarray) -> float | np.ndarray:
     w = mu.weights
     h = mu.spacing
     L = graph_laplacian(w.size, src, dst, (w[src] + w[dst]) / (2.0 * h * h))
-    norms = _dual_norms(L, w, np.atleast_2d(u))
-    return float(norms[0]) if u.ndim == 1 else norms
+    return float(_dual_norms(L, w, u[None])[0])
 
 
 # -- the two sides of Thm 258 and of Lemma 2.1 -------------------------------------

@@ -301,9 +301,10 @@ def test_lemma1034_large_t0_ratio_stabilizes():
     assert np.all(np.diff(ratio) > -1e-3)  # flattens out for large t0
 
 
-@pytest.mark.parametrize("t0", [[math.nan], [0.0, math.inf], [-1.0]])
+@pytest.mark.parametrize("t0", [[math.nan], [0.0, math.inf], [-1.0], []])
 def test_lemma1034_needs_finite_nonnegative_t0(t0):
-    # a NaN passed the check t0 < 0 and gave an all-NaN report
+    # a NaN passed the check t0 < 0 and gave an all-NaN report; an empty grid
+    # reached numpy's "zero-size array to reduction operation maximum"
     with pytest.raises(ValueError, match="finite t0 >= 0"):
         lemma1034_check(t0)
 
@@ -563,9 +564,10 @@ def test_every_tail_rejects_a_non_finite_t(tail, t):
         tail(t)
 
 
-@pytest.mark.parametrize("nrm", [0.0, -1.0, NAN, math.inf])
+@pytest.mark.parametrize("nrm", [0.0, -1.0, NAN, math.inf, 1e308])
 def test_the_tail_grid_needs_a_finite_positive_norm(nrm):
-    # 0 gave a grid of zeros and NaN a grid of NaN
+    # 0 gave a grid of zeros and NaN a grid of NaN; 1e308 overflowed at 8 nrm
+    # with a RuntimeWarning and gave a NaN grid
     with pytest.raises(ValueError, match="nrm must be finite and positive"):
         tail_grid(nrm)
 

@@ -257,6 +257,15 @@ def test_verify_identities_degenerate():
     assert vals.rhs217 == 0.0
 
 
+@pytest.mark.parametrize("a, p, r", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                     (1.0, math.nan, 1.0), (1.0, 1.0, math.inf),
+                                     (-1.0, 1.0, 1.0)])
+def test_verify_identities_needs_finite_nonnegative_a_p_r(a, p, r):
+    # a NaN gave all-NaN values and an infinite a all-infinite ones
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        verify_identities(a, p, r)
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])

@@ -456,10 +456,12 @@ def test_counterexample_marginal_stream_matches_rows():
 
 @pytest.mark.parametrize("n, count, theta", [
     (8, 10, np.ones(7)), (8, 10, np.ones(9)), (8, 10, np.ones((8, 1))),
-    (0, 10, np.ones(0)), (8, 0, np.ones(8)), (8, -1, np.ones(8))])
+    (0, 10, np.ones(0)), (8, 0, np.ones(8)), (8, -1, np.ones(8)),
+    (3, 10, np.array([1.0, math.nan, 1.0])), (3, 10, np.array([1.0, 1.0, -math.inf]))])
 def test_counterexample_marginal_rejects_bad_inputs(n, count, theta):
-    # a short theta raised IndexError, a long one drew from another law, and
-    # n = 0 and count < 0 reached numpy's own messages
+    # a short theta raised IndexError, a long one drew from another law,
+    # n = 0 and count < 0 reached numpy's own messages, and a NaN or infinite
+    # entry gave NaN or infinite draws
     with pytest.raises(ValueError, match="need n >= 1, count >= 1 and theta of shape"):
         counterexample_marginal(n, count, theta, SEED)
 

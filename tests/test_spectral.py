@@ -473,12 +473,26 @@ def test_richardson_arithmetic_on_a_quadratic_law(order):
 
 @pytest.mark.parametrize("lams", [(1.0, 2.0, 1.5), (2.0, 2.0, 2.0), (1.0, 1.5, 1.5),
                                   (3.0, 2.0, 2.0), (1.0, 1.0, 2.0), (3.0, 2.0, 1.0),
-                                  (3.0, 2.5, 1.5)])
+                                  (3.0, 2.5, 1.5), (3.0, math.nan, 2.0),
+                                  (math.inf, 2.5, 2.25)])
 def test_richardson_rejects_values_that_do_not_converge(lams):
-    # differences of two signs, a zero one, or no shrinking (order <= 0)
+    # differences of two signs, a zero one, or no shrinking (order <= 0); a NaN
+    # value gave a NaN order and extrapolation, an infinite one an infinite order
     with pytest.raises(NotConvergingError):
         richardson_lambda1([0.1, 0.05, 0.025], lams)
     assert issubclass(NotConvergingError, ValueError)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda grid, pairs: lambda1_cluster([]), "two or more eigenpairs"),
+    (lambda grid, pairs: lambda1_cluster(pairs[:1]), "two or more eigenpairs"),
+    (lambda grid, pairs: gradient_bias_rank(grid, []), "one or more eigenpairs"),
+], ids=["no-pairs", "constant-pair-only", "empty-eigenspace"])
+def test_eigenspace_readers_need_their_pairs(square_grid, square_pairs, call, message):
+    # lambda1_cluster([]) raised IndexError and gradient_bias_rank of an empty
+    # eigenspace numpy's "need at least one array to concatenate"
+    with pytest.raises(ValueError, match=message):
+        call(square_grid, square_pairs)
 
 
 def test_gradient_bias_constant_mode(square_grid, square_pairs):
