@@ -8,10 +8,10 @@ the sampler's GROUP_ROWS draws, each reduced by two passes to its mean and
 central sums, then merged by exact shift formulas in group order.  The
 public ``thin_shell_stats`` and ``weighted_square_variance`` take a whole
 array of per-draw values and run it through that reduction; the thinshell
-suite reduces each chunk of sum a_i X_i^2 as it is drawn instead, and gets
-the same bits without keeping those values.  The groups alone fix the order
-of every sum, so estimates from identical draws are bit-identical across
-reruns, thread counts and chunk sizes.
+suite reduces each chunk of sum_i X_i^4 / n as it is drawn instead, and gets
+the same bits as a whole-array reduction without keeping those values.  The
+groups alone fix the order of every sum, so estimates from identical draws
+are bit-identical across reruns, thread counts and chunk sizes.
 """
 
 from __future__ import annotations

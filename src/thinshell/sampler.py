@@ -25,10 +25,9 @@ Y ~ Gamma(1 + 1/p) and V ~ U(-1, 1) drawn after Y.
 
 Named streams, ``substream(seed, stream)``, stay on Philox keyed by
 (seed, stream): the suites' non-block draws (the clt oracle's instances at
-stream 1, the transport suite's point clouds at 7, the thinshell coefficient
-vectors at ``NAMED_STREAM``) keep their values, and the benchmark replays
-the clt key to size its workload.  They are Philox and the block streams are
-SFC64, so no block stream is a named stream.
+stream 1, the transport suite's point clouds at 7) keep their values, and the
+benchmark replays the clt key to size its workload.  They are Philox and the
+block streams are SFC64, so no block stream is a named stream.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .bodies import BodySpec
 RNG_ID = ("sfc64(SeedSequence(seed,spawn_key=(kind,p,n,block))), ball as lp p=2, "
           "chunks of 2^15 floats, l1 as laplace; named: philox4x64-128(key=(seed,stream))")
 BLOCK = 1 << 14  # rows per block stream; part of the determinism contract
-NAMED_STREAM = 1 << 32  # the thinshell coefficient vectors' named stream
 _SEEDS = 1 << 64  # master seeds are 0 .. 2^64 - 1
 
 MAGIC = b"THSL"

@@ -6,8 +6,11 @@ the SVG figures it draws from its own values, rendered only when asked for.
 Every tolerance lives here: the modules the suites call return what they
 measure, and the suites give each measured value the interval it must lie in.
 ``reporting.Assertion`` derives the verdict and its target text from that
-interval, so a check that reads two values is two assertions.  The same
-functions back the command-line runner and the acceptance tests.  Each suite
+interval, so a check that reads two values is two assertions.  A check
+over a quantifier takes its worst case in closed form where one exists:
+Cor 204(i)'s sup over every a >= 0 follows from two moments of the squared
+coordinates, not from sampled coefficient vectors.  The same functions back
+the command-line runner and the acceptance tests.  Each suite
 imports its solvers on first call, so a run loads only the scipy its suites use.
 """
 
@@ -49,7 +52,6 @@ _GRID_NODES = 4096             # nodes of the Thm 258 segment measure
 _EPSILONS = (0.1, 0.05, 0.01)  # Thm 258 perturbation sizes
 _N_TRIG = 5                    # random even trig polynomials in the Lemma 2.1 check
 _TRIG_DEGREE = 2
-_COEFF_STREAM = smp.NAMED_STREAM  # the coefficient vectors' named Philox stream
 _SANDWICH = (0.99, 1.35)       # bounds of Phi(t)(t+1)/phi(t) on [0, 10]
 _DUALITY_TOL = 0.02            # relative slack of the Thm 258 comparison
 _IMPLICATION_SLACK = 1e-12     # rounding slack of the Lemma 1034 implication margin
@@ -105,30 +107,30 @@ def _around(target: float, half_width: float) -> tuple[float, float]:
 # -- thin-shell suite -----------------------------------------------------------
 
 def _thinshell_task(template: BodyTemplate, n: int, samples: int, seed: int,
-                    coeffs: np.ndarray):
+                    squares: bool):
     """Draw one (body, n) once and reduce each chunk in the thread that drew it:
-    |X|^2 per draw, and for each coefficient vector a the group moments of
-    sum a_i X_i^2 (``estimators._GroupMoments``), so no per-draw values of
-    those are kept."""
+    |X|^2 per draw, and if ``squares`` the group moments of sum_i X_i^4 / n
+    (``estimators._GroupMoments``), so no per-draw values of those are kept.
+    Returns the body's label, its shell statistics and, if ``squares``,
+    v = Var X_1^2 = E X_1^4 - 1 (E X_1^2 = 1 by isotropic normalization)."""
     body = template.instantiate(n)
     sq = np.empty(samples)
-    weighted = est._GroupMoments(len(coeffs), samples)
+    fourth = est._GroupMoments(1, samples)
 
     def visit(rows: slice, chunk: np.ndarray) -> None:
         sq[rows] = np.einsum("ij,ij->i", chunk, chunk)
-        if len(coeffs):
+        if squares:
             chunk *= chunk
-            # one stacked matmul runs chunk @ a, the same gemv with the same bits,
-            # for every vector a: with 20 calls a chunk, the cube's n = 64 draw
-            # took 70-95 ms on two drawing threads, against 48-56 ms with one;
-            # its 20 x chunk values go to the chunk's groups' moments
-            weighted.add(rows, np.matmul(chunk, coeffs[:, :, None])[..., 0])
+            y = np.einsum("ij,ij->i", chunk, chunk)[None]
+            y /= n
+            fourth.add(rows, y)
 
     smp.for_each_block(body, samples, seed, visit)
-    moments = weighted.merged()
-    estimates = [est._variance_estimate(moments, k, "weighted_square_variance")
-                 for k in range(len(coeffs))]
-    return body.label(), est.thin_shell_stats(sq, body.dim), estimates
+    v = None
+    if squares:
+        mean = est._mean_estimate(fourth.merged(), 0, "cor204i.v")
+        v = est.EstimateWithCI(mean.value - 1.0, mean.half_width, "cor204i.v")
+    return body.label(), est.thin_shell_stats(sq, body.dim), v
 
 
 def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: int,
@@ -139,29 +141,30 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
 
     Checks, per grid body: for cubes Var(|X|^2/n) = 0.8/n within 3 MC sigma
     and the log-log slope in [-1.15, -0.85], for other bodies
-    Var(|X|^2/n) <= 16/n; per body at the shell dimensions:
-    E(|X| - sqrt n)^2 <= 16, and at the largest one
-    Var(sum a_i X_i^2) <= 16 sum a_i^2 for 20 random nonnegative coefficient
-    vectors.  Each distinct (body, n) of the grid and the shell checks is
-    drawn once, one after another; the blocks of each draw are drawn and
-    reduced on up to one thread per usable core (``sampler.for_each_block``).
+    Var(|X|^2/n) <= 16/n; per body at each shell dimension:
+    E(|X| - sqrt n)^2 <= 16, and Var(sum a_i X_i^2) <= 16 sum a_i^2 over all
+    a >= 0 (Cor 204(i)).  The body is exchangeable, so the covariance of
+    (X_1^2, ..., X_n^2) is (v - c)I + cJ with v = Var X_1^2 and
+    c = Cov(X_1^2, X_2^2), and the sup of the ratio over a >= 0 is
+    max(v, v + (n - 1)c) = max(v, n Var(|X|^2/n)), at e_1 if c <= 0 and at
+    the all-ones vector otherwise.  The suite also checks v <= 5, which holds
+    for every symmetric log-concave coordinate (Karlin, Proschan and Barlow
+    1961), and c <= 0 on the lp balls (Anttila, Ball and Perissinaki 2003);
+    the cube's c is 0.  Each distinct (body, n) of the grid and the shell
+    checks is drawn once, one after another; the blocks of each draw are
+    drawn and reduced on up to one thread per usable core
+    (``sampler.for_each_block``).
     """
+    if any(n < 2 for n in shell_n):
+        raise ValueError(f"Cov(X_1^2, X_2^2) needs shell dimensions n >= 2, got {shell_n}")
     out = SuiteResult("thinshell")
     grid = [(t, n) for t in templates for n in sorted(n_grid)]
     shell = [(t, n) for t in shell_templates for n in shell_n]
     keys = list(dict.fromkeys(grid + shell))
-    coeffs = {}
-    if shell_n:
-        rng = smp.substream(seed, _COEFF_STREAM)
-        coeffs = {(t, max(shell_n)): rng.uniform(0.0, 2.0, size=(20, max(shell_n)))
-                  for t in shell_templates}
-    results = [_thinshell_task(t, n, samples, seed, coeffs.get((t, n), np.empty((0, n))))
-               for t, n in keys]
+    results = [_thinshell_task(t, n, samples, seed, (t, n) in shell) for t, n in keys]
 
     by_family: dict[tuple[BodyTemplate, str], list[tuple[int, float]]] = {}
-    for key, (label, (vr, sd), estimates) in zip(keys, results):
-        # Cor 204(i): Var(sum a_i X_i^2) <= 16 sum a_i^2 for each vector a >= 0
-        weighted = [(e, 16.0 * float(a @ a)) for e, a in zip(estimates, coeffs.get(key, ()))]
+    for key, (label, (vr, sd), v) in zip(keys, results):
         template, n = key
         out.rows.append(CsvRow(sd.estimator_id, label, n, samples, seed, sd.value,
                                sd.half_width, 16.0))
@@ -180,14 +183,30 @@ def thinshell_suite(templates: list[BodyTemplate], n_grid: list[int], samples: i
         if key in shell:
             out.assertions.append(Assertion(f"shell_dev.{label}", "abstract, C <= 4",
                                             sd.value, hi=16.0 + sd.half_width))
-        if weighted:
-            worst = max(e.value - bound for e, bound in weighted)
-            out.rows.append(CsvRow("cor204i.worst_margin", label, n, samples, seed,
-                                   worst, 0.0, 0.0))
-            # the largest excess over 16 sum a^2 + 3 MC sigma of the 20 random a
-            out.assertions.append(Assertion(
-                f"weighted_square.{label}", "Cor 204(i)",
-                max(e.value - (bound + e.half_width) for e, bound in weighted), hi=0.0))
+            # Cor 204(i) from v and n Var(|X|^2/n) = v + (n - 1)c; c's half-width
+            # adds those of its two terms, whose errors come from the same draws
+            nvr, nvr_hw = n * vr.value, n * vr.half_width
+            c = (nvr - v.value) / (n - 1)
+            c_hw = (nvr_hw + v.half_width) / (n - 1)
+            sup, sup_hw, at = (v.value, v.half_width, "e_1") if c <= 0 else (nvr, nvr_hw, "ones")
+            real, real_hw, real_at = ((v.value - c, v.half_width + c_hw, "sum a = 0") if c < 0
+                                      else (nvr, nvr_hw, "ones"))
+            out.rows += [
+                CsvRow("cor204i.v", label, n, samples, seed, v.value, v.half_width, 5.0),
+                CsvRow("cor204i.c", label, n, samples, seed, c, c_hw, 0.0),
+                CsvRow("cor204i.sup_nonneg", label, n, samples, seed, sup, sup_hw, 16.0,
+                       {"maximizer": at}),
+                CsvRow("cor204i.sup_real", label, n, samples, seed, real, real_hw,
+                       extra={"maximizer": real_at})]
+            out.assertions += [
+                Assertion(f"weighted_square.{label}", "Cor 204(i)", sup, hi=16.0 + sup_hw),
+                Assertion(f"square_variance.{label}",
+                          "Var X_i^2 <= 5, Karlin-Proschan-Barlow 1961", v.value,
+                          hi=5.0 + v.half_width)]
+            if template.kind != "cube":  # the cube's c is 0
+                out.assertions.append(Assertion(f"square_covariance.{label}",
+                                                "c <= 0, Anttila-Ball-Perissinaki 2003",
+                                                c, hi=c_hw))
 
     # the [-1.15, -0.85] slope window is the cube's law; other bodies are
     # checked against the bound above

@@ -383,10 +383,14 @@ def verify_thm258(mu: DiscreteMeasure, h_values: np.ndarray, epsilons) -> Dualit
     """The two sides of ||h||_{H^-1(mu)} <= min_eps W2(mu, mu_eps)/eps on a 1D
     grid measure.
 
-    mu_eps has density 1 + eps h with respect to mu; requires mean-zero bounded
-    h and eps max|h| < 1.  Ratios for every requested eps are reported.
+    mu_eps has density 1 + eps h with respect to mu; requires finite mean-zero
+    h, one value per atom, and eps max|h| < 1.  Ratios for every requested eps
+    are reported.
     """
     h_values = np.asarray(h_values, dtype=float)
+    if h_values.shape != mu.weights.shape or not np.all(np.isfinite(h_values)):
+        raise ValueError(f"h must be finite, one value per atom of mu ({mu.weights.size}), "
+                         f"got shape {h_values.shape}")
     eps_list = [float(e) for e in np.atleast_1d(epsilons)]
     if not eps_list or not all(e > 0.0 for e in eps_list):  # NaN fails too
         raise ValueError(f"need one or more positive epsilons, got {eps_list}")

@@ -1,12 +1,11 @@
 """Fault injection: a wrong lattice operator, flip-class extension, raster swap,
-raster volume fraction, Fourier inversion, isotropic scale or exact law must
-fail at least one suite assertion.
+raster volume fraction, Fourier inversion, isotropic scale, coordinate law or
+exact law must fail at least one suite assertion.
 
 Each fault monkeypatches the function that builds the operator, the extension,
-the swap x <-> y, the raster, the inversion's sine transform, the isotropic body
-or the counterexample's CDF, then runs the suites that use it: transport at
-raster spacing 1/32, spectral, clt, berry_esseen, and thinshell on its default
-cube grid.
+the swap x <-> y, the raster, the inversion's sine transform, the isotropic body,
+the draw or the counterexample's CDF, then runs the suites that use it:
+transport at raster spacing 1/32, spectral, clt, berry_esseen, and thinshell.
 """
 
 import dataclasses
@@ -15,7 +14,9 @@ import numpy as np
 import pytest
 
 from thinshell import bodies, clt, spectral, suites, transport
+from thinshell import sampler as smp
 from thinshell.cli import default_config
+from thinshell.estimators import weighted_square_variance
 
 SEED = 20250810
 
@@ -159,6 +160,46 @@ def test_a_cube_one_percent_too_large_fails_every_thinshell_variance_ratio(monke
     sampler = [a for a in suites.berry_esseen_suite(SEED).assertions
                if a.name.startswith("berry_esseen.sampler.cube")]
     assert len(sampler) == 3 and all(a.passed for a in sampler)
+
+
+def test_heavy_tailed_coordinates_fail_only_the_var_x_squared_check(monkeypatch):
+    # each coordinate times an independent sqrt(W), W = 1/4 or 7/4 with
+    # probability 1/2: E X_i^2 stays 1 and Cov(X_1^2, X_2^2) is unchanged, but
+    # E X_i^4 grows by E W^2 = 25/16, so the l1 ball's Var X_1^2 moves from
+    # 4.65 to 7.8, past the bound 5 that no log-concave coordinate exceeds;
+    # the checks of |X|^2, and the ratio Var(sum a_i X_i^2) / |a|^2 at 20
+    # random a ~ U[0, 2]^n, far from its worst case, stay well inside theirs
+    draw = smp.for_each_block
+
+    def heavy_tailed(body, count, seed, visit):
+        def scaled(rows, chunk):
+            w = np.random.default_rng(rows.start).choice([0.25, 1.75], size=chunk.shape)
+            chunk *= np.sqrt(w)
+            visit(rows, chunk)
+
+        draw(body, count, seed, scaled)
+
+    monkeypatch.setattr(smp, "for_each_block", heavy_tailed)
+    n, count = 64, 10 ** 5
+    label = suites.L1_BALL.instantiate(n).label()
+    result = suites.thinshell_suite([suites.L1_BALL], [n], count, SEED, shell_n=(n,),
+                                    shell_templates=(suites.L1_BALL,))
+    by_name = {a.name: a for a in result.assertions}
+    assert [name for name, a in by_name.items() if not a.passed] == [f"square_variance.{label}"]
+    assert by_name[f"square_variance.{label}"].measured > 7.0
+    assert by_name[f"thinshell.var_bound.{label}"].passed  # n Var(|X|^2/n) = 4.1
+    assert by_name[f"shell_dev.{label}"].passed             # 0.99
+
+    coeffs = np.random.default_rng(SEED).uniform(0.0, 2.0, size=(20, n))
+    weighted = np.empty((count, 20))
+
+    def keep(rows, chunk):
+        weighted[rows] = (chunk * chunk) @ coeffs.T
+
+    smp.for_each_block(suites.L1_BALL.instantiate(n), count, SEED, keep)
+    ratios = [weighted_square_variance(y).value / float(a @ a)
+              for y, a in zip(weighted.T, coeffs)]
+    assert max(ratios) < 16.0  # 5.3
 
 
 def test_a_counterexample_law_off_by_1e_4_fails_its_exact_distance(monkeypatch):

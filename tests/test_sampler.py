@@ -17,7 +17,6 @@ from thinshell import sampler
 from thinshell.bodies import BodySpec, analytic_second_moments, contains_rows, isotropic_body
 from thinshell.sampler import (
     BLOCK,
-    NAMED_STREAM,
     InvalidSeedError,
     SampleMatrix,
     TruncatedSampleFileError,
@@ -284,10 +283,10 @@ def test_substreams_do_not_collide():
 
 
 def test_block_streams_are_not_named_streams():
-    # the clt oracle (stream 1), the transport clouds (7) and the thinshell
-    # coefficients (NAMED_STREAM) draw from named Philox streams, which block b
-    # of every draw reproduced while blocks were keyed (seed, b)
-    named = [substream(SEED, s).random(8) for s in (1, 7, NAMED_STREAM)]
+    # the clt oracle (stream 1) and the transport clouds (7) draw from named
+    # Philox streams, which block b of every draw reproduced while blocks were
+    # keyed (seed, b)
+    named = [substream(SEED, s).random(8) for s in (1, 7)]
     draw_ids = [sampler._draw_id(isotropic_body(kind, n, p))
                 for kind, p in [("cube", None), ("euclidean_ball", None),
                                 ("lp_ball", 1.0), ("lp_ball", 3.0)] for n in (1, 16, 64)]

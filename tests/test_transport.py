@@ -194,17 +194,21 @@ _MASSLESS = atoms_1d([0.0, 1.0], [0.0, 0.0])
     (lambda: hminus1_norm(_GRID, np.where(_X > 0, math.nan, _X)), "u must be finite"),
     (lambda: hminus1_norm(_GRID, np.where(_X > 0, math.inf, -1.0)), "u must be finite"),
     (lambda: hminus1_norm(_GRID, np.stack([_X, -_X])), "one function"),
-    (lambda: verify_thm258(_GRID, np.where(_X > 0, math.nan, _X), [0.1]), "u must be finite"),
+    (lambda: verify_thm258(_GRID, np.where(_X > 0, math.nan, _X), [0.1]), "h must be finite"),
+    (lambda: verify_thm258(_GRID, np.where(_X > 0, math.inf, -1.0), [0.1]), "h must be finite"),
+    (lambda: verify_thm258(_GRID, np.where(_X > 0, 1.0, -math.inf), [0.1]), "h must be finite"),
+    (lambda: verify_thm258(_GRID, _X[1:], [0.1]), "h must be finite, one value per atom"),
     (lambda: w2_1d(_MASSLESS, _MASSLESS), "positive mass"),
     (lambda: w2_assignment(_EMPTY, _EMPTY), "at least one atom"),
 ], ids=["zero-nodes", "fractional-nodes", "empty-segment", "infinite-end", "nan-end",
-        "zero-spacing", "nan-u", "infinite-u", "stack-of-u", "nan-h", "massless",
-        "no-atoms"])
+        "zero-spacing", "nan-u", "infinite-u", "stack-of-u", "nan-h", "inf-h", "minus-inf-h",
+        "short-h", "massless", "no-atoms"])
 def test_transport_inputs_outside_their_domain_raise_a_value_error(call, message):
     # found by probes: zero or fractional n_nodes reached ZeroDivisionError or
     # np.arange's TypeError; lo = hi gave spacing 0, which hminus1_norm divided
-    # by; a NaN or infinite u (or h) ran CG into ConvergenceError after 10 steps;
-    # massless measures raised IndexError and empty clouds ZeroDivisionError
+    # by; a NaN or infinite u ran CG into ConvergenceError after 10 steps; an
+    # infinite h was blamed on the epsilons and a NaN h on u; massless measures
+    # raised IndexError and empty clouds ZeroDivisionError
     with pytest.raises(ValueError, match=message):
         call()
 
