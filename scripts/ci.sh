@@ -3,9 +3,10 @@
 #
 #     scripts/ci.sh
 #
-# Runs the tests, every suite with its figures, the two scaling scripts, a rerun
-# and a one-core run that must write the same reports and verdicts, and each
-# benchmark workload, all into a temporary directory that is removed at exit.
+# Runs the tests, every suite with its figures, the transport suite at the
+# lattice workload's raster h = 1/128, the two scaling scripts, a rerun and a
+# one-core run that must write the same reports and verdicts, and each benchmark
+# workload, all into a temporary directory that is removed at exit.
 # The suite runs turn a numpy RuntimeWarning into an error, as the tests'
 # filterwarnings does, so a suite that makes a NaN through one fails.  Fails if
 # a step changed a tracked file.  Expects the package's dependencies
@@ -29,6 +30,15 @@ for svg in thinshell/thinshell_loglog.svg berry_esseen/kolmogorov_vs_n.svg \
            spectral/eigenfunction_square.svg spectral/eigenfunction_disc.svg; do
   test -s "$out/reports/$svg" || { echo "missing $svg"; exit 1; }
 done
+
+echo "== the transport suite at the lattice workload's raster, h = 1/128"
+PYTHONWARNINGS=error::RuntimeWarning python - <<'PY'
+import sys
+from thinshell import suites
+result = suites.transport_suite(20250810, raster_h=1 / 128)
+failed = [a.name for a in result.assertions if not a.passed]
+sys.exit(f"failed at h = 1/128: {failed}" if failed else 0)
+PY
 
 suites="identities thinshell clt berry_esseen transport spectral"
 

@@ -409,7 +409,7 @@ class Lemma700Report(NamedTuple):
 
 
 def lemma700_report(theta, sigma: float) -> Lemma700Report:
-    """Sup over a t-grid of |P(sigma G + sum theta_i D_i >= t) - Phi(t/|theta|)|.
+    """Sup over ``tail_grid(|theta|)`` of |P(sigma G + sum theta_i D_i >= t) - Phi(t/|theta|)|.
 
     Requires the small-coefficient hypothesis sum_{|theta_i| >= sigma} theta_i^2
     <= |theta|^2/2.  bound_rhs = sigma^2/|theta|^2 + sum theta_i^4/|theta|^4 is
@@ -423,8 +423,6 @@ def lemma700_report(theta, sigma: float) -> Lemma700Report:
                          "exceeds |theta|^2 / 2")
     nrm = math.sqrt(nrm2)
     ts = tail_grid(nrm)
-    if theta.size <= 12:
-        ts = np.union1d(ts, _all_sign_sums(theta))
     probs = bernoulli_gamma_tail_fourier(theta, sigma, ts)
     errs = np.abs(probs - normal_upper_tail(ts / nrm))
     k = int(np.argmax(errs))

@@ -26,6 +26,11 @@ import numpy as np
 from .sampler import BLOCK, GROUP_ROWS
 
 _DK_ALPHA = 0.01         # level of the DKW band
+# how far a reference CDF may leave [0, 1].  Rounding shows there: the
+# berry_esseen suite's interpolated cube CDF reads -2.2e-14 and 1 + 2.2e-14 at
+# n = 64.  So does a small bias, which the distance itself reports (the fault
+# checks move the counterexample CDF by 1e-4); a reference further out is no CDF.
+_CDF_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,7 @@ class EstimateWithCI:
 def uniform_direction(n: int) -> np.ndarray:
     """The unit vector with equal entries 1/sqrt(n), its first entry adjusted
     so that the norm is 1 to rounding."""
-    if not isinstance(n, numbers.Integral) or n < 1:
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
         raise ValueError(f"a direction needs an integer count n >= 1 of coordinates, got {n!r}")
     e = np.full(n, 1.0 / math.sqrt(n))
     e[0] = math.sqrt(1.0 - float(e[1:] @ e[1:]))
@@ -215,8 +220,11 @@ def dkw_band(count: int) -> float:
 
 def kolmogorov_distance(values: np.ndarray,
                         reference_cdf: Callable[[np.ndarray], np.ndarray]) -> KolmogorovResult:
-    """sup_t |F_hat(t) - F(t)| evaluated exactly at the empirical jump points."""
-    v = np.asarray(values, dtype=float)
+    """sup_t |F_hat(t) - F(t)| evaluated exactly at the empirical jump points.
+
+    ``values`` is a nonempty 1-D array without NaN; ``reference_cdf`` gives one
+    finite value per value, in [0, 1] to within _CDF_SLACK."""
+    v = _per_draw_values(values, "kolmogorov_distance")
     if v.size == 0:
         raise ValueError("values must be nonempty")
     if np.any(np.isnan(v)):
@@ -224,6 +232,10 @@ def kolmogorov_distance(values: np.ndarray,
     v = np.sort(v)
     n = v.size
     ref = np.asarray(reference_cdf(v), dtype=float)
+    if ref.shape != v.shape:
+        raise ValueError(f"reference_cdf gives shape {ref.shape}, not one per value {v.shape}")
+    if not np.all((-_CDF_SLACK <= ref) & (ref <= 1.0 + _CDF_SLACK)):  # a NaN fails too
+        raise ValueError("reference_cdf must give finite values in [0, 1]")
     upper = np.arange(1, n + 1) / n - ref     # gap just after each jump
     lower = ref - np.arange(0, n) / n         # gap just before each jump
     dist = float(max(upper.max(), lower.max(), 0.0))

@@ -45,6 +45,7 @@ import scipy.sparse.linalg as spl
 from .bodies import BodySpec
 
 _REL_TOL = 1e-6  # relative width of an eigenvalue cluster and cut of the bias rank
+EIGENPAIRS = 5   # pairs of each eigen solve: the constant mode, lambda_1 and above
 # a volume fraction below this is the rounding of a cell that the boundary only
 # touches: at h = 1/48 the l1 ball's diagonal passes a corner 5e-30 off
 _SLIVER = 1e-12
@@ -300,10 +301,9 @@ def rasterize(body2d: BodySpec, h: float) -> GridDomain:
     return GridDomain(body2d, h, mask, L, alpha[mask])
 
 
-def lowest_eigenpairs(grid: GridDomain, k: int,
-                      odd: tuple[bool, ...] | None = None) -> list[EigenPair]:
-    """The k + 1 lowest eigenpairs of K phi = lambda M phi, M = diag(alpha), in
-    the flip class ``odd``, or on the whole raster when odd is None.
+def lowest_eigenpairs(grid: GridDomain, odd: tuple[bool, ...] | None = None) -> list[EigenPair]:
+    """The EIGENPAIRS lowest eigenpairs of K phi = lambda M phi, M = diag(alpha),
+    in the flip class ``odd``, or on the whole raster when odd is None.
 
     Shift-invert Lanczos on the standard symmetric problem for
     M^-1/2 K M^-1/2, whose operator x -> M^1/2 (A - shift M)^-1 M^1/2 x is one
@@ -312,8 +312,6 @@ def lowest_eigenpairs(grid: GridDomain, k: int,
     the whole raster and normalized in L2(alpha h^2); each residual is the
     L2(alpha h^2) norm of M^-1 K phi - lambda phi, taken against the whole
     operator."""
-    if not 1 <= k <= 10:
-        raise ValueError("k must be between 1 and 10")
     nodes, E = (grid.flip_class(odd) if odd is not None
                 else (slice(None), sp.identity(grid.n_nodes, format="csr")))
     A = (grid.operator @ E)[nodes]
@@ -328,7 +326,7 @@ def lowest_eigenpairs(grid: GridDomain, k: int,
     # passed for its shape and what it stands for
     standard = spl.LinearOperator(A.shape, matvec=lambda y: (A @ (y / root)) / root,
                                   dtype=A.dtype)
-    vals, vecs = spl.eigsh(standard, k=k + 1, sigma=shift, which="LM", v0=v0,
+    vals, vecs = spl.eigsh(standard, k=EIGENPAIRS, sigma=shift, which="LM", v0=v0,
                            OPinv=spl.LinearOperator(A.shape, dtype=A.dtype,
                                                     matvec=lambda y: root * lu.solve(root * y)))
     return [_extended_pair(grid, E, float(vals[idx]), vecs[:, idx] / root)
@@ -346,8 +344,8 @@ def _extended_pair(grid: GridDomain, E: sp.csr_matrix, lam: float,
     return EigenPair(lam, vec, res)
 
 
-def class_eigenpairs(grid: GridDomain, k: int) -> dict[tuple[bool, ...], list[EigenPair]]:
-    """The k + 1 lowest eigenpairs of each flip class of a 2D raster, by parity
+def class_eigenpairs(grid: GridDomain) -> dict[tuple[bool, ...], list[EigenPair]]:
+    """The EIGENPAIRS lowest eigenpairs of each flip class of a 2D raster, by parity
     (odd in x, odd in y) in the order (even, even), (even, odd), (odd, even),
     (odd, odd).
 
@@ -359,7 +357,7 @@ def class_eigenpairs(grid: GridDomain, k: int) -> dict[tuple[bool, ...], list[Ei
     for odd in itertools.product((False, True), repeat=2):
         twin = classes.get(odd[::-1]) if grid.swap_symmetric else None
         if twin is None:
-            classes[odd] = lowest_eigenpairs(grid, k, odd)
+            classes[odd] = lowest_eigenpairs(grid, odd)
         else:
             nodes, E = grid.flip_class(odd)
             swap = grid.swap()

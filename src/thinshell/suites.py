@@ -115,7 +115,7 @@ def _thinshell_task(template: BodyTemplate, n: int, samples: int, seed: int,
     v = Var X_1^2 = E X_1^4 - 1 (E X_1^2 = 1 by isotropic normalization)."""
     body = template.instantiate(n)
     sq = np.empty(samples)
-    fourth = est._GroupMoments(1, samples)
+    fourth = est._GroupMoments(1, samples) if squares else None
 
     def visit(rows: slice, chunk: np.ndarray) -> None:
         sq[rows] = np.einsum("ij,ij->i", chunk, chunk)
@@ -538,19 +538,19 @@ def spectral_suite(seed: int) -> SuiteResult:
         if (body, h) not in solved:
             grid = spec.rasterize(body, h)
             if (body, h) in full_rasters:
-                solved[body, h] = grid, spec.class_eigenpairs(grid, 4)
+                solved[body, h] = grid, spec.class_eigenpairs(grid)
                 solves["full classes"] += 3 if grid.swap_symmetric else 4
             else:
                 # on a swap-symmetric raster the class odd in x has its twin's values
                 parities = singly_odd[:1 if grid.swap_symmetric else 2]
-                solved[body, h] = grid, {odd: spec.lowest_eigenpairs(grid, 4, odd)
+                solved[body, h] = grid, {odd: spec.lowest_eigenpairs(grid, odd)
                                          for odd in parities}
                 solves["singly-odd"] += len(parities)
         return solved[body, h]
 
-    def spectrum(body, h):  # the five lowest eigenpairs of a full raster, from its classes
+    def spectrum(body, h):  # the EIGENPAIRS lowest eigenpairs of a full raster, from its classes
         return sorted((p for pairs in eigen(body, h)[1].values() for p in pairs),
-                      key=lambda p: p.value)[:5]
+                      key=lambda p: p.value)[:spec.EIGENPAIRS]
 
     def lambda1(body, h):  # the lowest value of the singly-odd classes it solved
         classes = eigen(body, h)[1]
@@ -559,7 +559,7 @@ def spectral_suite(seed: int) -> SuiteResult:
     for body, h in oracle_rasters:
         # oracle of the split: the whole raster, solved without its symmetry
         grid, classes = eigen(body, h)
-        whole = np.array([p.value for p in spec.lowest_eigenpairs(grid, 4)])
+        whole = np.array([p.value for p in spec.lowest_eigenpairs(grid)])
         solves["whole-raster"] += 1
         split = np.array([p.value for p in spectrum(body, h)])
         dev = float(max(np.max(np.abs(split - whole) / np.maximum(whole, whole[1])),

@@ -1,9 +1,9 @@
 """Discrete optimal transport, dual Sobolev norms via graph-Laplacian solves,
 and the fiberwise monotone perturbation map.
 
-W2 between 1D discrete measures is evaluated exactly through merged quantile
-functions; small equal-weight clouds go through an exact assignment solve, a
-shortest-augmenting-path method in numpy.
+Transport measures live on the line.  W2 between them is evaluated exactly
+through merged quantile functions; small equal-weight clouds also go through an
+exact assignment solve, a shortest-augmenting-path method in numpy.
 The dual norm ||u||_{H^-1(mu)} is sqrt of the inner product that a weighted
 Neumann-graph Poisson solve induces.  On 1D grid measures (path-graph
 Laplacian, ``spectral.graph_laplacian``) CG preconditioned by the grounded LU
@@ -55,13 +55,13 @@ class NotEvenError(ValueError):
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted point measure in R^d, d in {1, 2}.
+    """Weighted point measure on the line.
 
-    A 1D grid measure carries its lattice spacing, which enables path-graph
+    A grid measure carries its lattice spacing, which enables path-graph
     Laplacian assembly for the dual norm.
     """
 
-    support: np.ndarray          # (N, d); a 1D array is read as (N, 1)
+    support: np.ndarray          # (N, 1) column; an (N,) array is read as one
     weights: np.ndarray          # (N,), finite and nonnegative
     spacing: float | None = None
 
@@ -71,18 +71,14 @@ class DiscreteMeasure:
             s = s[:, None]
         object.__setattr__(self, "support", s)
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if s.ndim != 2 or s.shape[1] not in (1, 2):
-            raise ValueError("support must be an (N, d) array with d in {1, 2}")
+        if s.ndim != 2 or s.shape[1] != 1:
+            raise ValueError(f"support must have shape (N,) or (N, 1), got {s.shape}")
         if self.weights.shape != (s.shape[0],):
             raise ValueError("one weight per support point required")
         if not np.all(np.isfinite(s)):
             raise ValueError("support points must be finite")
         if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
             raise ValueError("weights must be finite and nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return self.support.shape[1]
 
     @property
     def mass(self) -> float:
@@ -115,9 +111,7 @@ def _sorted_1d(mu: DiscreteMeasure):
 
 
 def w2_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact quantile-coupling W2 between equal-mass 1D discrete measures."""
-    if mu.dim != 1 or nu.dim != 1:
-        raise ValueError("w2_1d requires 1D measures")
+    """Exact quantile-coupling W2 between equal-mass discrete measures."""
     if not (mu.mass > 0 and nu.mass > 0):
         raise ValueError("w2_1d requires measures of positive mass")
     if abs(mu.mass - nu.mass) > _MASS_TOL * max(1.0, mu.mass):
@@ -270,13 +264,12 @@ def monotone_transport_1d(psi: Callable, p: float, q: float, epsilon: float) -> 
 
 # -- dual Sobolev norm -----------------------------------------------------------
 
-def _cg(L, b: np.ndarray, precondition: Callable, project: Callable,
-        tol: float = _CG_TOL, maxiter: int = _CG_MAXITER) -> tuple[np.ndarray, int]:
+def _cg(L, b: np.ndarray, precondition: Callable, project: Callable) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients for L x = b with b orthogonal to the
     kernel of L.  ``project`` removes the kernel part of the residual after
     every update: rounding in L @ p leaves one that no step removes.  Raises
-    ConvergenceError when the relative residual misses ``tol`` within
-    ``maxiter`` steps."""
+    ConvergenceError when the relative residual misses _CG_TOL within
+    _CG_MAXITER steps."""
     x = np.zeros_like(b)
     bn = math.sqrt(_dot(b, b))
     if bn == 0.0:
@@ -284,18 +277,18 @@ def _cg(L, b: np.ndarray, precondition: Callable, project: Callable,
     r = b.copy()
     p = precondition(r)
     rz = _dot(r, p)
-    for it in range(maxiter):
+    for it in range(_CG_MAXITER):
         lp = L @ p
         alpha = rz / _dot(p, lp)
         x += alpha * p
         r = project(r - alpha * lp)
-        if math.sqrt(_dot(r, r)) <= tol * bn:
+        if math.sqrt(_dot(r, r)) <= _CG_TOL * bn:
             return x, it + 1
         z = precondition(r)
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise ConvergenceError(f"CG did not reach tol {tol} in {maxiter} iterations")
+    raise ConvergenceError(f"CG did not reach tol {_CG_TOL} in {_CG_MAXITER} iterations")
 
 
 def _dual_norms(L, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -342,7 +335,7 @@ def _dual_norms(L, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def hminus1_norm(mu: DiscreteMeasure, u: np.ndarray) -> float:
     """Discrete dual norm sup { sum u phi w : sum |grad phi|^2 w <= 1 } of one
-    finite function u of shape (N,) on an evenly spaced 1D grid measure.
+    finite function u of shape (N,) on an evenly spaced grid measure.
 
     Assembles the weighted path-graph Laplacian (edge weight = mean of the
     endpoint measure weights over h^2), solves L phi = u*w on the mean-zero
@@ -356,14 +349,14 @@ def hminus1_norm(mu: DiscreteMeasure, u: np.ndarray) -> float:
         raise ValueError("u must be one function on the support of mu")
     if not np.all(np.isfinite(u)):
         raise ValueError("u must be finite")
-    if mu.spacing is None or mu.dim != 1:
-        raise ValueError("dual norm needs a 1D grid measure")
+    if mu.spacing is None:
+        raise ValueError("dual norm needs a grid measure")
     if not 0 < mu.spacing < math.inf:  # a NaN spacing fails too
         raise ValueError(f"dual norm needs a finite positive spacing, got {mu.spacing}")
     x = mu.support[:, 0]
     order = np.argsort(x, kind="stable")
     if np.max(np.abs(np.diff(x[order]) - mu.spacing), initial=0.0) > 1e-9 * mu.spacing:
-        raise ValueError("1D grid measure must be evenly spaced")
+        raise ValueError("grid measure must be evenly spaced")
     src, dst = order[:-1], order[1:]
     w = mu.weights
     h = mu.spacing
@@ -415,10 +408,11 @@ def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[Variance
     one raster of a 2D convex body.
 
     Each f is a vectorized callable f(x, y) evaluated at the cell centers,
-    even in every coordinate to 1e-12 of max |f| (else NotEvenError, raised
-    before any factorization).  Gradients are central differences, one-sided
-    at the edge of the raster, so d_i f lies in the flip class odd in x_i
-    alone, whose operator is nonsingular: one LU per class and a direct solve
+    giving one finite value per cell (else ValueError naming its index in fs)
+    and even in every coordinate to 1e-12 of max |f| (else NotEvenError), both
+    checked before any factorization.  Gradients are central differences,
+    one-sided at the edge of the raster, so d_i f lies in the flip class odd in
+    x_i alone, whose operator is nonsingular: one LU per class and a direct solve
     per f and axis.  On a raster symmetric under x <-> y (equal half-widths)
     the class odd in y alone is the swap of the class odd in x alone, so its
     one LU serves d_y f too, swapped: one factorization in all.  Every LU is
@@ -432,7 +426,12 @@ def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[Variance
     centers, d = grid.centers(), grid.mask.ndim
     cell = h ** d
     w = grid.alpha * cell
-    vals = [np.broadcast_to(np.asarray(f(*centers), dtype=float), w.shape) for f in fs]
+    vals = [np.asarray(f(*centers), dtype=float) for f in fs]
+    for i, v in enumerate(vals):
+        if v.shape != w.shape:
+            raise ValueError(f"fs[{i}] gives shape {v.shape}, not one value per cell {w.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"fs[{i}] is not finite at every cell")
     for axis in range(d):
         mirror = grid.flip(axis)
         if any(np.max(np.abs(v - v[mirror])) > 1e-12 * np.max(np.abs(v)) for v in vals):

@@ -199,6 +199,29 @@ def test_kolmogorov_distance_rejects_nan():
         kolmogorov_distance(np.array([0.0, math.nan]), normal_cdf)
 
 
+@pytest.mark.parametrize("values, cdf, message", [
+    ([0.1, 0.2, 0.3], lambda v: np.array([0.5]), r"shape \(1,\), not one per value \(3,\)"),
+    ([0.1, 0.2, 0.3], lambda v: 10 * v, r"finite values in \[0, 1\]"),
+    ([0.1, 0.2, 0.3], lambda v: np.full_like(v, math.nan), r"finite values in \[0, 1\]"),
+    ([0.1, 0.2, 0.3], lambda v: np.full_like(v, math.inf), r"finite values in \[0, 1\]"),
+    ([0.1, 0.2, 0.3], lambda v: v - 0.5, r"finite values in \[0, 1\]"),
+    ([[0.1, 0.2], [0.3, 0.4]], normal_cdf, r"1-D array of per-draw values, got shape \(2, 2\)"),
+], ids=["one-reference-value", "above-one", "nan-reference", "inf-reference", "below-zero",
+        "2x2-values"])
+def test_kolmogorov_distance_rejects_a_reference_that_is_not_a_cdf_of_the_values(
+        values, cdf, message):
+    # [0.5] broadcast to a distance of 0.5, 10 v read 1.5, a NaN reference NaN,
+    # and a (2, 2) array of values ended in numpy's broadcast error
+    with pytest.raises(ValueError, match=message):
+        kolmogorov_distance(np.array(values), cdf)
+
+
+def test_kolmogorov_distance_forgives_the_rounding_of_a_cdf():
+    # the berry_esseen suite's interpolated cube CDF reads -2.2e-14 and 1 + 2.2e-14
+    res = kolmogorov_distance(np.array([-1.0, 1.0]), lambda v: np.array([-2.2e-14, 1 + 2.2e-14]))
+    assert res.distance == pytest.approx(0.5, abs=1e-13)
+
+
 def test_counterexample_marginal_far_from_normal():
     # the uniform-direction marginal is Uniform[-sqrt3, sqrt3] for every n
     oracle = kolmogorov_uniform_vs_normal_oracle()
@@ -297,8 +320,9 @@ def test_weight_vector_validation():
         e = np.full(n, 1.0 / math.sqrt(n))
         e[0] = math.sqrt(1.0 - float(e[1:] @ e[1:]))
         assert theta.tobytes() == np.asarray(tuple(e)).tobytes()
-    for n in (0, -1, 2.5, math.nan, np.float64(3.0)):  # n = 0 divided by zero
-        with pytest.raises(ValueError, match="n >= 1"):  # 2.5 raised numpy's TypeError
+    # n = 0 divided by zero; 2.5 and True, an Integral, raised numpy's TypeError
+    for n in (0, -1, 2.5, math.nan, np.float64(3.0), True, np.bool_(True)):
+        with pytest.raises(ValueError, match="n >= 1"):
             uniform_direction(n)
     assert np.array_equal(uniform_direction(np.int64(5)), uniform_direction(5))
 

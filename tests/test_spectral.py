@@ -43,12 +43,12 @@ def disc_grid():
 
 @pytest.fixture(scope="module")
 def square_pairs(square_grid):
-    return lowest_eigenpairs(square_grid, k=4)
+    return lowest_eigenpairs(square_grid)
 
 
 @pytest.fixture(scope="module")
 def disc_pairs(disc_grid):
-    return lowest_eigenpairs(disc_grid, k=4)
+    return lowest_eigenpairs(disc_grid)
 
 
 def test_rasterize_square_full_mask(square_grid):
@@ -164,9 +164,9 @@ SUITE_SWAP_RASTERS = ([(BodySpec.cube(2), h) for h in (1 / 16, 1 / 32, 1 / 64)]
 @pytest.mark.parametrize("body, h", SUITE_SWAP_RASTERS)
 def test_the_swapped_class_matches_its_direct_solve(body, h):
     grid = rasterize(body, h)
-    classes = class_eigenpairs(grid, 4)
+    classes = class_eigenpairs(grid)
     assert list(classes) == PARITIES
-    swapped, direct = classes[(True, False)], lowest_eigenpairs(grid, 4, (True, False))
+    swapped, direct = classes[(True, False)], lowest_eigenpairs(grid, (True, False))
     for p, q in zip(swapped, direct, strict=True):
         assert p.value == pytest.approx(q.value, rel=1e-12)
         assert p.residual <= 1e-10 and q.residual <= 1e-10
@@ -237,7 +237,7 @@ def test_disc_eigenvalues(disc_pairs):
 def test_rectangle_simple_lowest_mode():
     # [-2,2] x [-1,1]: lambda_1 = pi^2/16 on the long axis, simple
     grid = rasterize(BodySpec("cube", 2, (2.0, 1.0)), h=1 / 16)
-    pairs = lowest_eigenpairs(grid, k=3)
+    pairs = lowest_eigenpairs(grid)
     assert pairs[1].value == pytest.approx(math.pi ** 2 / 16.0, rel=2e-3)
     assert len(lambda1_cluster(pairs)) == 1
 
@@ -250,7 +250,7 @@ def test_box_eigenvalues_match_the_exact_raster_spectrum(half_widths, h):
     m_y, m_x = grid.mask.shape
     axis = [np.sin(math.pi * np.arange(m) / (2 * m)) ** 2 for m in (m_x, m_y)]
     exact = np.sort((4 / h ** 2 * np.add.outer(*axis)).ravel())[:5]
-    got = np.array([p.value for p in lowest_eigenpairs(grid, k=4)])
+    got = np.array([p.value for p in lowest_eigenpairs(grid)])
     np.testing.assert_allclose(got, exact, rtol=1e-10, atol=1e-10 * exact[1])
 
 
@@ -258,7 +258,7 @@ def test_box_eigenvalues_match_the_exact_raster_spectrum(half_widths, h):
 def test_cut_cell_eigenvalues_match_a_dense_solve(body):
     grid = rasterize(body, 1 / 16)  # 856 and 544 nodes
     exact = _dense_spectrum(grid)
-    got = np.array([p.value for p in lowest_eigenpairs(grid, k=4)])
+    got = np.array([p.value for p in lowest_eigenpairs(grid)])
     np.testing.assert_allclose(got, exact, rtol=1e-10, atol=1e-10 * exact[1])
 
 
@@ -269,7 +269,7 @@ def test_flip_class_spectra_together_match_a_dense_solve(body):
     # whole raster, whichever classes they fall in
     grid = rasterize(body, 1 / 16)
     exact = _dense_spectrum(grid)
-    pairs = [p for odd in PARITIES for p in lowest_eigenpairs(grid, 4, odd)]
+    pairs = [p for odd in PARITIES for p in lowest_eigenpairs(grid, odd)]
     got = np.sort([p.value for p in pairs])[:5]
     np.testing.assert_allclose(got, exact, rtol=1e-10, atol=1e-10 * exact[1])
     for p in pairs:
@@ -293,7 +293,7 @@ def test_lambda1_lies_in_a_singly_odd_class(body, h):
     # every raster, the lowest value of the singly-odd classes that it solves, is
     # the second value of the whole class spectrum, to the bit
     grid = rasterize(body, h)
-    classes = class_eigenpairs(grid, 4)
+    classes = class_eigenpairs(grid)
     solved = [(False, True)] + ([] if grid.swap_symmetric else [(True, False)])
     rule = min(classes[odd][0].value for odd in solved)
     assert rule == sorted(p.value for pairs in classes.values() for p in pairs)[1]
@@ -401,7 +401,7 @@ def test_the_smallest_cut_cell_still_factors(body, h, smallest):
         b += M @ np.cos(np.arange(nodes.size))
         x = factorize(A - shift * M).solve(b)
         assert np.linalg.norm((A - shift * M) @ x - b) <= 1e-10 * np.linalg.norm(b)
-        for p in lowest_eigenpairs(grid, 4, odd):
+        for p in lowest_eigenpairs(grid, odd):
             assert p.residual <= 1e-10 * max(p.value, 1.0)
 
 
@@ -434,7 +434,7 @@ def test_lp_ball_lambda1_lies_between_published_bounds(p):
     # [-1, 1]^2, and Szego-Weinberger lambda_1 <= j'^2 pi/|K|, equality only on
     # the disc; the singly-odd class at h = 1/32 holds lambda_1 (measured 1.1%
     # and 1.3% below the upper bound at p = 1.5 and 3)
-    lam = lowest_eigenpairs(rasterize(BodySpec.lp_ball(2, p=p), 1 / 32), 1, (True, False))[0].value
+    lam = lowest_eigenpairs(rasterize(BodySpec.lp_ball(2, p=p), 1 / 32), (True, False))[0].value
     diameter = 2.0 * max(1.0, 2.0 ** (0.5 - 1.0 / p))
     assert max(math.pi ** 2 / diameter ** 2, math.pi ** 2 / 4.0) <= lam
     assert lam <= DISC_LAMBDA1 * math.pi / _lp_area(p)
@@ -444,12 +444,12 @@ def test_multiplicity_at_most_two():
     for body, h in [(BodySpec.cube(2), 1 / 32), (BodySpec.euclidean_ball(2), 1 / 32),
                     (BodySpec.lp_ball(2, p=1.0), 1 / 32),
                     (BodySpec("cube", 2, (1.5, 1.0)), 1 / 32)]:
-        pairs = lowest_eigenpairs(rasterize(body, h), k=4)
+        pairs = lowest_eigenpairs(rasterize(body, h))
         assert len(lambda1_cluster(pairs)) <= 2
 
 
 def _lambda1(body, h):
-    return lowest_eigenpairs(rasterize(body, h), k=4)[1].value
+    return lowest_eigenpairs(rasterize(body, h))[1].value
 
 
 def test_richardson_square_order_and_value():

@@ -219,6 +219,9 @@ def test_reports_do_not_depend_on_the_chunk_rows(monkeypatch):
 
 
 def _thinshell_peak_mb(n_grid=(64, 128, 256), samples=10 ** 5, **shell):
+    # the first call of a process imports and caches what later calls reuse
+    # (0.7 MB of the 5e4-draw peak), so a warm-up keeps that out of the window
+    thinshell_suite([CUBE], list(n_grid), 1000, SEED, **shell)
     tracemalloc.start()
     try:
         thinshell_suite([CUBE], list(n_grid), samples, SEED, **shell)

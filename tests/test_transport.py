@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,7 +75,7 @@ def test_w2_symmetry_and_triangle(xs, ys, zs):
 
 def test_w2_assignment_permutation_invariance():
     rng = np.random.default_rng(3)
-    pts = rng.uniform(-1, 1, size=(12, 2))
+    pts = rng.uniform(-1, 1, size=12)
     mu = DiscreteMeasure(pts, np.full(12, 1 / 12))
     nu = DiscreteMeasure(pts[rng.permutation(12)], np.full(12, 1 / 12))
     assert w2_assignment(mu, nu) == pytest.approx(0.0, abs=1e-12)
@@ -91,26 +92,21 @@ def test_w2_assignment_matches_quantiles_in_1d():
 
 
 def test_w2_assignment_vertical_shift():
-    mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.full(2, 0.5))
-    nu = DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 1.0]]), np.full(2, 0.5))
+    # the cloud moved by 1 along the line: every atom travels 1
+    mu = atoms_1d([0.0, 1.0], np.full(2, 0.5))
+    nu = atoms_1d([1.0, 2.0], np.full(2, 0.5))
     assert w2_assignment(mu, nu) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_w2_assignment_cost_matches_scipy_cdist(monkeypatch, dim):
-    # the cost matrix is caught on its way into the assignment solver; a
-    # DiscreteMeasure has d in {1, 2}, so no other dimension reaches it
+def test_w2_assignment_cost_matches_scipy_cdist(monkeypatch):
+    # the cost matrix is caught on its way into the assignment solver
     solve = transport._assignment
     costs = []
     monkeypatch.setattr(transport, "_assignment", lambda cost: costs.append(cost) or solve(cost))
-    rng = np.random.default_rng(dim)
-    a, b = rng.normal(size=(40, dim)), rng.uniform(-3, 3, size=(40, dim))
+    rng = np.random.default_rng(1)
+    a, b = rng.normal(size=(40, 1)), rng.uniform(-3, 3, size=(40, 1))
     w2_assignment(DiscreteMeasure(a, np.full(40, 1 / 40)), DiscreteMeasure(b, np.full(40, 1 / 40)))
-    expected = cdist(a, b, "sqeuclidean")
-    if dim == 1:
-        assert np.array_equal(costs[0], expected)
-    else:
-        np.testing.assert_allclose(costs[0], expected, rtol=1e-15, atol=0)
+    assert np.array_equal(costs[0], cdist(a, b, "sqeuclidean"))
 
 
 def _lsap_cases():
@@ -149,19 +145,19 @@ def test_assignment_is_the_best_of_all_permutations_of_small_integer_costs():
 def test_w2_assignment_is_the_best_of_all_permutations():
     rng = np.random.default_rng(11)
     for _ in range(4):
-        a, b = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-        mu, nu = DiscreteMeasure(a, np.full(6, 0.5 / 6)), DiscreteMeasure(b, np.full(6, 0.5 / 6))
-        best = min(sum(float(np.sum((a[i] - b[j]) ** 2)) for i, j in enumerate(perm))
+        a, b = rng.normal(size=6), rng.normal(size=6)
+        mu, nu = atoms_1d(a, np.full(6, 0.5 / 6)), atoms_1d(b, np.full(6, 0.5 / 6))
+        best = min(sum(float((a[i] - b[j]) ** 2) for i, j in enumerate(perm))
                    for perm in itertools.permutations(range(6)))
         assert w2_assignment(mu, nu) == pytest.approx(math.sqrt(0.5 / 6 * best), rel=1e-12)
 
 
 def test_w2_assignment_rejects_bad_inputs():
-    mu = DiscreteMeasure(np.zeros((3, 2)), np.full(3, 1 / 3))
-    nu = DiscreteMeasure(np.zeros((2, 2)), np.full(2, 0.5))
+    mu = DiscreteMeasure(np.zeros(3), np.full(3, 1 / 3))
+    nu = DiscreteMeasure(np.zeros(2), np.full(2, 0.5))
     with pytest.raises(ValueError):
         w2_assignment(mu, nu)
-    nu2 = DiscreteMeasure(np.zeros((3, 2)), np.array([0.5, 0.3, 0.2]))
+    nu2 = DiscreteMeasure(np.zeros(3), np.array([0.5, 0.3, 0.2]))
     with pytest.raises(ValueError):
         w2_assignment(mu, nu2)
 
@@ -179,7 +175,7 @@ def test_measures_reject_non_finite_values(support, weights):
 
 _GRID = DiscreteMeasure.grid_1d(-1.0, 1.0, 8)
 _X = _GRID.support[:, 0]
-_EMPTY = DiscreteMeasure(np.zeros((0, 2)), np.zeros(0))
+_EMPTY = DiscreteMeasure(np.zeros(0), np.zeros(0))
 _MASSLESS = atoms_1d([0.0, 1.0], [0.0, 0.0])
 
 
@@ -428,6 +424,27 @@ def test_variance_bound_rejects_a_function_that_is_not_even(f):
     assert issubclass(NotEvenError, ValueError)
 
 
+def _no_factorization(A):
+    raise AssertionError("a raster operator was factored")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda x, y: np.where((x == x.max()) & (y == y.max()), math.nan, x ** 2),
+     r"fs\[1\] is not finite"),
+    (lambda x, y: np.where((x > 0.5) & (y > 0.5), math.nan, x ** 2), r"fs\[1\] is not finite"),
+    (lambda x, y: np.where(np.abs(x) == x.max(), math.inf, x ** 2), r"fs\[1\] is not finite"),
+    (lambda x, y: np.where(np.abs(y) == y.max(), -math.inf, y ** 2), r"fs\[1\] is not finite"),
+    (lambda x, y: np.ones(3), r"fs\[1\] gives shape \(3,\), not one value per cell"),
+], ids=["nan-at-one-cell", "nan-past-one-half", "inf", "minus-inf", "three-values"])
+def test_variance_bound_names_a_function_without_one_finite_value_per_cell(
+        monkeypatch, bad, message):
+    # a NaN returned VarianceBoundReport(nan, nan) and shape (3,) numpy's
+    # broadcast error; now the function's index is named before any LU
+    monkeypatch.setattr(spectral, "factorize", _no_factorization)
+    with pytest.raises(ValueError, match=message):
+        verify_variance_bound(BodySpec.cube(2), [lambda x, y: x ** 2, bad], h=1 / 16)
+
+
 # -- duality verification ----------------------------------------------------------------
 
 def test_thm258_linear_example():
@@ -601,8 +618,15 @@ def test_variance_bound_is_the_same_at_any_blas_thread_count():
 def test_discrete_measure_validation():
     with pytest.raises(ValueError):
         DiscreteMeasure(np.zeros((3, 1)), np.array([1.0, -0.1, 0.2]))
-    with pytest.raises(ValueError):
-        DiscreteMeasure(np.zeros((3, 3)), np.ones(3))
     with pytest.raises(ValueError, match="one weight per support point"):
-        DiscreteMeasure([[0.0, 1.0]], [0.5, 0.5])  # one 2D atom, not two 1D atoms
+        DiscreteMeasure(np.zeros((3, 1)), np.ones(2))
     assert DiscreteMeasure(np.array([0.0, 1.0]), [0.5, 0.5]).support.shape == (2, 1)
+
+
+@pytest.mark.parametrize("support", [np.zeros((3, 2)), np.zeros((3, 3)), [[0.0, 1.0]],
+                                     np.zeros((2, 1, 1))])
+def test_discrete_measure_rejects_a_planar_support(support):
+    # measures live on the line: a support of any other shape is named by it
+    shape = np.shape(support)
+    with pytest.raises(ValueError, match=re.escape(f"(N,) or (N, 1), got {shape}")):
+        DiscreteMeasure(support, np.ones(shape[0]))
