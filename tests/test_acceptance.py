@@ -87,6 +87,11 @@ def transport_result():
 
 
 @pytest.fixture(scope="module")
+def transport_h128_result():  # the lattice benchmark's raster spacing
+    return transport_suite(SEED, raster_h=1 / 128)
+
+
+@pytest.fixture(scope="module")
 def spectral_result():
     return spectral_suite(SEED)
 
@@ -261,7 +266,7 @@ def _golden_match(want, got, tol: dict) -> bool:
     return type(want) is type(got) and want == got
 
 
-@pytest.mark.parametrize("suite", ASSERTION_COUNTS)
+@pytest.mark.parametrize("suite", [*ASSERTION_COUNTS, "transport_h128"])
 def test_c12_report_matches_its_golden_file(request, suite):
     # integer and text fields exactly, floats to 1e-12 relative but for the noise
     # above; the suite fixtures' configs are the CLI defaults the files are written at
