@@ -4,7 +4,8 @@
 #     scripts/ci.sh
 #
 # Runs the tests, every suite with its figures, the transport suite at the
-# lattice workload's raster h = 1/128, the two scaling scripts, a rerun and a
+# lattice workload's raster h = 1/128 (printing its wall time and the
+# process's peak RSS beside its verdict), the two scaling scripts, a rerun and a
 # one-core run that must write the same reports and verdicts, and each benchmark
 # workload, all into a temporary directory that is removed at exit.
 # The suite runs turn a numpy RuntimeWarning into an error, as the tests'
@@ -34,9 +35,15 @@ done
 echo "== the transport suite at the lattice workload's raster, h = 1/128"
 PYTHONWARNINGS=error::RuntimeWarning python - <<'PY'
 import sys
-from thinshell import suites
+import time
+from thinshell import cli, suites
+t0 = time.perf_counter()
 result = suites.transport_suite(20250810, raster_h=1 / 128)
+seconds = time.perf_counter() - t0
 failed = [a.name for a in result.assertions if not a.passed]
+peak = cli._peak_rss_mb()
+print(f"h = 1/128: {'FAIL' if failed else 'PASS'} in {seconds:.2f} s, process peak RSS "
+      + (f"{peak:.1f} MB" if peak is not None else "unknown"))
 sys.exit(f"failed at h = 1/128: {failed}" if failed else 0)
 PY
 

@@ -13,16 +13,21 @@ cut-cell scheme after Johansen and Colella, J. Comput. Phys. 147, 1998).  With
 every fraction 1, as on a cube whose half-widths are multiples of h, this is
 the 5-point Neumann Laplacian.
 
-The bodies are unconditional, so the weights are computed on one orthant and
-mirrored: the operator commutes exactly with the d coordinate flips and splits
-into 2^d flip classes (``GridDomain.flip_class``).  A body with equal
-half-widths is also symmetric under the swap x <-> y: its fractions are
+The bodies are unconditional, so the weights are computed on one orthant
+(``orthant``) and mirrored: the operator commutes exactly with the d coordinate
+flips and splits into 2^d flip classes (``GridDomain.flip_class``).  Every
+class operator is assembled from the orthant's cells alone
+(``Orthant.class_operator``), a quarter of the whole raster in 2D; the whole
+raster's operator and the parity extensions E serve only the residuals, the
+whole-raster oracle solves and the extension of class vectors.  A body with
+equal half-widths is also symmetric under the swap x <-> y: its fractions are
 computed on one triangle of the orthant and mirrored across the diagonal, and
 each node's degree adds its two upper and its two lower edge weights before the
 two sums (``graph_laplacian``), so its raster commutes exactly with the swap
 (``GridDomain.swap``).  The swap maps the class
 odd in x alone onto the class odd in y alone, so ``class_eigenpairs`` solves 3
-of the 4 classes of such a raster and takes the 4th from its twin.
+of the 4 classes of such a raster and takes the 4th from its twin.  A raster
+has at most MAX_CELLS cells.
 
 Every lattice solve goes through one sparse factorization, ``factorize``: the
 eigen solves here factor a class operator minus a shift times its mass with it,
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +54,11 @@ EIGENPAIRS = 5   # pairs of each eigen solve: the constant mode, lambda_1 and ab
 # a volume fraction below this is the rounding of a cell that the boundary only
 # touches: at h = 1/48 the l1 ball's diagonal passes a corner 5e-30 off
 _SLIVER = 1e-12
+# the most cells a raster may have: ``rasterize`` peaks near 256 bytes a cell
+# (16.0 MB traced for the square's 65,536 cells at h = 1/128), so 2^20 cells,
+# 16 times those, keep it near 270 MB; an h that asks for more is named before
+# any array is made
+MAX_CELLS = 2 ** 20
 
 
 class TooCoarseGridError(ValueError):
@@ -56,7 +66,8 @@ class TooCoarseGridError(ValueError):
 
 
 class InvalidSpacingError(ValueError):
-    """A raster spacing h that is not a finite positive number."""
+    """A raster spacing h that is not a finite positive number, or that gives a
+    raster of more than MAX_CELLS cells."""
 
 
 class NotConvergingError(ValueError):
@@ -70,17 +81,138 @@ def _neighbors(k: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
     return head + (slice(None, -1),), head + (slice(1, None),)
 
 
+def _node_numbers(mask: np.ndarray) -> np.ndarray:
+    """The node number of each True cell of ``mask``, in row-major order."""
+    return np.cumsum(mask, dtype=np.int32).reshape(mask.shape) - 1  # MAX_CELLS < 2^31
+
+
+def _swap_nodes(mask: np.ndarray) -> np.ndarray:
+    """Node permutation of the swap x <-> y of the True cells of a 2D mask,
+    which must be symmetric under it."""
+    if not np.array_equal(mask, mask.T):
+        raise ValueError("mask is not symmetric under the swap x <-> y")
+    return _node_numbers(mask).T[mask]
+
+
+def _gradient(full: np.ndarray, mask: np.ndarray, h: float) -> list[np.ndarray]:
+    """(d/dx, d/dy, ...) of the cell values ``full``, as arrays of its shape.
+
+    Central differences where both neighbors are cells of ``mask``, one-sided
+    next to its edge, 0 along an axis where the cell has neither.
+    """
+    grads = []
+    for k in reversed(range(full.ndim)):
+        lo, hi = _neighbors(k)
+        both = mask[lo] & mask[hi]
+        up, down = np.zeros_like(full), np.zeros_like(full)
+        has_up, has_down = np.zeros_like(mask), np.zeros_like(mask)
+        up[lo], has_up[lo] = full[hi], both
+        down[hi], has_down[hi] = full[lo], both
+        grads.append(np.select([has_up & has_down, has_up, has_down],
+                               [(up - down) / (2.0 * h), (up - full) / h, (full - down) / h]))
+    return grads
+
+
 @dataclass(frozen=True)
-class GridDomain:
-    """The raster of a body.  Array axis ``ndim - 1 - i`` of ``mask`` runs
-    along coordinate i, so a 2D mask is indexed (y, x), and the nodes are its
-    True cells, the cells that the body meets, in row-major order."""
+class Orthant:
+    """The cells of a raster in the positive orthant: ``rasterize`` mirrors the
+    whole raster from them, and every flip class solves on them.
+
+    Arrays are indexed like ``GridDomain.mask``, (y, x) in 2D, and cell c along
+    an axis spans [c h, (c + 1) h].  The nodes are the cells that the body
+    meets, in row-major order, the order of a flip class's nodes on the whole
+    raster (``GridDomain.flip_class``)."""
 
     body: BodySpec
     h: float
+    alpha: np.ndarray = field(repr=False)  # volume fraction of each cell, 0 off the body
+    # by array axis k: the apertures of the faces normal to it at 0, h, 2h, ...
+    # over each cell; the first lies on the plane through the origin
+    faces: tuple[np.ndarray, ...] = field(repr=False)
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.alpha > 0.0
+
+    @property
+    def swap_symmetric(self) -> bool:
+        """Whether the cells, and the raster and operators made from them,
+        commute exactly with the swap x <-> y, as ``orthant`` builds them for
+        a body with equal half-widths."""
+        scale = self.body.scale_array
+        return bool(scale[0] == scale[1])
+
+    def swap(self) -> np.ndarray:
+        """Node permutation of the swap x <-> y; the mask must be symmetric
+        under it."""
+        return _swap_nodes(self.mask)
+
+    def mirrored(self) -> GridDomain:
+        """The whole raster's cells and fractions, these mirrored across every
+        plane, without the operator, which ``rasterize`` adds."""
+        alpha = _mirror(self.alpha)
+        mask = alpha > 0.0
+        return GridDomain(self, mask, alpha[mask])
+
+    def class_operator(self, odd: tuple[bool, ...]) -> sp.csr_matrix:
+        """The operator of the flip class odd across the plane x_i = 0 where
+        odd[i], else even, on the nodes.
+
+        It is the Laplacian of the orthant's own edges, weight aperture / h^2
+        each, plus twice the weight of the edge across the plane of each odd
+        axis on the cells next to it: across an odd plane a class vector is its
+        own negative, so that edge pulls toward 0 with twice its weight, and
+        across an even plane it is its own value, so that edge does not pull.
+        This is (operator @ E)[nodes] of the whole raster
+        (``GridDomain.flip_class``), to the bit on every raster of the suites,
+        assembled without the whole raster.
+        """
+        mask, h = self.mask, self.h
+        dirichlet = np.zeros(mask.shape)
+        for k, odd_axis in zip(reversed(range(mask.ndim)), odd, strict=True):
+            if odd_axis:  # the faces on the plane of this coordinate, normal to array axis k
+                plane = (slice(None),) * k + (slice(0, 1),)
+                dirichlet[plane] += 2.0 * self.faces[k][plane] / (h * h)
+        inner = [f[(slice(None),) * k + (slice(1, None),)] for k, f in enumerate(self.faces)]
+        return _laplacian(mask, inner, h, dirichlet[mask])
+
+    def near(self, image: np.ndarray) -> np.ndarray:
+        """The cells of a whole-raster image (``GridDomain.image``) that
+        ``gradient`` reads: the orthant and the one row and column across each
+        plane, copied so that the image can go."""
+        return image[tuple(slice(m - 1, None) for m in self.alpha.shape)].copy()
+
+    def gradient(self, near: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Node values of (d/dx, d/dy, ...) of the cell values ``near``, given
+        on the orthant and the one row and column across each plane
+        (``near``): at every node the bits of ``GridDomain.gradient`` on the
+        whole raster, whose rule reads no cell farther away."""
+        mask = np.pad(self.mask, [(1, 0)] * self.mask.ndim, mode="symmetric")
+        inside = (slice(1, None),) * mask.ndim
+        return tuple(g[inside][self.mask] for g in _gradient(near, mask, self.h))
+
+
+@dataclass(frozen=True)
+class GridDomain:
+    """The raster of a body: the cells of its positive orthant and their mirror
+    images.  Array axis ``ndim - 1 - i`` of ``mask`` runs along coordinate i,
+    so a 2D mask is indexed (y, x), and the nodes are its True cells, the cells
+    that the body meets, in row-major order."""
+
+    orthant: Orthant
     mask: np.ndarray   # over a box centered on the origin, 2 m_k cells along array axis k
-    operator: sp.csr_matrix = field(repr=False)
     alpha: np.ndarray = field(repr=False)  # volume fraction of each node, in (0, 1]
+    # K on the nodes, from ``rasterize``; None on the cells alone
+    # (``Orthant.mirrored``), which the Lemma 2.1 check reads
+    operator: sp.csr_matrix | None = field(default=None, repr=False)
+
+    @property
+    def body(self) -> BodySpec:
+        return self.orthant.body
+
+    @property
+    def h(self) -> float:
+        return self.orthant.h
 
     @property
     def n_nodes(self) -> int:
@@ -95,9 +227,11 @@ class GridDomain:
     def centers(self) -> tuple[np.ndarray, ...]:
         """Coordinates of the cell centers, in node order: (x, y) in 2D.  Cell c
         of 2m along an axis is centered at (c - m + 0.5) h: exactly mirrored."""
-        cells = np.nonzero(self.mask)[::-1]
-        return tuple((c - m // 2 + 0.5) * self.h
-                     for c, m in zip(cells, self.mask.shape[::-1]))
+        shape = self.mask.shape
+        return tuple(np.broadcast_to(((np.arange(shape[k]) - shape[k] // 2 + 0.5) * self.h)
+                                     .reshape([-1 if j == k else 1 for j in range(len(shape))]),
+                                     shape)[self.mask]
+                     for k in reversed(range(len(shape))))
 
     def flip(self, axis: int) -> np.ndarray:
         """Node permutation of the reflection of coordinate ``axis``; the mask
@@ -110,23 +244,21 @@ class GridDomain:
     def swap(self) -> np.ndarray:
         """Node permutation of the swap x <-> y of a 2D raster; the mask must
         be symmetric under it."""
-        if not np.array_equal(self.mask, self.mask.T):
-            raise ValueError("mask is not symmetric under the swap x <-> y")
-        return self.image(np.arange(self.n_nodes)).T[self.mask]
+        return _swap_nodes(self.mask)
 
     @property
     def swap_symmetric(self) -> bool:
-        """Whether alpha and the operator commute exactly with ``swap``, as
-        ``rasterize`` builds them for a body with equal half-widths."""
-        scale = self.body.scale_array
-        return bool(scale[0] == scale[1])
+        """Whether alpha and the operator commute exactly with ``swap``
+        (``Orthant.swap_symmetric``)."""
+        return self.orthant.swap_symmetric
 
     def flip_class(self, odd: tuple[bool, ...]) -> tuple[np.ndarray, sp.csr_matrix]:
         """The positive-orthant nodes and the parity extension E from them to
         the whole raster, odd across the plane x_i = 0 where odd[i], else even.
-        The class operator (operator @ E)[nodes] is the orthant Laplacian plus
-        twice the edge weight across the plane of each odd axis, aperture / h^2,
-        on the cells next to it."""
+        E extends class vectors to the whole raster; the class operator
+        (operator @ E)[nodes], the orthant Laplacian plus twice the edge weight
+        across the plane of each odd axis, aperture / h^2, on the cells next to
+        it, is assembled from the orthant alone by ``Orthant.class_operator``."""
         nodes = np.flatnonzero(np.all([c > 0 for c in self.centers()], axis=0))
         rows, signs = [nodes], [np.ones(nodes.size)]
         for axis, odd_axis in zip(range(self.mask.ndim), odd, strict=True):
@@ -144,25 +276,15 @@ class GridDomain:
         Central differences where both neighbors are nodes, one-sided next to
         the edge of the raster, 0 along an axis where the cell has neither.
         """
-        full = self.image(values)
-        grads = []
-        for k in reversed(range(full.ndim)):
-            lo, hi = _neighbors(k)
-            both = self.mask[lo] & self.mask[hi]
-            up, down = np.zeros_like(full), np.zeros_like(full)
-            has_up, has_down = np.zeros_like(self.mask), np.zeros_like(self.mask)
-            up[lo], has_up[lo] = full[hi], both
-            down[hi], has_down[hi] = full[lo], both
-            g = np.select([has_up & has_down, has_up, has_down],
-                          [(up - down) / (2.0 * self.h), (up - full) / self.h,
-                           (full - down) / self.h])
-            grads.append(g[self.mask])
-        return tuple(grads)
+        return tuple(g[self.mask] for g in _gradient(self.image(values), self.mask, self.h))
 
 
 def graph_laplacian(n_nodes: int, src: np.ndarray, dst: np.ndarray,
-                    edge_weights: np.ndarray) -> sp.csr_matrix:
-    """Weighted graph Laplacian: quadratic form sum_e w_e (phi_src - phi_dst)^2.
+                    edge_weights: np.ndarray,
+                    dirichlet: np.ndarray | None = None) -> sp.csr_matrix:
+    """Weighted graph Laplacian: quadratic form sum_e w_e (phi_src - phi_dst)^2,
+    plus sum_i dirichlet_i phi_i^2 where given, the edges from the nodes to
+    values held at 0.
 
     A node's degree is the sum of its edges as src plus the sum of its edges
     as dst.  On a raster each node is the src of at most one edge per axis
@@ -171,10 +293,34 @@ def graph_laplacian(n_nodes: int, src: np.ndarray, dst: np.ndarray,
     x <-> y exchanges them, and the degree keeps its bits."""
     deg = (np.bincount(src, weights=edge_weights, minlength=n_nodes)
            + np.bincount(dst, weights=edge_weights, minlength=n_nodes))
-    rows = np.concatenate([src, dst, np.arange(n_nodes)])
-    cols = np.concatenate([dst, src, np.arange(n_nodes)])
+    if dirichlet is not None:
+        deg = deg + dirichlet
+    diag = np.arange(n_nodes, dtype=src.dtype)
+    rows = np.concatenate([src, dst, diag])
+    cols = np.concatenate([dst, src, diag])
     vals = np.concatenate([-edge_weights, -edge_weights, deg])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
+
+
+def _laplacian(mask: np.ndarray, faces: list[np.ndarray], h: float,
+               dirichlet: np.ndarray | None = None) -> sp.csr_matrix:
+    """The operator on the True cells of ``mask``: the graph Laplacian with an
+    edge of weight aperture / h^2 between two cells next to each other along
+    array axis k whose face, in faces[k], is open, plus ``dirichlet`` on the
+    diagonal.  ValueError unless the cells are connected."""
+    node = _node_numbers(mask)
+    src, dst, weights = [], [], []
+    for k in reversed(range(mask.ndim)):  # the edges along x, then along y
+        lo, hi = _neighbors(k)
+        both = mask[lo] & mask[hi] & (faces[k] > 0.0)
+        src.append(node[lo][both])
+        dst.append(node[hi][both])
+        weights.append(faces[k][both])
+    L = graph_laplacian(int(mask.sum()), np.concatenate(src), np.concatenate(dst),
+                        np.concatenate(weights) / (h * h), dirichlet)
+    if sp.csgraph.connected_components(L, directed=False, return_labels=False) != 1:
+        raise ValueError("rasterized body is not connected at this h")
+    return L
 
 
 def factorize(A: sp.spmatrix) -> spl.SuperLU:
@@ -202,7 +348,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass(frozen=True)
 class EigenPair:
     value: float
-    vector: np.ndarray   # on nodes, normalized in L2(alpha h^2)
+    vector: np.ndarray | None  # on nodes, normalized in L2(alpha h^2); None once dropped
     residual: float
 
 
@@ -265,46 +411,51 @@ def _mirror(orthant: np.ndarray, shared: int | None = None) -> np.ndarray:
     return orthant
 
 
-def rasterize(body2d: BodySpec, h: float) -> GridDomain:
-    """Cut-cell raster of a 2D body on a symmetric cell-centered grid.
+def orthant(body2d: BodySpec, h: float) -> Orthant:
+    """The positive-orthant cells of the raster of a 2D body at spacing h, with
+    their closed-form fractions and apertures (``_orthant_cut_cells``).
 
-    The grid is symmetric about the origin (centers at +-(k+1/2)h), and the
-    fractions and apertures of one orthant are mirrored to the others, so the
-    raster of an unconditional body is exactly flip-symmetric, and with equal
-    half-widths exactly swap-symmetric.  Any 2D body: the cube at any
-    half-widths, every lp ball (p >= 1) at any scale.  An h that is not finite
-    and positive raises InvalidSpacingError.
+    Any 2D body: the cube at any half-widths, every lp ball (p >= 1) at any
+    scale.  An h that is not finite and positive, or that gives a raster of
+    more than MAX_CELLS cells, raises InvalidSpacingError, and one that gives
+    fewer than 32 cells across an axis TooCoarseGridError, before any array
+    is made.
     """
     if body2d.dim != 2:
         raise ValueError("rasterize expects a 2D body")
     if not (math.isfinite(h) and h > 0.0):
         raise InvalidSpacingError(f"raster spacing must be finite and positive, got {h!r}")
-    m = [int(math.ceil(b / h)) for b in body2d.scale_array]
+    # cells per half-axis; past MAX_CELLS, where b / h may overflow, any count is too many
+    m = [math.ceil(b / h) if b <= h * MAX_CELLS else MAX_CELLS + 1 for b in body2d.scale_array]
+    if math.prod(2 * k for k in m) > MAX_CELLS:
+        raise InvalidSpacingError(f"raster spacing {h!r} gives more than "
+                                  f"MAX_CELLS = {MAX_CELLS} cells")
     if min(m) * 2 < 32:
         raise TooCoarseGridError(f"grid too coarse: {2 * min(m)} cells per axis, need >= 32")
     alpha, across_x, across_y = _orthant_cut_cells(body2d, h, m)
-    alpha = _mirror(alpha)
-    apertures = {1: _mirror(across_x, shared=1), 0: _mirror(across_y, shared=0)}  # by array axis
-    mask = alpha > 0.0
-    node = np.cumsum(mask).reshape(mask.shape) - 1  # the node number on True cells
-    src, dst, faces = [], [], []
-    for k in reversed(range(mask.ndim)):  # the edges along x, then along y
-        lo, hi = _neighbors(k)
-        both = mask[lo] & mask[hi] & (apertures[k] > 0.0)
-        src.append(node[lo][both])
-        dst.append(node[hi][both])
-        faces.append(apertures[k][both])
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    L = graph_laplacian(int(mask.sum()), src, dst, np.concatenate(faces) / (h * h))
-    if sp.csgraph.connected_components(L, directed=False, return_labels=False) != 1:
-        raise ValueError("rasterized body is not connected at this h")
-    return GridDomain(body2d, h, mask, L, alpha[mask])
+    return Orthant(body2d, h, alpha, (across_y, across_x))
+
+
+def rasterize(body2d: BodySpec, h: float) -> GridDomain:
+    """Cut-cell raster of a 2D body on a symmetric cell-centered grid, with its
+    operator K.
+
+    The grid is symmetric about the origin (centers at +-(k+1/2)h), and the
+    fractions and apertures of one orthant (``orthant``, which checks h) are
+    mirrored to the others, so the raster of an unconditional body is exactly
+    flip-symmetric, and with equal half-widths exactly swap-symmetric.
+    """
+    cells = orthant(body2d, h)
+    grid = cells.mirrored()
+    faces = [_mirror(f, shared=k) for k, f in enumerate(cells.faces)]
+    return replace(grid, operator=_laplacian(grid.mask, faces, h))
 
 
 def lowest_eigenpairs(grid: GridDomain, odd: tuple[bool, ...] | None = None) -> list[EigenPair]:
     """The EIGENPAIRS lowest eigenpairs of K phi = lambda M phi, M = diag(alpha),
     in the flip class ``odd``, or on the whole raster when odd is None.
 
+    A class operator comes from the orthant (``Orthant.class_operator``).
     Shift-invert Lanczos on the standard symmetric problem for
     M^-1/2 K M^-1/2, whose operator x -> M^1/2 (A - shift M)^-1 M^1/2 x is one
     solve with the LU of A - shift M from ``factorize``: ARPACK's standard mode
@@ -312,9 +463,10 @@ def lowest_eigenpairs(grid: GridDomain, odd: tuple[bool, ...] | None = None) -> 
     the whole raster and normalized in L2(alpha h^2); each residual is the
     L2(alpha h^2) norm of M^-1 K phi - lambda phi, taken against the whole
     operator."""
-    nodes, E = (grid.flip_class(odd) if odd is not None
-                else (slice(None), sp.identity(grid.n_nodes, format="csr")))
-    A = (grid.operator @ E)[nodes]
+    if odd is None:
+        nodes, E, A = slice(None), sp.identity(grid.n_nodes, format="csr"), grid.operator
+    else:
+        (nodes, E), A = grid.flip_class(odd), grid.orthant.class_operator(odd)
     mass = grid.alpha[nodes]
     n = A.shape[0]
     bhw = float(np.max(grid.body.scale_array))

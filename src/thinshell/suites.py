@@ -529,23 +529,37 @@ def spectral_suite(seed: int) -> SuiteResult:
     singly_odd = odd_classes[:2]
     oracle_rasters = [(square, 1 / 16), (disc, 1 / 32), (l1_ball, comparison_h)]
     report_rasters = [(square, "square", 1 / 32), (disc, "disc", 1 / 64)]
+    report_grids = {(body, h) for body, _, h in report_rasters}  # read for vectors
     # the rasters whose full spectrum a check reads; every other one reads lambda_1 alone
-    full_rasters = set(oracle_rasters) | {(body, h) for body, _, h in report_rasters}
-    solved = {}  # (body, h) -> (grid, {parity: the lowest eigenpairs of that flip class})
+    full_rasters = set(oracle_rasters) | report_grids
+    # (body, h) -> (grid, {parity: the lowest eigenpairs of that flip class}), the
+    # grid and the vectors kept only for the report rasters
+    solved = {}
+    whole_values = {}  # (body, h) -> the lowest eigenvalues of the whole raster, solved as one
     solves = {"full classes": 0, "singly-odd": 0, "whole-raster": 0}  # eigen solves by kind
 
     def eigen(body, h):
         if (body, h) not in solved:
             grid = spec.rasterize(body, h)
             if (body, h) in full_rasters:
-                solved[body, h] = grid, spec.class_eigenpairs(grid)
+                classes = spec.class_eigenpairs(grid)
                 solves["full classes"] += 3 if grid.swap_symmetric else 4
             else:
                 # on a swap-symmetric raster the class odd in x has its twin's values
                 parities = singly_odd[:1 if grid.swap_symmetric else 2]
-                solved[body, h] = grid, {odd: spec.lowest_eigenpairs(grid, odd)
-                                         for odd in parities}
+                classes = {odd: spec.lowest_eigenpairs(grid, odd) for odd in parities}
                 solves["singly-odd"] += len(parities)
+            if (body, h) in oracle_rasters:
+                # oracle of the split: the whole raster, solved without its symmetry
+                whole_values[body, h] = np.array([p.value for p in spec.lowest_eigenpairs(grid)])
+                solves["whole-raster"] += 1
+            if (body, h) not in report_grids:
+                # later checks read only values and residuals: keep neither the
+                # grid nor the vectors, which would hold every raster to the end
+                grid = None
+                classes = {odd: [spec.EigenPair(p.value, None, p.residual) for p in pairs]
+                           for odd, pairs in classes.items()}
+            solved[body, h] = grid, classes
         return solved[body, h]
 
     def spectrum(body, h):  # the EIGENPAIRS lowest eigenpairs of a full raster, from its classes
@@ -557,11 +571,9 @@ def spectral_suite(seed: int) -> SuiteResult:
         return min(classes[odd][0].value for odd in singly_odd if odd in classes)
 
     for body, h in oracle_rasters:
-        # oracle of the split: the whole raster, solved without its symmetry
-        grid, classes = eigen(body, h)
-        whole = np.array([p.value for p in spec.lowest_eigenpairs(grid)])
-        solves["whole-raster"] += 1
+        classes = eigen(body, h)[1]
         split = np.array([p.value for p in spectrum(body, h)])
+        whole = whole_values[body, h]
         dev = float(max(np.max(np.abs(split - whole) / np.maximum(whole, whole[1])),
                         abs(classes[even][0].value) / whole[1],  # constants: even
                         # each class pair, solved or swapped from its twin, against K

@@ -7,9 +7,10 @@ exact assignment solve, a shortest-augmenting-path method in numpy.
 The dual norm ||u||_{H^-1(mu)} is sqrt of the inner product that a weighted
 Neumann-graph Poisson solve induces.  On 1D grid measures (path-graph
 Laplacian, ``spectral.graph_laplacian``) CG preconditioned by the grounded LU
-solves it; for the Lemma 2.1 check on a raster from ``spectral.rasterize``,
-one direct solve in the odd flip class of each gradient, with one LU for both
-axes where the raster is symmetric under x <-> y.  Each LU is
+solves it.  The Lemma 2.1 check on a 2D raster solves on the positive orthant
+alone (``spectral.orthant``): one direct solve in the odd flip class of each
+gradient, with one LU for both axes where the raster is symmetric under
+x <-> y, and no operator of the whole raster.  Each LU is
 ``spectral.factorize``, the one factorization that the eigen solves use too.
 """
 
@@ -407,54 +408,75 @@ def verify_variance_bound(body2d, fs: list[Callable], h: float) -> list[Variance
     """The two sides of Var(f) <= sum_i ||d_i f||^2_{H^-1} for each f in fs on
     one raster of a 2D convex body.
 
-    Each f is a vectorized callable f(x, y) evaluated at the cell centers,
-    giving one finite value per cell (else ValueError naming its index in fs)
-    and even in every coordinate to 1e-12 of max |f| (else NotEvenError), both
-    checked before any factorization.  Gradients are central differences,
-    one-sided at the edge of the raster, so d_i f lies in the flip class odd in
-    x_i alone, whose operator is nonsingular: one LU per class and a direct solve
-    per f and axis.  On a raster symmetric under x <-> y (equal half-widths)
-    the class odd in y alone is the swap of the class odd in x alone, so its
-    one LU serves d_y f too, swapped: one factorization in all.  Every LU is
-    made before the first gradient, and each f's gradient is dropped once its
-    solves are done, so the factorization runs next to no gradient and the
-    solves next to one.  The measure gives each cell alpha h^2, the part of it
-    inside the body, and the Dirichlet form is the spectral operator's, so
-    ||u||^2 = h^2 (alpha u)^T K^-1 (alpha u).
+    Each f is a vectorized callable f(x, y) evaluated at the cell centers of
+    the whole raster, one function at a time, giving one finite real value per
+    cell (else ValueError naming its index in fs) and even in every coordinate
+    to 1e-12 of max |f| (else NotEvenError), all checked before any
+    factorization.  Its mean and variance are sums over the whole raster; of
+    its values it keeps only those that its gradient reads on the positive
+    orthant (``spectral.Orthant.gradient``): central differences, one-sided at
+    the edge of the raster.  d_i f lies in the flip class odd in x_i alone,
+    whose operator, assembled on the orthant
+    (``spectral.Orthant.class_operator``), is nonsingular: one LU per class and
+    a direct solve per f and axis, and no operator of the whole raster.  On a
+    raster symmetric under x <-> y (equal half-widths) the class odd in y
+    alone is the swap of the class odd in x alone, so its one LU serves d_y f
+    too, swapped: one factorization in all.  Every LU is made before the first
+    gradient, and each f's gradient is dropped once its solves are done.  The
+    measure gives each cell alpha h^2, the part of it inside the body, and the
+    Dirichlet form is the spectral operator's, so
+    ||u||^2 = h^2 (alpha u)^T K^-1 (alpha u) over the whole raster, 2^d times
+    its value on the orthant.
     """
-    grid = spectral.rasterize(body2d, h)
-    centers, d = grid.centers(), grid.mask.ndim
-    cell = h ** d
-    w = grid.alpha * cell
-    vals = [np.asarray(f(*centers), dtype=float) for f in fs]
-    for i, v in enumerate(vals):
+    cells = spectral.orthant(body2d, h)
+    variances, near = _whole_raster_moments(cells, fs)
+    d, cell = cells.alpha.ndim, h ** cells.alpha.ndim
+    # on a swap-symmetric raster d_y f, swapped, lies in the class odd in x
+    # alone, whose LU then serves both axes
+    swap = cells.swap() if cells.swap_symmetric else None
+    lus = []
+    for axis in range(d):
+        if swap is None or axis == 0:
+            lu = spectral.factorize(cells.class_operator(tuple(a == axis for a in range(d))))
+        lus.append(lu)
+    alpha = cells.alpha[cells.mask]
+    reports = []
+    for var, values in zip(variances, near):
+        bound = 0.0
+        for axis, (g, lu) in enumerate(zip(cells.gradient(values), lus)):
+            # one f at a time: a block solve rounds otherwise
+            u = alpha * (g[swap] if swap is not None and axis > 0 else g)
+            bound += 2 ** d * cell * _dot(u, lu.solve(u))  # 2^d mirror images per node
+        reports.append(VarianceBoundReport(var, bound))
+    return reports
+
+
+def _whole_raster_moments(cells, fs: list[Callable]) -> tuple[list[float], list[np.ndarray]]:
+    """The variance of each f in fs over the whole raster mirrored from the
+    orthant ``cells``, summed in its node order, and the values of f that its
+    gradient reads (``spectral.Orthant.near``), after the checks of
+    ``verify_variance_bound``.  The whole raster's arrays go on return, before
+    any factorization."""
+    grid = cells.mirrored()  # the whole raster's cells and measure; no operator
+    centers = grid.centers()
+    w = grid.alpha * cells.h ** grid.mask.ndim
+    mass = float(w.sum())
+    variances, near = [], []
+    for i, f in enumerate(fs):
+        v = np.asarray(f(*centers))
+        if np.iscomplexobj(v):
+            raise ValueError(f"fs[{i}] gives complex values, not one real value per cell")
+        v = np.asarray(v, dtype=float)
         if v.shape != w.shape:
             raise ValueError(f"fs[{i}] gives shape {v.shape}, not one value per cell {w.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError(f"fs[{i}] is not finite at every cell")
-    for axis in range(d):
-        mirror = grid.flip(axis)
-        if any(np.max(np.abs(v - v[mirror])) > 1e-12 * np.max(np.abs(v)) for v in vals):
-            raise NotEvenError(f"a function is not even in coordinate {axis}")
-    # on a swap-symmetric raster d_y f, swapped, lies in the class odd in x
-    # alone, whose LU then serves both axes
-    swap = grid.swap() if grid.swap_symmetric else None
-    solvers = []
-    for axis in range(d):
-        if swap is None or axis == 0:
-            nodes, E = grid.flip_class(tuple(a == axis for a in range(d)))
-            lu = spectral.factorize((grid.operator @ E)[nodes])
-        solvers.append((nodes, lu))
-    bounds = np.zeros(len(fs))
-    for j, v in enumerate(vals):
-        for axis, (g, (nodes, lu)) in enumerate(zip(grid.gradient(v), solvers)):
-            # one f at a time: a block solve rounds otherwise
-            u = grid.alpha[nodes] * (g[swap] if swap is not None and axis > 0 else g)[nodes]
-            bounds[j] += 2 ** d * cell * _dot(u, lu.solve(u))  # 2^d mirror images per node
-    mass = float(w.sum())
-    reports = []
-    for vals_f, bound in zip(vals, bounds):
-        mean = _dot(vals_f, w) / mass
-        var = _dot((vals_f - mean) ** 2, w)
-        reports.append(VarianceBoundReport(var, float(bound)))
-    return reports
+        full = grid.image(v)  # 0 off the mask, which every flip keeps
+        for axis in range(full.ndim):
+            if (np.max(np.abs(full - np.flip(full, full.ndim - 1 - axis)))
+                    > 1e-12 * np.max(np.abs(v))):
+                raise NotEvenError(f"fs[{i}] is not even in coordinate {axis}")
+        mean = _dot(v, w) / mass
+        variances.append(_dot((v - mean) ** 2, w))
+        near.append(cells.near(full))
+    return variances, near

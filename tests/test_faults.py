@@ -3,9 +3,10 @@ raster volume fraction, Fourier inversion, isotropic scale, coordinate law or
 exact law must fail at least one suite assertion.
 
 Each fault monkeypatches the function that builds the operator, the extension,
-the swap x <-> y, the raster, the inversion's sine transform, the isotropic body,
-the draw or the counterexample's CDF, then runs the suites that use it:
-transport at raster spacing 1/32, spectral, clt, berry_esseen, and thinshell.
+the swap x <-> y, the raster or its orthant, the inversion's sine transform,
+the isotropic body, the draw or the counterexample's CDF, then runs the suites
+that use it: transport at raster spacing 1/32, spectral, clt, berry_esseen, and
+thinshell.
 """
 
 import dataclasses
@@ -63,16 +64,16 @@ def test_a_small_raster_operator_fails_the_closed_form(monkeypatch, scale):
 
 @pytest.mark.parametrize("scale", [1.01, 0.99])
 def test_raster_volume_fractions_one_percent_off_fail_the_closed_forms(monkeypatch, scale):
-    # the cell weights alpha h^2 of the raster measure carry the fault into the
-    # Var that each closed form reads, and into its dual-norm bound; the one-sided
-    # Lemma 2.1 checks still hold
-    rasterize = spectral.rasterize
+    # the orthant's fractions, mirrored into the cell weights alpha h^2 of the
+    # raster measure, carry the fault into the Var that each closed form reads,
+    # and into its dual-norm bound; the one-sided Lemma 2.1 checks still hold
+    orthant = spectral.orthant
 
     def scaled(*args):
-        grid = rasterize(*args)
-        return dataclasses.replace(grid, alpha=scale * grid.alpha)
+        cells = orthant(*args)
+        return dataclasses.replace(cells, alpha=scale * cells.alpha)
 
-    monkeypatch.setattr(spectral, "rasterize", scaled)
+    monkeypatch.setattr(spectral, "orthant", scaled)
     result = suites.transport_suite(SEED, raster_h=1 / 32)
     assert [a.name for a in result.assertions if not a.passed] == [
         name.replace(".bound", part) for name in CLOSED_FORMS for part in (".var", ".bound")]
@@ -90,12 +91,15 @@ def test_a_raster_operator_slightly_off_fails_every_lambda1(monkeypatch, scale):
 
 
 def test_a_sign_error_in_the_parity_extension_fails_both_lattice_suites(monkeypatch):
-    # every reflection carries the wrong sign, so each class is its opposite:
-    # each Lemma 2.1 gradient is solved in the wrong class, and the constants
-    # turn up in the odd-odd class; the class spectra together stay right
-    flip_class = spectral.GridDomain.flip_class
+    # every reflection carries the wrong sign, both in the extension E of class
+    # vectors and in the class operator's mirror term, so each class is its
+    # opposite: each Lemma 2.1 gradient is solved in the wrong class, and the
+    # constants turn up in the odd-odd class; the class spectra together stay right
+    flip_class, class_operator = spectral.GridDomain.flip_class, spectral.Orthant.class_operator
     monkeypatch.setattr(spectral.GridDomain, "flip_class",
                         lambda grid, odd: flip_class(grid, tuple(not o for o in odd)))
+    monkeypatch.setattr(spectral.Orthant, "class_operator",
+                        lambda cells, odd: class_operator(cells, tuple(not o for o in odd)))
     result = suites.transport_suite(SEED, raster_h=1 / 32)
     assert [a.name for a in result.assertions if not a.passed] == CLOSED_FORMS
     failed = [a.name for a in suites.spectral_suite(SEED).assertions if not a.passed]
@@ -119,7 +123,7 @@ def test_a_wrong_swap_fails_the_x2_plus_y2_closed_forms(monkeypatch):
     # solves for d_y on the wrong nodes.  x^2 has d_y = 0, and the one-sided
     # bounds stay above Var, so only the x^2+y^2 closed-form bounds see it (the
     # square's bound falls from 4.2563 to 3.5502, -17%)
-    monkeypatch.setattr(spectral.GridDomain, "swap", lambda grid: np.arange(grid.n_nodes))
+    monkeypatch.setattr(spectral.Orthant, "swap", lambda cells: np.arange(cells.mask.sum()))
     result = suites.transport_suite(SEED, raster_h=1 / 32)
     assert [a.name for a in result.assertions if not a.passed] == [
         f"lemma21.{body}.x^2+y^2.closed_form.bound"

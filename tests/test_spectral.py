@@ -1,5 +1,8 @@
+import gc
 import itertools
 import math
+import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -11,6 +14,7 @@ from scipy.special import j1, jnp_zeros
 from thinshell import bodies, spectral, suites
 from thinshell.bodies import BodySpec
 from thinshell.spectral import (
+    MAX_CELLS,
     EigenPair,
     InvalidSpacingError,
     NotConvergingError,
@@ -206,6 +210,30 @@ def test_rasterize_rejects_a_spacing_that_is_not_finite_and_positive(h):
     assert issubclass(InvalidSpacingError, ValueError)
 
 
+# h = 1e-9 on the square asks for 4e18 cells, 5e-324 overflows b / h to inf,
+# and the rectangle at 1/1300 has 2340 x 520 cells, 1.16 MAX_CELLS
+@pytest.mark.parametrize("body, h", [
+    (BodySpec.cube(2), 1e-4), (BodySpec.cube(2), 1e-9), (BodySpec.euclidean_ball(2), 5e-324),
+    (BodySpec("cube", 2, (0.9, 0.2)), 1 / 1300), (BodySpec.cube(2), 1 / 513)])
+def test_a_raster_over_max_cells_is_named_before_any_array_is_made(body, h):
+    # at h = 1e-4 the square asked numpy for 763 MiB before any check
+    tracemalloc.start()
+    try:
+        for build in (rasterize, spectral.orthant):
+            with pytest.raises(InvalidSpacingError, match="MAX_CELLS"):
+                build(body, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
+def test_max_cells_admits_its_own_count():
+    # 1024 x 1024 cells at h = 1/512, 16 times the raster at h = 1/128
+    assert spectral.orthant(BodySpec.cube(2), 1 / 512).alpha.shape == (512, 512)
+    assert (2 * 512) ** 2 == MAX_CELLS
+
+
 def test_operator_kernel_and_symmetry(square_grid, disc_grid):
     for grid in (square_grid, disc_grid):
         L = grid.operator
@@ -326,6 +354,54 @@ def test_flip_class_extension_and_operator():
         np.testing.assert_array_equal(diff, np.diag(ghost))
     with pytest.raises(ValueError):  # one parity per coordinate
         grid.flip_class((True,))
+
+
+# every raster of the two lattice suites: the spectral suite's, and the
+# transport suite's square and disc at its default h = 1/32 (among the full
+# rasters) and at the lattice benchmark's 1/128
+LATTICE_SUITE_RASTERS = (SUITE_LAMBDA1_RASTERS + SUITE_FULL_RASTERS
+                         + [(BodySpec.cube(2), 1 / 128), (BodySpec.euclidean_ball(2), 1 / 128)])
+
+
+@pytest.mark.parametrize("body, h", LATTICE_SUITE_RASTERS)
+def test_orthant_class_operators_are_the_whole_raster_products_to_the_bit(body, h):
+    grid = rasterize(body, h)
+    for odd in PARITIES:
+        nodes, E = grid.flip_class(odd)
+        product, assembled = (grid.operator @ E)[nodes], grid.orthant.class_operator(odd)
+        assert assembled.shape == product.shape == (nodes.size, nodes.size)
+        assert (assembled != product).nnz == 0
+
+
+def test_the_spectral_suite_keeps_grids_and_vectors_of_the_report_rasters_only(monkeypatch):
+    # a raster's grid and eigenvectors go once its solves are read, but for the
+    # square at 1/32 and the disc at 1/64, whose eigen reports read vectors:
+    # checked as each raster is made, the witness rectangle last
+    report = {(BodySpec.cube(2), 1 / 32), (BodySpec.euclidean_ball(2), 1 / 64)}
+    made, alive_at = [], []  # (weak reference, (body, h)) of each grid and vector
+    rasterize, extended_pair = spectral.rasterize, spectral._extended_pair
+
+    def alive():
+        gc.collect()
+        return {key for ref, key in made if ref() is not None}
+
+    def recorded_rasterize(body, h):
+        alive_at.append(alive())
+        grid = rasterize(body, h)
+        made.append((weakref.ref(grid), (body, h)))
+        return grid
+
+    def recorded_pair(grid, E, lam, phi):
+        pair = extended_pair(grid, E, lam, phi)
+        made.append((weakref.ref(pair.vector), (grid.body, grid.h)))
+        return pair
+
+    monkeypatch.setattr(spectral, "rasterize", recorded_rasterize)
+    monkeypatch.setattr(spectral, "_extended_pair", recorded_pair)
+    suites.spectral_suite(20250810)
+    assert len(alive_at) == 11 and len(made) == 11 + 5 * (4 * 5 + 5 + 2 + 3)
+    assert all(keys <= report for keys in alive_at)
+    assert alive_at[-1] == report
 
 
 def test_each_lattice_solve_factors_once_through_the_helper(monkeypatch):

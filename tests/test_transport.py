@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +18,14 @@ from scipy.spatial.distance import cdist
 import thinshell
 from thinshell import spectral, suites, transport
 from thinshell.bodies import BodySpec
-from thinshell.spectral import TooCoarseGridError
+from thinshell.spectral import InvalidSpacingError, TooCoarseGridError
 from thinshell.transport import (
     ConvergenceError,
     DiscreteMeasure,
     EndpointConditionError,
     MassMismatchError,
     NotEvenError,
+    VarianceBoundReport,
     hminus1_norm,
     monotone_transport_1d,
     verify_thm258,
@@ -382,7 +384,7 @@ def test_the_odd_y_class_reuses_the_odd_x_lu_on_a_swap_symmetric_raster(
     monkeypatch.setattr(spectral, "factorize", lambda A: factored.append(A) or factorize(A))
     swapped = verify_variance_bound(body, fs, 1 / 32)
     assert len(factored) == factorizations
-    monkeypatch.setattr(spectral.GridDomain, "swap_symmetric", False)
+    monkeypatch.setattr(spectral.Orthant, "swap_symmetric", False)
     direct = verify_variance_bound(body, fs, 1 / 32)
     assert len(factored) == factorizations + 2
     for s, d in zip(swapped, direct, strict=True):
@@ -393,11 +395,11 @@ def test_variance_bound_factors_before_it_differentiates(monkeypatch):
     # every LU is made before the first gradient, and each function's gradient
     # once, so no list of gradients is held while SuperLU factors
     events = []
-    factorize, gradient = spectral.factorize, spectral.GridDomain.gradient
+    factorize, gradient = spectral.factorize, spectral.Orthant.gradient
     monkeypatch.setattr(spectral, "factorize",
                         lambda A: events.append("factorize") or factorize(A))
-    monkeypatch.setattr(spectral.GridDomain, "gradient",
-                        lambda grid, v: events.append("gradient") or gradient(grid, v))
+    monkeypatch.setattr(spectral.Orthant, "gradient",
+                        lambda cells, v: events.append("gradient") or gradient(cells, v))
     fs = [lambda x, y: x ** 2 + y ** 2, lambda x, y: np.cos(math.pi * x) * y ** 2,
           lambda x, y: x ** 2]
     for body, factorizations in ((BodySpec.cube(2), 1), (BodySpec("cube", 2, (1.5, 1.0)), 2)):
@@ -435,14 +437,86 @@ def _no_factorization(A):
     (lambda x, y: np.where(np.abs(x) == x.max(), math.inf, x ** 2), r"fs\[1\] is not finite"),
     (lambda x, y: np.where(np.abs(y) == y.max(), -math.inf, y ** 2), r"fs\[1\] is not finite"),
     (lambda x, y: np.ones(3), r"fs\[1\] gives shape \(3,\), not one value per cell"),
-], ids=["nan-at-one-cell", "nan-past-one-half", "inf", "minus-inf", "three-values"])
+    (lambda x, y: x ** 2 + 0j, r"fs\[1\] gives complex values"),
+], ids=["nan-at-one-cell", "nan-past-one-half", "inf", "minus-inf", "three-values", "complex"])
 def test_variance_bound_names_a_function_without_one_finite_value_per_cell(
         monkeypatch, bad, message):
-    # a NaN returned VarianceBoundReport(nan, nan) and shape (3,) numpy's
-    # broadcast error; now the function's index is named before any LU
+    # a NaN returned VarianceBoundReport(nan, nan), shape (3,) numpy's
+    # broadcast error, and x^2 + 0j its real part with a ComplexWarning; now
+    # the function's index is named before any LU
     monkeypatch.setattr(spectral, "factorize", _no_factorization)
     with pytest.raises(ValueError, match=message):
         verify_variance_bound(BodySpec.cube(2), [lambda x, y: x ** 2, bad], h=1 / 16)
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-9])
+def test_variance_bound_names_a_raster_over_max_cells_before_any_array(h):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSpacingError, match="MAX_CELLS"):
+            verify_variance_bound(BodySpec.cube(2), [lambda x, y: x ** 2], h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
+def _whole_raster_variance_bound(body2d, fs, h):
+    """verify_variance_bound solved on the whole raster: its operator, the
+    parity extension E of each class, and the gradient of every cell."""
+    grid = spectral.rasterize(body2d, h)
+    centers, d = grid.centers(), grid.mask.ndim
+    cell = h ** d
+    w = grid.alpha * cell
+    vals = [np.asarray(f(*centers), dtype=float) for f in fs]
+    swap = grid.swap() if grid.swap_symmetric else None
+    solvers = []
+    for axis in range(d):
+        if swap is None or axis == 0:
+            nodes, E = grid.flip_class(tuple(a == axis for a in range(d)))
+            lu = spectral.factorize((grid.operator @ E)[nodes])
+        solvers.append((nodes, lu))
+    bounds = np.zeros(len(fs))
+    for j, v in enumerate(vals):
+        for axis, (g, (nodes, lu)) in enumerate(zip(grid.gradient(v), solvers)):
+            u = grid.alpha[nodes] * (g[swap] if swap is not None and axis > 0 else g)[nodes]
+            bounds[j] += 2 ** d * cell * spectral._dot(u, lu.solve(u))
+    mass = float(w.sum())
+    reports = []
+    for v, bound in zip(vals, bounds):
+        mean = spectral._dot(v, w) / mass
+        reports.append(VarianceBoundReport(spectral._dot((v - mean) ** 2, w), float(bound)))
+    return reports
+
+
+@pytest.mark.parametrize("body", [BodySpec.cube(2), BodySpec.euclidean_ball(2),
+                                  BodySpec.lp_ball(2, p=1.0), BodySpec("cube", 2, (1.5, 1.0))])
+def test_the_orthant_solve_gives_the_bits_of_the_whole_raster_solve(body):
+    rng = np.random.default_rng(5)
+    fs = [lambda x, y: x ** 2, lambda x, y: x ** 2 + y ** 2,
+          lambda x, y: np.cos(math.pi * x) * y ** 2] + [suites._random_even_trig(rng)
+                                                        for _ in range(2)]
+    assert (verify_variance_bound(body, fs, 1 / 32)
+            == _whole_raster_variance_bound(body, fs, 1 / 32))
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the whole raster was built")
+
+
+def test_variance_bound_assembles_no_operator_larger_than_the_orthant(monkeypatch):
+    # the whole raster has 4 times the orthant's nodes; neither it nor its
+    # parity extensions are built
+    sizes, build = [], spectral.graph_laplacian
+    monkeypatch.setattr(spectral, "graph_laplacian",
+                        lambda n_nodes, *args: sizes.append(n_nodes) or build(n_nodes, *args))
+    monkeypatch.setattr(spectral, "rasterize", _never)
+    monkeypatch.setattr(spectral.GridDomain, "flip_class", _never)
+    for body, operators in ((BodySpec.cube(2), 1), (BodySpec.euclidean_ball(2), 1),
+                            (BodySpec("cube", 2, (1.5, 1.0)), 2)):
+        sizes.clear()
+        verify_variance_bound(body, [lambda x, y: x ** 2 + y ** 2], 1 / 64)
+        assert sizes == [int(spectral.orthant(body, 1 / 64).mask.sum())] * operators
 
 
 # -- duality verification ----------------------------------------------------------------
@@ -570,7 +644,7 @@ def test_variance_bound_too_coarse():
 
 
 def test_transport_suite_rasterizes_once_and_builds_one_laplacian_per_measure(monkeypatch):
-    counts = {"rasterize": 0, "laplacian": 0}
+    counts = {"orthant": 0, "laplacian": 0, "class operator": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -578,12 +652,16 @@ def test_transport_suite_rasterizes_once_and_builds_one_laplacian_per_measure(mo
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(spectral, "rasterize", counted("rasterize", spectral.rasterize))
+    monkeypatch.setattr(spectral, "orthant", counted("orthant", spectral.orthant))
     monkeypatch.setattr(transport, "graph_laplacian",
                         counted("laplacian", transport.graph_laplacian))
+    monkeypatch.setattr(spectral, "graph_laplacian",
+                        counted("class operator", spectral.graph_laplacian))
     suites.transport_suite(20250810, raster_h=1 / 32)
-    assert counts["rasterize"] == 2  # the square and the disc
-    assert counts["laplacian"] == 1  # the 1D example; rasters reuse the spectral operator
+    assert counts["orthant"] == 2  # the cells of the square and of the disc, once each
+    assert counts["laplacian"] == 1  # the 1D example
+    # the class odd in x alone of each raster, which serves d_y f too, swapped
+    assert counts["class operator"] == 2
 
 
 _VARIANCE_BOUND_RUN = """
